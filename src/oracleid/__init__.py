@@ -29,7 +29,6 @@ from .identify import (
     run_halving_basic,
     run_halving_improved,
 )
-from .kernels import BACKEND as KERNEL_BACKEND
 from .ordering import Ordering, first_disagreement_rank, hegedus_ordering, verify_ordering
 
 __version__ = "0.1.0"
@@ -56,6 +55,5 @@ __all__ = [
     "run_final",
     "identify_all",
     "classical_identify",
-    "KERNEL_BACKEND",
     "__version__",
 ]

@@ -38,7 +38,6 @@ from .identify import (
     run_halving_basic,
     run_halving_improved,
 )
-from .kernels import BACKEND
 from .ordering import hegedus_ordering, verify_ordering
 
 _ALGORITHMS = {
@@ -60,7 +59,6 @@ class ExperimentConfig:
     class_source: str | None
     algorithm: str = "final"
     jobs: int = 1
-    kernel_backend: str = BACKEND
 
     def __post_init__(self):
         if self.trials < 1:
@@ -131,6 +129,12 @@ def cmd_run(args) -> int:
     if args.all:
         xs = [str(m) for m in cls.members]
     elif args.x:
+        try:
+            member = BitString.from_str(args.x) in cls
+        except ValueError:  # not a binary string
+            member = False
+        if not member:
+            raise SystemExit(f"--x {args.x} is not a member of the class")
         xs = [args.x]
     else:
         raise SystemExit("run needs --x or --all")
@@ -277,7 +281,9 @@ def _verify_lp_suite(n: int, m: int, tolerance: float, checks: list) -> None:
 def cmd_verify(args) -> int:
     checks: list[dict] = []
     if args.suite in ("ordering", "all"):
-        _verify_ordering_suite(min(args.n, 4), args.tolerance, checks)
+        if not 1 <= args.n <= 4:
+            raise SystemExit("the ordering suite is exhaustive and needs 1 <= --n <= 4")
+        _verify_ordering_suite(args.n, args.tolerance, checks)
     if args.suite in ("sdp", "all"):
         _verify_sdp_suite(args.class_file, max(args.tolerance, 1e-9), checks,
                           dump=args.dump)
@@ -348,7 +354,7 @@ def _report_star(cell) -> bounds_mod.BoundReport:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oracleid",
-        description="identification-problem laboratory (kernel backend: " + BACKEND + ")",
+        description="identification-problem laboratory",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -186,7 +186,7 @@ def make_engine(engine) -> IdealFinder | QuantumFinder:
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def _new_context(concept_class: ConceptClass, engine, seed) -> EngineContext:
+def _new_context(concept_class: ConceptClass, seed) -> EngineContext:
     m = concept_class.size
     r_max = max(1, math.ceil(math.log2(m))) if m > 1 else 1
     budget = 1.0 / (3.0 * (r_max + 1))
@@ -227,7 +227,7 @@ def run_halving_basic(
     """
     engine = make_engine(engine)
     _check_input(concept_class, x)
-    ctx = _new_context(concept_class, engine, seed)
+    ctx = _new_context(concept_class, seed)
     n = concept_class.n
     S = list(concept_class.values)
     positions: list[int] = []
@@ -263,7 +263,7 @@ def run_halving_improved(
     """
     engine = make_engine(engine)
     _check_input(concept_class, x)
-    ctx = _new_context(concept_class, engine, seed)
+    ctx = _new_context(concept_class, seed)
     n = concept_class.n
     full = (1 << n) - 1
     S = list(concept_class.values)
@@ -309,7 +309,7 @@ def run_final(
     """
     engine = make_engine(engine)
     _check_input(concept_class, x)
-    ctx = _new_context(concept_class, engine, seed)
+    ctx = _new_context(concept_class, seed)
     n = concept_class.n
     S = list(concept_class.values)
     positions: list[int] = []

@@ -1,10 +1,18 @@
-"""Statevector simulation of the search subroutines, with strict query counting.
+"""Exact simulation of the search subroutines, with strict query counting.
 
 Simulated register: ``k`` index qubits plus one target qubit.  The oracle
 for a hidden string maps basis state ``|v, b>`` to ``|v, b XOR e_v>`` where
 ``e`` is the effective string being searched (the bitwise XOR of the hidden
 string with a known reference, read in a chosen scan order).  Index values
 at or beyond the search width are never marked.
+
+From the uniform start, Grover iterations over ``dim = 2**k`` indices with
+``K`` marked stay in a two-dimensional subspace (Boyer, Brassard, Hoyer and
+Tapp, "Tight bounds on quantum searching", 1998): after ``j`` iterations
+each marked index has probability ``sin^2((2j+1) theta) / K`` and each
+unmarked one ``cos^2((2j+1) theta) / (dim - K)``, with
+``sin^2 theta = K / dim``.  The simulator uses these two amplitudes in place
+of a statevector, so its cost does not grow with ``j``.
 
 Query accounting rules (applied everywhere, including inside amplitude
 amplification):
@@ -17,8 +25,9 @@ amplification):
   for free -- that is knowledge, not an oracle call.
 
 All randomness is drawn from one seeded ``numpy`` PCG64 generator per run,
-so outcome sequences are reproducible bit-for-bit across platforms and
-kernel backends share the same draw order.
+so outcome sequences are reproducible bit-for-bit across platforms.  Each
+search round draws its iteration count, then exactly one uniform variate
+for the measurement.
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
 from .bitstrings import BitString
 
 __all__ = [
@@ -38,10 +46,9 @@ __all__ = [
     "QueryCounter",
     "SimStats",
     "ScanState",
-    "StateVector",
     "FirstOneResult",
     "DisagreementResult",
-    "apply_oracle",
+    "grover_probabilities",
     "grover_search_unknown_count",
     "find_first_one",
     "quantum_disagreement_finder",
@@ -62,7 +69,8 @@ class SearchConfig:
         cannot beat direct queries.
     min_repetitions: floor on the number of independent repetitions used
         to drive a finder's failure probability down to a caller's budget.
-    norm_tol: statevector norm must stay within this of 1.
+    norm_tol: the simulated state's norm, recomputed from its two
+        amplitudes every round, must stay within this of 1.
     """
 
     growth: float = 1.2
@@ -94,17 +102,17 @@ class QueryCounter:
 
 @dataclass
 class SimStats:
-    """Tracks the worst statevector norm drift seen during a run."""
+    """Tracks the worst norm drift of the simulated state during a run."""
 
     max_drift: float = 0.0
     tol: float = DEFAULT_CONFIG.norm_tol
 
-    def observe(self, state: "StateVector") -> None:
-        drift = abs(state.norm() - 1.0)
+    def observe(self, norm: float) -> None:
+        drift = abs(norm - 1.0)
         if drift > self.max_drift:
             self.max_drift = drift
         if drift > self.tol:
-            raise RuntimeError(f"statevector norm drifted by {drift:.3e}")
+            raise RuntimeError(f"simulated state norm drifted by {drift:.3e}")
 
 
 @dataclass
@@ -115,42 +123,6 @@ class ScanState:
     """
 
     cleared: int = 0
-
-
-@dataclass
-class StateVector:
-    """Amplitudes of ``qubits`` qubits; the last qubit is the oracle target."""
-
-    qubits: int
-    amps: np.ndarray
-
-    @classmethod
-    def basis(cls, qubits: int, index: int = 0) -> "StateVector":
-        amps = np.zeros(1 << qubits, dtype=np.complex128)
-        amps[index] = 1.0
-        return cls(qubits, amps)
-
-    @classmethod
-    def uniform_with_minus_target(cls, index_qubits: int) -> "StateVector":
-        """Uniform superposition over the index register, target in |0>-|1>."""
-        dim = 1 << index_qubits
-        amps = np.empty(2 * dim, dtype=np.complex128)
-        c = 1.0 / math.sqrt(2 * dim)
-        amps[0::2] = c
-        amps[1::2] = -c
-        return cls(index_qubits + 1, amps)
-
-    @property
-    def index_dim(self) -> int:
-        return 1 << (self.qubits - 1)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
-    def index_probabilities(self) -> np.ndarray:
-        out = np.empty(self.index_dim, dtype=np.float64)
-        kernels.index_probabilities(self.amps, out)
-        return out
 
 
 @dataclass(frozen=True)
@@ -177,34 +149,12 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def apply_oracle(
-    state: StateVector, x: BitString, counter: QueryCounter | None = None
-) -> StateVector:
-    """Apply the oracle for ``x`` once: ``|v, b> -> |v, b XOR x_v>``.
-
-    Index values at or beyond ``len(x)`` act as identity.  Counts one query.
-    """
-    dim = state.index_dim
-    if x.n > dim:
-        raise ValueError(f"index register of width {dim} too narrow for {x.n} bits")
-    marked = np.zeros(dim, dtype=np.uint8)
-    for v in range(x.n):
-        marked[v] = x.bit(v)
-    kernels.oracle_permute(state.amps, marked)
-    if counter is not None:
-        counter.tick()
-    return state
-
-
-_MAX_SIM_WIDTH = 64  # statevector simulation cap
-
-
 class _Effective:
     """Rank-indexed view of the string actually searched.
 
     Rank ``t`` is bit ``order[t]`` of the hidden string XORed with the
     reference ``s`` (zero reference and identity order by default).  The
-    raw bits live here so the simulator can build oracle masks, but every
+    raw bits live here so the simulator can count marked ranks, but every
     read that reaches the algorithm is routed through a counted query.
     """
 
@@ -220,8 +170,6 @@ class _Effective:
         scan = tuple(order) if order is not None else tuple(range(x.n))
         if width > len(scan):
             raise ValueError(f"width {width} exceeds scan order of length {len(scan)}")
-        if width > _MAX_SIM_WIDTH:
-            raise ValueError(f"simulation capped at {_MAX_SIM_WIDTH} bits")
         if s is not None and s.n != x.n:
             raise ValueError("reference string length mismatch")
         if s is None:
@@ -229,21 +177,22 @@ class _Effective:
         else:
             self.ranks = tuple(x.bit(j) ^ s.bit(j) for j in scan[:width])
 
-    def mask(self, limit: int, dim: int) -> np.ndarray:
-        out = np.zeros(dim, dtype=np.uint8)
-        out[:limit] = self.ranks[:limit]
-        return out
-
     def query(self, t: int, counter: QueryCounter) -> int:
         counter.tick()
         return self.ranks[t]
 
 
-def _measure_index(state: StateVector, rng: np.random.Generator) -> int:
-    probs = state.index_probabilities()
-    cum = np.cumsum(probs)
-    u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right"))
+def grover_probabilities(dim: int, marked: int, iterations: int) -> tuple[float, float]:
+    """Per-index measurement probabilities after ``iterations`` Grover steps.
+
+    Returns ``(p_marked, p_unmarked)`` for a uniform start over ``dim``
+    indices of which ``marked`` are marked; a value whose index class is
+    empty is 0.
+    """
+    angle = (2 * iterations + 1) * math.asin(math.sqrt(marked / dim))
+    p_marked = math.sin(angle) ** 2 / marked if marked else 0.0
+    p_unmarked = math.cos(angle) ** 2 / (dim - marked) if marked < dim else 0.0
+    return p_marked, p_unmarked
 
 
 def _bbht(
@@ -263,26 +212,27 @@ def _bbht(
     """
     if limit <= 0:
         return None
-    k = max(0, (limit - 1).bit_length())
-    dim = 1 << k
-    marked = eff.mask(limit, dim)
+    dim = 1 << max(0, (limit - 1).bit_length())
     if dim == 1:
         # single candidate: one verification settles it
         if eff.query(0, counter):
             return 0
         return None
+    marked = np.zeros(dim, dtype=bool)
+    marked[:limit] = eff.ranks[:limit]
+    n_marked = int(np.count_nonzero(marked))
     budget = config.cutoff_coeff * math.sqrt(limit)
     m = 1.0
     m_cap = math.sqrt(dim)
     used = 0
     while used <= budget:
         j = int(rng.integers(0, math.ceil(m)))
-        state = StateVector.uniform_with_minus_target(k)
-        kernels.grover_run(state.amps, marked, j)
         counter.tick(j)
         used += j
-        stats.observe(state)
-        v = _measure_index(state, rng)
+        p_marked, p_unmarked = grover_probabilities(dim, n_marked, j)
+        stats.observe(math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked))
+        cum = np.cumsum(np.where(marked, p_marked, p_unmarked))
+        v = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         if v < limit:
             if eff.query(v, counter):
                 return v

@@ -76,6 +76,14 @@ class TestRun:
         assert summary["runs"] == 200
         assert summary["success_rate"] >= 0.60
 
+    @pytest.mark.parametrize("x", ["011", "0100"])
+    def test_non_member_rejected(self, class_file, tmp_path, capsys, x):
+        out = tmp_path / "rows.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--class-file", class_file, "--x", x, "-o", str(out))
+        assert exc.value.code == f"--x {x} is not a member of the class"
+        assert not out.exists()
+
     def test_trial_rows_deterministic_per_seed(self, class_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -106,6 +114,13 @@ class TestVerify:
     def test_ordering_suite_passes(self, capsys):
         assert run_cli("verify", "--suite", "ordering", "--n", "4") == 0
         assert "[PASS]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["0", "6"])
+    def test_ordering_suite_rejects_out_of_range_n(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--suite", "ordering", "--n", n)
+        assert "needs 1 <= --n <= 4" in str(exc.value.code)
+        assert "[PASS]" not in capsys.readouterr().out
 
     def test_sdp_suite_with_class_file(self, tmp_path, capsys):
         cf = tmp_path / "c.json"

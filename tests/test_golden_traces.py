@@ -1,0 +1,48 @@
+"""Fixed-seed quantum traces must not change.
+
+``golden_traces.json`` holds ``RunTrace.to_dict()`` (minus ``norm_drift``,
+a floating-point observation rather than an outcome) of ``run_final`` with
+the quantum engine, recorded with the original statevector simulator.  The
+search model has since changed; the random draws it makes, and therefore
+every outcome, must not.  Regenerate with ``python tests/test_golden_traces.py``
+only when a change to the draw order is intended.
+"""
+
+import json
+from pathlib import Path
+
+from oracleid.bitstrings import generate_class
+from oracleid.identify import PromiseViolation, run_final
+
+GOLDEN = Path(__file__).with_name("golden_traces.json")
+
+
+def _cases():
+    hamming = generate_class("hamming1", 16)
+    for i, x in enumerate(hamming.members):
+        for t in range(2):
+            yield f"hamming1-16/{i}/{t}", hamming, x, (20, i, t)
+    rand = generate_class("random", 12, size=40, seed=5)
+    for i, x in enumerate(rand.members[:20]):
+        yield f"random-12-40/{i}", rand, x, (21, i)
+
+
+def current_traces() -> dict:
+    out = {}
+    for key, cls, x, seed in _cases():
+        try:
+            row = run_final(cls, x, "quantum", seed=seed).to_dict()
+            del row["norm_drift"]
+        except PromiseViolation as exc:
+            row = {"error": str(exc)}
+        out[key] = row
+    return out
+
+
+def test_quantum_traces_match_recorded():
+    expected = json.loads(GOLDEN.read_text())
+    assert current_traces() == expected
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(current_traces(), indent=1, sort_keys=True) + "\n")
