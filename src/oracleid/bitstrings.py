@@ -388,7 +388,10 @@ def generate_class(
     else:
         chosen: set[int] = set()
         while len(chosen) < size:
-            chosen.add(int(rng.integers(0, total)))
+            if n < 64:  # numpy's integers stop at int64
+                chosen.add(int(rng.integers(0, total)))
+            else:
+                chosen.add(int.from_bytes(rng.bytes(-(-n // 8)), "big") >> (-n % 8))
         values = sorted(chosen)
     return ConceptClass.from_values(n, values)
 

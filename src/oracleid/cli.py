@@ -15,7 +15,9 @@ sweeps are CSV.  Every subcommand is deterministic given --seed, which
 falls back to the ORACLEID_SEED environment variable, then to 0.  verify
 and bounds exit nonzero when any check fails; run exits nonzero only on
 hard errors (statistical misidentification by the quantum engine is
-reported in the summary, not an error).
+reported in the summary, not an error).  Invalid input (a bad value, an
+unreadable file) ends with one ``oracleid: error:`` line on stderr and exit
+code 2.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.jobs < 1:
+            raise ValueError("jobs must be positive")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
 
@@ -409,7 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # bad input: one line, argparse's exit code
+        print(f"oracleid: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

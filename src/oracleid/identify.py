@@ -1,25 +1,30 @@
 """The identification loops: basic halving, improved halving, and the final
 algorithm with the greedy scan order, plus a classical baseline.
 
-All three loops share the same skeleton: keep a candidate set ``S``, search
-for a disagreement between the hidden string and a reference derived from
-``S``, prune ``S`` by what the search revealed, and stop once one candidate
-remains.  They differ in the reference and in what "search" means:
+All three algorithms run one loop, ``_identify``: keep a candidate set
+``S``, let a step search for a disagreement between the hidden string and a
+reference derived from ``S``, replace ``S`` by the candidates consistent
+with the hit, and stop once one candidate remains or the search finds
+nothing (the reference is then the answer).  The three steps differ only in
+the reference and the scan:
 
-* basic: reference is the bitwise majority of ``S``; any disagreement will
-  do; a hit at least halves ``S``.
-* improved: reference is the majority; the *first* disagreement in natural
-  order is found, so every learned prefix shortens the effective string.
-* final: reference and scan order come from the greedy ordering, so a hit
-  at rank ``p`` prunes ``S`` by a factor ``max(2, p)``.
+* ``_basic_step``: reference is the bitwise majority of ``S``; any
+  disagreement will do; a hit at least halves ``S``.
+* ``_improved_step``: reference is the majority; the *first* disagreement
+  after the consumed prefix (the sum of earlier ranks) is found, so every
+  hit shortens the effective string.
+* ``_final_step``: reference and scan order come from the greedy ordering,
+  whose elimination set for rank ``p`` is exactly the survivors of a hit
+  at rank ``p``, so the hit prunes ``S`` by a factor ``max(2, p)``.
 
 Cost accounting in the returned trace: each found disagreement at rank
 ``p`` is charged ``sqrt(p)`` of idealized cost; an iteration that finds no
 disagreement is charged ``sqrt(L)`` where ``L`` is the width it scanned
-(the whole string for basic/improved, the ordering width for final; the
-basic loop charges ``sqrt(N)`` every iteration since it never shortens its
+(the unconsumed suffix for improved, the ordering width for final; the
+basic step charges ``sqrt(N)`` every iteration since it never shortens its
 scan).  ``raw_queries`` counts actual oracle invocations and is nonzero
-only for the quantum engine.
+only for the quantum engine.  ``identify_all`` walks the final algorithm's
+pruning tree once, through the same greedy elimination sets.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import numpy as np
 
 from . import qsim
 from .bitstrings import BitString, ConceptClass, majority_value
-from .ordering import _greedy
+from .ordering import _greedy, first_disagreement_rank
 
 __all__ = [
     "PromiseViolation",
@@ -119,11 +124,7 @@ class IdealFinder:
     deterministic = True
 
     def find_first(self, x, s, order, width, ctx) -> int | None:
-        for t in range(width):
-            j = order[t]
-            if x.bit(j) != s.bit(j):
-                return t + 1
-        return None
+        return first_disagreement_rank(x, s, order, width)
 
     def find_any(self, x, s, ctx) -> int | None:
         d = x.value ^ s.value
@@ -203,10 +204,38 @@ def _check_input(concept_class: ConceptClass, x: BitString) -> None:
         raise ValueError("hidden string length does not match the class")
 
 
-def _trace(x, n, identified_value, positions, ideal, iterations, ctx, engine) -> RunTrace:
+def _identify(concept_class: ConceptClass, x: BitString, engine, seed, step) -> RunTrace:
+    """The loop every algorithm shares; ``step`` picks the reference and searches.
+
+    ``step(engine, ctx, x, S, positions)`` returns ``(reference, rank, cost,
+    survivors)``: the reference value, the recorded rank of the disagreement
+    found (None for none), the idealized cost charged, and the members of
+    ``S`` consistent with the hit.
+    """
+    engine = make_engine(engine)
+    _check_input(concept_class, x)
+    ctx = _new_context(concept_class, seed)
+    S = list(concept_class.values)
+    positions: list[int] = []
+    ideal = 0.0
+    iterations = 0
+    while True:
+        iterations += 1
+        reference, rank, cost, survivors = step(engine, ctx, x, S, positions)
+        ideal += cost
+        if rank is None:
+            identified = reference
+            break
+        positions.append(rank)
+        S = survivors
+        if not S:
+            raise PromiseViolation("candidate set emptied; promise violated")
+        if len(S) == 1:
+            identified = S[0]
+            break
     return RunTrace(
         x=x,
-        identified=BitString(n, identified_value),
+        identified=BitString(x.n, identified),
         positions=tuple(positions),
         r=len(positions),
         ideal_cost=ideal,
@@ -217,6 +246,39 @@ def _trace(x, n, identified_value, positions, ideal, iterations, ctx, engine) ->
     )
 
 
+def _basic_step(engine, ctx, x, S, positions):
+    n = x.n
+    maj = majority_value(S, n)
+    found = engine.find_any(x, BitString(n, maj), ctx)
+    if found is None:
+        return maj, None, math.sqrt(n), None
+    mask = 1 << (n - 1 - found)
+    return maj, found + 1, math.sqrt(n), [v for v in S if (v ^ maj) & mask]
+
+
+def _improved_step(engine, ctx, x, S, positions):
+    # Every candidate, and so their majority, shares the consumed prefix of
+    # sum(positions) bits; survivors of a hit agree with the majority up to
+    # the hit and differ at it.
+    n = x.n
+    offset = sum(positions)
+    maj = majority_value(S, n)
+    width = n - offset
+    rank = engine.find_first(x, BitString(n, maj), tuple(range(offset, n)), width, ctx)
+    if rank is None:
+        return maj, None, math.sqrt(width), None
+    hit = offset + rank - 1
+    return maj, rank, math.sqrt(rank), [v for v in S if (v ^ maj) >> (n - 1 - hit) == 1]
+
+
+def _final_step(engine, ctx, x, S, positions):
+    sigma, s_value, elim, width = _greedy(x.n, tuple(S))
+    rank = engine.find_first(x, BitString(x.n, s_value), sigma, width, ctx)
+    if rank is None:
+        return s_value, None, math.sqrt(width), None
+    return s_value, rank, math.sqrt(rank), list(elim[rank - 1])
+
+
 def run_halving_basic(
     concept_class: ConceptClass, x: BitString, engine="ideal", *, seed=None
 ) -> RunTrace:
@@ -225,31 +287,7 @@ def run_halving_basic(
     Recorded positions are absolute 1-based bit indices; every iteration
     is charged ``sqrt(N)`` of idealized cost.
     """
-    engine = make_engine(engine)
-    _check_input(concept_class, x)
-    ctx = _new_context(concept_class, seed)
-    n = concept_class.n
-    S = list(concept_class.values)
-    positions: list[int] = []
-    ideal = 0.0
-    iterations = 0
-    while True:
-        iterations += 1
-        maj = majority_value(S, n)
-        ideal += math.sqrt(n)
-        found = engine.find_any(x, BitString(n, maj), ctx)
-        if found is None:
-            identified = maj
-            break
-        positions.append(found + 1)
-        mask = 1 << (n - 1 - found)
-        S = [v for v in S if (v ^ maj) & mask]
-        if not S:
-            raise PromiseViolation("candidate set emptied; promise violated")
-        if len(S) == 1:
-            identified = S[0]
-            break
-    return _trace(x, n, identified, positions, ideal, iterations, ctx, engine)
+    return _identify(concept_class, x, engine, seed, _basic_step)
 
 
 def run_halving_improved(
@@ -261,40 +299,7 @@ def run_halving_improved(
     treated as strings of the remaining length; recorded positions are the
     1-based ranks within each iteration's effective suffix.
     """
-    engine = make_engine(engine)
-    _check_input(concept_class, x)
-    ctx = _new_context(concept_class, seed)
-    n = concept_class.n
-    full = (1 << n) - 1
-    S = list(concept_class.values)
-    offset = 0
-    positions: list[int] = []
-    ideal = 0.0
-    iterations = 0
-    while True:
-        iterations += 1
-        maj = majority_value(S, n)
-        width = n - offset
-        order = tuple(range(offset, n))
-        rank = engine.find_first(x, BitString(n, maj), order, width, ctx)
-        if rank is None:
-            ideal += math.sqrt(width)
-            prefix_mask = (((1 << offset) - 1) << (n - offset)) if offset else 0
-            identified = (S[0] & prefix_mask) | (maj & (full ^ prefix_mask))
-            break
-        positions.append(rank)
-        ideal += math.sqrt(rank)
-        hit = offset + rank - 1
-        prefix_mask = ((1 << (hit - offset)) - 1) << (n - hit) if hit > offset else 0
-        at_mask = 1 << (n - 1 - hit)
-        S = [v for v in S if (v ^ maj) & prefix_mask == 0 and (v ^ maj) & at_mask]
-        offset = hit + 1
-        if not S:
-            raise PromiseViolation("candidate set emptied; promise violated")
-        if len(S) == 1:
-            identified = S[0]
-            break
-    return _trace(x, n, identified, positions, ideal, iterations, ctx, engine)
+    return _identify(concept_class, x, engine, seed, _improved_step)
 
 
 def run_final(
@@ -303,40 +308,12 @@ def run_final(
     """Greedy scan order, first disagreement in that order.
 
     Each iteration recomputes the ordering for the current candidate set
-    and scans only its effective width; a hit at rank ``p`` prunes by a
-    factor ``max(2, p)``, which yields the trace bounds
-    ``sum(p_i) <= N`` and ``prod(max(2, p_i)) <= M``.
+    and scans only its effective width; a hit at rank ``p`` leaves the
+    greedy's elimination set for rank ``p``, pruning by a factor
+    ``max(2, p)``, which yields the trace bounds ``sum(p_i) <= N`` and
+    ``prod(max(2, p_i)) <= M``.
     """
-    engine = make_engine(engine)
-    _check_input(concept_class, x)
-    ctx = _new_context(concept_class, seed)
-    n = concept_class.n
-    S = list(concept_class.values)
-    positions: list[int] = []
-    ideal = 0.0
-    iterations = 0
-    while True:
-        iterations += 1
-        sigma, s_value, _, width = _greedy(n, tuple(S))
-        s = BitString(n, s_value)
-        rank = engine.find_first(x, s, sigma, width, ctx)
-        if rank is None:
-            ideal += math.sqrt(width)
-            identified = s_value
-            break
-        positions.append(rank)
-        ideal += math.sqrt(rank)
-        prefix_mask = 0
-        for t in range(rank - 1):
-            prefix_mask |= 1 << (n - 1 - sigma[t])
-        at_mask = 1 << (n - 1 - sigma[rank - 1])
-        S = [v for v in S if (v ^ s_value) & prefix_mask == 0 and (v ^ s_value) & at_mask]
-        if not S:
-            raise PromiseViolation("candidate set emptied; promise violated")
-        if len(S) == 1:
-            identified = S[0]
-            break
-    return _trace(x, n, identified, positions, ideal, iterations, ctx, engine)
+    return _identify(concept_class, x, engine, seed, _final_step)
 
 
 def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
@@ -365,27 +342,20 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
         )
 
     def walk(values, positions, ideal, iterations):
-        sigma, s_value, _, width = _greedy(n, tuple(values))
+        _, s_value, elim, width = _greedy(n, tuple(values))
         iterations += 1
-        survivors = values
-        for p in range(1, width + 1):
-            at_mask = 1 << (n - 1 - sigma[p - 1])
-            block = [v for v in survivors if (v ^ s_value) & at_mask]
-            survivors = [v for v in survivors if not ((v ^ s_value) & at_mask)]
-            if not block:
-                continue
+        for p, block in enumerate(elim[:width], start=1):
             pos = positions + (p,)
             cost = ideal + math.sqrt(p)
             if len(block) == 1:
                 emit(block[0], pos, cost, iterations)
             else:
                 walk(block, pos, cost, iterations)
-        # the lone member agreeing with s over the whole width: one more
-        # (unsuccessful) search charged sqrt(width)
-        for v in survivors:
-            emit(v, positions, ideal + math.sqrt(width), iterations)
+        # after width ranks only s itself is left: one more (unsuccessful)
+        # search charged sqrt(width)
+        emit(s_value, positions, ideal + math.sqrt(width), iterations)
 
-    walk(list(concept_class.values), (), 0.0, 0)
+    walk(concept_class.values, (), 0.0, 0)
     return traces
 
 

@@ -443,19 +443,16 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
                 blocks[path] = SdpSolution(
                     block_members, np.zeros((1, n, 1)), np.zeros((1, n, 1))
                 )
-                ranks = {vals[0]: 0}
+                ranks = {}
             else:
-                sigma, s_value, _, width = _greedy(n, tuple(vals))
-                s = BitString(n, s_value)
+                sigma, s_value, elim, width = _greedy(n, tuple(vals))
                 blocks[path] = find_first_one_solution(
-                    n, sigma, s, domain=block_members, width=width
+                    n, sigma, BitString(n, s_value), domain=block_members, width=width
                 )
-                ranks = {
-                    v: (first_disagreement_rank(BitString(n, v), s, sigma, width) or 0)
-                    for v in vals
-                }
+                ranks = {v: p for p, block in enumerate(elim[:width], start=1) for v in block}
             for v in vals:
-                new_path = path + (ranks[v],)
+                # rank 0: no disagreement within the width (s itself, or a lone member)
+                new_path = path + (ranks.get(v, 0),)
                 paths[v] = new_path
                 next_level.setdefault(new_path, []).append(v)
 

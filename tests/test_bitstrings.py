@@ -162,6 +162,15 @@ class TestGenerateClass:
         assert a == b
         assert len(set(a.values)) == 20
 
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_random_beyond_int64(self, n):
+        a = generate_class("random", n, size=30, seed=7)
+        assert a == generate_class("random", n, size=30, seed=7)
+        assert a != generate_class("random", n, size=30, seed=8)
+        assert a.n == n and len(set(a.values)) == 30
+        assert all(len(str(m)) == n for m in a.members)
+        assert any(m.bit(0) for m in a.members)  # the top bit is drawn too
+
     def test_infeasible_size(self):
         with pytest.raises(ValueError):
             generate_class("random", 3, size=9, seed=0)

@@ -110,6 +110,31 @@ class TestRun:
             assert a[-1][key] == b[-1][key]
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv", [
+        ("gen", "--kind", "hamming", "--n", "4"),
+        ("gen", "--kind", "random", "--n", "4"),
+        ("run", "--class-file", "{cf}", "--all", "--trials", "0"),
+        ("run", "--class-file", "{cf}", "--all", "--jobs", "0"),
+        ("run", "--class-file", "{cf}", "--all", "--jobs", "-1"),
+        ("run", "--class-file", "{missing}", "--all"),
+        ("verify", "--suite", "sdp", "--class-file", "{missing}"),
+        ("bounds", "--grid", "N=30;M=64"),
+        ("bounds", "--grid", "N=a"),
+    ])
+    def test_one_line_and_exit_code_2(self, tmp_path, capsys, argv):
+        cf = tmp_path / "c.json"
+        run_cli("gen", "--kind", "hamming1", "--n", "3", "-o", str(cf))
+        out = tmp_path / "out.txt"
+        argv = [a.format(cf=cf, missing=tmp_path / "missing.json") for a in argv]
+        assert run_cli(*argv, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("oracleid: error: ")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestVerify:
     def test_ordering_suite_passes(self, capsys):
         assert run_cli("verify", "--suite", "ordering", "--n", "4") == 0

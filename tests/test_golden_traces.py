@@ -1,20 +1,30 @@
 """Fixed-seed quantum traces must not change.
 
 ``golden_traces.json`` holds ``RunTrace.to_dict()`` (minus ``norm_drift``,
-a floating-point observation rather than an outcome) of ``run_final`` with
-the quantum engine, recorded with the original statevector simulator.  The
-search model has since changed; the random draws it makes, and therefore
-every outcome, must not.  Regenerate with ``python tests/test_golden_traces.py``
-only when a change to the draw order is intended.
+a floating-point observation rather than an outcome) of each identification
+loop with the quantum engine.  The ``run_final`` rows (unprefixed keys) were
+recorded with the original statevector simulator; the ``basic/`` and
+``improved/`` rows for the two halving loops were recorded before the three
+loops were merged into one.  The random draws the loops make, and therefore
+every outcome, must not change.  Regenerate with
+``python tests/test_golden_traces.py`` only when a change to the draw order
+is intended.
 """
 
 import json
 from pathlib import Path
 
 from oracleid.bitstrings import generate_class
-from oracleid.identify import PromiseViolation, run_final
+from oracleid.identify import (
+    PromiseViolation,
+    run_final,
+    run_halving_basic,
+    run_halving_improved,
+)
 
 GOLDEN = Path(__file__).with_name("golden_traces.json")
+
+LOOPS = (("", run_final), ("basic/", run_halving_basic), ("improved/", run_halving_improved))
 
 
 def _cases():
@@ -29,13 +39,14 @@ def _cases():
 
 def current_traces() -> dict:
     out = {}
-    for key, cls, x, seed in _cases():
-        try:
-            row = run_final(cls, x, "quantum", seed=seed).to_dict()
-            del row["norm_drift"]
-        except PromiseViolation as exc:
-            row = {"error": str(exc)}
-        out[key] = row
+    for prefix, runner in LOOPS:
+        for key, cls, x, seed in _cases():
+            try:
+                row = runner(cls, x, "quantum", seed=seed).to_dict()
+                del row["norm_drift"]
+            except PromiseViolation as exc:
+                row = {"error": str(exc)}
+            out[prefix + key] = row
     return out
 
 
