@@ -203,11 +203,7 @@ class FunctionTable:
 
     @property
     def labels(self) -> tuple[Hashable, ...]:
-        seen = []
-        for out in self.outputs:
-            if out not in seen:
-                seen.append(out)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.outputs))
 
 
 @dataclass(frozen=True)
@@ -301,13 +297,9 @@ def gram_of_function(f: FunctionTable) -> GramMatrix:
     where outputs differ, which is the target matrix for the function
     evaluation feasibility checks in :mod:`oracleid.sdp`.
     """
-    outs = f.outputs
-    m = len(outs)
-    entries = np.fromiter(
-        (1.0 if outs[i] == outs[j] else 0.0 for i in range(m) for j in range(m)),
-        dtype=float,
-        count=m * m,
-    ).reshape(m, m)
+    codes: dict[Hashable, int] = {}
+    ids = np.array([codes.setdefault(out, len(codes)) for out in f.outputs])
+    entries = (ids[:, None] == ids[None, :]).astype(float)
     return GramMatrix(f.domain.members, entries)
 
 

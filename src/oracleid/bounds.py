@@ -276,7 +276,10 @@ def gamma_hat(
             (1 << i) | (1 << k) for i in range(m) for k in range(i + 1, m)
         )
         for _ in range(subset_samples):
-            t = int(gen.integers(1, full + 1))
+            if m < 64:  # numpy's integers stop at int64
+                t = int(gen.integers(1, full + 1))
+            else:  # the empty draw is dropped below with the singletons
+                t = int.from_bytes(gen.bytes(-(-m // 8)), "big") >> (-m % 8)
             if t.bit_count() >= 2:
                 sampled.add(t)
         subsets = sampled

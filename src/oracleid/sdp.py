@@ -15,33 +15,43 @@ For a function ``f`` with Gram matrix ``F`` (``F[x,y] = 1`` iff outputs are
 equal), a feasible solution for ``J - F`` certifies a query procedure whose
 per-input cost is ``c``; ``max_x c(x)`` bounds the worst case.  Everything
 here is real-valued: all the explicit constructions use nonnegative
-coordinates, and ambient dimensions are tracked by explicit disjoint-block
-bookkeeping (direct sums concatenate blocks, output conditioning allocates
-one block per output label, tensoring multiplies coordinate grids).
+coordinates.
+
+A solution is stored as a direct sum of *parts* ``(block, u, v)``.  In a
+part, ``u`` and ``v`` have shape (inputs, bits, d) and ``block`` gives every
+input an integer block id; each block owns its own ``d`` coordinates, so
+``<u[x, j], v[y, j]>`` counts only when ``block[x] == block[y]``.  The
+ambient vectors are the parts laid side by side, the blocks of a part in
+increasing id order, but checks and costs never build them: every input
+has ``d`` coordinates per part, however many blocks the part has.  The
+explicit single-output solutions are one part with one block.
 
 Three composition operators preserve feasibility:
 
 * ``sum_compose``: solutions for A and B give one for A + B with cost at
-  most ``c_A + c_B`` pointwise (block concatenation).
+  most ``c_A + c_B`` pointwise (the parts of both, side by side).
 * ``output_conditioned_compose``: per-output-label solutions for the
   restricted targets ``J - G_e`` give one for ``F - F*G`` (elementwise
-  product) with cost exactly ``c_{f(x)}(x)`` -- labels make cross-label
-  inner products vanish.
+  product) with cost exactly ``c_{f(x)}(x)`` -- each label gets its own
+  blocks, which makes cross-label inner products vanish.
 * ``tensor_compose``: an outer solution whose input bits are realized by
   inner function instances gives one for the composed function, with cost
-  at most the product of outer and worst inner cost.
+  at most the product of outer and worst inner cost (one dense part).
 
 ``oracle_id_pipeline`` chains these to build, from the exact pruning tree
 of the final identification algorithm, a feasible solution for full
 identification (target ``J - I``) whose cost tracks the per-input trace
 cost ``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction factor
-for composing bounded-error stages.
+for composing bounded-error stages.  Its solution has one part per stage,
+with one block per output label of the stage before, so it stores
+``stages * inputs * bits`` numbers per side where the ambient arrays hold
+``dim`` times that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,6 +59,7 @@ from .bitstrings import BitString, ConceptClass, FunctionTable, GramMatrix, gram
 from .ordering import _greedy, first_disagreement_rank
 
 __all__ = [
+    "SdpPart",
     "SdpSolution",
     "CostFunction",
     "verify_feasible",
@@ -66,27 +77,56 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SdpSolution:
-    """Vector families ``u``, ``v`` of shape (inputs, bits, dimension)."""
+class SdpPart(NamedTuple):
+    """One direct summand: ``u``, ``v`` of shape (inputs, bits, d) and a
+    nonnegative block id per input."""
 
-    domain: tuple[BitString, ...]
+    block: np.ndarray
     u: np.ndarray
     v: np.ndarray
 
-    def __post_init__(self):
-        m = len(self.domain)
+
+class SdpSolution:
+    """A solution on ``domain`` stored as a direct sum of parts.
+
+    ``SdpSolution(domain, u, v)`` is one part with a single block, ``u`` and
+    ``v`` of shape (inputs, bits, dimension); ``SdpSolution.from_parts``
+    takes any sequence of ``(block, u, v)`` parts.  ``.u``, ``.v`` and
+    ``.dim`` describe the ambient arrays, which are built on each access
+    (only a one-part, one-block solution hands back its own arrays).
+    """
+
+    def __init__(self, domain: Sequence[BitString], u: np.ndarray, v: np.ndarray):
+        self._setup(domain, (SdpPart(np.zeros(len(domain), dtype=np.intp), u, v),))
+
+    @classmethod
+    def from_parts(
+        cls, domain: Sequence[BitString], parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    ) -> "SdpSolution":
+        sol = cls.__new__(cls)
+        sol._setup(domain, tuple(SdpPart(np.asarray(b), u, v) for b, u, v in parts))
+        return sol
+
+    def _setup(self, domain: Sequence[BitString], parts: tuple[SdpPart, ...]) -> None:
+        domain = tuple(domain)
+        m = len(domain)
         if m == 0:
             raise ValueError("empty domain")
-        n = self.domain[0].n
-        if any(x.n != n for x in self.domain):
+        n = domain[0].n
+        if any(x.n != n for x in domain):
             raise ValueError("domain strings must have uniform length")
-        for name, arr in (("u", self.u), ("v", self.v)):
-            if arr.ndim != 3 or arr.shape[0] != m or arr.shape[1] != n:
-                raise ValueError(f"{name} must have shape ({m}, {n}, dim)")
-        if self.u.shape[2] != self.v.shape[2]:
-            raise ValueError("u and v must share the ambient dimension")
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.domain)})
+        for block, u, v in parts:
+            for name, arr in (("u", u), ("v", v)):
+                if arr.ndim != 3 or arr.shape[0] != m or arr.shape[1] != n:
+                    raise ValueError(f"{name} must have shape ({m}, {n}, dim)")
+            if u.shape[2] != v.shape[2]:
+                raise ValueError("u and v must share the ambient dimension")
+            if block.shape != (m,) or block.dtype.kind not in "iu" or block.min() < 0:
+                raise ValueError(f"block must hold {m} nonnegative integer ids")
+        self.domain = domain
+        self.parts = parts
+        self._n = n
+        self._index: dict[BitString, int] | None = None
 
     @property
     def size(self) -> int:
@@ -94,13 +134,37 @@ class SdpSolution:
 
     @property
     def n_bits(self) -> int:
-        return self.u.shape[1]
+        return self._n
 
     @property
     def dim(self) -> int:
-        return self.u.shape[2]
+        return sum(len(np.unique(p.block)) * p.u.shape[2] for p in self.parts)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self._ambient("u")
+
+    @property
+    def v(self) -> np.ndarray:
+        return self._ambient("v")
+
+    def _ambient(self, side: str) -> np.ndarray:
+        if len(self.parts) == 1 and len(np.unique(self.parts[0].block)) == 1:
+            return getattr(self.parts[0], side)
+        rows = np.arange(self.size)
+        out = np.zeros((self.size, self._n, self.dim))
+        lo = 0
+        for part in self.parts:
+            ids, slot = np.unique(part.block, return_inverse=True)
+            d = part.u.shape[2]
+            for c in range(d):
+                out[rows, :, lo + slot * d + c] = getattr(part, side)[:, :, c]
+            lo += len(ids) * d
+        return out
 
     def index(self, x: BitString) -> int:
+        if self._index is None:
+            self._index = {y: i for i, y in enumerate(self.domain)}
         return self._index[x]
 
 
@@ -130,7 +194,8 @@ def _target_entries(A) -> np.ndarray:
 
 def _domain_bits(domain: Sequence[BitString]) -> np.ndarray:
     n = domain[0].n
-    return np.array([[x.bit(j) for j in range(n)] for x in domain], dtype=np.uint8)
+    text = "".join(format(x.value, f"0{n}b") for x in domain).encode("ascii")
+    return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(domain), n)
 
 
 def verify_feasible(
@@ -145,36 +210,60 @@ def verify_feasible(
     Checks every input pair by default (chunked so memory stays flat); pass
     an array of ``(i, j)`` index pairs to spot-check a sample instead.
     A return value at most the caller's tolerance certifies feasibility.
+
+    Per part, the constraint sums of all pairs are ``U1 V0^T + U0 V1^T``
+    masked to equal blocks, where ``U1``/``U0`` keep the ``u[x, j]`` with
+    ``x_j`` = 1/0 (flattened over bits and coordinates), and likewise ``V``.
     """
     target = _target_entries(A)
     m = sol.size
     if target.shape != (m, m):
         raise ValueError(f"target must be {m}x{m}, got {target.shape}")
     bits = _domain_bits(sol.domain)
-    n = sol.n_bits
 
     if pairs is not None:
         pairs = np.asarray(pairs, dtype=int)
         left, right = pairs[:, 0], pairs[:, 1]
         mask = bits[left] != bits[right]
-        inner = np.einsum("pjd,pjd->pj", sol.u[left], sol.v[right])
-        vals = (mask * inner).sum(axis=1)
+        vals = np.zeros(len(pairs))
+        for block, u, v in sol.parts:
+            inner = np.einsum("pjd,pjd->pj", u[left], v[right])
+            vals += (block[left] == block[right]) * (mask * inner).sum(axis=1)
         return float(np.abs(vals - target[left, right]).max())
 
+    ones = bits[:, :, None].astype(float)
+    zeros = 1.0 - ones
+
+    def split(w):
+        return (w * ones).reshape(m, -1), (w * zeros).reshape(m, -1)
+
+    factors = []
+    for block, u, v in sol.parts:
+        v1, v0 = split(v)
+        u1, u0 = (v1, v0) if u is v else split(u)
+        blocked = len(np.unique(block)) > 1
+        factors.append((block if blocked else None, u1, u0, v1, v0))
     worst = 0.0
     for lo in range(0, m, row_chunk):
         hi = min(lo + row_chunk, m)
         got = np.zeros((hi - lo, m))
-        for j in range(n):
-            mask = bits[lo:hi, j][:, None] != bits[:, j][None, :]
-            got += mask * (sol.u[lo:hi, j, :] @ sol.v[:, j, :].T)
+        for block, u1, u0, v1, v0 in factors:
+            inner = u1[lo:hi] @ v0.T
+            inner += u0[lo:hi] @ v1.T
+            if block is not None:
+                inner *= block[lo:hi, None] == block[None, :]
+            got += inner
         worst = max(worst, float(np.abs(got - target[lo:hi]).max()))
     return worst
 
 
 def cost_of(sol: SdpSolution) -> CostFunction:
-    cu = np.einsum("xjd,xjd->x", sol.u, sol.u)
-    cv = np.einsum("xjd,xjd->x", sol.v, sol.v)
+    cu = np.zeros(sol.size)
+    cv = np.zeros(sol.size)
+    for _, u, v in sol.parts:
+        norms = np.einsum("xjd,xjd->x", u, u)
+        cu += norms
+        cv += norms if v is u else np.einsum("xjd,xjd->x", v, v)
     return CostFunction(sol.domain, np.maximum(cu, cv))
 
 
@@ -248,9 +337,7 @@ def sum_compose(a: SdpSolution, b: SdpSolution) -> SdpSolution:
     """Direct sum: feasible for ``A + B`` with cost at most ``c_A + c_B``."""
     if a.domain != b.domain:
         raise ValueError("solutions must share a domain")
-    u = np.concatenate([a.u, b.u], axis=2)
-    v = np.concatenate([a.v, b.v], axis=2)
-    return SdpSolution(a.domain, u, v)
+    return SdpSolution.from_parts(a.domain, a.parts + b.parts)
 
 
 def output_conditioned_compose(
@@ -259,36 +346,43 @@ def output_conditioned_compose(
     """Stitch per-output solutions into one for ``F - F*G``.
 
     ``blocks[e]`` must be a solution on exactly the inputs with
-    ``f(x) == e`` (for the target ``J - G_e``).  Each block is placed in
-    its own coordinate range, so inputs with different labels have
-    orthogonal vectors and their constraint sums vanish -- exactly where
-    ``F`` is zero.  The composite cost at ``x`` equals the cost its own
-    block assigned to it.
+    ``f(x) == e`` (for the target ``J - G_e``).  Part ``k`` of every label's
+    solution goes into part ``k`` of the result, its block ids shifted past
+    those of the labels before it, so inputs with different labels never
+    share a block and their constraint sums vanish -- exactly where ``F``
+    is zero.  The composite cost at ``x`` equals the cost its own block
+    assigned to it.
     """
     members = f.domain.members
-    labels = f.labels
-    offsets: dict[Hashable, int] = {}
-    dim = 0
-    for e in labels:
+    rows: dict[Hashable, list[int]] = {}
+    for i, e in enumerate(f.outputs):
+        rows.setdefault(e, []).append(i)
+    for e, idx in rows.items():
         if e not in blocks:
             raise ValueError(f"missing block for output label {e!r}")
-        block = blocks[e]
-        if block.domain != f.preimage(e):
+        if blocks[e].domain != tuple(members[i] for i in idx):
             raise ValueError(f"block for {e!r} is not defined on exactly f^-1({e!r})")
-        offsets[e] = dim
-        dim += block.dim
 
-    n = f.domain.n
-    u = np.zeros((len(members), n, dim))
-    v = np.zeros((len(members), n, dim))
-    for gi, x in enumerate(members):
-        e = f.outputs[gi]
-        block = blocks[e]
-        bi = block.index(x)
-        lo = offsets[e]
-        u[gi, :, lo : lo + block.dim] = block.u[bi]
-        v[gi, :, lo : lo + block.dim] = block.v[bi]
-    return SdpSolution(members, u, v)
+    m, n = len(members), f.domain.n
+    pieces = [(np.array(idx), blocks[e].parts) for e, idx in rows.items()]
+    parts = []
+    for k in range(max(len(sub) for _, sub in pieces)):
+        layer = [(idx, sub[k]) for idx, sub in pieces if k < len(sub)]
+        d = max(p.u.shape[2] for _, p in layer)
+        shared = all(p.u is p.v for _, p in layer)
+        block = np.zeros(m, dtype=np.intp)
+        u = np.zeros((m, n, d))
+        v = u if shared else np.zeros((m, n, d))
+        next_id = 0
+        for idx, p in layer:
+            width = p.u.shape[2]
+            u[idx, :, :width] = p.u
+            if not shared:
+                v[idx, :, :width] = p.v
+            block[idx] = next_id + p.block
+            next_id += int(p.block.max()) + 1
+        parts.append((block, u, v))
+    return SdpSolution.from_parts(members, parts)
 
 
 def tensor_compose(
@@ -330,8 +424,10 @@ def tensor_compose(
 
     widths = [sol_i.n_bits for sol_i, _ in inner]
     n_total = sum(widths)
-    d_in = max(sol_i.dim for sol_i, _ in inner)
-    dim = outer.dim * d_in
+    inner_uv = [(sol_i.u, sol_i.v) for sol_i, _ in inner]
+    d_in = max(iu.shape[2] for iu, _ in inner_uv)
+    outer_u, outer_v = outer.u, outer.v
+    dim = outer_u.shape[2] * d_in
 
     members = []
     u = np.zeros((len(combos), n_total, dim))
@@ -344,12 +440,12 @@ def tensor_compose(
         zi = outer.index(z)
         value = 0
         offset = 0
-        for i, ((sol_i, _), part) in enumerate(zip(inner, combo)):
+        for i, ((sol_i, _), (iu, iv), part) in enumerate(zip(inner, inner_uv, combo)):
             value = (value << part.n) | part.value
             pi = sol_i.index(part)
             for j in range(sol_i.n_bits):
-                grid_u = np.outer(outer.u[zi, i], sol_i.u[pi, j])
-                grid_v = np.outer(outer.v[zi, i], sol_i.v[pi, j])
+                grid_u = np.outer(outer_u[zi, i], iu[pi, j])
+                grid_v = np.outer(outer_v[zi, i], iv[pi, j])
                 u[row, offset + j, :] = _pad_grid(grid_u, d_in)
                 v[row, offset + j, :] = _pad_grid(grid_v, d_in)
             offset += sol_i.n_bits
@@ -440,9 +536,8 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
         for path, vals in level.items():
             block_members = tuple(BitString(n, v) for v in vals)
             if len(vals) == 1:
-                blocks[path] = SdpSolution(
-                    block_members, np.zeros((1, n, 1)), np.zeros((1, n, 1))
-                )
+                zero = np.zeros((1, n, 1))
+                blocks[path] = SdpSolution(block_members, zero, zero)
                 ranks = {}
             else:
                 sigma, s_value, elim, width = _greedy(n, tuple(vals))
@@ -472,7 +567,8 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
         for sol in stage_solutions[1:]:
             combined = sum_compose(combined, sol)
     else:  # singleton class: nothing to learn
-        combined = SdpSolution(members, np.zeros((m, n, 1)), np.zeros((m, n, 1)))
+        zero = np.zeros((m, n, 1))
+        combined = SdpSolution(members, zero, zero)
 
     return OracleIdPipeline(
         concept_class=concept_class,

@@ -137,6 +137,20 @@ class TestGram:
         assert np.array_equal(np.diag(g), np.ones(10))
         assert set(np.unique(g)) <= {0.0, 1.0}
 
+    def test_matches_pairwise_comparison_and_label_order(self):
+        # tuple labels, as the SDP pipeline's stage tables use
+        rng = np.random.default_rng(12)
+        cls = generate_class("random", 6, size=40, seed=4)
+        outs = tuple(tuple(int(v) for v in rng.integers(0, 2, size=3)) for _ in range(40))
+        f = FunctionTable(cls, outs)
+        pairwise = np.array([[float(a == b) for b in outs] for a in outs])
+        assert np.array_equal(gram_of_function(f).entries, pairwise)
+        first_seen = []
+        for out in outs:
+            if out not in first_seen:
+                first_seen.append(out)
+        assert f.labels == tuple(first_seen)
+
 
 class TestGenerateClass:
     def test_cube(self):

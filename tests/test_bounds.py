@@ -234,6 +234,16 @@ class TestGammaHat:
         with pytest.raises(ValueError):
             gamma_hat(ConceptClass.from_strings(["1"]))
 
+    @pytest.mark.parametrize("m", [64, 100])
+    def test_sampled_mode_beyond_int64(self, m):
+        cls = generate_class("random", 10, size=m, seed=11)
+        first = gamma_hat(cls, subset_samples=200, rng=4)
+        again = gamma_hat(cls, subset_samples=200, rng=4)
+        assert isinstance(first.value, Fraction)
+        assert 0 < first.value <= 1
+        assert first == again
+        assert len(first.witness) >= 2
+
 
 class TestLearningBound:
     def test_half_rate_two_members(self):

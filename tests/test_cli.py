@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,43 @@ class TestVerify:
         report = json.loads(report_path.read_text())
         assert report["passed"] is True
         assert len(report["checks"]) >= 5
+
+
+class TestVerifySdpDump:
+    """``verify --suite sdp --dump`` must keep its report.
+
+    ``golden_sdp_dump.json`` holds the report on the default hamming1-3
+    class and on a random N=6, M=20 class file, recorded while solutions
+    were still stored as dense ambient arrays.  The vectors must match
+    exactly; residuals and costs, summed in a different order now, to 1e-12.
+    """
+
+    GOLDEN = json.loads(Path(__file__).with_name("golden_sdp_dump.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_report_matches_golden(self, name, tmp_path, capsys):
+        case = self.GOLDEN[name]
+        argv = ["verify", "--suite", "sdp", "--dump", "-o", str(tmp_path / "r.json")]
+        if case["class"] is not None:
+            cf = tmp_path / "c.json"
+            cf.write_text(json.dumps(case["class"]))
+            argv += ["--class-file", str(cf)]
+        assert run_cli(*argv) == 0
+        got = json.loads((tmp_path / "r.json").read_text())
+        want = case["report"]
+        got["config"].pop("class_file")  # where the class was written, recorded without it
+        assert got["config"] == want["config"] and got["passed"] is want["passed"]
+        assert [c["check"] for c in got["checks"]] == [c["check"] for c in want["checks"]]
+        for g, w in zip(got["checks"], want["checks"]):
+            assert g["passed"] is w["passed"] and g["matrix"] == w["matrix"]
+            assert g["max_violation"] == pytest.approx(w["max_violation"], rel=0, abs=1e-12)
+            assert ("vectors" in g) == ("vectors" in w)
+            if "vectors" in w:
+                assert g["vectors"] == w["vectors"]
+            if "cost" in w:
+                assert g["cost"].keys() == w["cost"].keys()
+                for x, c in w["cost"].items():
+                    assert g["cost"][x] == pytest.approx(c, rel=1e-12, abs=0)
 
 
 class TestBounds:

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from dense_sdp import dense_cost, dense_verify
 from helpers import random_class
 from oracleid.bitstrings import (
     BitString,
@@ -395,3 +397,170 @@ class TestOracleIdPipeline:
             path = final(x)
             expected = traces[x].positions + (0,) * (len(path) - len(traces[x].positions))
             assert path == expected
+
+
+def _random_parts(rng, m, n, n_parts, max_blocks=4):
+    parts = []
+    for _ in range(n_parts):
+        d = int(rng.integers(1, 4))
+        block = rng.integers(0, max_blocks, size=m)
+        u = rng.standard_normal((m, n, d))
+        v = u if rng.random() < 0.3 else rng.standard_normal((m, n, d))
+        parts.append((block, u, v))
+    return parts
+
+
+def _symmetric(rng, m):
+    t = rng.standard_normal((m, m))
+    return t + t.T
+
+
+class TestFactoredAgainstDense:
+    """Part-wise checks and costs equal the bit-by-bit dense reference."""
+
+    CLASSES = {
+        "hamming1-8": lambda: generate_class("hamming1", 8),
+        "cube-5": lambda: generate_class("cube", 5),
+        "random-10-150": lambda: generate_class("random", 10, size=150, seed=1),
+    }
+
+    def assert_agree(self, sol, targets):
+        for target in targets:
+            assert verify_feasible(target, sol) == pytest.approx(
+                dense_verify(target, sol), rel=0, abs=1e-12
+            )
+        np.testing.assert_allclose(cost_of(sol).values, dense_cost(sol), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(CLASSES))
+    def test_pipeline_solutions(self, name):
+        cls = self.CLASSES[name]()
+        pipe = oracle_id_pipeline(cls)
+        m = cls.size
+        rng = np.random.default_rng(m)
+        noise = _symmetric(rng, m)
+        identity = np.ones((m, m)) - np.eye(m)
+        self.assert_agree(pipe.solution, [identity, identity + noise])
+        for sol, target in zip(pipe.stage_solutions, pipe.stage_targets):
+            self.assert_agree(sol, [target, target + noise])
+
+    def test_random_sum_compose(self):
+        rng = np.random.default_rng(11)
+        domain = generate_class("random", 6, size=30, seed=2).members
+        for _ in range(10):
+            a = SdpSolution.from_parts(domain, _random_parts(rng, 30, 6, int(rng.integers(1, 4))))
+            b = SdpSolution.from_parts(domain, _random_parts(rng, 30, 6, int(rng.integers(1, 4))))
+            both = sum_compose(a, b)
+            assert len(both.parts) == len(a.parts) + len(b.parts)
+            self.assert_agree(both, [_symmetric(rng, 30), np.zeros((30, 30))])
+
+    def test_random_output_conditioned_compose(self):
+        rng = np.random.default_rng(12)
+        cls = generate_class("random", 6, size=40, seed=3)
+        for _ in range(10):
+            f = FunctionTable(cls, tuple(int(e) for e in rng.integers(0, 5, size=40)))
+            blocks = {}
+            for label in f.labels:
+                members = f.preimage(label)
+                # labels differ in part count and part width
+                parts = _random_parts(rng, len(members), 6, int(rng.integers(1, 4)))
+                blocks[label] = SdpSolution.from_parts(members, parts)
+            composed = output_conditioned_compose(f, blocks)
+            self.assert_agree(composed, [_symmetric(rng, 40)])
+            own = np.array([cost_of(blocks[f(x)])(x) for x in cls.members])
+            np.testing.assert_allclose(cost_of(composed).values, own, rtol=1e-12, atol=0)
+
+    def test_cross_label_pairs_vanish_in_every_part(self):
+        rng = np.random.default_rng(13)
+        cls = generate_class("random", 5, size=20, seed=4)
+        f = FunctionTable(cls, tuple(int(e) for e in rng.integers(0, 3, size=20)))
+        blocks = {
+            label: SdpSolution.from_parts(
+                f.preimage(label), _random_parts(rng, len(f.preimage(label)), 5, 2)
+            )
+            for label in f.labels
+        }
+        composed = output_conditioned_compose(f, blocks)
+        G = gram_of_function(f).entries
+        # a zero target off the label blocks: only same-label pairs count
+        sums = np.zeros((20, 20))
+        for i in range(20):
+            for j in range(20):
+                sums[i, j] = verify_feasible(np.zeros((20, 20)), composed, pairs=[(i, j)])
+        assert np.all(sums[G == 0] == 0.0)
+
+    def test_pair_spot_checks_never_exceed_full_check(self):
+        rng = np.random.default_rng(14)
+        domain = generate_class("random", 7, size=50, seed=5).members
+        for _ in range(10):
+            sol = SdpSolution.from_parts(domain, _random_parts(rng, 50, 7, 3))
+            target = _symmetric(rng, 50)
+            full = verify_feasible(target, sol)
+            for size in (1, 10, 200):
+                pairs = rng.integers(0, 50, size=(size, 2))
+                # up to rounding: the two paths sum in different orders
+                assert verify_feasible(target, sol, pairs=pairs) <= full + 1e-12
+            every = np.array([(i, j) for i in range(50) for j in range(50)])
+            assert verify_feasible(target, sol, pairs=every) == pytest.approx(full, abs=1e-12)
+
+    def test_row_chunks_do_not_change_the_check(self):
+        rng = np.random.default_rng(15)
+        domain = generate_class("random", 6, size=37, seed=6).members
+        sol = SdpSolution.from_parts(domain, _random_parts(rng, 37, 6, 3))
+        target = _symmetric(rng, 37)
+        whole = verify_feasible(target, sol)
+        for chunk in (1, 5, 36):
+            assert verify_feasible(target, sol, row_chunk=chunk) == pytest.approx(whole, abs=1e-12)
+
+
+class TestFactoredStorage:
+    def test_pipeline_stores_one_scalar_per_input_bit_and_stage(self):
+        cls = generate_class("random", 12, size=300, seed=7)
+        pipe = oracle_id_pipeline(cls)
+        stages = len(pipe.stage_solutions)
+        per_side = stages * cls.size * cls.n
+        parts = pipe.solution.parts
+        assert sum(p.u.size for p in parts) <= per_side
+        assert sum(p.v.size for p in parts) <= per_side
+        # the ambient arrays are dim / stages times larger
+        assert pipe.solution.dim > 10 * stages
+        assert pipe.solution.u.size == pipe.solution.dim * cls.size * cls.n
+
+    def test_certification_never_builds_an_ambient_array(self):
+        cls = generate_class("random", 12, size=300, seed=7)
+        pipe = oracle_id_pipeline(cls)
+        ambient_bytes = pipe.solution.dim * cls.size * cls.n * 8
+        target = np.ones((cls.size, cls.size)) - np.eye(cls.size)
+        tracemalloc.start()
+        try:
+            oracle_id_pipeline(cls)
+            verify_feasible(target, pipe.solution)
+            cost_of(pipe.solution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ambient_bytes / 2
+
+    def test_single_part_solution_hands_back_its_arrays(self):
+        sol = find_first_one_solution(4)
+        assert len(sol.parts) == 1
+        assert sol.u is sol.parts[0].u and sol.dim == 1
+
+    def test_invalid_parts_rejected(self):
+        domain = generate_class("cube", 2).members
+        u = np.zeros((4, 2, 1))
+        with pytest.raises(ValueError, match="block"):
+            SdpSolution.from_parts(domain, [(np.array([0, 1, -1, 0]), u, u)])
+        with pytest.raises(ValueError, match="block"):
+            SdpSolution.from_parts(domain, [(np.zeros(3, dtype=int), u, u)])
+        with pytest.raises(ValueError, match="share"):
+            SdpSolution.from_parts(domain, [(np.zeros(4, dtype=int), u, np.zeros((4, 2, 2)))])
+
+    def test_ambient_layout_puts_each_block_in_its_own_range(self):
+        domain = generate_class("cube", 2).members
+        u = np.arange(1.0, 9.0).reshape(4, 2, 1)
+        sol = SdpSolution.from_parts(domain, [(np.array([3, 0, 3, 0]), u, u)])
+        assert sol.dim == 2
+        expected = np.zeros((4, 2, 2))
+        expected[[1, 3], :, 0] = u[[1, 3], :, 0]  # block 0 first
+        expected[[0, 2], :, 1] = u[[0, 2], :, 0]
+        np.testing.assert_array_equal(sol.u, expected)
