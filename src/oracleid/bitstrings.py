@@ -218,7 +218,9 @@ class GramMatrix:
         arr = np.asarray(self.entries, dtype=float)
         if arr.shape != (m, m):
             raise ValueError(f"expected a {m}x{m} matrix, got {arr.shape}")
-        if not np.allclose(arr, arr.T):
+        # exact equality first: built Grams are symmetric bit for bit, and
+        # the tolerant check costs ~10x as much
+        if not (np.array_equal(arr, arr.T) or np.allclose(arr, arr.T)):
             raise ValueError("Gram matrix must be symmetric")
         arr = arr.copy()
         arr.flags.writeable = False

@@ -232,6 +232,36 @@ class GammaHatResult:
         return float(self.value)
 
 
+def _pack(masks: Iterable[int], width: int) -> np.ndarray:
+    """Bitmasks of ``width`` bits as a (len(masks), ceil(width / 64)) uint64
+    word matrix, least significant word first."""
+    nbytes = 8 * -(-width // 64)
+    raw = b"".join(t.to_bytes(nbytes, "little") for t in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(-1, nbytes // 8)
+
+
+def _min_guaranteed_fraction(
+    subsets: np.ndarray, columns: np.ndarray
+) -> tuple[Fraction, int]:
+    """Exact minimum over the subsets of two or more members of
+    ``max over columns of min(ones, size - ones) / size``, with the index of
+    the first subset that attains it."""
+    # sizes, counts and the products below all stay under (64 * words) ** 2
+    dtype = np.min_scalar_type((64 * subsets.shape[1]) ** 2)
+    size = np.bitwise_count(subsets).sum(axis=1, dtype=dtype)
+    top = np.zeros_like(size)
+    for col in columns:
+        ones = np.bitwise_count(subsets & col).sum(axis=1, dtype=dtype)
+        np.maximum(top, np.minimum(ones, size - ones), out=top)
+    valid = size >= 2
+    # the distinct (top, size) pairs are few, so the minimum is taken exactly
+    seen = np.zeros((int(size.max()) // 2 + 1, int(size.max()) + 1), dtype=bool)
+    seen[top[valid], size[valid]] = True
+    value = min(Fraction(int(t), int(s)) for t, s in np.argwhere(seen))
+    hit = valid & (top * value.denominator == size * value.numerator)
+    return value, int(np.argmax(hit))
+
+
 def gamma_hat(
     concept_class: ConceptClass,
     *,
@@ -247,7 +277,14 @@ def gamma_hat(
     largest fraction.  gamma_hat is the minimum over S of that guaranteed
     fraction, returned as an exact rational.  Sampling only ever
     overestimates (the true value is a minimum).
+
+    Sampled mode scores the full set, every pair and ``subset_samples``
+    random subsets.  The witness is the first subset attaining the minimum:
+    first in enumeration order (index bitmasks counted upward) in exact
+    mode, first in the sampled set's iteration order in sampled mode.
     """
+    if subset_samples is not None and subset_samples < 0:
+        raise ValueError(f"subset_samples must be non-negative, got {subset_samples}")
     m = concept_class.size
     if m < 2:
         raise ValueError("need at least two members")
@@ -265,9 +302,7 @@ def gamma_hat(
     if subset_samples is None:
         if m > 20:
             raise ValueError("exact mode caps at 20 members; pass subset_samples")
-        subsets: Iterable[int] = (
-            t for t in range(1, 1 << m) if t.bit_count() >= 2
-        )
+        subsets = np.arange(1 << m, dtype=np.uint64)[:, None]
     else:
         gen = np.random.default_rng(rng)
         full = (1 << m) - 1
@@ -282,26 +317,15 @@ def gamma_hat(
                 t = int.from_bytes(gen.bytes(-(-m // 8)), "big") >> (-m % 8)
             if t.bit_count() >= 2:
                 sampled.add(t)
-        subsets = sampled
+        subsets = _pack(sampled, m)
 
-    best_num, best_den = 1, 1  # running minimum fraction, starts at 1
-    witness = 0
-    for t in subsets:
-        size = t.bit_count()
-        top = 0
-        for col in columns:
-            ones = (t & col).bit_count()
-            score = min(ones, size - ones)
-            if score > top:
-                top = score
-        # min over subsets of top/size
-        if top * best_den < best_num * size:
-            best_num, best_den, witness = top, size, t
+    value, first = _min_guaranteed_fraction(subsets, _pack(columns, m))
+    witness = int.from_bytes(subsets[first].astype("<u8").tobytes(), "little")
     members = tuple(
         concept_class.members[i] for i in range(m) if (witness >> i) & 1
     )
     return GammaHatResult(
-        value=Fraction(best_num, best_den),
+        value=value,
         exact=subset_samples is None,
         witness=members,
     )

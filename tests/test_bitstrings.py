@@ -9,6 +9,7 @@ from oracleid.bitstrings import (
     BitString,
     ConceptClass,
     FunctionTable,
+    GramMatrix,
     filter_by_disagreement,
     generate_class,
     gram_of_function,
@@ -150,6 +151,21 @@ class TestGram:
             if out not in first_seen:
                 first_seen.append(out)
         assert f.labels == tuple(first_seen)
+
+    def test_symmetry_check_tolerates_rounding_and_rejects_asymmetry(self):
+        labels = generate_class("cube", 2).members
+        rng = np.random.default_rng(13)
+        a = rng.random((4, 4))
+        sym = a + a.T
+        nearly = sym.copy()
+        nearly[0, 1] += 1e-12
+        gram = GramMatrix(labels, nearly)
+        assert np.array_equal(gram.entries, nearly)
+        assert not gram.entries.flags.writeable
+        skewed = sym.copy()
+        skewed[0, 1] += 0.5
+        with pytest.raises(ValueError, match="symmetric"):
+            GramMatrix(labels, skewed)
 
 
 class TestGenerateClass:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gamma_reference import gamma_hat_reference
 from helpers import random_class
 from oracleid.bitstrings import ConceptClass, generate_class
 from oracleid.bounds import (
@@ -243,6 +244,51 @@ class TestGammaHat:
         assert 0 < first.value <= 1
         assert first == again
         assert len(first.witness) >= 2
+
+    def test_negative_samples_rejected(self):
+        cls = generate_class("random", 6, size=10, seed=9)
+        with pytest.raises(ValueError, match="subset_samples"):
+            gamma_hat(cls, subset_samples=-1)
+
+    def test_exact_mode_at_the_member_cap(self):
+        cls = generate_class("random", 12, size=20, seed=5)
+        res = gamma_hat(cls)
+        assert res.exact
+        size = len(res.witness)
+        best = 0
+        for j in range(cls.n):
+            ones = sum(1 for y in res.witness if y.bit(j))
+            best = max(best, min(ones, size - ones))
+        assert Fraction(best, size) == res.value
+        over = generate_class("random", 12, size=21, seed=5)
+        with pytest.raises(ValueError, match="exact mode caps at 20 members"):
+            gamma_hat(over)
+
+
+class TestGammaHatAgainstReference:
+    """The vectorized scan returns the loop's value, witness and flag."""
+
+    def test_random_exact_classes(self):
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(2, 10))
+            cls = random_class(rng, n, int(rng.integers(2, min(14, 1 << n) + 1)))
+            assert gamma_hat(cls) == gamma_hat_reference(cls)
+
+    @pytest.mark.parametrize("kind, n", [("cube", 3), ("hamming1", 5)])
+    def test_named_classes(self, kind, n):
+        cls = generate_class(kind, n)
+        assert gamma_hat(cls) == gamma_hat_reference(cls)
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(6, 10), (10, 64), (10, 100), (70, 130)],  # 130 members: three words
+    )
+    def test_sampled_mode(self, n, m):
+        cls = generate_class("random", n, size=m, seed=m)
+        got = gamma_hat(cls, subset_samples=300, rng=7)
+        assert got == gamma_hat_reference(cls, subset_samples=300, rng=7)
+        assert not got.exact
 
 
 class TestLearningBound:
