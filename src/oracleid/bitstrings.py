@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
@@ -343,8 +344,7 @@ def generate_class(
         raise ValueError(f"unknown class kind {kind!r}")
 
     if canonical == "cube":
-        if (1 << n) > _ENUM_LIMIT:
-            raise ValueError(f"cube of dimension {n} is too large to materialize")
+        _check_size(1 << n, f"cube of dimension {n}")
         return ConceptClass.from_values(n, range(1 << n))
 
     if canonical == "hamming1":
@@ -353,12 +353,15 @@ def generate_class(
     if canonical == "hamming":
         if k is None or not 0 <= k <= n:
             raise ValueError(f"need a weight 0 <= k <= {n}")
+        _check_size(math.comb(n, k), f"weight-{k} class of length {n}")
         values = [_pack_positions(n, combo) for combo in itertools.combinations(range(n), k)]
         return ConceptClass.from_values(n, values)
 
     if canonical == "hamming-pair":
         if k is None or not 1 <= k <= n:
             raise ValueError(f"need a weight 1 <= k <= {n}")
+        members = math.comb(n, k - 1) + math.comb(n, k)
+        _check_size(members, f"weight-{k - 1}/{k} class of length {n}")
         values = [_pack_positions(n, c) for c in itertools.combinations(range(n), k - 1)]
         values += [_pack_positions(n, c) for c in itertools.combinations(range(n), k)]
         return ConceptClass.from_values(n, values)
@@ -366,6 +369,7 @@ def generate_class(
     if canonical == "prefix":
         if free_bits is None or not 1 <= free_bits <= n:
             raise ValueError(f"need 1 <= free_bits <= {n}")
+        _check_size(1 << free_bits, f"prefix class with {free_bits} free bits")
         shift = n - free_bits
         return ConceptClass.from_values(n, (v << shift for v in range(1 << free_bits)))
 
@@ -375,6 +379,7 @@ def generate_class(
     total = 1 << n
     if size > total:
         raise ValueError(f"cannot draw {size} distinct strings of length {n}")
+    _check_size(size, f"random class of length {n}")
     rng = np.random.default_rng(seed)
     if total <= _ENUM_LIMIT:
         values = rng.choice(total, size=size, replace=False)
@@ -388,6 +393,12 @@ def generate_class(
                 chosen.add(int.from_bytes(rng.bytes(-(-n // 8)), "big") >> (-n % 8))
         values = sorted(chosen)
     return ConceptClass.from_values(n, values)
+
+
+def _check_size(members: int, what: str) -> None:
+    """Refuse, before enumerating, a class larger than ``_ENUM_LIMIT``."""
+    if members > _ENUM_LIMIT:
+        raise ValueError(f"{what} has {members} members, more than the {_ENUM_LIMIT} allowed")
 
 
 def _pack_positions(n: int, positions: Sequence[int]) -> int:

@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
-from . import sdp
+from . import qsim, sdp
 from .bitstrings import BitString, ConceptClass, generate_class
 from .identify import (
     PromiseViolation,
@@ -171,6 +171,7 @@ def cmd_run(args) -> int:
     summary = {
         "summary": True,
         "config": asdict(config),
+        "search_config": asdict(qsim.DEFAULT_CONFIG),
         "runs": len(rows),
         "success_rate": successes / len(rows) if rows else 0.0,
         "mean_raw_queries": float(np.mean(raw)) if raw else 0.0,

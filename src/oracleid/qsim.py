@@ -32,6 +32,7 @@ for the measurement.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,6 +52,8 @@ __all__ = [
     "grover_probabilities",
     "grover_search_unknown_count",
     "find_first_one",
+    "bbht_failure",
+    "scan_failure",
     "quantum_disagreement_finder",
     "repetitions_for_budget",
 ]
@@ -68,7 +71,8 @@ class SearchConfig:
         instead of amplified; below this size amplitude amplification
         cannot beat direct queries.
     min_repetitions: floor on the number of independent repetitions used
-        to drive a finder's failure probability down to a caller's budget.
+        to drive a finder's failure probability down to a caller's budget;
+        above it, the count follows from the certified ``scan_failure``.
     norm_tol: the simulated state's norm, recomputed from its two
         amplitudes every round, must stay within this of 1.
     """
@@ -76,7 +80,7 @@ class SearchConfig:
     growth: float = 1.2
     cutoff_coeff: float = 9.0
     classical_width: int = 4
-    min_repetitions: int = 3
+    min_repetitions: int = 1
     norm_tol: float = 1e-9
 
 
@@ -343,15 +347,100 @@ def find_first_one(
     return FirstOneResult(None, scan.cleared >= width)
 
 
-def repetitions_for_budget(config: SearchConfig, error_budget: float) -> int:
+def _miss_by_marked(limit: int, config: SearchConfig) -> np.ndarray:
+    """Probability that ``_bbht`` over ``limit`` ranks returns None, for
+    K = 1..dim marked ranks (entry ``K - 1``).
+
+    Exact DP over ``_bbht``'s rounds.  ``active[u, K - 1]`` is the
+    probability that a run with K marked ranks has not yet measured one and
+    has used ``u`` iterations; a round still runs while ``u <= budget``.
+    Round ``r`` draws ``j`` uniformly from ``[0, ceil(m_r))`` and misses
+    with probability ``cos^2((2j + 1) theta)``, ``sin^2 theta = K / dim``;
+    ``m_r`` grows exactly as in ``_bbht``.  Runs that draw ``j = 0`` stay
+    put, so the mass still active decays geometrically rather than
+    vanishing: the loop stops once at most 1e-18 of it is left, and counts
+    that remainder as missed, so each entry is an upper bound exact to
+    1e-18.
+    """
+    dim = 1 << max(0, (limit - 1).bit_length())
+    theta = np.arcsin(np.sqrt(np.arange(1, dim + 1) / dim))
+    top = math.floor(config.cutoff_coeff * math.sqrt(limit))  # last used value that runs
+    m, m_cap = 1.0, math.sqrt(dim)
+    miss = np.cos(np.outer(2 * np.arange(math.ceil(m_cap)) + 1, theta)) ** 2
+    active = np.zeros((top + 1, dim))
+    active[0] = 1.0
+    missed = np.zeros(dim)
+    part = np.empty_like(active)
+    while active.sum(axis=0).max() > 1e-18:
+        draws = math.ceil(m)
+        nxt = np.zeros_like(active)
+        for j in range(draws):
+            np.multiply(active, miss[j] / draws, out=part)
+            cut = max(0, top + 1 - j)
+            nxt[j:] += part[:cut]
+            missed += part[cut:].sum(axis=0)  # over budget: _bbht gives up
+        active = nxt
+        m = min(m * config.growth, m_cap)
+    return missed + active.sum(axis=0)
+
+
+@functools.lru_cache(maxsize=None)
+def bbht_failure(dim: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
+    """Worst probability, over K >= 1 marked ranks, that ``_bbht`` on a
+    limit with this power-of-two ``dim`` returns None.
+
+    Every limit in ``(dim/2, dim]`` shares ``dim`` and the schedule, and a
+    larger limit only adds rounds after the smaller one's cutoff, so the
+    smallest limit ``dim/2 + 1`` bounds the whole class.  ``dim == 1`` is
+    one classical verification and never misses.  Memoized for the life of
+    the process.
+    """
+    if dim < 1 or dim & (dim - 1):
+        raise ValueError(f"dim must be a power of two, got {dim}")
+    if dim == 1:
+        return 0.0
+    return float(_miss_by_marked(dim // 2 + 1, config).max())
+
+
+@functools.lru_cache(maxsize=None)
+def scan_failure(width: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
+    """Certified bound on the probability that one ``find_first_one`` scan
+    of ``width`` ranks returns a wrong answer.
+
+    A scan is wrong only when a ``_bbht`` call on a prefix holding a marked
+    rank returns None; exact answers and verified positions never are.  A
+    scan makes at most one call per ladder stage plus ``width`` reduction
+    calls (each moves the candidate strictly earlier), and each misses with
+    probability at most ``bbht_failure`` of its ``dim``, so the union bound
+    gives ``(stages + width) * max bbht_failure``.  Where that exceeds
+    1/3 (small ``cutoff_coeff`` or very wide scans) the result is 1/3, the
+    textbook per-scan rate, which is then assumed rather than certified.
+    Memoized.
+    """
+    dims = (1 << k for k in range(1, max(width - 1, 0).bit_length() + 1))
+    worst = max((bbht_failure(dim, config) for dim in dims), default=0.0)
+    calls = len(_stage_ladder(config.classical_width, width)) + width
+    return min(1.0 / 3.0, calls * worst)
+
+
+def repetitions_for_budget(
+    config: SearchConfig, error_budget: float, per_scan: float = 1.0 / 3.0
+) -> int:
     """Independent repetitions needed to push failure below the budget.
 
-    A single scan fails with probability at most 1/3 by construction, so
-    ``t`` repetitions fail together with probability at most ``3**-t``.
+    ``per_scan`` bounds the probability that one scan fails, whatever the
+    earlier repetitions did, so ``t`` repetitions fail together with
+    probability at most ``per_scan**t``.  The finders pass the certified
+    ``scan_failure``; the default 1/3 is the textbook bounded-error rate.
     """
     if not 0 < error_budget < 1:
         raise ValueError("error budget must be in (0, 1)")
-    needed = math.ceil(math.log(1.0 / error_budget) / math.log(3.0))
+    if not 0 <= per_scan < 1:
+        raise ValueError("per-scan failure must be in [0, 1)")
+    if per_scan <= error_budget:
+        needed = 1
+    else:
+        needed = math.ceil(math.log(1.0 / error_budget) / math.log(1.0 / per_scan))
     return max(config.min_repetitions, needed)
 
 
@@ -372,16 +461,18 @@ def quantum_disagreement_finder(
     Runs the first-marked scan several times and keeps the earliest
     verified disagreement.  Every returned position is a real disagreement
     and never earlier than the true first, so taking the minimum is the
-    correct combiner; the call fails only when every repetition does.
-    Classical knowledge (individually verified zero ranks) is shared
-    across repetitions, and an exact repetition short-circuits the rest.
+    correct combiner; the call fails only when every repetition does, so
+    the certified ``scan_failure`` sets the repetition count.  Classical
+    knowledge (individually verified zero ranks) is shared across
+    repetitions, and an exact repetition short-circuits the rest.
     """
     rng = _as_rng(rng)
     counter = counter if counter is not None else QueryCounter()
     stats = stats if stats is not None else SimStats(tol=config.norm_tol)
     scan = ScanState()
     best: int | None = None
-    for _ in range(repetitions_for_budget(config, error_budget)):
+    repetitions = repetitions_for_budget(config, error_budget, scan_failure(width, config))
+    for _ in range(repetitions):
         res = find_first_one(
             x,
             width,

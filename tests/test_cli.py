@@ -1,8 +1,10 @@
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from oracleid import qsim
 from oracleid.cli import main
 
 
@@ -48,6 +50,9 @@ class TestRun:
         assert all(row["identified"] == row["x"] for row in rows)
         assert summary["summary"] and summary["success_rate"] == 1.0
         assert summary["config"]["engine"] == "ideal"
+        assert summary["search_config"] == asdict(qsim.DEFAULT_CONFIG)
+        assert summary["search_config"]["cutoff_coeff"] == 9.0
+        assert all("search_config" not in row for row in rows)
 
     def test_single_member_trace_schema(self, class_file, tmp_path):
         out = tmp_path / "rows.jsonl"
@@ -115,6 +120,12 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv", [
         ("gen", "--kind", "hamming", "--n", "4"),
         ("gen", "--kind", "random", "--n", "4"),
+        # classes past the member cap are refused before anything is enumerated
+        ("gen", "--kind", "prefix", "--n", "40", "--free-bits", "40"),
+        ("gen", "--kind", "hamming", "--n", "60", "--k", "30"),
+        ("gen", "--kind", "hamming-pair", "--n", "60", "--k", "30"),
+        ("gen", "--kind", "random", "--n", "40", "--m", str((1 << 20) + 1)),
+        ("gen", "--kind", "cube", "--n", "21"),
         ("run", "--class-file", "{cf}", "--all", "--trials", "0"),
         ("run", "--class-file", "{cf}", "--all", "--jobs", "0"),
         ("run", "--class-file", "{cf}", "--all", "--jobs", "-1"),

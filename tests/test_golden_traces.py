@@ -2,11 +2,13 @@
 
 ``golden_traces.json`` holds ``RunTrace.to_dict()`` (minus ``norm_drift``,
 a floating-point observation rather than an outcome) of each identification
-loop with the quantum engine.  The ``run_final`` rows (unprefixed keys) were
-recorded with the original statevector simulator; the ``basic/`` and
-``improved/`` rows for the two halving loops were recorded before the three
-loops were merged into one.  The random draws the loops make, and therefore
-every outcome, must not change.  Regenerate with
+loop with the quantum engine: ``run_final`` (unprefixed keys) and the two
+halving loops (``basic/`` and ``improved/``).  All rows were last recorded
+when the certified per-scan failure bound (``qsim.scan_failure``) cut each
+search call from three repetitions to one, an intended change of draw
+order; the earlier rows had carried over unchanged from the statevector
+simulator and from the three separate loops.  The random draws the loops
+make, and therefore every outcome, must not change.  Regenerate with
 ``python tests/test_golden_traces.py`` only when a change to the draw order
 is intended.
 """

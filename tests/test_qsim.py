@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import statevector as ref
-from oracleid.bitstrings import BitString
+from oracleid.bitstrings import BitString, generate_class
 from oracleid import qsim
+from oracleid.identify import _new_context
+from oracleid.ordering import clear_ordering_cache
 from oracleid.qsim import (
     QueryCounter,
     ScanState,
@@ -15,6 +17,7 @@ from oracleid.qsim import (
     grover_search_unknown_count,
     quantum_disagreement_finder,
     repetitions_for_budget,
+    scan_failure,
 )
 
 
@@ -264,6 +267,122 @@ class TestDisagreementFinder:
         assert repetitions_for_budget(cfg, 1 / 100) == 5
         with pytest.raises(ValueError):
             repetitions_for_budget(cfg, 0.0)
+
+
+def _enumerated_miss(limit, marked, config):
+    """Probability that ``_bbht`` misses, by walking its draw tree path by path.
+
+    Success probabilities come from the reference statevector.  Runs that
+    draw zero iterations stay put, so the tree is infinite; paths below
+    1e-20 are cut, and their total is returned beside the miss.
+    """
+    dim = 1 << (limit - 1).bit_length()
+    qubits = dim.bit_length() - 1
+    hit = []
+    for j in range(math.ceil(math.sqrt(dim))):
+        amps = ref.grover_run(ref.uniform_with_minus_target(qubits), marked, j)
+        hit.append(ref.index_probabilities(amps)[marked].sum())
+    budget = config.cutoff_coeff * math.sqrt(limit)
+    miss = cut = 0.0
+    stack = [(1.0, 0, 1.0)]  # path probability, iterations used, window m
+    while stack:
+        prob, used, m = stack.pop()
+        if used > budget:
+            miss += prob
+        elif prob < 1e-20:
+            cut += prob
+        else:
+            draws = math.ceil(m)
+            m_next = min(m * config.growth, math.sqrt(dim))
+            for j in range(draws):
+                stack.append((prob / draws * (1.0 - hit[j]), used + j, m_next))
+    return miss, cut
+
+
+class TestFailureBound:
+    def test_dp_matches_draw_tree_enumeration(self):
+        config = qsim.SearchConfig(cutoff_coeff=1.0)
+        rng = np.random.default_rng(13)
+        for dim in (2, 4, 8):
+            for limit in range(dim // 2 + 1, dim + 1):
+                dp = qsim._miss_by_marked(limit, config)
+                for n_marked in range(1, limit + 1):
+                    marked = np.zeros(dim, dtype=bool)
+                    marked[rng.choice(limit, size=n_marked, replace=False)] = True
+                    miss, cut = _enumerated_miss(limit, marked, config)
+                    assert cut < 1e-13
+                    assert dp[n_marked - 1] == pytest.approx(miss, rel=0, abs=1e-12), (
+                        f"limit={limit} K={n_marked}"
+                    )
+
+    @pytest.mark.parametrize(
+        "cutoff,limit,n_marked", [(0.5, 32, 1), (0.5, 12, 1), (0.3, 8, 4)]
+    )
+    def test_dp_matches_monte_carlo(self, cutoff, limit, n_marked):
+        config = qsim.SearchConfig(cutoff_coeff=cutoff)
+        p = qsim._miss_by_marked(limit, config)[n_marked - 1]
+        trials, misses = 4000, 0
+        for t in range(trials):
+            x = BitString(limit, sum(1 << (2 * i + 1) for i in range(n_marked)))
+            v = grover_search_unknown_count(
+                x, limit, rng=np.random.default_rng((12, limit, t)), config=config
+            )
+            misses += v is None
+        assert p > 0.05  # the band below is only informative where misses are common
+        assert abs(misses / trials - p) <= 4 * math.sqrt(p * (1 - p) / trials)
+
+    def test_worst_case_at_default_constants(self):
+        worst = max(qsim.bbht_failure(1 << k) for k in range(8))  # every limit <= 128
+        assert worst == pytest.approx(3.23e-5, abs=1e-7)
+
+    def test_smallest_limit_bounds_its_class(self):
+        for dim in (4, 16, 32):
+            for limit in range(dim // 2 + 1, dim + 1):
+                assert qsim._miss_by_marked(limit, qsim.DEFAULT_CONFIG).max() <= (
+                    qsim.bbht_failure(dim)
+                )
+
+    def test_failure_non_increasing_in_cutoff(self):
+        for dim in (4, 16, 64):
+            values = [
+                qsim.bbht_failure(dim, qsim.SearchConfig(cutoff_coeff=c))
+                for c in (1.0, 2.0, 3.0, 4.5, 9.0, 12.0)
+            ]
+            assert all(a >= b for a, b in zip(values, values[1:])), values
+
+    def test_single_candidate_and_bad_dim(self):
+        assert qsim.bbht_failure(1) == 0.0
+        with pytest.raises(ValueError):
+            qsim.bbht_failure(12)
+
+    def test_scan_bound_is_the_union_bound(self):
+        worst = max(qsim.bbht_failure(1 << k) for k in range(1, 7))
+        assert scan_failure(63) == pytest.approx((5 + 63) * worst)  # ladder 4..63
+        assert scan_failure(63) == pytest.approx(2.2e-3, abs=1e-4)
+        assert scan_failure(1) == 0.0
+        assert scan_failure(200, qsim.SearchConfig(cutoff_coeff=1.0)) == 1 / 3
+
+    def test_certified_repetitions_hamming1_64(self):
+        budget = _new_context(generate_class("hamming1", 64), 0).error_budget
+        assert repetitions_for_budget(qsim.DEFAULT_CONFIG, budget, scan_failure(63)) == 1
+
+    def test_repetition_rule_with_certified_rate(self):
+        cfg = qsim.DEFAULT_CONFIG
+        assert repetitions_for_budget(cfg, 1 / 33, 0.0334) == 2
+        assert repetitions_for_budget(cfg, 1 / 33, 0.0) == 1
+        assert repetitions_for_budget(cfg, 0.01, 0.01) == 1
+        assert repetitions_for_budget(qsim.SearchConfig(min_repetitions=3), 0.5, 0.0) == 3
+        with pytest.raises(ValueError):
+            repetitions_for_budget(cfg, 0.1, 1.0)
+
+    def test_memo_outlives_the_ordering_cache(self):
+        scan_failure(40)
+        size = qsim.bbht_failure.cache_info().currsize
+        clear_ordering_cache()
+        hits = scan_failure.cache_info().hits
+        scan_failure(40)
+        assert scan_failure.cache_info().hits == hits + 1
+        assert qsim.bbht_failure.cache_info().currsize == size
 
 
 class TestDeterminismAndNorm:
