@@ -138,10 +138,11 @@ class QuantumFinder:
 
     Correct with probability at least 2/3 per run via per-call error
     budgets of ``1 / (3 (r_max + 1))``, where ``r_max`` bounds the number
-    of calls a run can make.  Each call repeats its search until the
-    certified per-scan failure (``qsim.scan_failure``) to that power is
-    within the budget; at the default constants one repetition suffices
-    for scans up to a few hundred ranks wide.
+    of calls a run can make.  Each call repeats its search until its
+    certified failure to that power is within the budget: a first-marked
+    scan's is ``qsim.scan_failure``, a single any-marked search's is
+    ``qsim.bbht_failure``.  At the default constants one repetition
+    suffices for scans up to a few hundred ranks wide.
     """
 
     name = "quantum"
@@ -165,8 +166,8 @@ class QuantumFinder:
         return res.rank
 
     def find_any(self, x, s, ctx) -> int | None:
-        per_scan = qsim.scan_failure(x.n, self.config)
-        for _ in range(qsim.repetitions_for_budget(self.config, ctx.error_budget, per_scan)):
+        per_call = qsim.bbht_failure(1 << (x.n - 1).bit_length(), self.config)
+        for _ in range(qsim.repetitions_for_budget(self.config, ctx.error_budget, per_call)):
             v = qsim.grover_search_unknown_count(
                 x,
                 x.n,

@@ -70,9 +70,6 @@ class SearchConfig:
     classical_width: regions at most this wide are scanned classically
         instead of amplified; below this size amplitude amplification
         cannot beat direct queries.
-    min_repetitions: floor on the number of independent repetitions used
-        to drive a finder's failure probability down to a caller's budget;
-        above it, the count follows from the certified ``scan_failure``.
     norm_tol: the simulated state's norm, recomputed from its two
         amplitudes every round, must stay within this of 1.
     """
@@ -80,7 +77,6 @@ class SearchConfig:
     growth: float = 1.2
     cutoff_coeff: float = 9.0
     classical_width: int = 4
-    min_repetitions: int = 1
     norm_tol: float = 1e-9
 
 
@@ -384,6 +380,10 @@ def _miss_by_marked(limit: int, config: SearchConfig) -> np.ndarray:
     return missed + active.sum(axis=0)
 
 
+# Largest dim whose failure DP is run (see ``bbht_failure``).
+MAX_CERTIFIED_DIM = 1024
+
+
 @functools.lru_cache(maxsize=None)
 def bbht_failure(dim: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     """Worst probability, over K >= 1 marked ranks, that ``_bbht`` on a
@@ -392,13 +392,18 @@ def bbht_failure(dim: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     Every limit in ``(dim/2, dim]`` shares ``dim`` and the schedule, and a
     larger limit only adds rounds after the smaller one's cutoff, so the
     smallest limit ``dim/2 + 1`` bounds the whole class.  ``dim == 1`` is
-    one classical verification and never misses.  Memoized for the life of
+    one classical verification and never misses.  The DP's cost grows
+    about as ``dim**2`` (0.8 s at dim 1024, 20 s at 4096), so above
+    ``MAX_CERTIFIED_DIM`` it is not run and the textbook per-call rate 1/3
+    is returned, assumed rather than certified.  Memoized for the life of
     the process.
     """
     if dim < 1 or dim & (dim - 1):
         raise ValueError(f"dim must be a power of two, got {dim}")
     if dim == 1:
         return 0.0
+    if dim > MAX_CERTIFIED_DIM:
+        return 1.0 / 3.0
     return float(_miss_by_marked(dim // 2 + 1, config).max())
 
 
@@ -412,15 +417,22 @@ def scan_failure(width: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     scan makes at most one call per ladder stage plus ``width`` reduction
     calls (each moves the candidate strictly earlier), and each misses with
     probability at most ``bbht_failure`` of its ``dim``, so the union bound
-    gives ``(stages + width) * max bbht_failure``.  Where that exceeds
-    1/3 (small ``cutoff_coeff`` or very wide scans) the result is 1/3, the
-    textbook per-scan rate, which is then assumed rather than certified.
-    Memoized.
+    gives ``(stages + width) * max bbht_failure``.  Where that reaches
+    1/3 (small ``cutoff_coeff``) or a dim is past ``MAX_CERTIFIED_DIM``,
+    the result is 1/3, the textbook per-scan rate, which is then assumed
+    rather than certified.  Dims are taken smallest first, so the costly
+    large-dim DPs are skipped once the bound has reached 1/3.  Memoized.
     """
-    dims = (1 << k for k in range(1, max(width - 1, 0).bit_length() + 1))
-    worst = max((bbht_failure(dim, config) for dim in dims), default=0.0)
+    top = max(width - 1, 0).bit_length()
+    if 1 << top > MAX_CERTIFIED_DIM:
+        return 1.0 / 3.0
     calls = len(_stage_ladder(config.classical_width, width)) + width
-    return min(1.0 / 3.0, calls * worst)
+    worst = 0.0
+    for k in range(1, top + 1):
+        worst = max(worst, bbht_failure(1 << k, config))
+        if calls * worst >= 1.0 / 3.0:
+            return 1.0 / 3.0
+    return calls * worst
 
 
 def repetitions_for_budget(
@@ -431,17 +443,17 @@ def repetitions_for_budget(
     ``per_scan`` bounds the probability that one scan fails, whatever the
     earlier repetitions did, so ``t`` repetitions fail together with
     probability at most ``per_scan**t``.  The finders pass the certified
-    ``scan_failure``; the default 1/3 is the textbook bounded-error rate.
+    ``scan_failure`` or ``bbht_failure``; the default 1/3 is the textbook
+    bounded-error rate.  The count depends on the two rates alone;
+    ``config`` is not read.
     """
     if not 0 < error_budget < 1:
         raise ValueError("error budget must be in (0, 1)")
     if not 0 <= per_scan < 1:
         raise ValueError("per-scan failure must be in [0, 1)")
     if per_scan <= error_budget:
-        needed = 1
-    else:
-        needed = math.ceil(math.log(1.0 / error_budget) / math.log(1.0 / per_scan))
-    return max(config.min_repetitions, needed)
+        return 1
+    return math.ceil(math.log(1.0 / error_budget) / math.log(1.0 / per_scan))
 
 
 def quantum_disagreement_finder(

@@ -6,7 +6,7 @@ import pytest
 import statevector as ref
 from oracleid.bitstrings import BitString, generate_class
 from oracleid import qsim
-from oracleid.identify import _new_context
+from oracleid.identify import EngineContext, QuantumFinder, _new_context
 from oracleid.ordering import clear_ordering_cache
 from oracleid.qsim import (
     QueryCounter,
@@ -362,6 +362,39 @@ class TestFailureBound:
         assert scan_failure(1) == 0.0
         assert scan_failure(200, qsim.SearchConfig(cutoff_coeff=1.0)) == 1 / 3
 
+    def test_wide_scans_skip_the_costly_dims(self, monkeypatch):
+        limits = []
+        dp = qsim._miss_by_marked
+
+        def recording(limit, config):
+            limits.append(limit)
+            return dp(limit, config)
+
+        monkeypatch.setattr(qsim, "_miss_by_marked", recording)
+        # past MAX_CERTIFIED_DIM nothing runs: the textbook 1/3, assumed
+        assert scan_failure(20000) == 1 / 3
+        assert qsim.bbht_failure(2 * qsim.MAX_CERTIFIED_DIM) == 1 / 3
+        assert limits == []
+        # with a small cutoff (a config no other test memoizes) the union
+        # bound reaches 1/3 at a small dim, and the larger DPs never run
+        assert scan_failure(1000, qsim.SearchConfig(cutoff_coeff=1.25)) == 1 / 3
+        assert limits == [2]
+
+    def test_wide_quantum_finders_run_no_dp(self, monkeypatch):
+        limits = []
+        dp = qsim._miss_by_marked
+        monkeypatch.setattr(qsim, "_miss_by_marked", lambda *a: limits.append(a) or dp(*a))
+        n, p0 = 20000, 12345
+        x = BitString(n, 1 << (n - 1 - p0))
+        zeros = BitString.zeros(n)
+        res = quantum_disagreement_finder(
+            x, zeros, range(n), n, 1 / 21, rng=np.random.default_rng(4), counter=QueryCounter()
+        )
+        assert res.rank == p0 + 1
+        ctx = EngineContext(np.random.default_rng(5), QueryCounter(), SimStats(), 1 / 21)
+        assert QuantumFinder().find_any(x, zeros, ctx) == p0
+        assert limits == []
+
     def test_certified_repetitions_hamming1_64(self):
         budget = _new_context(generate_class("hamming1", 64), 0).error_budget
         assert repetitions_for_budget(qsim.DEFAULT_CONFIG, budget, scan_failure(63)) == 1
@@ -371,7 +404,6 @@ class TestFailureBound:
         assert repetitions_for_budget(cfg, 1 / 33, 0.0334) == 2
         assert repetitions_for_budget(cfg, 1 / 33, 0.0) == 1
         assert repetitions_for_budget(cfg, 0.01, 0.01) == 1
-        assert repetitions_for_budget(qsim.SearchConfig(min_repetitions=3), 0.5, 0.0) == 3
         with pytest.raises(ValueError):
             repetitions_for_budget(cfg, 0.1, 1.0)
 
