@@ -12,10 +12,8 @@ from .bitstrings import (
     BitString,
     ConceptClass,
     FunctionTable,
-    GramMatrix,
     filter_by_disagreement,
     generate_class,
-    gram_of_function,
     majority_string,
 )
 from .identify import (
@@ -37,10 +35,8 @@ __all__ = [
     "BitString",
     "ConceptClass",
     "FunctionTable",
-    "GramMatrix",
     "majority_string",
     "filter_by_disagreement",
-    "gram_of_function",
     "generate_class",
     "Ordering",
     "hegedus_ordering",

@@ -1,4 +1,4 @@
-"""Bit strings, concept classes, Gram matrices, and class generators.
+"""Bit strings, concept classes, function tables, and class generators.
 
 Conventions used across the package:
 
@@ -24,11 +24,9 @@ __all__ = [
     "BitString",
     "ConceptClass",
     "FunctionTable",
-    "GramMatrix",
     "majority_string",
     "majority_value",
     "filter_by_disagreement",
-    "gram_of_function",
     "generate_class",
 ]
 
@@ -206,30 +204,12 @@ class FunctionTable:
     def labels(self) -> tuple[Hashable, ...]:
         return tuple(dict.fromkeys(self.outputs))
 
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """A square symmetric real matrix indexed by class members."""
-
-    labels: tuple[BitString, ...]
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = len(self.labels)
-        arr = np.asarray(self.entries, dtype=float)
-        if arr.shape != (m, m):
-            raise ValueError(f"expected a {m}x{m} matrix, got {arr.shape}")
-        # exact equality first: built Grams are symmetric bit for bit, and
-        # the tolerant check costs ~10x as much
-        if not (np.array_equal(arr, arr.T) or np.allclose(arr, arr.T)):
-            raise ValueError("Gram matrix must be symmetric")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
     @property
-    def dim(self) -> int:
-        return len(self.labels)
+    def codes(self) -> np.ndarray:
+        """Per member, the index of its output in ``labels``: two members
+        share a code iff they share an output."""
+        index: dict[Hashable, int] = {}
+        return np.array([index.setdefault(out, len(index)) for out in self.outputs], dtype=np.intp)
 
 
 def majority_value(values: Sequence[int], n: int) -> int:
@@ -291,19 +271,6 @@ def filter_by_disagreement(
             if all(y.bit(i) == s.bit(i) for i in prefix) and y.bit(pos) != s.bit(pos)
         )
     return tuple(y for y in members if all(y.bit(i) == s.bit(i) for i in sigma))
-
-
-def gram_of_function(f: FunctionTable) -> GramMatrix:
-    """Gram matrix ``F`` of a function: ``F[x, y] = 1`` iff ``f(x) == f(y)``.
-
-    With this convention ``J - F`` (J the all-ones matrix) has a 1 exactly
-    where outputs differ, which is the target matrix for the function
-    evaluation feasibility checks in :mod:`oracleid.sdp`.
-    """
-    codes: dict[Hashable, int] = {}
-    ids = np.array([codes.setdefault(out, len(codes)) for out in f.outputs])
-    entries = (ids[:, None] == ids[None, :]).astype(float)
-    return GramMatrix(f.domain.members, entries)
 
 
 _KIND_ALIASES = {

@@ -138,10 +138,10 @@ def cmd_run(args) -> int:
         except ValueError:  # not a binary string
             member = False
         if not member:
-            raise SystemExit(f"--x {args.x} is not a member of the class")
+            raise ValueError(f"--x {args.x} is not a member of the class")
         xs = [args.x]
     else:
-        raise SystemExit("run needs --x or --all")
+        raise ValueError("run needs --x or --all")
 
     config = ExperimentConfig(
         seed=args.seed,
@@ -218,7 +218,7 @@ def _verify_sdp_suite(
     else:
         cls = generate_class("hamming1", 3)
     pipe = sdp.oracle_id_pipeline(cls)
-    target = np.ones((cls.size, cls.size)) - np.eye(cls.size)
+    target = sdp.LabelTarget(np.zeros(cls.size, dtype=np.intp), np.arange(cls.size))
     violation = sdp.verify_feasible(target, pipe.solution)
     entry = {
         "check": f"sdp: identification solution feasible for J - I on {cls.size} members",
@@ -245,13 +245,11 @@ def _verify_sdp_suite(
         })
     the8 = sdp.find_first_one_solution(6)
     cube = the8.domain
-    ones = np.ones((len(cube), len(cube)))
     table = sdp.first_disagreement_table(
         ConceptClass(6, cube), tuple(range(6)), BitString.zeros(6), 6
     )
-    from .bitstrings import gram_of_function
-
-    v8 = sdp.verify_feasible(ones - gram_of_function(table).entries, the8)
+    target = sdp.LabelTarget(np.zeros(len(cube), dtype=np.intp), table.codes)
+    v8 = sdp.verify_feasible(target, the8)
     checks.append({
         "check": "sdp: first-disagreement solution feasible on the 6-bit cube",
         "passed": v8 <= tolerance,
@@ -287,7 +285,7 @@ def cmd_verify(args) -> int:
     checks: list[dict] = []
     if args.suite in ("ordering", "all"):
         if not 1 <= args.n <= 4:
-            raise SystemExit("the ordering suite is exhaustive and needs 1 <= --n <= 4")
+            raise ValueError("the ordering suite is exhaustive and needs 1 <= --n <= 4")
         _verify_ordering_suite(args.n, args.tolerance, checks)
     if args.suite in ("sdp", "all"):
         _verify_sdp_suite(args.class_file, max(args.tolerance, 1e-9), checks,
@@ -327,7 +325,7 @@ def _parse_grid(text: str) -> tuple[list[int], list[int]]:
             elif key == "M":
                 ms = parsed
             else:
-                raise SystemExit(f"unknown grid axis {key!r}")
+                raise ValueError(f"unknown grid axis {key!r}")
     return ns, ms
 
 

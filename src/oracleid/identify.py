@@ -167,7 +167,7 @@ class QuantumFinder:
 
     def find_any(self, x, s, ctx) -> int | None:
         per_call = qsim.bbht_failure(1 << (x.n - 1).bit_length(), self.config)
-        for _ in range(qsim.repetitions_for_budget(self.config, ctx.error_budget, per_call)):
+        for _ in range(qsim.repetitions_for_budget(ctx.error_budget, per_call)):
             v = qsim.grover_search_unknown_count(
                 x,
                 x.n,

@@ -82,6 +82,8 @@ def _greedy(n: int, values: tuple[int, ...]):
     width = 0 if size0 <= 1 else None
 
     for step in range(n):
+        if len(current) == 1:
+            break
         total = len(current)
         best_j = -1
         best_count = -1
@@ -106,6 +108,12 @@ def _greedy(n: int, values: tuple[int, ...]):
         if width is None and len(current) <= 1:
             width = step + 1
 
+    if len(sigma) < n:  # one survivor left: the loop would take its bits in index order
+        (survivor,) = current
+        for j in unused:
+            sigma.append(j)
+            s_value |= survivor & (1 << (n - 1 - j))
+            elim.append(())
     return tuple(sigma), s_value, tuple(elim), width if width is not None else n
 
 

@@ -435,17 +435,14 @@ def scan_failure(width: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     return calls * worst
 
 
-def repetitions_for_budget(
-    config: SearchConfig, error_budget: float, per_scan: float = 1.0 / 3.0
-) -> int:
+def repetitions_for_budget(error_budget: float, per_scan: float = 1.0 / 3.0) -> int:
     """Independent repetitions needed to push failure below the budget.
 
     ``per_scan`` bounds the probability that one scan fails, whatever the
     earlier repetitions did, so ``t`` repetitions fail together with
     probability at most ``per_scan**t``.  The finders pass the certified
     ``scan_failure`` or ``bbht_failure``; the default 1/3 is the textbook
-    bounded-error rate.  The count depends on the two rates alone;
-    ``config`` is not read.
+    bounded-error rate.
     """
     if not 0 < error_budget < 1:
         raise ValueError("error budget must be in (0, 1)")
@@ -483,7 +480,7 @@ def quantum_disagreement_finder(
     stats = stats if stats is not None else SimStats(tol=config.norm_tol)
     scan = ScanState()
     best: int | None = None
-    repetitions = repetitions_for_budget(config, error_budget, scan_failure(width, config))
+    repetitions = repetitions_for_budget(error_budget, scan_failure(width, config))
     for _ in range(repetitions):
         res = find_first_one(
             x,

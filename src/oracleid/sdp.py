@@ -17,6 +17,14 @@ per-input cost is ``c``; ``max_x c(x)`` bounds the worst case.  Everything
 here is real-valued: all the explicit constructions use nonnegative
 coordinates.
 
+A target comes in one of two forms.  Any (inputs, inputs) array will do;
+the targets built here -- ``J - I``, ``J - F`` and the stage targets
+``gram(f_{k-1}) - gram(f_k)`` -- are each a difference of two function
+Gram matrices and are kept as a ``LabelTarget``: two integer label vectors
+whose entry ``(x, y)`` is ``[coarse_x == coarse_y] - [fine_x == fine_y]``.
+``verify_feasible`` reads either form a block of rows at a time, so a
+label target is never held as a dense matrix.
+
 A solution is stored as a direct sum of *parts* ``(block, u, v)``.  In a
 part, ``u`` and ``v`` have shape (inputs, bits, d) and ``block`` gives every
 input an integer block id; each block owns its own ``d`` coordinates, so
@@ -55,12 +63,13 @@ from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitstrings import BitString, ConceptClass, FunctionTable, GramMatrix, gram_of_function
+from .bitstrings import BitString, ConceptClass, FunctionTable
 from .ordering import _greedy, first_disagreement_rank
 
 __all__ = [
     "SdpPart",
     "SdpSolution",
+    "LabelTarget",
     "CostFunction",
     "verify_feasible",
     "cost_of",
@@ -186,10 +195,29 @@ class CostFunction:
         return float(self.values.max())
 
 
-def _target_entries(A) -> np.ndarray:
-    if isinstance(A, GramMatrix):
-        return np.asarray(A.entries, dtype=float)
-    return np.asarray(A, dtype=float)
+class LabelTarget(NamedTuple):
+    """The target ``[coarse_x == coarse_y] - [fine_x == fine_y]``, given by
+    one integer label per input on each side.
+
+    ``J - I`` is ``LabelTarget(zeros, arange)``, ``J - F`` is
+    ``LabelTarget(zeros, f.codes)``, and a stage target
+    ``gram(f_{k-1}) - gram(f_k)`` is ``LabelTarget(f_{k-1}.codes, f_k.codes)``.
+    """
+
+    coarse: np.ndarray
+    fine: np.ndarray
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi`` of the target as a dense float array."""
+        coarse, fine = np.asarray(self.coarse), np.asarray(self.fine)
+        out = (coarse[lo:hi, None] == coarse).astype(float)
+        out -= fine[lo:hi, None] == fine
+        return out
+
+
+# rows checked per step: each step holds two ROW_CHUNK x inputs float
+# arrays, small enough to stay in cache up to a few thousand inputs
+ROW_CHUNK = 64
 
 
 def _domain_bits(domain: Sequence[BitString]) -> np.ndarray:
@@ -198,62 +226,53 @@ def _domain_bits(domain: Sequence[BitString]) -> np.ndarray:
     return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(domain), n)
 
 
-def verify_feasible(
-    A,
-    sol: SdpSolution,
-    *,
-    pairs: np.ndarray | None = None,
-    row_chunk: int = 1024,
-) -> float:
+def verify_feasible(A, sol: SdpSolution) -> float:
     """Worst absolute violation of the bilinear constraints against ``A``.
 
-    Checks every input pair by default (chunked so memory stays flat); pass
-    an array of ``(i, j)`` index pairs to spot-check a sample instead.
+    ``A`` is an (inputs, inputs) array or a `LabelTarget`.  Every input
+    pair is checked, ``ROW_CHUNK`` rows at a time, so memory stays flat.
     A return value at most the caller's tolerance certifies feasibility.
 
-    Per part, the constraint sums of all pairs are ``U1 V0^T + U0 V1^T``
-    masked to equal blocks, where ``U1``/``U0`` keep the ``u[x, j]`` with
-    ``x_j`` = 1/0 (flattened over bits and coordinates), and likewise ``V``.
+    Per part, the constraint sums of all pairs are ``U1 V0^T + U0 V1^T``,
+    one product ``[U1 U0] [V0 V1]^T``, masked to equal blocks, where
+    ``U1``/``U0`` keep the ``u[x, j]`` with ``x_j`` = 1/0 (flattened over
+    bits and coordinates), and likewise ``V``.
     """
-    target = _target_entries(A)
     m = sol.size
-    if target.shape != (m, m):
-        raise ValueError(f"target must be {m}x{m}, got {target.shape}")
+    if isinstance(A, LabelTarget):
+        if np.shape(A.coarse) != (m,) or np.shape(A.fine) != (m,):
+            raise ValueError(f"label target needs {m} labels per side")
+        target_rows = A.rows
+    else:
+        dense = np.asarray(A, dtype=float)
+        if dense.shape != (m, m):
+            raise ValueError(f"target must be {m}x{m}, got {dense.shape}")
+
+        def target_rows(lo, hi):
+            return dense[lo:hi].copy()
+
     bits = _domain_bits(sol.domain)
-
-    if pairs is not None:
-        pairs = np.asarray(pairs, dtype=int)
-        left, right = pairs[:, 0], pairs[:, 1]
-        mask = bits[left] != bits[right]
-        vals = np.zeros(len(pairs))
-        for block, u, v in sol.parts:
-            inner = np.einsum("pjd,pjd->pj", u[left], v[right])
-            vals += (block[left] == block[right]) * (mask * inner).sum(axis=1)
-        return float(np.abs(vals - target[left, right]).max())
-
     ones = bits[:, :, None].astype(float)
     zeros = 1.0 - ones
 
-    def split(w):
-        return (w * ones).reshape(m, -1), (w * zeros).reshape(m, -1)
+    def split(w, first, second):
+        return np.concatenate([(w * first).reshape(m, -1), (w * second).reshape(m, -1)], axis=1)
 
     factors = []
     for block, u, v in sol.parts:
-        v1, v0 = split(v)
-        u1, u0 = (v1, v0) if u is v else split(u)
         blocked = len(np.unique(block)) > 1
-        factors.append((block if blocked else None, u1, u0, v1, v0))
+        factors.append((block if blocked else None, split(u, ones, zeros), split(v, zeros, ones)))
     worst = 0.0
-    for lo in range(0, m, row_chunk):
-        hi = min(lo + row_chunk, m)
-        got = np.zeros((hi - lo, m))
-        for block, u1, u0, v1, v0 in factors:
-            inner = u1[lo:hi] @ v0.T
-            inner += u0[lo:hi] @ v1.T
+    for lo in range(0, m, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, m)
+        # |target - sums| in place: few temporaries, so the heap stays put
+        residual = target_rows(lo, hi)
+        for block, uu, vv in factors:
+            inner = uu[lo:hi] @ vv.T
             if block is not None:
                 inner *= block[lo:hi, None] == block[None, :]
-            got += inner
-        worst = max(worst, float(np.abs(got - target[lo:hi]).max()))
+            residual -= inner
+        worst = max(worst, float(np.abs(residual, out=residual).max()))
     return worst
 
 
@@ -354,17 +373,17 @@ def output_conditioned_compose(
     assigned to it.
     """
     members = f.domain.members
-    rows: dict[Hashable, list[int]] = {}
-    for i, e in enumerate(f.outputs):
-        rows.setdefault(e, []).append(i)
-    for e, idx in rows.items():
+    codes = f.codes
+    # member indices per label, labels in first-appearance order
+    rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
+    for e, idx in zip(f.labels, rows):
         if e not in blocks:
             raise ValueError(f"missing block for output label {e!r}")
         if blocks[e].domain != tuple(members[i] for i in idx):
             raise ValueError(f"block for {e!r} is not defined on exactly f^-1({e!r})")
 
     m, n = len(members), f.domain.n
-    pieces = [(np.array(idx), blocks[e].parts) for e, idx in rows.items()]
+    pieces = [(idx, blocks[e].parts) for e, idx in zip(f.labels, rows)]
     parts = []
     for k in range(max(len(sub) for _, sub in pieces)):
         layer = [(idx, sub[k]) for idx, sub in pieces if k < len(sub)]
@@ -505,7 +524,8 @@ class OracleIdPipeline:
 
     Stage ``k`` refines the knowledge from stages before it: its target is
     ``gram(f_{k-1}) - gram(f_k)`` where ``f_k`` maps each member to its
-    first ``k`` disagreement ranks (0-padded once identification finished).
+    first ``k`` disagreement ranks (0-padded once identification finished);
+    ``stage_targets[k-1]`` holds it as the label codes of the two tables.
     The chained solution is feasible for ``J - I`` since the full rank
     sequence pins the member down.
     """
@@ -513,7 +533,7 @@ class OracleIdPipeline:
     concept_class: ConceptClass
     stage_tables: tuple[FunctionTable, ...]  # f_0 (constant) .. f_r
     stage_solutions: tuple[SdpSolution, ...]
-    stage_targets: tuple[np.ndarray, ...]
+    stage_targets: tuple[LabelTarget, ...]
     solution: SdpSolution
     cost: CostFunction
 
@@ -527,8 +547,7 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
     level: dict[tuple, list[int]] = {(): list(concept_class.values)}
     tables = [FunctionTable(concept_class, tuple(() for _ in members))]
     stage_solutions: list[SdpSolution] = []
-    stage_targets: list[np.ndarray] = []
-    prev_gram = gram_of_function(tables[0]).entries
+    stage_targets: list[LabelTarget] = []
 
     while any(len(vals) > 1 for vals in level.values()):
         blocks: dict[tuple, SdpSolution] = {}
@@ -557,9 +576,7 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
             concept_class, tuple(paths[x.value] for x in members)
         )
         tables.append(f_next)
-        next_gram = gram_of_function(f_next).entries
-        stage_targets.append(prev_gram - next_gram)
-        prev_gram = next_gram
+        stage_targets.append(LabelTarget(f_prev.codes, f_next.codes))
         level = next_level
 
     if stage_solutions:

@@ -13,8 +13,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from dense_sdp import dense_gram
 from helpers import random_class
-from oracleid.bitstrings import BitString, ConceptClass, generate_class, gram_of_function
+from oracleid.bitstrings import BitString, ConceptClass, generate_class
 from oracleid.bounds import (
     brute_force_cost,
     check_dual_certificate,
@@ -128,7 +129,7 @@ def test_04_first_disagreement_solution_everywhere():
             table = sdp.first_disagreement_table(
                 cls, tuple(range(n)), BitString.zeros(n), n
             )
-            target = np.ones((cls.size,) * 2) - gram_of_function(table).entries
+            target = np.ones((cls.size,) * 2) - dense_gram(table.outputs)
             worst_violation = max(worst_violation, sdp.verify_feasible(target, sol))
     elapsed = time.perf_counter() - start
     report(

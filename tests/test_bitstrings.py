@@ -9,10 +9,8 @@ from oracleid.bitstrings import (
     BitString,
     ConceptClass,
     FunctionTable,
-    GramMatrix,
     filter_by_disagreement,
     generate_class,
-    gram_of_function,
     majority_string,
 )
 
@@ -112,28 +110,35 @@ class TestFilterByDisagreement:
             filter_by_disagreement(self.S, (0, 1, 2), bs("010"), 4, True)
 
 
+def code_gram(f):
+    """The Gram matrix ``[f(x) == f(y)]`` read off the table's label codes."""
+    codes = f.codes
+    return (codes[:, None] == codes[None, :]).astype(float)
+
+
 class TestGram:
     def test_identity_function_gives_identity_matrix(self):
         cls = generate_class("cube", 2)
         f = FunctionTable(cls, tuple(str(m) for m in cls.members))
-        gram = gram_of_function(f)
-        assert np.array_equal(gram.entries, np.eye(4))
+        assert np.array_equal(f.codes, np.arange(4))
+        assert np.array_equal(code_gram(f), np.eye(4))
 
     def test_constant_function_gives_all_ones(self):
         cls = generate_class("cube", 2)
         f = FunctionTable(cls, (7, 7, 7, 7))
-        assert np.array_equal(gram_of_function(f).entries, np.ones((4, 4)))
+        assert np.array_equal(f.codes, np.zeros(4))
+        assert np.array_equal(code_gram(f), np.ones((4, 4)))
 
     def test_equal_outputs_give_ones_block(self):
         cls = ConceptClass.from_strings(["10", "11"])
         f = FunctionTable(cls, (1, 1))  # both have a 1 in first position
-        assert np.array_equal(gram_of_function(f).entries, np.ones((2, 2)))
+        assert np.array_equal(code_gram(f), np.ones((2, 2)))
 
     def test_symmetric_unit_diagonal_binary(self):
         rng = np.random.default_rng(11)
         cls = generate_class("random", 5, size=10, seed=3)
         f = FunctionTable(cls, tuple(int(v) for v in rng.integers(0, 3, size=10)))
-        g = gram_of_function(f).entries
+        g = code_gram(f)
         assert np.array_equal(g, g.T)
         assert np.array_equal(np.diag(g), np.ones(10))
         assert set(np.unique(g)) <= {0.0, 1.0}
@@ -145,27 +150,13 @@ class TestGram:
         outs = tuple(tuple(int(v) for v in rng.integers(0, 2, size=3)) for _ in range(40))
         f = FunctionTable(cls, outs)
         pairwise = np.array([[float(a == b) for b in outs] for a in outs])
-        assert np.array_equal(gram_of_function(f).entries, pairwise)
+        assert np.array_equal(code_gram(f), pairwise)
         first_seen = []
         for out in outs:
             if out not in first_seen:
                 first_seen.append(out)
         assert f.labels == tuple(first_seen)
-
-    def test_symmetry_check_tolerates_rounding_and_rejects_asymmetry(self):
-        labels = generate_class("cube", 2).members
-        rng = np.random.default_rng(13)
-        a = rng.random((4, 4))
-        sym = a + a.T
-        nearly = sym.copy()
-        nearly[0, 1] += 1e-12
-        gram = GramMatrix(labels, nearly)
-        assert np.array_equal(gram.entries, nearly)
-        assert not gram.entries.flags.writeable
-        skewed = sym.copy()
-        skewed[0, 1] += 0.5
-        with pytest.raises(ValueError, match="symmetric"):
-            GramMatrix(labels, skewed)
+        assert [f.labels[c] for c in f.codes] == list(outs)
 
 
 class TestGenerateClass:

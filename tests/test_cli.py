@@ -85,9 +85,9 @@ class TestRun:
     @pytest.mark.parametrize("x", ["011", "0100"])
     def test_non_member_rejected(self, class_file, tmp_path, capsys, x):
         out = tmp_path / "rows.jsonl"
-        with pytest.raises(SystemExit) as exc:
-            run_cli("run", "--class-file", class_file, "--x", x, "-o", str(out))
-        assert exc.value.code == f"--x {x} is not a member of the class"
+        assert run_cli("run", "--class-file", class_file, "--x", x, "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"oracleid: error: --x {x} is not a member of the class\n"
         assert not out.exists()
 
     def test_trial_rows_deterministic_per_seed(self, class_file, tmp_path):
@@ -130,9 +130,15 @@ class TestInputErrors:
         ("run", "--class-file", "{cf}", "--all", "--jobs", "0"),
         ("run", "--class-file", "{cf}", "--all", "--jobs", "-1"),
         ("run", "--class-file", "{missing}", "--all"),
+        ("run", "--class-file", "{cf}", "--x", "011"),
+        ("run", "--class-file", "{cf}", "--x", "ab"),
+        ("run", "--class-file", "{cf}"),
+        ("verify", "--suite", "ordering", "--n", "0"),
+        ("verify", "--suite", "all", "--n", "5"),
         ("verify", "--suite", "sdp", "--class-file", "{missing}"),
         ("bounds", "--grid", "N=30;M=64"),
         ("bounds", "--grid", "N=a"),
+        ("bounds", "--grid", "N=4;K=4"),
     ])
     def test_one_line_and_exit_code_2(self, tmp_path, capsys, argv):
         cf = tmp_path / "c.json"
@@ -154,10 +160,10 @@ class TestVerify:
 
     @pytest.mark.parametrize("n", ["0", "6"])
     def test_ordering_suite_rejects_out_of_range_n(self, capsys, n):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("verify", "--suite", "ordering", "--n", n)
-        assert "needs 1 <= --n <= 4" in str(exc.value.code)
-        assert "[PASS]" not in capsys.readouterr().out
+        assert run_cli("verify", "--suite", "ordering", "--n", n) == 2
+        captured = capsys.readouterr()
+        assert "needs 1 <= --n <= 4" in captured.err
+        assert "[PASS]" not in captured.out
 
     def test_sdp_suite_with_class_file(self, tmp_path, capsys):
         cf = tmp_path / "c.json"

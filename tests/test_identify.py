@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracleid.identify import (
     run_halving_basic,
     run_halving_improved,
 )
+from oracleid.ordering import clear_ordering_cache
 
 
 def bs(text):
@@ -142,6 +144,16 @@ class TestFinalAlgorithm:
             bound = 4 * closed_form_cost(cls.size, n) + math.sqrt(n)
             for trace in identify_all(cls).values():
                 assert trace.ideal_cost <= bound
+
+    def test_wide_class_with_few_members(self):
+        # the greedy stops scanning bits once one candidate is left, so a
+        # run costs a few bit scans, not N of them: ~0.04 s for all four
+        cls = generate_class("random", 5000, size=4)
+        clear_ordering_cache()
+        start = time.perf_counter()
+        for x in cls.members:
+            assert run_final(cls, x, "quantum", seed=1).identified == x
+        assert time.perf_counter() - start < 5.0
 
     def test_position_sum_bounded_by_elimination_rate(self):
         # every learned bit prunes at least a gamma_hat fraction, so the

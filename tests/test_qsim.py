@@ -261,12 +261,11 @@ class TestDisagreementFinder:
         assert hits / trials >= 0.60
 
     def test_repetition_count(self):
-        cfg = qsim.DEFAULT_CONFIG
-        assert repetitions_for_budget(cfg, 1 / 15) == 3
-        assert repetitions_for_budget(cfg, 1 / 28) == 4
-        assert repetitions_for_budget(cfg, 1 / 100) == 5
+        assert repetitions_for_budget(1 / 15) == 3
+        assert repetitions_for_budget(1 / 28) == 4
+        assert repetitions_for_budget(1 / 100) == 5
         with pytest.raises(ValueError):
-            repetitions_for_budget(cfg, 0.0)
+            repetitions_for_budget(0.0)
 
 
 def _enumerated_miss(limit, marked, config):
@@ -397,15 +396,14 @@ class TestFailureBound:
 
     def test_certified_repetitions_hamming1_64(self):
         budget = _new_context(generate_class("hamming1", 64), 0).error_budget
-        assert repetitions_for_budget(qsim.DEFAULT_CONFIG, budget, scan_failure(63)) == 1
+        assert repetitions_for_budget(budget, scan_failure(63)) == 1
 
     def test_repetition_rule_with_certified_rate(self):
-        cfg = qsim.DEFAULT_CONFIG
-        assert repetitions_for_budget(cfg, 1 / 33, 0.0334) == 2
-        assert repetitions_for_budget(cfg, 1 / 33, 0.0) == 1
-        assert repetitions_for_budget(cfg, 0.01, 0.01) == 1
+        assert repetitions_for_budget(1 / 33, 0.0334) == 2
+        assert repetitions_for_budget(1 / 33, 0.0) == 1
+        assert repetitions_for_budget(0.01, 0.01) == 1
         with pytest.raises(ValueError):
-            repetitions_for_budget(cfg, 0.1, 1.0)
+            repetitions_for_budget(0.1, 1.0)
 
     def test_memo_outlives_the_ordering_cache(self):
         scan_failure(40)

@@ -4,17 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_sdp import dense_cost, dense_verify
+from dense_sdp import dense_cost, dense_gram, dense_sums, dense_verify
 from helpers import random_class
+from oracleid import sdp
 from oracleid.bitstrings import (
     BitString,
     ConceptClass,
     FunctionTable,
     generate_class,
-    gram_of_function,
 )
 from oracleid.identify import identify_all
+from oracleid.ordering import clear_ordering_cache
 from oracleid.sdp import (
+    LabelTarget,
     SdpSolution,
     boolean_and_solution,
     boolean_or_solution,
@@ -46,7 +48,7 @@ def rank_target(n, sigma=None, s=None, width=None, domain=None):
         s if s is not None else BitString.zeros(n),
         n if width is None else width,
     )
-    F = gram_of_function(table).entries
+    F = dense_gram(table.outputs)
     return np.ones_like(F) - F
 
 
@@ -68,17 +70,12 @@ class TestVerifyFeasible:
         broken = SdpSolution(sol.domain, u, u)
         assert verify_feasible(rank_target(4), broken) == pytest.approx(1.0)
 
-    def test_pair_sampling_matches_full_check(self):
-        sol = find_first_one_solution(5)
-        target = rank_target(5)
-        rng = np.random.default_rng(0)
-        pairs = rng.integers(0, 32, size=(200, 2))
-        assert verify_feasible(target, sol, pairs=pairs) <= verify_feasible(target, sol) + 1e-15
-
     def test_dimension_mismatch_rejected(self):
         sol = find_first_one_solution(3)
         with pytest.raises(ValueError):
             verify_feasible(np.zeros((4, 4)), sol)
+        with pytest.raises(ValueError, match="labels"):
+            verify_feasible(LabelTarget(np.zeros(8, dtype=int), np.arange(4)), sol)
 
 
 class TestCostFunction:
@@ -263,9 +260,7 @@ class TestTensorCompose:
         # inner gram is the identity, so the composite target equals the
         # outer target on relabeled inputs
         or_outputs = tuple(int(x.value != 0) for x in composed.domain)
-        F = gram_of_function(
-            FunctionTable(ConceptClass(2, composed.domain), or_outputs)
-        ).entries
+        F = dense_gram(or_outputs)
         assert verify_feasible(np.ones_like(F) - F, composed) < 1e-12
         np.testing.assert_allclose(
             cost_of(composed).values, cost_of(outer).values, atol=1e-14
@@ -279,9 +274,7 @@ class TestTensorCompose:
             int((x.bit(0) and x.bit(1)) or (x.bit(2) and x.bit(3)))
             for x in composed.domain
         )
-        F = gram_of_function(
-            FunctionTable(ConceptClass(4, composed.domain), outputs)
-        ).entries
+        F = dense_gram(outputs)
         assert verify_feasible(np.ones_like(F) - F, composed) < 1e-10
 
     def test_cost_bounded_by_product(self):
@@ -313,9 +306,7 @@ class TestTensorCompose:
             int((x.bit(0) and x.bit(1)) or (x.bit(2) and x.bit(3)))
             for x in composed.domain
         )
-        F = gram_of_function(
-            FunctionTable(ConceptClass(4, composed.domain), outputs)
-        ).entries
+        F = dense_gram(outputs)
         assert verify_feasible(np.ones_like(F) - F, composed) < 1e-10
 
     def test_arity_mismatch_rejected(self):
@@ -360,7 +351,7 @@ class TestOracleIdPipeline:
         rng = np.random.default_rng(5)
         cls = random_class(rng, 4, 9)
         pipe = oracle_id_pipeline(cls)
-        total = sum(pipe.stage_targets)
+        total = sum(t.rows(0, cls.size) for t in pipe.stage_targets)
         np.testing.assert_allclose(total, self.identity_target(cls.size), atol=0)
 
     def test_cost_tracks_traces_within_three(self):
@@ -431,6 +422,11 @@ class TestFactoredAgainstDense:
             )
         np.testing.assert_allclose(cost_of(sol).values, dense_cost(sol), rtol=1e-12, atol=0)
 
+    def assert_labels_expand_to(self, target, dense, sol):
+        """The label target is the dense one exactly, and checks the same."""
+        assert np.array_equal(target.rows(0, len(dense)), dense)
+        assert verify_feasible(target, sol) == verify_feasible(dense, sol)
+
     @pytest.mark.parametrize("name", sorted(CLASSES))
     def test_pipeline_solutions(self, name):
         cls = self.CLASSES[name]()
@@ -440,8 +436,26 @@ class TestFactoredAgainstDense:
         noise = _symmetric(rng, m)
         identity = np.ones((m, m)) - np.eye(m)
         self.assert_agree(pipe.solution, [identity, identity + noise])
-        for sol, target in zip(pipe.stage_solutions, pipe.stage_targets):
-            self.assert_agree(sol, [target, target + noise])
+        tables = pipe.stage_tables
+        for k, (sol, target) in enumerate(zip(pipe.stage_solutions, pipe.stage_targets), 1):
+            dense = dense_gram(tables[k - 1].outputs) - dense_gram(tables[k].outputs)
+            self.assert_labels_expand_to(target, dense, sol)
+            self.assert_agree(sol, [dense, dense + noise])
+
+    @pytest.mark.parametrize("name", sorted(CLASSES))
+    def test_identity_and_first_disagreement_label_targets(self, name):
+        # the two label targets ``verify --suite sdp`` checks, on any class
+        cls = self.CLASSES[name]()
+        m = cls.size
+        pipe = oracle_id_pipeline(cls)
+        identity = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))
+        self.assert_labels_expand_to(identity, np.ones((m, m)) - np.eye(m), pipe.solution)
+        sigma = tuple(range(cls.n))
+        sol = find_first_one_solution(cls.n, sigma, cls.members[0], domain=cls.members)
+        table = first_disagreement_table(cls, sigma, cls.members[0], cls.n)
+        rank = LabelTarget(np.zeros(m, dtype=np.intp), table.codes)
+        self.assert_labels_expand_to(rank, np.ones((m, m)) - dense_gram(table.outputs), sol)
+        assert verify_feasible(rank, sol) < 1e-12
 
     def test_random_sum_compose(self):
         rng = np.random.default_rng(11)
@@ -480,36 +494,23 @@ class TestFactoredAgainstDense:
             for label in f.labels
         }
         composed = output_conditioned_compose(f, blocks)
-        G = gram_of_function(f).entries
-        # a zero target off the label blocks: only same-label pairs count
-        sums = np.zeros((20, 20))
-        for i in range(20):
-            for j in range(20):
-                sums[i, j] = verify_feasible(np.zeros((20, 20)), composed, pairs=[(i, j)])
+        G = dense_gram(f.outputs)
+        # only same-label pairs may have a nonzero constraint sum
+        sums = dense_sums(composed)
+        assert np.any(sums[G == 1] != 0.0)
         assert np.all(sums[G == 0] == 0.0)
 
-    def test_pair_spot_checks_never_exceed_full_check(self):
-        rng = np.random.default_rng(14)
-        domain = generate_class("random", 7, size=50, seed=5).members
-        for _ in range(10):
-            sol = SdpSolution.from_parts(domain, _random_parts(rng, 50, 7, 3))
-            target = _symmetric(rng, 50)
-            full = verify_feasible(target, sol)
-            for size in (1, 10, 200):
-                pairs = rng.integers(0, 50, size=(size, 2))
-                # up to rounding: the two paths sum in different orders
-                assert verify_feasible(target, sol, pairs=pairs) <= full + 1e-12
-            every = np.array([(i, j) for i in range(50) for j in range(50)])
-            assert verify_feasible(target, sol, pairs=every) == pytest.approx(full, abs=1e-12)
-
-    def test_row_chunks_do_not_change_the_check(self):
+    def test_row_chunks_do_not_change_the_check(self, monkeypatch):
         rng = np.random.default_rng(15)
         domain = generate_class("random", 6, size=37, seed=6).members
         sol = SdpSolution.from_parts(domain, _random_parts(rng, 37, 6, 3))
-        target = _symmetric(rng, 37)
-        whole = verify_feasible(target, sol)
+        dense = _symmetric(rng, 37)
+        labels = LabelTarget(rng.integers(0, 3, size=37), rng.integers(0, 9, size=37))
+        whole = [verify_feasible(target, sol) for target in (dense, labels)]
         for chunk in (1, 5, 36):
-            assert verify_feasible(target, sol, row_chunk=chunk) == pytest.approx(whole, abs=1e-12)
+            monkeypatch.setattr(sdp, "ROW_CHUNK", chunk)
+            for target, want in zip((dense, labels), whole):
+                assert verify_feasible(target, sol) == pytest.approx(want, abs=1e-12)
 
 
 class TestFactoredStorage:
@@ -539,6 +540,21 @@ class TestFactoredStorage:
         finally:
             tracemalloc.stop()
         assert peak < ambient_bytes / 2
+
+    def test_pipeline_holds_no_inputs_squared_array(self):
+        # one (M, M) float64 array would be 30.5 MiB here; the label-coded
+        # pipeline peaks near 6.4 MiB, the dense stage targets near 373 MiB
+        cls = generate_class("random", 16, size=2000, seed=1)
+        clear_ordering_cache()
+        tracemalloc.start()
+        try:
+            pipe = oracle_id_pipeline(cls)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cls.size**2 * 8
+        for target in pipe.stage_targets:
+            assert target.coarse.shape == target.fine.shape == (cls.size,)
 
     def test_single_part_solution_hands_back_its_arrays(self):
         sol = find_first_one_solution(4)
