@@ -12,7 +12,6 @@ from .bitstrings import (
     BitString,
     ConceptClass,
     FunctionTable,
-    filter_by_disagreement,
     generate_class,
     majority_string,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "ConceptClass",
     "FunctionTable",
     "majority_string",
-    "filter_by_disagreement",
     "generate_class",
     "Ordering",
     "hegedus_ordering",

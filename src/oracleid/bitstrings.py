@@ -26,7 +26,6 @@ __all__ = [
     "FunctionTable",
     "majority_string",
     "majority_value",
-    "filter_by_disagreement",
     "generate_class",
 ]
 
@@ -211,6 +210,13 @@ class FunctionTable:
         index: dict[Hashable, int] = {}
         return np.array([index.setdefault(out, len(index)) for out in self.outputs], dtype=np.intp)
 
+    def groups(self) -> list[np.ndarray]:
+        """Member indices per label, ascending, labels in ``labels`` order."""
+        codes = self.codes
+        order = np.argsort(codes, kind="stable")
+        ends = np.cumsum(np.bincount(codes)).tolist()
+        return [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
 
 def majority_value(values: Sequence[int], n: int) -> int:
     """Packed-int majority of packed-int strings; ties resolve to 1."""
@@ -241,36 +247,6 @@ def majority_string(strings: Iterable[BitString]) -> BitString:
     if any(m.n != n for m in members):
         raise ValueError("strings must have uniform length")
     return BitString(n, majority_value([m.value for m in members], n))
-
-
-def filter_by_disagreement(
-    strings: Iterable[BitString],
-    sigma: Sequence[int],
-    s: BitString,
-    p: int | None,
-    found: bool,
-) -> tuple[BitString, ...]:
-    """Prune a candidate set after one disagreement search against ``s``.
-
-    ``sigma`` lists 0-based bit positions in scan order.  With ``found``
-    and rank ``p`` (1-based), keeps the strings that agree with ``s`` at
-    ``sigma[0..p-2]`` and disagree at ``sigma[p-1]``.  Without ``found``,
-    keeps the strings that agree with ``s`` on all of ``sigma`` (i.e. the
-    intersection of the set with ``{s}`` when ``sigma`` covers every
-    position).
-    """
-    members = list(strings)
-    if found:
-        if p is None or not 1 <= p <= len(sigma):
-            raise ValueError(f"rank {p} out of range for scan order of length {len(sigma)}")
-        prefix = sigma[: p - 1]
-        pos = sigma[p - 1]
-        return tuple(
-            y
-            for y in members
-            if all(y.bit(i) == s.bit(i) for i in prefix) and y.bit(pos) != s.bit(pos)
-        )
-    return tuple(y for y in members if all(y.bit(i) == s.bit(i) for i in sigma))
 
 
 _KIND_ALIASES = {

@@ -108,23 +108,23 @@ def cmd_gen(args) -> int:
 
 # ---------------------------------------------------------------- run
 
-def _run_rows(class_json: str, x_text: str, algorithm: str, engine: str,
+def _run_rows(cls: ConceptClass, xs: list[str], algorithm: str, engine: str,
               trials: int, seed: int) -> list[dict]:
-    cls = ConceptClass.from_json(class_json)
-    x = BitString.from_str(x_text)
     runner = _ALGORITHMS[algorithm]
     rows = []
-    for trial in range(trials):
-        trial_seed = np.random.SeedSequence((seed, x.value, trial))
-        row: dict = {"trial": trial}
-        try:
-            trace = runner(cls, x, engine, seed=trial_seed)
-            row.update(trace.to_dict())
-            row["success"] = trace.identified == x
-            row["error"] = None
-        except PromiseViolation as exc:
-            row.update({"x": x_text, "success": False, "error": str(exc)})
-        rows.append(row)
+    for x_text in xs:
+        x = BitString.from_str(x_text)
+        for trial in range(trials):
+            trial_seed = np.random.SeedSequence((seed, x.value, trial))
+            row: dict = {"trial": trial}
+            try:
+                trace = runner(cls, x, engine, seed=trial_seed)
+                row.update(trace.to_dict())
+                row["success"] = trace.identified == x
+                row["error"] = None
+            except PromiseViolation as exc:
+                row.update({"x": x_text, "success": False, "error": str(exc)})
+            rows.append(row)
     return rows
 
 
@@ -153,10 +153,12 @@ def cmd_run(args) -> int:
         algorithm=args.algorithm,
         jobs=args.jobs,
     )
-    jobs = [(cls.to_json(), x, args.algorithm, args.engine, args.trials, args.seed)
-            for x in xs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the class is parsed once; each worker gets it with one slice of members
+    step = -(-len(xs) // args.jobs)
+    jobs = [(cls, xs[i:i + step], args.algorithm, args.engine, args.trials, args.seed)
+            for i in range(0, len(xs), step)]
+    if len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             results = list(pool.map(_run_rows_star, jobs))
     else:
         results = [_run_rows_star(job) for job in jobs]

@@ -328,40 +328,44 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
     each member separately, sharing every ordering computation; the traces
     are identical to per-member ``run_final`` with the ideal engine.
     """
-    n = concept_class.n
-    engine = IdealFinder()
     traces: dict[BitString, RunTrace] = {}
-
-    def emit(value, positions, ideal, iterations):
-        xs = BitString(n, value)
-        traces[xs] = RunTrace(
-            x=xs,
-            identified=xs,
-            positions=tuple(positions),
-            r=len(positions),
-            ideal_cost=ideal,
-            raw_queries=0,
-            iterations=iterations,
-            norm_drift=0.0,
-            engine=engine.name,
-        )
-
-    def walk(values, positions, ideal, iterations):
-        _, s_value, elim, width = _greedy(n, tuple(values))
-        iterations += 1
-        for p, block in enumerate(elim[:width], start=1):
-            pos = positions + (p,)
-            cost = ideal + math.sqrt(p)
-            if len(block) == 1:
-                emit(block[0], pos, cost, iterations)
-            else:
-                walk(block, pos, cost, iterations)
-        # after width ranks only s itself is left: one more (unsuccessful)
-        # search charged sqrt(width)
-        emit(s_value, positions, ideal + math.sqrt(width), iterations)
-
-    walk(concept_class.values, (), 0.0, 0)
+    _walk(concept_class.n, concept_class.values, (), 0.0, 0, traces)
     return traces
+
+
+def _walk(n, values, positions, ideal, iterations, traces) -> None:
+    """One pruning-tree node of ``identify_all``: record the members it
+    settles in ``traces`` and recurse into blocks of two or more.
+
+    A module-level function, not a closure over ``traces``: a closure that
+    calls itself is a reference cycle, which would keep every call's
+    traces alive until the cyclic collector runs.
+    """
+    _, s_value, elim, width = _greedy(n, tuple(values))
+    iterations += 1
+    for p, block in enumerate(elim[:width], start=1):
+        if len(block) == 1:
+            _emit(n, block[0], positions + (p,), ideal + math.sqrt(p), iterations, traces)
+        else:
+            _walk(n, block, positions + (p,), ideal + math.sqrt(p), iterations, traces)
+    # after width ranks only s itself is left: one more (unsuccessful)
+    # search charged sqrt(width)
+    _emit(n, s_value, positions, ideal + math.sqrt(width), iterations, traces)
+
+
+def _emit(n, value, positions, ideal, iterations, traces) -> None:
+    xs = BitString(n, value)
+    traces[xs] = RunTrace(
+        x=xs,
+        identified=xs,
+        positions=positions,
+        r=len(positions),
+        ideal_cost=ideal,
+        raw_queries=0,
+        iterations=iterations,
+        norm_drift=0.0,
+        engine=IdealFinder.name,
+    )
 
 
 def classical_identify(

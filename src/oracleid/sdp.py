@@ -50,8 +50,12 @@ Three composition operators preserve feasibility:
 of the final identification algorithm, a feasible solution for full
 identification (target ``J - I``) whose cost tracks the per-input trace
 cost ``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction factor
-for composing bounded-error stages.  Its solution has one part per stage,
-with one block per output label of the stage before, so it stores
+for composing bounded-error stages.  It does not walk the tree itself: the
+stage tables ``f_k`` are the first ``k`` ranks of ``identify_all``'s
+traces, and each stage composes one first-disagreement solution per
+``f_{k-1}`` label shared by two or more members; a lone member's target is
+zero, so it gets no block.  The solution has one part per stage, with one
+block per output label of the stage before, so it stores
 ``stages * inputs * bits`` numbers per side where the ambient arrays hold
 ``dim`` times that.
 """
@@ -64,6 +68,7 @@ from typing import Hashable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .bitstrings import BitString, ConceptClass, FunctionTable
+from .identify import identify_all
 from .ordering import _greedy, first_disagreement_rank
 
 __all__ = [
@@ -370,30 +375,37 @@ def output_conditioned_compose(
     those of the labels before it, so inputs with different labels never
     share a block and their constraint sums vanish -- exactly where ``F``
     is zero.  The composite cost at ``x`` equals the cost its own block
-    assigned to it.
+    assigned to it.  A label with one input has target ``J - G_e = 0`` and
+    may be left out: its input gets zero rows of width 1 in the first part,
+    under a block id of its own.
     """
     members = f.domain.members
-    codes = f.codes
-    # member indices per label, labels in first-appearance order
-    rows = np.split(np.argsort(codes, kind="stable"), np.cumsum(np.bincount(codes))[:-1])
-    for e, idx in zip(f.labels, rows):
-        if e not in blocks:
+    pieces = []
+    for e, idx in zip(f.labels, f.groups()):
+        if e in blocks:
+            if blocks[e].domain != tuple(members[i] for i in idx):
+                raise ValueError(f"block for {e!r} is not defined on exactly f^-1({e!r})")
+            pieces.append((idx, blocks[e].parts))
+        elif len(idx) == 1:
+            pieces.append((idx, (None,)))
+        else:
             raise ValueError(f"missing block for output label {e!r}")
-        if blocks[e].domain != tuple(members[i] for i in idx):
-            raise ValueError(f"block for {e!r} is not defined on exactly f^-1({e!r})")
 
     m, n = len(members), f.domain.n
-    pieces = [(idx, blocks[e].parts) for e, idx in zip(f.labels, rows)]
     parts = []
     for k in range(max(len(sub) for _, sub in pieces)):
         layer = [(idx, sub[k]) for idx, sub in pieces if k < len(sub)]
-        d = max(p.u.shape[2] for _, p in layer)
-        shared = all(p.u is p.v for _, p in layer)
+        d = max(1 if p is None else p.u.shape[2] for _, p in layer)
+        shared = all(p is None or p.u is p.v for _, p in layer)
         block = np.zeros(m, dtype=np.intp)
         u = np.zeros((m, n, d))
         v = u if shared else np.zeros((m, n, d))
         next_id = 0
         for idx, p in layer:
+            if p is None:  # a lone input: its rows stay zero
+                block[idx] = next_id
+                next_id += 1
+                continue
             width = p.u.shape[2]
             u[idx, :, :width] = p.u
             if not shared:
@@ -485,36 +497,30 @@ def _pad_grid(grid: np.ndarray, d_in: int) -> np.ndarray:
 def boolean_or_solution(m: int) -> tuple[SdpSolution, FunctionTable]:
     """Standard solution for m-bit OR: ramp on the zero string, one spike
     at the first 1 of everything else; cost sqrt(m) everywhere."""
-    cube = ConceptClass.from_values(m, range(1 << m))
-    u = np.zeros((cube.size, m, 1))
-    low, high = m**-0.25, m**0.25
-    outputs = []
-    for idx, x in enumerate(cube.members):
-        if x.value == 0:
-            u[idx, :, 0] = low
-            outputs.append(0)
-        else:
-            first = next(j for j in range(m) if x.bit(j))
-            u[idx, first, 0] = high
-            outputs.append(1)
-    return SdpSolution(cube.members, u, u), FunctionTable(cube, tuple(outputs))
+    return _constant_string_solution(m, 0)
 
 
 def boolean_and_solution(m: int) -> tuple[SdpSolution, FunctionTable]:
     """Same construction as OR with the roles of 0 and 1 swapped."""
+    return _constant_string_solution(m, 1)
+
+
+def _constant_string_solution(m: int, b: int) -> tuple[SdpSolution, FunctionTable]:
+    """The all-``b`` string outputs ``b`` and carries the ramp; every other
+    string outputs ``1 - b`` and has one spike at its first bit unequal
+    to ``b``."""
     cube = ConceptClass.from_values(m, range(1 << m))
     u = np.zeros((cube.size, m, 1))
     low, high = m**-0.25, m**0.25
-    all_ones = (1 << m) - 1
     outputs = []
     for idx, x in enumerate(cube.members):
-        if x.value == all_ones:
+        first = next((j for j in range(m) if x.bit(j) != b), None)
+        if first is None:
             u[idx, :, 0] = low
-            outputs.append(1)
+            outputs.append(b)
         else:
-            first = next(j for j in range(m) if not x.bit(j))
             u[idx, first, 0] = high
-            outputs.append(0)
+            outputs.append(1 - b)
     return SdpSolution(cube.members, u, u), FunctionTable(cube, tuple(outputs))
 
 
@@ -543,41 +549,27 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
     members = concept_class.members
     m = concept_class.size
 
-    paths: dict[int, tuple] = {x.value: () for x in members}
-    level: dict[tuple, list[int]] = {(): list(concept_class.values)}
-    tables = [FunctionTable(concept_class, tuple(() for _ in members))]
+    # f_k(x) is the first k ranks of x's trace, 0-padded: a lone member, or
+    # the reference of its block, finds no disagreement
+    traces = identify_all(concept_class)
+    stages = max(t.iterations for t in traces.values()) if m > 1 else 0
+    paths = [traces[x].positions + (0,) * stages for x in members]
+    tables = [FunctionTable(concept_class, tuple(p[:k] for p in paths)) for k in range(stages + 1)]
+
     stage_solutions: list[SdpSolution] = []
     stage_targets: list[LabelTarget] = []
-
-    while any(len(vals) > 1 for vals in level.values()):
+    for f_prev, f_next in zip(tables, tables[1:]):
         blocks: dict[tuple, SdpSolution] = {}
-        next_level: dict[tuple, list[int]] = {}
-        for path, vals in level.items():
-            block_members = tuple(BitString(n, v) for v in vals)
-            if len(vals) == 1:
-                zero = np.zeros((1, n, 1))
-                blocks[path] = SdpSolution(block_members, zero, zero)
-                ranks = {}
-            else:
-                sigma, s_value, elim, width = _greedy(n, tuple(vals))
-                blocks[path] = find_first_one_solution(
-                    n, sigma, BitString(n, s_value), domain=block_members, width=width
-                )
-                ranks = {v: p for p, block in enumerate(elim[:width], start=1) for v in block}
-            for v in vals:
-                # rank 0: no disagreement within the width (s itself, or a lone member)
-                new_path = path + (ranks.get(v, 0),)
-                paths[v] = new_path
-                next_level.setdefault(new_path, []).append(v)
-
-        f_prev = tables[-1]
+        for path, idx in zip(f_prev.labels, f_prev.groups()):
+            if len(idx) == 1:
+                continue
+            block_members = tuple(members[i] for i in idx)
+            sigma, s_value, _, width = _greedy(n, tuple(x.value for x in block_members))
+            blocks[path] = find_first_one_solution(
+                n, sigma, BitString(n, s_value), domain=block_members, width=width
+            )
         stage_solutions.append(output_conditioned_compose(f_prev, blocks))
-        f_next = FunctionTable(
-            concept_class, tuple(paths[x.value] for x in members)
-        )
-        tables.append(f_next)
         stage_targets.append(LabelTarget(f_prev.codes, f_next.codes))
-        level = next_level
 
     if stage_solutions:
         combined = stage_solutions[0]

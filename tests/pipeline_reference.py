@@ -1,0 +1,84 @@
+"""Test oracle: the staged identification pipeline with its own walk of
+the pruning tree.
+
+``oracle_id_pipeline`` below is the level-by-level construction that
+``oracleid.sdp.oracle_id_pipeline`` replaced: it rebuilds the pruning tree
+from the greedy's elimination sets instead of reading ``identify_all``, and
+gives every lone member an explicit zero block at every stage.  The
+differential tests hold the runtime pipeline to it exactly.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from oracleid.bitstrings import BitString, ConceptClass, FunctionTable
+from oracleid.ordering import _greedy
+from oracleid.sdp import (
+    LabelTarget,
+    OracleIdPipeline,
+    SdpSolution,
+    cost_of,
+    find_first_one_solution,
+    output_conditioned_compose,
+    sum_compose,
+)
+
+
+def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
+    n = concept_class.n
+    members = concept_class.members
+    m = concept_class.size
+
+    paths: dict[int, tuple] = {x.value: () for x in members}
+    level: dict[tuple, list[int]] = {(): list(concept_class.values)}
+    tables = [FunctionTable(concept_class, tuple(() for _ in members))]
+    stage_solutions: list[SdpSolution] = []
+    stage_targets: list[LabelTarget] = []
+
+    while any(len(vals) > 1 for vals in level.values()):
+        blocks: dict[tuple, SdpSolution] = {}
+        next_level: dict[tuple, list[int]] = {}
+        for path, vals in level.items():
+            block_members = tuple(BitString(n, v) for v in vals)
+            if len(vals) == 1:
+                zero = np.zeros((1, n, 1))
+                blocks[path] = SdpSolution(block_members, zero, zero)
+                ranks = {}
+            else:
+                sigma, s_value, elim, width = _greedy(n, tuple(vals))
+                blocks[path] = find_first_one_solution(
+                    n, sigma, BitString(n, s_value), domain=block_members, width=width
+                )
+                ranks = {v: p for p, block in enumerate(elim[:width], start=1) for v in block}
+            for v in vals:
+                # rank 0: no disagreement within the width (s itself, or a lone member)
+                new_path = path + (ranks.get(v, 0),)
+                paths[v] = new_path
+                next_level.setdefault(new_path, []).append(v)
+
+        f_prev = tables[-1]
+        stage_solutions.append(output_conditioned_compose(f_prev, blocks))
+        f_next = FunctionTable(
+            concept_class, tuple(paths[x.value] for x in members)
+        )
+        tables.append(f_next)
+        stage_targets.append(LabelTarget(f_prev.codes, f_next.codes))
+        level = next_level
+
+    if stage_solutions:
+        combined = stage_solutions[0]
+        for sol in stage_solutions[1:]:
+            combined = sum_compose(combined, sol)
+    else:  # singleton class: nothing to learn
+        zero = np.zeros((m, n, 1))
+        combined = SdpSolution(members, zero, zero)
+
+    return OracleIdPipeline(
+        concept_class=concept_class,
+        stage_tables=tuple(tables),
+        stage_solutions=tuple(stage_solutions),
+        stage_targets=tuple(stage_targets),
+        solution=combined,
+        cost=cost_of(combined),
+    )

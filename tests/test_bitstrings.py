@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import subsets_of_cube
+from partition_reference import filter_by_disagreement
 from oracleid.bitstrings import (
     BitString,
     ConceptClass,
     FunctionTable,
-    filter_by_disagreement,
     generate_class,
     majority_string,
 )
@@ -157,6 +157,15 @@ class TestGram:
                 first_seen.append(out)
         assert f.labels == tuple(first_seen)
         assert [f.labels[c] for c in f.codes] == list(outs)
+
+    def test_groups_are_the_preimages_in_label_order(self):
+        rng = np.random.default_rng(13)
+        cls = generate_class("random", 6, size=40, seed=5)
+        f = FunctionTable(cls, tuple(int(v) for v in rng.integers(0, 7, size=40)))
+        groups = f.groups()
+        assert len(groups) == len(f.labels)
+        for label, idx in zip(f.labels, groups):
+            assert tuple(cls.members[i] for i in idx) == f.preimage(label)
 
 
 class TestGenerateClass:

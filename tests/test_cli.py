@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from oracleid import qsim
+from oracleid.bitstrings import ConceptClass
 from oracleid.cli import main
 
 
@@ -114,6 +115,23 @@ class TestRun:
         assert a[:-1] == b[:-1]
         for key in ("runs", "success_rate", "mean_raw_queries"):
             assert a[-1][key] == b[-1][key]
+
+    def test_class_is_parsed_once(self, tmp_path, monkeypatch):
+        class_file = tmp_path / "c.json"
+        run_cli("gen", "--kind", "random", "--n", "8", "--m", "30", "-o", str(class_file))
+        calls = []
+        parse = ConceptClass.from_json.__func__
+
+        def counted(cls, text):
+            calls.append(1)
+            return parse(cls, text)
+
+        monkeypatch.setattr(ConceptClass, "from_json", classmethod(counted))
+        out = tmp_path / "rows.jsonl"
+        argv = ["run", "--class-file", str(class_file), "--all", "--jobs", "1", "-o", str(out)]
+        assert run_cli(*argv) == 0
+        assert len(out.read_text().splitlines()) == 31
+        assert len(calls) == 1
 
 
 class TestInputErrors:

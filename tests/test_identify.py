@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 
@@ -154,6 +155,18 @@ class TestFinalAlgorithm:
         for x in cls.members:
             assert run_final(cls, x, "quantum", seed=1).identified == x
         assert time.perf_counter() - start < 5.0
+
+    def test_identify_all_leaves_no_reference_cycles(self):
+        # a dropped result is freed at once, not kept for the cyclic collector
+        cls = generate_class("random", 13, size=400, seed=1)
+        identify_all(cls)
+        gc.collect()
+        gc.disable()
+        try:
+            identify_all(cls)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_position_sum_bounded_by_elimination_rate(self):
         # every learned bit prunes at least a gamma_hat fraction, so the

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_class, subsets_of_cube
+from partition_reference import filter_by_disagreement
 from oracleid.bitstrings import BitString, ConceptClass, generate_class
 from oracleid.ordering import (
     Ordering,
+    _greedy,
     first_disagreement_rank,
     hegedus_ordering,
     verify_ordering,
@@ -147,3 +149,27 @@ class TestFirstDisagreementRank:
 
     def test_respects_width(self):
         assert first_disagreement_rank(bs("001"), bs("000"), (0, 1, 2), width=2) is None
+
+
+class TestPartitionAgainstReference:
+    @pytest.mark.parametrize("cls", [
+        generate_class("hamming1", 16),
+        generate_class("random", 12, size=200, seed=1),
+    ], ids=["hamming1-16", "random-12-200"])
+    def test_elimination_sets_are_the_survivors(self, cls):
+        # every node of the pruning tree: the greedy's block for rank p is
+        # what bit-by-bit pruning after a hit at rank p keeps
+        n = cls.n
+        nodes = [cls.values]
+        while nodes:
+            values = nodes.pop()
+            sigma, s_value, elim, width = _greedy(n, tuple(values))
+            s = BitString(n, s_value)
+            members = [BitString(n, v) for v in values]
+            for p in range(1, width + 1):
+                kept = filter_by_disagreement(members, sigma, s, p, True)
+                assert tuple(x.value for x in kept) == elim[p - 1]
+                if len(elim[p - 1]) > 1:
+                    nodes.append(elim[p - 1])
+            # past the width only s itself agrees
+            assert filter_by_disagreement(members, sigma[:width], s, None, False) == (s,)

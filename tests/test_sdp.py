@@ -1,3 +1,4 @@
+import gc
 import math
 import tracemalloc
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from dense_sdp import dense_cost, dense_gram, dense_sums, dense_verify
+import pipeline_reference
 from helpers import random_class
 from oracleid import sdp
 from oracleid.bitstrings import (
@@ -241,6 +243,25 @@ class TestOutputConditionedCompose:
             own = cost_of(blocks[table(x)])(x)
             assert cost_of(composed)(x) == own
 
+    def test_lone_labels_may_be_left_out(self):
+        cls = generate_class("random", 6, size=30, seed=8)
+        f = FunctionTable(cls, tuple(int(v) % 11 for v in cls.values))
+        assert any(len(f.preimage(e)) == 1 for e in f.labels)
+        assert any(len(f.preimage(e)) > 1 for e in f.labels)
+        blocks = {
+            e: find_first_one_solution(6, domain=f.preimage(e))
+            for e in f.labels if len(f.preimage(e)) > 1
+        }
+        zero = np.zeros((1, 6, 1))
+        explicit = dict(blocks)
+        explicit.update({
+            e: SdpSolution(f.preimage(e), zero, zero)
+            for e in f.labels if len(f.preimage(e)) == 1
+        })
+        left_out = output_conditioned_compose(f, blocks)
+        given = output_conditioned_compose(f, explicit)
+        assert_same_solution(left_out, given)
+
     def test_missing_block_rejected(self):
         cls = generate_class("cube", 2)
         f = FunctionTable(cls, (0, 0, 1, 1))
@@ -388,6 +409,80 @@ class TestOracleIdPipeline:
             path = final(x)
             expected = traces[x].positions + (0,) * (len(path) - len(traces[x].positions))
             assert path == expected
+
+
+def assert_same_solution(a, b):
+    """Equal parts byte for byte, with the same ``u is v`` sharing."""
+    assert a.domain == b.domain and len(a.parts) == len(b.parts)
+    for pa, pb in zip(a.parts, b.parts):
+        assert pa.block.dtype == pb.block.dtype and pa.block.tobytes() == pb.block.tobytes()
+        for x, y in ((pa.u, pb.u), (pa.v, pb.v)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert (pa.u is pa.v) == (pb.u is pb.v)
+    assert a.dim == b.dim
+
+
+class TestPipelineAgainstReference:
+    """The pipeline read off ``identify_all`` equals the level walk it
+    replaced, which gave every lone member an explicit zero block."""
+
+    CLASSES = {
+        "hamming1-8": lambda: generate_class("hamming1", 8),
+        "cube-5": lambda: generate_class("cube", 5),
+        "hamming-9-3": lambda: generate_class("hamming", 9, k=3),
+        "random-10-150": lambda: generate_class("random", 10, size=150, seed=1),
+        "random-13-400": lambda: generate_class("random", 13, size=400, seed=1),
+        "random-40-300": lambda: generate_class("random", 40, size=300, seed=2),
+        "prefix-8-4": lambda: generate_class("prefix", 8, free_bits=4),
+        "two-members": lambda: ConceptClass.from_strings(["0110", "0101"]),
+        "one-member": lambda: ConceptClass.from_strings(["0101"]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLASSES))
+    def test_same_pipeline(self, name):
+        cls = self.CLASSES[name]()
+        got = oracle_id_pipeline(cls)
+        want = pipeline_reference.oracle_id_pipeline(cls)
+        assert [t.outputs for t in got.stage_tables] == [t.outputs for t in want.stage_tables]
+        assert len(got.stage_solutions) == len(want.stage_solutions)
+        for a, b in zip(got.stage_solutions, want.stage_solutions):
+            assert_same_solution(a, b)
+        assert_same_solution(got.solution, want.solution)
+        assert got.cost.values.tobytes() == want.cost.values.tobytes()
+        assert len(got.stage_targets) == len(want.stage_targets)
+        for a, b in zip(got.stage_targets, want.stage_targets):
+            assert np.array_equal(a.coarse, b.coarse) and np.array_equal(a.fine, b.fine)
+
+    def test_one_construction_per_tree_node(self, monkeypatch):
+        # one find_first_one_solution per block of two or more members, one
+        # output_conditioned_compose per stage, one sum_compose per stage
+        # after the first; lone members cost none
+        cls = generate_class("random", 13, size=400, seed=1)
+        calls = []
+        setup = SdpSolution._setup
+
+        def counted(self, *args):
+            calls.append(1)
+            return setup(self, *args)
+
+        monkeypatch.setattr(SdpSolution, "_setup", counted)
+        pipe = oracle_id_pipeline(cls)
+        monkeypatch.undo()
+        tables = pipe.stage_tables
+        stages = len(tables) - 1
+        internal = sum(int(np.sum(np.bincount(f.codes) > 1)) for f in tables[:-1])
+        assert len(calls) == internal + 2 * stages - 1 == 162
+
+    def test_no_reference_cycles(self):
+        cls = generate_class("random", 13, size=400, seed=1)
+        oracle_id_pipeline(cls)  # warm caches and lazy imports
+        gc.collect()
+        gc.disable()
+        try:
+            oracle_id_pipeline(cls)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def _random_parts(rng, m, n, n_parts, max_blocks=4):
