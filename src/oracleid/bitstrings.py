@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -199,16 +200,18 @@ class FunctionTable:
             m for m, out in zip(self.domain.members, self.outputs) if out == label
         )
 
-    @property
+    @cached_property
     def labels(self) -> tuple[Hashable, ...]:
         return tuple(dict.fromkeys(self.outputs))
 
-    @property
+    @cached_property
     def codes(self) -> np.ndarray:
         """Per member, the index of its output in ``labels``: two members
-        share a code iff they share an output."""
+        share a code iff they share an output.  Read-only, computed once."""
         index: dict[Hashable, int] = {}
-        return np.array([index.setdefault(out, len(index)) for out in self.outputs], dtype=np.intp)
+        codes = np.array([index.setdefault(out, len(index)) for out in self.outputs], dtype=np.intp)
+        codes.setflags(write=False)
+        return codes
 
     def groups(self) -> list[np.ndarray]:
         """Member indices per label, ascending, labels in ``labels`` order."""

@@ -30,7 +30,9 @@ pruning tree once, through the same greedy elimination sets.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -371,29 +373,35 @@ def _emit(n, value, positions, ideal, iterations, traces) -> None:
 def classical_identify(
     concept_class: ConceptClass, x: BitString
 ) -> tuple[BitString, int]:
-    """Classical baseline: query a splitting bit until one candidate is left.
+    """Classical baseline: query the first bit on which the candidates
+    disagree until one candidate is left.
 
-    Any bit on which the candidates disagree eliminates at least one of
-    them, so at most ``min(M - 1, N)`` queries are spent (no bit is ever
-    queried twice).
+    The candidates are always a range ``[lo, hi)`` of the sorted
+    ``members``: every bit before the first splitting bit is constant on
+    the range, so the members with a 0 there come first.  That bit is the
+    highest set bit of ``members[lo] ^ members[hi - 1]``, one bisection
+    finds the boundary, and the hidden string's bit keeps one side.  Each
+    query eliminates at least one candidate and no bit is queried twice,
+    so at most ``min(M - 1, N)`` queries are spent, in O(queries · log M)
+    time.
+
+    Both sides of a split are nonempty, so the range never empties: for a
+    hidden string outside the class this returns the member its queries
+    lead to.
     """
     _check_input(concept_class, x)
-    n = concept_class.n
-    S = list(concept_class.values)
+    members = concept_class.members
+    lo, hi = 0, len(members)
     queries = 0
-    while len(S) > 1:
-        split = None
-        for j in range(n):
-            mask = 1 << (n - 1 - j)
-            ones = sum(1 for v in S if v & mask)
-            if 0 < ones < len(S):
-                split = j
-                break
-        assert split is not None  # distinct strings always disagree somewhere
+    while hi - lo > 1:
+        top = members[hi - 1].value
+        shift = (members[lo].value ^ top).bit_length() - 1
+        # the first member with a 1 at the split: at least the range's
+        # common prefix followed by that 1
+        cut = bisect_left(members, top >> shift << shift, lo, hi, key=attrgetter("value"))
         queries += 1
-        want = x.bit(split)
-        mask = 1 << (n - 1 - split)
-        S = [v for v in S if ((v & mask) != 0) == bool(want)]
-        if not S:
-            raise PromiseViolation("candidate set emptied; promise violated")
-    return BitString(n, S[0]), queries
+        if x.value >> shift & 1:
+            lo = cut
+        else:
+            hi = cut
+    return members[lo], queries

@@ -158,6 +158,16 @@ class TestGram:
         assert f.labels == tuple(first_seen)
         assert [f.labels[c] for c in f.codes] == list(outs)
 
+    def test_labels_and_codes_are_computed_once_and_read_only(self):
+        cls = generate_class("cube", 3)
+        f = FunctionTable(cls, (0, 1, 0, 2, 1, 0, 3, 3))
+        assert f.codes is f.codes and f.labels is f.labels
+        assert not f.codes.flags.writeable
+        with pytest.raises(ValueError):
+            f.codes[0] = 1
+        assert f == FunctionTable(cls, f.outputs)
+        assert hash(f) == hash(FunctionTable(cls, f.outputs))
+
     def test_groups_are_the_preimages_in_label_order(self):
         rng = np.random.default_rng(13)
         cls = generate_class("random", 6, size=40, seed=5)

@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+from classical_reference import classical_identify_reference
 from helpers import random_class, subsets_of_cube
 from oracleid.bitstrings import BitString, ConceptClass, generate_class
 from oracleid.bounds import brute_force_cost, closed_form_cost, gamma_hat
@@ -221,6 +222,49 @@ class TestClassicalBaseline:
                 identified, queries = classical_identify(cls, x)
                 assert identified == x
                 assert queries <= min(cls.size - 1, n)
+
+    @staticmethod
+    def _assert_matches_reference(cls, rng, outsiders=20):
+        for x in cls.members:
+            assert classical_identify(cls, x) == classical_identify_reference(cls, x)
+        n = cls.n
+        for _ in range(outsiders):
+            x = BitString(n, int.from_bytes(rng.bytes(-(-n // 8)), "big") >> (-n % 8))
+            assert classical_identify(cls, x) == classical_identify_reference(cls, x)
+
+    def test_matches_reference_on_random_classes(self):
+        # n up to 70 so that member values pass 64 bits
+        rng = np.random.default_rng(11)
+        for n in range(1, 71):
+            size = int(rng.integers(1, min(60, 1 << n) + 1))
+            cls = generate_class("random", n, size=size, seed=n)
+            self._assert_matches_reference(cls, rng)
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            generate_class("cube", 5),
+            generate_class("hamming", 9, k=3),
+            generate_class("hamming1", 33),
+            generate_class("hamming-pair", 8, k=4),
+            generate_class("prefix", 10, free_bits=5),
+            ConceptClass.from_strings(["0110"]),
+        ],
+        ids=["cube-5", "hamming-9-3", "hamming1-33", "hamming-pair-8-4", "prefix-10-5", "one-member"],
+    )
+    def test_matches_reference_on_families(self, cls):
+        self._assert_matches_reference(cls, np.random.default_rng(cls.size))
+
+    def test_hamming1_at_scale(self):
+        # too large for the reference loop, which recounts every bit over
+        # every candidate at each level
+        n = 512
+        cls = generate_class("hamming1", n)
+        queries = [classical_identify(cls, x) for x in cls.members]
+        assert all(identified == x for (identified, _), x in zip(queries, cls.members))
+        counts = [q for _, q in queries]
+        assert max(counts) == min(cls.size - 1, n) == 511
+        assert sum(counts) == n * (n - 1) // 2 + n - 1 == 131327
 
 
 class TestPromiseViolations:
