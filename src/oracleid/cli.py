@@ -79,6 +79,11 @@ def _default_seed() -> int:
         return 0
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not tolerance >= 0:
+        raise ValueError(f"--tolerance must be non-negative, got {tolerance}")
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -284,14 +289,14 @@ def _verify_lp_suite(n: int, m: int, tolerance: float, checks: list) -> None:
 
 
 def cmd_verify(args) -> int:
+    _check_tolerance(args.tolerance)
     checks: list[dict] = []
     if args.suite in ("ordering", "all"):
         if not 1 <= args.n <= 4:
             raise ValueError("the ordering suite is exhaustive and needs 1 <= --n <= 4")
         _verify_ordering_suite(args.n, args.tolerance, checks)
     if args.suite in ("sdp", "all"):
-        _verify_sdp_suite(args.class_file, max(args.tolerance, 1e-9), checks,
-                          dump=args.dump)
+        _verify_sdp_suite(args.class_file, args.tolerance, checks, dump=args.dump)
     if args.suite in ("lp", "all"):
         _verify_lp_suite(args.n if args.suite == "lp" else 8,
                          args.m, args.tolerance, checks)
@@ -332,6 +337,9 @@ def _parse_grid(text: str) -> tuple[list[int], list[int]]:
 
 
 def cmd_bounds(args) -> int:
+    _check_tolerance(args.tolerance)
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be positive, got {args.jobs}")
     ns, ms = _parse_grid(args.grid)
     cells = [(m, n) for n in ns for m in ms if 2 <= m <= (1 << n)]
     if args.jobs > 1:

@@ -25,6 +25,10 @@ basic step charges ``sqrt(N)`` every iteration since it never shortens its
 scan).  ``raw_queries`` counts actual oracle invocations and is nonzero
 only for the quantum engine.  ``identify_all`` walks the final algorithm's
 pruning tree once, through the same greedy elimination sets.
+
+Each run builds one ``qsim.EngineContext`` (its generator, query count,
+worst norm drift and per-call error budget) and hands it to every step; the
+trace reads its query count and drift off that context.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 from . import qsim
 from .bitstrings import BitString, ConceptClass, majority_value
 from .ordering import _greedy, first_disagreement_rank
+from .qsim import EngineContext
 
 __all__ = [
     "PromiseViolation",
@@ -105,16 +110,6 @@ class RunTrace:
         }
 
 
-@dataclass
-class EngineContext:
-    """Per-run state handed to a disagreement engine."""
-
-    rng: np.random.Generator
-    counter: qsim.QueryCounter
-    stats: qsim.SimStats
-    error_budget: float
-
-
 class IdealFinder:
     """Deterministic, always-correct engine charging idealized costs.
 
@@ -123,7 +118,6 @@ class IdealFinder:
     """
 
     name = "ideal"
-    deterministic = True
 
     def find_first(self, x, s, order, width, ctx) -> int | None:
         return first_disagreement_rank(x, s, order, width)
@@ -145,40 +139,24 @@ class QuantumFinder:
     scan's is ``qsim.scan_failure``, a single any-marked search's is
     ``qsim.bbht_failure``.  At the default constants one repetition
     suffices for scans up to a few hundred ranks wide.
+
+    The run's ``EngineContext`` goes straight down to the searches, which
+    charge its queries and check the simulated norm against this engine's
+    ``config.norm_tol``.
     """
 
     name = "quantum"
-    deterministic = False
 
     def __init__(self, config: qsim.SearchConfig = qsim.DEFAULT_CONFIG):
         self.config = config
 
     def find_first(self, x, s, order, width, ctx) -> int | None:
-        res = qsim.quantum_disagreement_finder(
-            x,
-            s,
-            order,
-            width,
-            ctx.error_budget,
-            rng=ctx.rng,
-            counter=ctx.counter,
-            config=self.config,
-            stats=ctx.stats,
-        )
-        return res.rank
+        return qsim.quantum_disagreement_finder(x, s, order, width, ctx, self.config).rank
 
     def find_any(self, x, s, ctx) -> int | None:
         per_call = qsim.bbht_failure(1 << (x.n - 1).bit_length(), self.config)
         for _ in range(qsim.repetitions_for_budget(ctx.error_budget, per_call)):
-            v = qsim.grover_search_unknown_count(
-                x,
-                x.n,
-                s=s,
-                rng=ctx.rng,
-                counter=ctx.counter,
-                config=self.config,
-                stats=ctx.stats,
-            )
+            v = qsim.grover_search_unknown_count(x, x.n, ctx, s=s, config=self.config)
             if v is not None:
                 return v
         return None
@@ -197,13 +175,7 @@ def make_engine(engine) -> IdealFinder | QuantumFinder:
 def _new_context(concept_class: ConceptClass, seed) -> EngineContext:
     m = concept_class.size
     r_max = max(1, math.ceil(math.log2(m))) if m > 1 else 1
-    budget = 1.0 / (3.0 * (r_max + 1))
-    return EngineContext(
-        rng=np.random.default_rng(seed),
-        counter=qsim.QueryCounter(),
-        stats=qsim.SimStats(),
-        error_budget=budget,
-    )
+    return EngineContext(np.random.default_rng(seed), error_budget=1.0 / (3.0 * (r_max + 1)))
 
 
 def _check_input(concept_class: ConceptClass, x: BitString) -> None:
@@ -246,9 +218,9 @@ def _identify(concept_class: ConceptClass, x: BitString, engine, seed, step) -> 
         positions=tuple(positions),
         r=len(positions),
         ideal_cost=ideal,
-        raw_queries=ctx.counter.count,
+        raw_queries=ctx.queries,
         iterations=iterations,
-        norm_drift=ctx.stats.max_drift,
+        norm_drift=ctx.max_drift,
         engine=engine.name,
     )
 

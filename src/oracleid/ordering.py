@@ -55,10 +55,6 @@ class Ordering:
         }
 
 
-def _bit(value: int, n: int, i: int) -> int:
-    return (value >> (n - 1 - i)) & 1
-
-
 @lru_cache(maxsize=1 << 17)
 def _greedy(n: int, values: tuple[int, ...]):
     """Greedy scan order on packed ints.

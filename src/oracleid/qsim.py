@@ -24,10 +24,12 @@ amplification):
 * positions already proven zero by earlier classical scans may be skipped
   for free -- that is knowledge, not an oracle call.
 
-All randomness is drawn from one seeded ``numpy`` PCG64 generator per run,
-so outcome sequences are reproducible bit-for-bit across platforms.  Each
-search round draws its iteration count, then exactly one uniform variate
-for the measurement.
+One ``EngineContext`` carries a run's search state into every entry point
+and down to the amplified search itself: its one seeded ``numpy`` PCG64
+generator, the query count, the worst norm drift of the simulated state,
+and the failure budget of each disagreement-finder call.  Outcome sequences
+are reproducible bit-for-bit across platforms.  Each search round draws its
+iteration count, then exactly one uniform variate for the measurement.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from .bitstrings import BitString
 __all__ = [
     "SearchConfig",
     "DEFAULT_CONFIG",
-    "QueryCounter",
-    "SimStats",
+    "EngineContext",
     "ScanState",
     "FirstOneResult",
     "DisagreementResult",
@@ -79,40 +80,32 @@ class SearchConfig:
     classical_width: int = 4
     norm_tol: float = 1e-9
 
+    def __post_init__(self):
+        # at growth <= 1 every round draws zero iterations, so a search over
+        # an unmarked prefix never spends its budget and never returns
+        if not self.growth > 1:
+            raise ValueError(f"growth must be greater than 1, got {self.growth}")
+        if not self.cutoff_coeff >= 0:
+            raise ValueError(f"cutoff_coeff must be non-negative, got {self.cutoff_coeff}")
+
 
 DEFAULT_CONFIG = SearchConfig()
 
 
-class QueryCounter:
-    """Counts oracle applications; increments by exactly one per application."""
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def tick(self, k: int = 1) -> None:
-        if k < 0:
-            raise ValueError("cannot decrement a query counter")
-        self.count += k
-
-    def __repr__(self) -> str:
-        return f"QueryCounter({self.count})"
-
-
 @dataclass
-class SimStats:
-    """Tracks the worst norm drift of the simulated state during a run."""
+class EngineContext:
+    """One identification run's search state.
 
+    ``rng`` is the run's only source of randomness and ``error_budget`` the
+    failure probability each disagreement-finder call may spend.  The
+    searches add every oracle application to ``queries`` and record in
+    ``max_drift`` the worst distance of the simulated state's norm from 1.
+    """
+
+    rng: np.random.Generator
+    error_budget: float
+    queries: int = 0
     max_drift: float = 0.0
-    tol: float = DEFAULT_CONFIG.norm_tol
-
-    def observe(self, norm: float) -> None:
-        drift = abs(norm - 1.0)
-        if drift > self.max_drift:
-            self.max_drift = drift
-        if drift > self.tol:
-            raise RuntimeError(f"simulated state norm drifted by {drift:.3e}")
 
 
 @dataclass
@@ -143,12 +136,6 @@ class DisagreementResult:
     exact: bool
 
 
-def _as_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
-
-
 class _Effective:
     """Rank-indexed view of the string actually searched.
 
@@ -177,8 +164,8 @@ class _Effective:
         else:
             self.ranks = tuple(x.bit(j) ^ s.bit(j) for j in scan[:width])
 
-    def query(self, t: int, counter: QueryCounter) -> int:
-        counter.tick()
+    def query(self, t: int, ctx: EngineContext) -> int:
+        ctx.queries += 1
         return self.ranks[t]
 
 
@@ -195,27 +182,21 @@ def grover_probabilities(dim: int, marked: int, iterations: int) -> tuple[float,
     return p_marked, p_unmarked
 
 
-def _bbht(
-    eff: _Effective,
-    limit: int,
-    rng: np.random.Generator,
-    counter: QueryCounter,
-    config: SearchConfig,
-    stats: SimStats,
-) -> int | None:
+def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig) -> int | None:
     """Search ranks [0, limit) for any marked one, marked count unknown.
 
     Rounds run a random number of amplification iterations drawn from a
     growing window, measure, and classically verify the measured candidate.
     Gives up once total iterations exceed ``cutoff_coeff * sqrt(limit)``;
     a None can therefore be wrong (marked ranks missed), never a position.
+    Every round checks the state's norm against ``config.norm_tol``.
     """
     if limit <= 0:
         return None
     dim = 1 << max(0, (limit - 1).bit_length())
     if dim == 1:
         # single candidate: one verification settles it
-        if eff.query(0, counter):
+        if eff.query(0, ctx):
             return 0
         return None
     marked = np.zeros(dim, dtype=bool)
@@ -226,26 +207,27 @@ def _bbht(
     m_cap = math.sqrt(dim)
     used = 0
     while used <= budget:
-        j = int(rng.integers(0, math.ceil(m)))
-        counter.tick(j)
+        j = int(ctx.rng.integers(0, math.ceil(m)))
+        ctx.queries += j
         used += j
         p_marked, p_unmarked = grover_probabilities(dim, n_marked, j)
-        stats.observe(math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked))
+        drift = abs(math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked) - 1.0)
+        ctx.max_drift = max(ctx.max_drift, drift)
+        if drift > config.norm_tol:
+            raise RuntimeError(f"simulated state norm drifted by {drift:.3e}")
         cum = np.cumsum(np.where(marked, p_marked, p_unmarked))
-        v = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        v = int(np.searchsorted(cum, ctx.rng.random() * cum[-1], side="right"))
         if v < limit:
-            if eff.query(v, counter):
+            if eff.query(v, ctx):
                 return v
         m = min(m * config.growth, m_cap)
     return None
 
 
-def _scan_region(
-    eff: _Effective, scan: ScanState, hi: int, counter: QueryCounter
-) -> int | None:
+def _scan_region(eff: _Effective, scan: ScanState, hi: int, ctx: EngineContext) -> int | None:
     """Classically query ranks [cleared, hi); returns the first 1 if any."""
     for t in range(scan.cleared, hi):
-        if eff.query(t, counter):
+        if eff.query(t, ctx):
             scan.cleared = t
             return t
         scan.cleared = t + 1
@@ -264,13 +246,11 @@ def _stage_ladder(classical_width: int, width: int) -> list[int]:
 def grover_search_unknown_count(
     x: BitString,
     width: int,
+    ctx: EngineContext,
     *,
     s: BitString | None = None,
     order: Sequence[int] | None = None,
-    rng=None,
-    counter: QueryCounter | None = None,
     config: SearchConfig = DEFAULT_CONFIG,
-    stats: SimStats | None = None,
 ) -> int | None:
     """Find any rank in [0, width) where ``x`` disagrees with ``s``.
 
@@ -278,23 +258,17 @@ def grover_search_unknown_count(
     schedule -- which is certain when nothing is marked and a bounded-error
     miss otherwise.
     """
-    rng = _as_rng(rng)
-    counter = counter if counter is not None else QueryCounter()
-    stats = stats if stats is not None else SimStats(tol=config.norm_tol)
-    eff = _Effective(x, s, order, width)
-    return _bbht(eff, width, rng, counter, config, stats)
+    return _bbht(_Effective(x, s, order, width), width, ctx, config)
 
 
 def find_first_one(
     x: BitString,
     width: int,
+    ctx: EngineContext,
     *,
     s: BitString | None = None,
     order: Sequence[int] | None = None,
-    rng=None,
-    counter: QueryCounter | None = None,
     config: SearchConfig = DEFAULT_CONFIG,
-    stats: SimStats | None = None,
     scan: ScanState | None = None,
 ) -> FirstOneResult:
     """Find the first rank in [0, width) where ``x`` disagrees with ``s``.
@@ -309,9 +283,6 @@ def find_first_one(
     returned position is always a verified disagreement but may be later
     than the true first one; None may be wrong unless ``exact``.
     """
-    rng = _as_rng(rng)
-    counter = counter if counter is not None else QueryCounter()
-    stats = stats if stats is not None else SimStats(tol=config.norm_tol)
     scan = scan if scan is not None else ScanState()
     if width <= 0:
         return FirstOneResult(None, True)
@@ -321,11 +292,11 @@ def find_first_one(
         if top <= scan.cleared:
             continue
         if top <= config.classical_width:
-            q = _scan_region(eff, scan, top, counter)
+            q = _scan_region(eff, scan, top, ctx)
             if q is not None:
                 return FirstOneResult(q, True)
             continue
-        v = _bbht(eff, top, rng, counter, config, stats)
+        v = _bbht(eff, top, ctx, config)
         if v is None:
             continue
         best = v
@@ -334,9 +305,9 @@ def find_first_one(
             if gap <= 0:
                 return FirstOneResult(best, True)
             if gap <= config.classical_width:
-                q = _scan_region(eff, scan, best, counter)
+                q = _scan_region(eff, scan, best, ctx)
                 return FirstOneResult(q if q is not None else best, True)
-            w = _bbht(eff, best, rng, counter, config, stats)
+            w = _bbht(eff, best, ctx, config)
             if w is None:
                 return FirstOneResult(best, False)
             best = w
@@ -458,12 +429,8 @@ def quantum_disagreement_finder(
     s: BitString,
     order: Sequence[int],
     width: int,
-    error_budget: float,
-    *,
-    rng=None,
-    counter: QueryCounter | None = None,
+    ctx: EngineContext,
     config: SearchConfig = DEFAULT_CONFIG,
-    stats: SimStats | None = None,
 ) -> DisagreementResult:
     """First scan-order disagreement of ``x`` with ``s``, amplified.
 
@@ -471,28 +438,16 @@ def quantum_disagreement_finder(
     verified disagreement.  Every returned position is a real disagreement
     and never earlier than the true first, so taking the minimum is the
     correct combiner; the call fails only when every repetition does, so
-    the certified ``scan_failure`` sets the repetition count.  Classical
-    knowledge (individually verified zero ranks) is shared across
-    repetitions, and an exact repetition short-circuits the rest.
+    the certified ``scan_failure`` sets the repetition count that brings
+    it within ``ctx.error_budget``.  Classical knowledge (individually
+    verified zero ranks) is shared across repetitions, and an exact
+    repetition short-circuits the rest.
     """
-    rng = _as_rng(rng)
-    counter = counter if counter is not None else QueryCounter()
-    stats = stats if stats is not None else SimStats(tol=config.norm_tol)
     scan = ScanState()
     best: int | None = None
-    repetitions = repetitions_for_budget(error_budget, scan_failure(width, config))
+    repetitions = repetitions_for_budget(ctx.error_budget, scan_failure(width, config))
     for _ in range(repetitions):
-        res = find_first_one(
-            x,
-            width,
-            s=s,
-            order=order,
-            rng=rng,
-            counter=counter,
-            config=config,
-            stats=stats,
-            scan=scan,
-        )
+        res = find_first_one(x, width, ctx, s=s, order=order, config=config, scan=scan)
         if res.exact:
             pos = res.position
             return DisagreementResult(None if pos is None else pos + 1, True)

@@ -24,7 +24,14 @@ def uniform_with_minus_target(index_qubits: int) -> np.ndarray:
     return amps
 
 
-def apply_oracle(amps: np.ndarray, x, counter=None) -> np.ndarray:
+class OracleCounter:
+    """Number of ``apply_oracle`` calls it was handed to."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
+def apply_oracle(amps: np.ndarray, x, counter: OracleCounter | None = None) -> np.ndarray:
     """``|v, b> -> |v, b XOR x_v>``; indices at or beyond ``x.n`` are unmarked."""
     view = amps.reshape(-1, 2)
     if x.n > len(view):
@@ -32,7 +39,7 @@ def apply_oracle(amps: np.ndarray, x, counter=None) -> np.ndarray:
     rows = [v for v in range(x.n) if x.bit(v)]
     view[rows] = view[rows, ::-1]
     if counter is not None:
-        counter.tick()
+        counter.count += 1
     return amps
 
 

@@ -157,6 +157,12 @@ class TestInputErrors:
         ("bounds", "--grid", "N=30;M=64"),
         ("bounds", "--grid", "N=a"),
         ("bounds", "--grid", "N=4;K=4"),
+        ("verify", "--suite", "sdp", "--tolerance", "-1"),
+        ("verify", "--suite", "ordering", "--tolerance=-1e-12"),
+        ("verify", "--suite", "lp", "--tolerance", "nan"),
+        ("bounds", "--grid", "N=4;M=4", "--jobs", "0"),
+        ("bounds", "--grid", "N=4;M=4", "--jobs", "-3"),
+        ("bounds", "--grid", "N=4;M=4", "--tolerance", "-1"),
     ])
     def test_one_line_and_exit_code_2(self, tmp_path, capsys, argv):
         cf = tmp_path / "c.json"
@@ -182,6 +188,11 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "needs 1 <= --n <= 4" in captured.err
         assert "[PASS]" not in captured.out
+
+    def test_sdp_suite_judges_against_the_given_tolerance(self, capsys):
+        # residuals of order 1e-16 pass the default 1e-9 but not 1e-20
+        assert run_cli("verify", "--suite", "sdp", "--tolerance", "1e-20") == 1
+        assert "[FAIL]" in capsys.readouterr().out
 
     def test_sdp_suite_with_class_file(self, tmp_path, capsys):
         cf = tmp_path / "c.json"

@@ -7,10 +7,12 @@ import pytest
 
 from classical_reference import classical_identify_reference
 from helpers import random_class, subsets_of_cube
+from oracleid import qsim
 from oracleid.bitstrings import BitString, ConceptClass, generate_class
 from oracleid.bounds import brute_force_cost, closed_form_cost, gamma_hat
 from oracleid.identify import (
     PromiseViolation,
+    QuantumFinder,
     classical_identify,
     identify_all,
     make_engine,
@@ -316,6 +318,26 @@ class TestEngines:
         trace = run_final(cls, bs("00000001"), "quantum", seed=5)
         assert trace.raw_queries > 0
         assert trace.engine == "quantum"
+
+    def test_quantum_engine_honours_its_norm_tol(self, monkeypatch):
+        # every probability 2e-6 too large: the simulated norm is off by
+        # about 1e-6, while the measured distribution is unchanged
+        exact = qsim.grover_probabilities
+        rounds = []
+
+        def skewed(dim, marked, iterations):
+            rounds.append(iterations)
+            return tuple(p * (1 + 2e-6) for p in exact(dim, marked, iterations))
+
+        monkeypatch.setattr(qsim, "grover_probabilities", skewed)
+        cls = generate_class("hamming1", 16)
+        x = bs("0000000000000001")  # found at rank 15, past the classical prefix
+        loose = QuantumFinder(qsim.SearchConfig(norm_tol=1e-3))
+        trace = run_final(cls, x, loose, seed=0)
+        assert rounds  # the amplified search ran
+        assert trace.norm_drift == pytest.approx(1e-6, rel=1e-3)
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            run_final(cls, x, QuantumFinder(), seed=0)
 
     def test_quantum_determinism(self):
         cls = generate_class("hamming1", 8)

@@ -6,12 +6,11 @@ import pytest
 import statevector as ref
 from oracleid.bitstrings import BitString, generate_class
 from oracleid import qsim
-from oracleid.identify import EngineContext, QuantumFinder, _new_context
+from oracleid.identify import QuantumFinder, _new_context
 from oracleid.ordering import clear_ordering_cache
 from oracleid.qsim import (
-    QueryCounter,
+    EngineContext,
     ScanState,
-    SimStats,
     find_first_one,
     grover_probabilities,
     grover_search_unknown_count,
@@ -23,6 +22,29 @@ from oracleid.qsim import (
 
 def bs(text):
     return BitString.from_str(text)
+
+
+def ctx_for(seed, error_budget=1 / 15):
+    """A fresh run state: the seeded generator, no queries, no drift."""
+    return EngineContext(np.random.default_rng(seed), error_budget)
+
+
+class TestSearchConfig:
+    # constructed only: a search at growth <= 1 never returns, and a
+    # negative cutoff breaks the failure DP
+    @pytest.mark.parametrize("growth", [1.0, 0.5, float("nan")])
+    def test_growth_must_exceed_one(self, growth):
+        with pytest.raises(ValueError, match="growth must be greater than 1"):
+            qsim.SearchConfig(growth=growth)
+
+    @pytest.mark.parametrize("cutoff", [-1.0, -1e-12, float("nan")])
+    def test_cutoff_must_be_non_negative(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff_coeff must be non-negative"):
+            qsim.SearchConfig(cutoff_coeff=cutoff)
+
+    def test_edge_values_are_accepted(self):
+        config = qsim.SearchConfig(growth=1.0001, cutoff_coeff=0.0)
+        assert config.growth == 1.0001 and config.cutoff_coeff == 0.0
 
 
 class TestStateVector:
@@ -72,16 +94,11 @@ class TestApplyOracle:
             ref.apply_oracle(ref.basis(2), bs("10101"))
 
     def test_counter_increments_once_per_application(self):
-        counter = QueryCounter()
+        counter = ref.OracleCounter()
         amps = ref.basis(3)
         for k in range(1, 6):
             ref.apply_oracle(amps, bs("1010"), counter)
             assert counter.count == k
-
-    def test_counter_never_decrements(self):
-        counter = QueryCounter()
-        with pytest.raises(ValueError):
-            counter.tick(-1)
 
 
 class TestTwoAmplitudeModel:
@@ -110,68 +127,57 @@ class TestTwoAmplitudeModel:
 
 class TestUnknownCountSearch:
     def test_all_marked_found_immediately(self):
-        counter = QueryCounter()
-        v = grover_search_unknown_count(
-            bs("11111111"), 8, rng=np.random.default_rng(0), counter=counter
-        )
+        ctx = ctx_for(0)
+        v = grover_search_unknown_count(bs("11111111"), 8, ctx)
         assert v is not None and 0 <= v < 8
-        assert counter.count <= 5  # first round measures the uniform state
+        assert ctx.queries <= 5  # first round measures the uniform state
 
     def test_none_marked_gives_up_within_budget(self):
-        counter = QueryCounter()
-        v = grover_search_unknown_count(
-            bs("00000000"), 8, rng=np.random.default_rng(1), counter=counter
-        )
+        ctx = ctx_for(1)
+        v = grover_search_unknown_count(bs("00000000"), 8, ctx)
         assert v is None
         # iteration budget 9*sqrt(8), plus one verification per round
-        assert counter.count <= 3 * 9 * math.sqrt(8)
+        assert ctx.queries <= 3 * 9 * math.sqrt(8)
 
     def test_single_marked_statistics(self):
         hits, queries = 0, []
         trials = 500
         for t in range(trials):
-            counter = QueryCounter()
+            ctx = ctx_for((2, t))
             x = BitString(16, 1 << (t % 16))
-            v = grover_search_unknown_count(
-                x, 16, rng=np.random.default_rng((2, t)), counter=counter
-            )
+            v = grover_search_unknown_count(x, 16, ctx)
             hits += v is not None and x.bit(v) == 1
-            queries.append(counter.count)
+            queries.append(ctx.queries)
         assert hits / trials >= 0.60
         assert 1 * math.sqrt(16) <= np.mean(queries) <= 10 * math.sqrt(16)
 
     def test_marked_via_reference_string(self):
         # marking is disagreement with s, not bit value
-        counter = QueryCounter()
-        v = grover_search_unknown_count(
-            bs("1011"),
-            4,
-            s=bs("1111"),
-            rng=np.random.default_rng(5),
-            counter=counter,
-        )
+        v = grover_search_unknown_count(bs("1011"), 4, ctx_for(5), s=bs("1111"))
         assert v == 1  # the only disagreement
 
     def test_zero_width(self):
-        assert grover_search_unknown_count(bs("1"), 0, rng=np.random.default_rng(0)) is None
+        ctx = ctx_for(0)
+        assert grover_search_unknown_count(bs("1"), 0, ctx) is None
+        assert ctx.queries == 0
 
 
 class TestFindFirstOne:
     def test_first_one_mid_string(self):
-        counter = QueryCounter()
-        res = find_first_one(bs("0010"), 4, rng=np.random.default_rng(3), counter=counter)
+        ctx = ctx_for(3)
+        res = find_first_one(bs("0010"), 4, ctx)
         assert res.position == 2 and res.exact
-        assert counter.count == 3  # classical scan of the short prefix
+        assert ctx.queries == 3  # classical scan of the short prefix
 
     def test_all_zero(self):
-        res = find_first_one(bs("0000"), 4, rng=np.random.default_rng(3))
+        res = find_first_one(bs("0000"), 4, ctx_for(3))
         assert res.position is None and res.exact
 
     def test_all_ones(self):
-        counter = QueryCounter()
-        res = find_first_one(bs("1111"), 4, rng=np.random.default_rng(3), counter=counter)
+        ctx = ctx_for(3)
+        res = find_first_one(bs("1111"), 4, ctx)
         assert res.position == 0 and res.exact
-        assert counter.count == 1
+        assert ctx.queries == 1
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_success_rate(self, n):
@@ -180,7 +186,7 @@ class TestFindFirstOne:
         for t in range(trials):
             p0 = t % n
             x = BitString(n, 1 << (n - 1 - p0))
-            res = find_first_one(x, n, rng=np.random.default_rng((4, n, t)))
+            res = find_first_one(x, n, ctx_for((4, n, t)))
             hits += res.position == p0
         assert hits / trials >= 0.60
 
@@ -193,10 +199,10 @@ class TestFindFirstOne:
         for p0 in (8, 20, 50):
             qs = []
             for t in range(60):
-                counter = QueryCounter()
+                ctx = ctx_for((5, p0, t))
                 x = BitString(n, 1 << (n - 1 - p0))
-                find_first_one(x, n, rng=np.random.default_rng((5, p0, t)), counter=counter)
-                qs.append(counter.count)
+                find_first_one(x, n, ctx)
+                qs.append(ctx.queries)
             means[p0] = np.mean(qs)
             assert means[p0] <= 60 * math.sqrt(p0 + 1)
         assert means[50] / means[8] <= 2 * math.sqrt(50 / 8)
@@ -206,7 +212,7 @@ class TestFindFirstOne:
         for t in range(200):
             value = int(rng_master.integers(0, 1 << 12))
             x = BitString(12, value)
-            res = find_first_one(x, 12, rng=np.random.default_rng((6, t)))
+            res = find_first_one(x, 12, ctx_for((6, t)))
             if res.position is not None:
                 assert x.bit(res.position) == 1
 
@@ -215,37 +221,31 @@ class TestFindFirstOne:
         n = 100
         x = BitString(n, 1 << (n - 1 - 70))
         for t in range(20):
-            res = find_first_one(x, n, rng=np.random.default_rng((10, t)))
+            res = find_first_one(x, n, ctx_for((10, t)))
             assert res.position in (70, None)
 
     def test_shared_scan_state_is_reused(self):
         scan = ScanState()
-        counter = QueryCounter()
-        find_first_one(bs("0000"), 4, rng=np.random.default_rng(0), counter=counter, scan=scan)
+        ctx = ctx_for(0)
+        find_first_one(bs("0000"), 4, ctx, scan=scan)
         assert scan.cleared == 4
-        before = counter.count
-        res = find_first_one(bs("0000"), 4, rng=np.random.default_rng(0), counter=counter, scan=scan)
+        before = ctx.queries
+        res = find_first_one(bs("0000"), 4, ctx, scan=scan)
         assert res == qsim.FirstOneResult(None, True)
-        assert counter.count == before  # nothing left to query
+        assert ctx.queries == before  # nothing left to query
 
 
 class TestDisagreementFinder:
     def test_examples(self):
         cases = [("100", "010", 1), ("010", "010", None), ("001", "010", 2)]
         for xs, ss, expect in cases:
-            res = quantum_disagreement_finder(
-                bs(xs), bs(ss), (0, 1, 2), 3, 1 / 15,
-                rng=np.random.default_rng(4), counter=QueryCounter(),
-            )
+            res = quantum_disagreement_finder(bs(xs), bs(ss), (0, 1, 2), 3, ctx_for(4))
             assert res.rank == expect
 
     def test_scan_order_is_respected(self):
         # bits 1 and 2 differ; under sigma starting at bit 2 the first
         # disagreement sits at rank 1
-        res = quantum_disagreement_finder(
-            bs("011"), bs("010"), (2, 1, 0), 3, 1 / 15,
-            rng=np.random.default_rng(8), counter=QueryCounter(),
-        )
+        res = quantum_disagreement_finder(bs("011"), bs("010"), (2, 1, 0), 3, ctx_for(8))
         assert res.rank == 1
 
     def test_statistics_beyond_classical_prefix(self):
@@ -254,8 +254,7 @@ class TestDisagreementFinder:
             p0 = 5 + (t % 24)
             x = BitString(n, 1 << (n - 1 - p0))
             res = quantum_disagreement_finder(
-                x, BitString.zeros(n), tuple(range(n)), n, 1 / 15,
-                rng=np.random.default_rng((9, t)), counter=QueryCounter(),
+                x, BitString.zeros(n), tuple(range(n)), n, ctx_for((9, t))
             )
             hits += res.rank == p0 + 1
         assert hits / trials >= 0.60
@@ -323,9 +322,7 @@ class TestFailureBound:
         trials, misses = 4000, 0
         for t in range(trials):
             x = BitString(limit, sum(1 << (2 * i + 1) for i in range(n_marked)))
-            v = grover_search_unknown_count(
-                x, limit, rng=np.random.default_rng((12, limit, t)), config=config
-            )
+            v = grover_search_unknown_count(x, limit, ctx_for((12, limit, t)), config=config)
             misses += v is None
         assert p > 0.05  # the band below is only informative where misses are common
         assert abs(misses / trials - p) <= 4 * math.sqrt(p * (1 - p) / trials)
@@ -386,12 +383,9 @@ class TestFailureBound:
         n, p0 = 20000, 12345
         x = BitString(n, 1 << (n - 1 - p0))
         zeros = BitString.zeros(n)
-        res = quantum_disagreement_finder(
-            x, zeros, range(n), n, 1 / 21, rng=np.random.default_rng(4), counter=QueryCounter()
-        )
+        res = quantum_disagreement_finder(x, zeros, range(n), n, ctx_for(4, 1 / 21))
         assert res.rank == p0 + 1
-        ctx = EngineContext(np.random.default_rng(5), QueryCounter(), SimStats(), 1 / 21)
-        assert QuantumFinder().find_any(x, zeros, ctx) == p0
+        assert QuantumFinder().find_any(x, zeros, ctx_for(5, 1 / 21)) == p0
         assert limits == []
 
     def test_certified_repetitions_hamming1_64(self):
@@ -420,22 +414,23 @@ class TestDeterminismAndNorm:
         for seed in (0, 1, 99):
             runs = []
             for _ in range(2):
-                counter = QueryCounter()
-                res = find_first_one(
-                    bs("0000000000000001"), 16,
-                    rng=np.random.default_rng(seed), counter=counter,
-                )
-                runs.append((res, counter.count))
+                ctx = ctx_for(seed)
+                res = find_first_one(bs("0000000000000001"), 16, ctx)
+                runs.append((res, ctx.queries, ctx.max_drift))
             assert runs[0] == runs[1]
 
     def test_norm_preserved_across_many_operations(self):
-        stats = SimStats()
         dim, n_marked = 32, 3
+        worst = 0.0
         for j in range(10_001):
             p_marked, p_unmarked = grover_probabilities(dim, n_marked, j)
-            stats.observe(math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked))
-        assert stats.max_drift < 1e-9
+            norm = math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked)
+            worst = max(worst, abs(norm - 1.0))
+        assert worst < 1e-9
 
-    def test_stats_raise_on_blown_norm(self):
-        with pytest.raises(RuntimeError):
-            SimStats().observe(2.0)
+    def test_blown_norm_raises_in_the_search(self, monkeypatch):
+        monkeypatch.setattr(qsim, "grover_probabilities", lambda dim, marked, j: (1.0, 1.0))
+        ctx = ctx_for(0)
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            grover_search_unknown_count(bs("00010000"), 8, ctx)
+        assert ctx.max_drift == pytest.approx(math.sqrt(8) - 1.0)
