@@ -56,7 +56,6 @@ class ExperimentConfig:
     seed: int
     engine: str
     trials: int
-    tolerance: float
     output: str | None
     class_source: str | None
     algorithm: str = "final"
@@ -67,8 +66,6 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
 
 def _default_seed() -> int:
@@ -152,7 +149,6 @@ def cmd_run(args) -> int:
         seed=args.seed,
         engine=args.engine,
         trials=args.trials,
-        tolerance=1e-9,
         output=args.output,
         class_source=args.class_file,
         algorithm=args.algorithm,

@@ -30,10 +30,14 @@ generator, the query count, the worst norm drift of the simulated state,
 and the failure budget of each disagreement-finder call.  Outcome sequences
 are reproducible bit-for-bit across platforms.  Each search round draws its
 iteration count, then exactly one uniform variate for the measurement.
+Within one amplified search the marked set is fixed, so the measurement
+distribution is built once per distinct iteration count and sampled by
+bisection on its cumulative sums.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -190,6 +194,12 @@ def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig)
     Gives up once total iterations exceed ``cutoff_coeff * sqrt(limit)``;
     a None can therefore be wrong (marked ranks missed), never a position.
     Every round checks the state's norm against ``config.norm_tol``.
+
+    The marked set is fixed for the call, so the measurement distribution
+    depends only on the drawn iteration count ``j``: it is built once per
+    distinct ``j`` (at most ``ceil(sqrt(dim))`` of them) and sampled by
+    bisection on its cumulative sums.  Each round still draws one integer
+    for ``j``, then one uniform for the measurement.
     """
     if limit <= 0:
         return None
@@ -206,17 +216,20 @@ def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig)
     m = 1.0
     m_cap = math.sqrt(dim)
     used = 0
+    dists: dict[int, tuple[float, list[float]]] = {}  # j -> (drift, cumulative probabilities)
     while used <= budget:
         j = int(ctx.rng.integers(0, math.ceil(m)))
         ctx.queries += j
         used += j
-        p_marked, p_unmarked = grover_probabilities(dim, n_marked, j)
-        drift = abs(math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked) - 1.0)
+        if j not in dists:
+            p_marked, p_unmarked = grover_probabilities(dim, n_marked, j)
+            drift = abs(math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked) - 1.0)
+            dists[j] = drift, np.cumsum(np.where(marked, p_marked, p_unmarked)).tolist()
+        drift, cum = dists[j]
         ctx.max_drift = max(ctx.max_drift, drift)
         if drift > config.norm_tol:
             raise RuntimeError(f"simulated state norm drifted by {drift:.3e}")
-        cum = np.cumsum(np.where(marked, p_marked, p_unmarked))
-        v = int(np.searchsorted(cum, ctx.rng.random() * cum[-1], side="right"))
+        v = bisect.bisect_right(cum, ctx.rng.random() * cum[-1])
         if v < limit:
             if eff.query(v, ctx):
                 return v

@@ -55,6 +55,15 @@ class TestRun:
         assert summary["search_config"]["cutoff_coeff"] == 9.0
         assert all("search_config" not in row for row in rows)
 
+    def test_summary_config_is_the_run_settings(self, class_file, tmp_path):
+        out = tmp_path / "rows.jsonl"
+        run_cli("run", "--class-file", class_file, "--x", "100", "--seed", "4", "-o", str(out))
+        config = json.loads(out.read_text().splitlines()[-1])["config"]
+        assert config == {
+            "seed": 4, "engine": "ideal", "trials": 1, "output": str(out),
+            "class_source": class_file, "algorithm": "final", "jobs": 1,
+        }
+
     def test_single_member_trace_schema(self, class_file, tmp_path):
         out = tmp_path / "rows.jsonl"
         run_cli("run", "--class-file", class_file, "--x", "100", "-o", str(out))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import statevector as ref
+from bbht_reference import bbht_reference
 from oracleid.bitstrings import BitString, generate_class
 from oracleid import qsim
 from oracleid.identify import QuantumFinder, _new_context
@@ -160,6 +161,56 @@ class TestUnknownCountSearch:
         ctx = ctx_for(0)
         assert grover_search_unknown_count(bs("1"), 0, ctx) is None
         assert ctx.queries == 0
+
+
+def _marked_sets(limit, rng):
+    """Empty, one rank, a few ranks and every rank of [0, limit)."""
+    few = rng.choice(limit, size=min(3, limit), replace=False)
+    return [(), (int(rng.integers(limit)),), tuple(int(t) for t in few), tuple(range(limit))]
+
+
+class TestSamplerMatchesReference:
+    """``_bbht`` against the per-round sampler kept in ``bbht_reference``."""
+
+    @pytest.mark.parametrize("config", [
+        qsim.DEFAULT_CONFIG,
+        qsim.SearchConfig(growth=2.0),
+        qsim.SearchConfig(cutoff_coeff=3.0),
+        qsim.SearchConfig(cutoff_coeff=0.0),
+    ], ids=["default", "growth2", "cutoff3", "cutoff0"])
+    def test_same_outcome_queries_drift_and_generator_state(self, config):
+        rng = np.random.default_rng(2024)
+        for limit in range(1, 131):
+            for ranks in _marked_sets(limit, rng):
+                x = BitString.from_bits([int(t in ranks) for t in range(limit)])
+                eff = qsim._Effective(x, None, None, limit)
+                seed = (limit, len(ranks))
+                new, old = ctx_for(seed), ctx_for(seed)
+                got = qsim._bbht(eff, limit, new, config)
+                want = bbht_reference(eff, limit, old, config)
+                where = f"limit={limit} marked={ranks}"
+                assert got == want, where
+                assert (new.queries, new.max_drift) == (old.queries, old.max_drift), where
+                assert new.rng.bit_generator.state == old.rng.bit_generator.state, where
+
+    def test_one_distribution_per_iteration_count(self, monkeypatch):
+        # nothing marked at dim 64: every round runs, and the drawn counts
+        # take at most ceil(sqrt(64)) = 8 values
+        exact = qsim.grover_probabilities
+        calls = []
+
+        def counted(dim, marked, iterations):
+            calls.append(iterations)
+            return exact(dim, marked, iterations)
+
+        monkeypatch.setattr(qsim, "grover_probabilities", counted)
+        eff = qsim._Effective(BitString(64, 0), None, None, 64)
+        assert bbht_reference(eff, 64, ctx_for(3), qsim.DEFAULT_CONFIG) is None
+        rounds = len(calls)
+        calls.clear()
+        assert qsim._bbht(eff, 64, ctx_for(3), qsim.DEFAULT_CONFIG) is None
+        assert rounds > 20
+        assert len(calls) == len(set(calls)) <= 8
 
 
 class TestFindFirstOne:
