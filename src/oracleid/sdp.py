@@ -23,7 +23,10 @@ the targets built here -- ``J - I``, ``J - F`` and the stage targets
 Gram matrices and are kept as a ``LabelTarget``: two integer label vectors
 whose entry ``(x, y)`` is ``[coarse_x == coarse_y] - [fine_x == fine_y]``.
 ``verify_feasible`` reads either form a block of rows at a time, so a
-label target is never held as a dense matrix.
+label target is never held as a dense matrix.  The check is block-local:
+when the fine labels and every part's blocks refine the coarse labels, as
+they do for every stage target, a pair across coarse classes is exactly
+``0 - 0``, so only the pairs inside a class are computed.
 
 A solution is stored as a direct sum of *parts* ``(block, u, v)``.  In a
 part, ``u`` and ``v`` have shape (inputs, bits, d) and ``block`` gives every
@@ -52,12 +55,14 @@ identification (target ``J - I``) whose cost tracks the per-input trace
 cost ``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction factor
 for composing bounded-error stages.  It does not walk the tree itself: the
 stage tables ``f_k`` are the first ``k`` ranks of ``identify_all``'s
-traces, and each stage composes one first-disagreement solution per
-``f_{k-1}`` label shared by two or more members; a lone member's target is
-zero, so it gets no block.  The solution has one part per stage, with one
-block per output label of the stage before, so it stores
-``stages * inputs * bits`` numbers per side where the ambient arrays hold
-``dim`` times that.
+traces.  Stage ``k`` is the output-conditioned composite of one
+first-disagreement solution per ``f_{k-1}`` label shared by two or more
+members (a lone member's target is zero, so it gets zero rows), and the
+pipeline writes that composite directly, one array per stage, instead of
+building the per-label solutions and stitching them.  The solution has one
+part per stage, with one block per output label of the stage before, so it
+stores ``stages * inputs * bits`` numbers per side where the ambient arrays
+hold ``dim`` times that.
 """
 
 from __future__ import annotations
@@ -212,70 +217,126 @@ class LabelTarget(NamedTuple):
     coarse: np.ndarray
     fine: np.ndarray
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo:hi`` of the target as a dense float array."""
+    def rows(self, lo: int, hi: int, cols: slice = slice(None)) -> np.ndarray:
+        """Rows ``lo:hi`` of the target, columns ``cols``, as a dense float
+        array."""
         coarse, fine = np.asarray(self.coarse), np.asarray(self.fine)
-        out = (coarse[lo:hi, None] == coarse).astype(float)
-        out -= fine[lo:hi, None] == fine
+        out = (coarse[lo:hi, None] == coarse[cols]).astype(float)
+        out -= fine[lo:hi, None] == fine[cols]
         return out
 
 
-# rows checked per step: each step holds two ROW_CHUNK x inputs float
-# arrays, small enough to stay in cache up to a few thousand inputs
+# rows checked per step: each step holds two ROW_CHUNK x (at most) inputs
+# float arrays, small enough to stay in cache up to a few thousand inputs
 ROW_CHUNK = 64
 
 
 def _domain_bits(domain: Sequence[BitString]) -> np.ndarray:
     n = domain[0].n
-    text = "".join(format(x.value, f"0{n}b") for x in domain).encode("ascii")
-    return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(domain), n)
+    size = (n + 7) // 8
+    pad = 8 * size - n  # left-align each value so its n bits come first
+    raw = b"".join((x.value << pad).to_bytes(size, "big") for x in domain)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(domain), size)
+    return np.unpackbits(packed, axis=1, count=n)
+
+
+def _codes(labels) -> np.ndarray:
+    """Labels re-coded as ``0..k-1``: equal labels, equal codes."""
+    return np.unique(np.asarray(labels), return_inverse=True)[1].reshape(-1)
+
+
+def _refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
+    """Whether two inputs with equal ``fine`` codes always share ``coarse``."""
+    seen = np.empty(int(fine.max()) + 1, dtype=coarse.dtype)
+    seen[fine] = coarse
+    return bool(np.array_equal(seen[fine], coarse))
 
 
 def verify_feasible(A, sol: SdpSolution) -> float:
     """Worst absolute violation of the bilinear constraints against ``A``.
 
     ``A`` is an (inputs, inputs) array or a `LabelTarget`.  Every input
-    pair is checked, ``ROW_CHUNK`` rows at a time, so memory stays flat.
+    pair is covered, ``ROW_CHUNK`` rows at a time, so memory stays flat.
     A return value at most the caller's tolerance certifies feasibility.
 
     Per part, the constraint sums of all pairs are ``U1 V0^T + U0 V1^T``,
     one product ``[U1 U0] [V0 V1]^T``, masked to equal blocks, where
     ``U1``/``U0`` keep the ``u[x, j]`` with ``x_j`` = 1/0 (flattened over
     bits and coordinates), and likewise ``V``.
+
+    Pairs of a label target that its labels force to zero are proven
+    zero, not computed.  When the ``fine`` labels refine the ``coarse``
+    ones and every part's blocks refine ``coarse`` too, a pair with
+    different coarse labels has target ``0 - 0`` and shares no block, so
+    its residual is exactly 0.  The rows are then taken class by class,
+    each chunk against the columns of the classes it touches, and a class
+    of one input is skipped: its only pair ``(x, x)`` is ``0 - 0`` as
+    well.  Otherwise -- a dense target, or labels that do not refine --
+    every chunk reads all columns.
     """
     m = sol.size
+    parts = []
+    for block, u, v in sol.parts:
+        ids, codes = np.unique(block, return_inverse=True)
+        parts.append((codes.reshape(-1), len(ids) > 1, u, v))
     if isinstance(A, LabelTarget):
         if np.shape(A.coarse) != (m,) or np.shape(A.fine) != (m,):
             raise ValueError(f"label target needs {m} labels per side")
-        target_rows = A.rows
+        coarse, fine = _codes(A.coarse), _codes(A.fine)
+        local = _refines(fine, coarse) and all(_refines(b, coarse) for b, _, _, _ in parts)
     else:
         dense = np.asarray(A, dtype=float)
         if dense.shape != (m, m):
             raise ValueError(f"target must be {m}x{m}, got {dense.shape}")
+        local = False
 
-        def target_rows(lo, hi):
-            return dense[lo:hi].copy()
+    if local:
+        # rows class by class, classes of one input dropped; row i may only
+        # meet the columns window_lo[i]:window_hi[i] of its own class
+        sizes = np.bincount(coarse)
+        order = np.argsort(coarse, kind="stable")
+        order = order[sizes[coarse[order]] > 1]
+        ends = np.cumsum(np.where(sizes > 1, sizes, 0))
+        window_lo, window_hi = (ends - sizes)[coarse[order]], ends[coarse[order]]
+    else:
+        order = slice(None)
+        window_lo, window_hi = np.zeros(m, dtype=np.intp), np.full(m, m)
+    if isinstance(A, LabelTarget):
+        target = LabelTarget(coarse[order], fine[order])
 
-    bits = _domain_bits(sol.domain)
+        def target_window(a, b, cols):
+            return target.rows(a, b, cols)
+    else:
+
+        def target_window(a, b, cols):
+            return dense[a:b, cols].copy()
+
+    bits = _domain_bits(sol.domain)[order]
     ones = bits[:, :, None].astype(float)
     zeros = 1.0 - ones
+    rows = len(bits)
 
     def split(w, first, second):
-        return np.concatenate([(w * first).reshape(m, -1), (w * second).reshape(m, -1)], axis=1)
+        flat = (rows, w.shape[1] * w.shape[2])
+        return np.concatenate([(w * first).reshape(flat), (w * second).reshape(flat)], axis=1)
 
     factors = []
-    for block, u, v in sol.parts:
-        blocked = len(np.unique(block)) > 1
-        factors.append((block if blocked else None, split(u, ones, zeros), split(v, zeros, ones)))
+    for block, blocked, u, v in parts:
+        factors.append((
+            block[order] if blocked else None,
+            split(u[order], ones, zeros),
+            split(v[order], zeros, ones),
+        ))
     worst = 0.0
-    for lo in range(0, m, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, m)
+    for a in range(0, rows, ROW_CHUNK):
+        b = min(a + ROW_CHUNK, rows)
+        cols = slice(int(window_lo[a]), int(window_hi[b - 1]))
         # |target - sums| in place: few temporaries, so the heap stays put
-        residual = target_rows(lo, hi)
+        residual = target_window(a, b, cols)
         for block, uu, vv in factors:
-            inner = uu[lo:hi] @ vv.T
+            inner = uu[a:b] @ vv[cols].T
             if block is not None:
-                inner *= block[lo:hi, None] == block[None, :]
+                inner *= block[a:b, None] == block[None, cols]
             residual -= inner
         worst = max(worst, float(np.abs(residual, out=residual).max()))
     return worst
@@ -545,8 +606,21 @@ class OracleIdPipeline:
 
 
 def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
+    """The staged feasible solution for identifying a member of the class.
+
+    Stage ``k`` is written in one pass, as the one part that
+    ``output_conditioned_compose`` would make of one
+    ``find_first_one_solution`` per ``f_{k-1}`` label of two or more
+    members: its block ids are ``f_{k-1}.codes``, and member ``x``'s row is
+    its first-disagreement vector along its group's greedy order at rank
+    ``traces[x].positions[k-1]`` -- the ramp ``t**-0.25`` before that rank
+    and the spike ``rank**0.25`` at it, the ramp through the group's width
+    when there is no hit, and zeros for a lone member.  The stages are
+    then chained with ``sum_compose``.
+    """
     n = concept_class.n
     members = concept_class.members
+    values = concept_class.values
     m = concept_class.size
 
     # f_k(x) is the first k ranks of x's trace, 0-padded: a lone member, or
@@ -556,20 +630,33 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
     paths = [traces[x].positions + (0,) * stages for x in members]
     tables = [FunctionTable(concept_class, tuple(p[:k] for p in paths)) for k in range(stages + 1)]
 
+    # Python floats, as find_first_one_solution writes them
+    ramp = np.array([t**-0.25 for t in range(1, n + 1)])
+    spike = np.array([t**0.25 for t in range(1, n + 1)])
+    scan = np.arange(1, n + 1)
+    ranks = np.array([p[:stages] for p in paths], dtype=np.intp).reshape(m, stages)
+    rows = np.arange(m)[:, None]
+
     stage_solutions: list[SdpSolution] = []
     stage_targets: list[LabelTarget] = []
-    for f_prev, f_next in zip(tables, tables[1:]):
-        blocks: dict[tuple, SdpSolution] = {}
-        for path, idx in zip(f_prev.labels, f_prev.groups()):
-            if len(idx) == 1:
-                continue
-            block_members = tuple(members[i] for i in idx)
-            sigma, s_value, _, width = _greedy(n, tuple(x.value for x in block_members))
-            blocks[path] = find_first_one_solution(
-                n, sigma, BitString(n, s_value), domain=block_members, width=width
-            )
-        stage_solutions.append(output_conditioned_compose(f_prev, blocks))
-        stage_targets.append(LabelTarget(f_prev.codes, f_next.codes))
+    for k, (f_prev, f_next) in enumerate(zip(tables, tables[1:])):
+        groups = f_prev.groups()
+        sigmas = np.tile(np.arange(n), (len(groups), 1))
+        widths = np.zeros(len(groups), dtype=np.intp)  # a lone member: no ramp
+        for code, idx in enumerate(groups):
+            if len(idx) > 1:
+                sigma, _, _, width = _greedy(n, tuple(values[i] for i in idx.tolist()))
+                sigmas[code], widths[code] = sigma, width
+        codes = f_prev.codes
+        rank = ranks[:, k]
+        ramp_end = np.where(rank > 0, rank - 1, widths[codes])
+        scanned = np.where(scan <= ramp_end[:, None], ramp, 0.0)
+        hit = np.flatnonzero(rank)
+        scanned[hit, rank[hit] - 1] = spike[rank[hit] - 1]
+        u = np.zeros((m, n, 1))
+        u[rows, sigmas[codes], 0] = scanned
+        stage_solutions.append(SdpSolution.from_parts(members, [(codes, u, u)]))
+        stage_targets.append(LabelTarget(codes, f_next.codes))
 
     if stage_solutions:
         combined = stage_solutions[0]

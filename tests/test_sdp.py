@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_sdp import dense_cost, dense_gram, dense_sums, dense_verify
+from dense_sdp import dense_cost, dense_gram, dense_sums, dense_verify, domain_bits
 import pipeline_reference
+import verify_reference
 from helpers import random_class
 from oracleid import sdp
 from oracleid.bitstrings import (
@@ -453,10 +454,9 @@ class TestPipelineAgainstReference:
         for a, b in zip(got.stage_targets, want.stage_targets):
             assert np.array_equal(a.coarse, b.coarse) and np.array_equal(a.fine, b.fine)
 
-    def test_one_construction_per_tree_node(self, monkeypatch):
-        # one find_first_one_solution per block of two or more members, one
-        # output_conditioned_compose per stage, one sum_compose per stage
-        # after the first; lone members cost none
+    def test_one_construction_per_stage(self, monkeypatch):
+        # each stage is written as one solution, and one sum_compose per
+        # stage after the first chains them; no block gets a solution
         cls = generate_class("random", 13, size=400, seed=1)
         calls = []
         setup = SdpSolution._setup
@@ -468,10 +468,8 @@ class TestPipelineAgainstReference:
         monkeypatch.setattr(SdpSolution, "_setup", counted)
         pipe = oracle_id_pipeline(cls)
         monkeypatch.undo()
-        tables = pipe.stage_tables
-        stages = len(tables) - 1
-        internal = sum(int(np.sum(np.bincount(f.codes) > 1)) for f in tables[:-1])
-        assert len(calls) == internal + 2 * stages - 1 == 162
+        stages = len(pipe.stage_tables) - 1
+        assert len(calls) == 2 * stages - 1 == 15
 
     def test_no_reference_cycles(self):
         cls = generate_class("random", 13, size=400, seed=1)
@@ -675,3 +673,163 @@ class TestFactoredStorage:
         expected[[1, 3], :, 0] = u[[1, 3], :, 0]  # block 0 first
         expected[[0, 2], :, 1] = u[[0, 2], :, 0]
         np.testing.assert_array_equal(sol.u, expected)
+
+
+def _integer_parts(rng, m, n, blocks):
+    """One part per block vector, with coordinates in -2..2: every constraint
+    sum is then an exact small integer, so two checks agree to the bit
+    whatever order BLAS adds the terms in (it depends on the row's place in
+    the product), and ``==`` tests which pairs are covered."""
+    parts = []
+    for block in blocks:
+        d = int(rng.integers(1, 3))
+        u = rng.integers(-2, 3, size=(m, n, d)).astype(float)
+        v = u if rng.random() < 0.3 else rng.integers(-2, 3, size=(m, n, d)).astype(float)
+        parts.append((np.asarray(block), u, v))
+    return parts
+
+
+def _refined(rng, labels, spread):
+    """Labels that refine ``labels``: each class split into up to ``spread``."""
+    return np.asarray(labels) * spread + rng.integers(0, spread, size=len(labels))
+
+
+class TestBlockLocalCheck:
+    """The check that proves cross-class pairs zero equals the all-pairs
+    check it replaced (``tests/verify_reference.py``), exactly."""
+
+    def assert_same(self, target, sol):
+        got = verify_feasible(target, sol)
+        assert got == verify_reference.verify_feasible(target, sol)
+        return got
+
+    @pytest.mark.parametrize("name", sorted(TestPipelineAgainstReference.CLASSES))
+    def test_pipeline_stage_and_identity_targets(self, name):
+        cls = TestPipelineAgainstReference.CLASSES[name]()
+        m = cls.size
+        pipe = oracle_id_pipeline(cls)
+        for sol, target in zip(pipe.stage_solutions, pipe.stage_targets):
+            assert self.assert_same(target, sol) < 1e-12
+        identity = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))
+        assert self.assert_same(identity, pipe.solution) < 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_random_refining_labels(self, monkeypatch, chunk):
+        monkeypatch.setattr(sdp, "ROW_CHUNK", chunk)
+        rng = np.random.default_rng(21)
+        n = 5
+        for trial in range(40):
+            m = int(rng.integers(1, 90))
+            members = ConceptClass.from_values(
+                n + 2, (int(v) for v in rng.choice(1 << (n + 2), size=m, replace=False))
+            ).members
+            # classes of one, two and many inputs side by side
+            coarse = rng.integers(0, max(1, m // int(rng.integers(1, 4))), size=m)
+            fine = _refined(rng, coarse, 3)
+            blocks = [_refined(rng, coarse, int(rng.integers(1, 3))) for _ in range(3)]
+            sol = SdpSolution.from_parts(members, _integer_parts(rng, m, n + 2, blocks))
+            self.assert_same(LabelTarget(coarse, fine), sol)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_random_labels_that_do_not_refine(self, monkeypatch, chunk):
+        monkeypatch.setattr(sdp, "ROW_CHUNK", chunk)
+        rng = np.random.default_rng(22)
+        members = generate_class("random", 6, size=50, seed=5).members
+        for trial in range(20):
+            coarse = rng.integers(0, 8, size=50)
+            fine = rng.integers(0, 12, size=50)  # splits across coarse classes
+            blocks = [_refined(rng, coarse, 2), rng.integers(0, 4, size=50)]
+            sol = SdpSolution.from_parts(members, _integer_parts(rng, 50, 6, blocks))
+            self.assert_same(LabelTarget(coarse, fine), sol)
+            self.assert_same(LabelTarget(coarse, fine), SdpSolution.from_parts(members, []))
+
+    def test_fine_labels_across_coarse_classes_are_read(self):
+        # every coarse class is one input, so only the cross pairs, whose
+        # fine labels agree, can be nonzero: a zero solution misses them by 1
+        members = generate_class("random", 5, size=12, seed=3).members
+        zero = np.zeros((12, 5, 1))
+        sol = SdpSolution.from_parts(members, [(np.arange(12), zero, zero)])
+        target = LabelTarget(np.arange(12), np.arange(12) // 2)
+        assert self.assert_same(target, sol) == 1.0
+
+    def test_blocks_straddling_coarse_classes_are_read(self):
+        rng = np.random.default_rng(23)
+        members = generate_class("random", 5, size=12, seed=3).members
+        u = rng.integers(1, 3, size=(12, 5, 1)).astype(float)
+        # one block spans the coarse classes {0, 1}, {2, 3}, ...: the cross
+        # sums are nonzero while the target is zero everywhere
+        sol = SdpSolution.from_parts(members, [(np.arange(12) // 4, u, u)])
+        pairs = np.arange(12) // 2
+        assert self.assert_same(LabelTarget(pairs, pairs), sol) > 0
+        # each coarse class of one input, every nonzero pair crosses
+        singles = np.arange(12)
+        assert self.assert_same(LabelTarget(singles, singles), sol) > 0
+
+    def test_planted_violations(self):
+        cls = generate_class("random", 10, size=150, seed=1)
+        pipe = oracle_id_pipeline(cls)
+        sol, target = pipe.stage_solutions[1], pipe.stage_targets[1]
+        (block, u, _), = sol.parts
+        sizes = np.bincount(target.coarse)
+        x = int(np.flatnonzero(sizes[target.coarse] > 1)[-1])
+        # inside one class: x's hit weight doubled
+        bumped = u.copy()
+        bumped[x] *= 2.0
+        inside = SdpSolution.from_parts(sol.domain, [(block, bumped, u)])
+        assert self.assert_same(target, inside) > 0.1
+        # across classes: x joins the block of an input of another class
+        y = int(np.flatnonzero(target.coarse != target.coarse[x])[0])
+        moved = block.copy()
+        moved[x] = block[y]
+        across = SdpSolution.from_parts(sol.domain, [(moved, u, u)])
+        assert self.assert_same(target, across) > 0.1
+
+    def test_negative_and_non_contiguous_labels(self):
+        rng = np.random.default_rng(24)
+        members = generate_class("random", 6, size=60, seed=8).members
+        spelled = np.array([-(2**40), -7, -1, 3, 1000, 2**50])
+        for trial in range(10):
+            pick = rng.integers(0, len(spelled), size=60)
+            sub = rng.integers(0, 2, size=60)
+            coarse, fine = spelled[pick], spelled[pick] * 3 - 5 * sub
+            blocks = [np.abs(spelled[pick]) % 1009 * 2 + sub]
+            sol = SdpSolution.from_parts(members, _integer_parts(rng, 60, 6, blocks))
+            got = self.assert_same(LabelTarget(coarse, fine), sol)
+            # the same classes under codes 0..k-1 check the same
+            assert got == verify_feasible(LabelTarget(pick, pick * 2 + sub), sol)
+
+    def test_stage_checks_read_only_their_class_windows(self, monkeypatch):
+        cls = generate_class("random", 13, size=400, seed=1)
+        pipe = oracle_id_pipeline(cls)
+        read = []
+        rows = LabelTarget.rows
+
+        def counted(self, lo, hi, cols=slice(None)):
+            out = rows(self, lo, hi, cols)
+            read.append(out.size)
+            return out
+
+        monkeypatch.setattr(LabelTarget, "rows", counted)
+        for sol, target in zip(pipe.stage_solutions[1:], pipe.stage_targets[1:]):
+            read.clear()
+            verify_feasible(target, sol)
+            sizes = np.bincount(target.coarse)
+            # at most each class's own pairs plus one chunk's spill per class
+            assert sum(read) <= np.sum(sizes[sizes > 1] * (sizes[sizes > 1] + 2 * sdp.ROW_CHUNK))
+            assert sum(read) < cls.size**2 / 2
+
+
+class TestDomainBits:
+    def test_matches_bit_by_bit_reference(self):
+        rng = np.random.default_rng(25)
+        for n in range(1, 71):
+            values = {0, (1 << n) - 1} | {int(v) for v in rng.integers(0, 1 << min(n, 62), size=5)}
+            values |= {((1 << n) - 1) ^ v for v in list(values)}
+            domain = tuple(BitString(n, v) for v in sorted(values))
+            got = sdp._domain_bits(domain)
+            assert got.dtype == np.uint8
+            np.testing.assert_array_equal(got, domain_bits(domain))
+
+    def test_one_member(self):
+        domain = (BitString.from_str("1011001"),)
+        np.testing.assert_array_equal(sdp._domain_bits(domain), [[1, 0, 1, 1, 0, 0, 1]])
