@@ -1,10 +1,9 @@
 """Time the SDP pipeline build and its feasibility checks at scale.
 
-    python3 scripts/bench_sdp.py [--classes 16:2000,20:10000] [--seed 1]
-                                 [--repeats 3] [--out BENCH_sdp.json]
+    python3 scripts/bench_sdp.py [--out BENCH_sdp.json]
 
-For each random class of ``N`` bits and ``M`` members it times, ``--repeats``
-times over, and records the median of each:
+For each random class of ``N`` bits and ``M`` members in ``CLASSES`` (seed
+``SEED``) it times, ``REPEATS`` times over, and records the median of each:
 
 * the cold build: ``oracle_id_pipeline`` with an empty ordering cache;
 * the stage checks: ``verify_feasible`` on every stage target;
@@ -31,25 +30,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--classes", default="16:2000,20:10000",
-                        help="comma-separated N:M pairs of random classes")
-    parser.add_argument("--seed", type=int, default=1, help="class generator seed")
-    parser.add_argument("--repeats", type=int, default=3, help="timed runs per class")
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sdp.json")
-    args = parser.parse_args(argv)
-    try:
-        args.classes = [tuple(int(v) for v in item.split(":")) for item in args.classes.split(",")]
-    except ValueError:
-        parser.error(f"--classes must be N:M pairs, got {args.classes!r}")
-    if any(len(c) != 2 or c[0] < 1 or c[1] < 1 for c in args.classes):
-        parser.error("--classes must be N:M pairs with N, M >= 1")
-    if args.repeats < 1:
-        parser.error("--repeats must be at least 1")
-    return args
+CLASSES = ((16, 2000), (20, 10_000))  # (N, M) of each random class
+SEED = 1
+REPEATS = 3
 
 
 def measure(n: int, m: int, seed: int, repeats: int) -> dict:
@@ -113,10 +96,12 @@ def machine() -> dict:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sdp.json")
+    args = parser.parse_args(argv)
     results = []
-    for n, m in args.classes:
-        row = measure(n, m, args.seed, args.repeats)
+    for n, m in CLASSES:
+        row = measure(n, m, SEED, REPEATS)
         print(json.dumps(row), flush=True)
         results.append(row)
     report = {"script": "scripts/bench_sdp.py", "machine": machine(), "classes": results}

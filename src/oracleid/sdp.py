@@ -271,8 +271,8 @@ def verify_feasible(A, sol: SdpSolution) -> float:
     its residual is exactly 0.  The rows are then taken class by class,
     each chunk against the columns of the classes it touches, and a class
     of one input is skipped: its only pair ``(x, x)`` is ``0 - 0`` as
-    well.  Otherwise -- a dense target, or labels that do not refine --
-    every chunk reads all columns.
+    well.  Otherwise -- a dense target, labels that do not refine, or a
+    single coarse class such as ``J - I`` -- every chunk reads all columns.
     """
     m = sol.size
     parts = []
@@ -283,7 +283,12 @@ def verify_feasible(A, sol: SdpSolution) -> float:
         if np.shape(A.coarse) != (m,) or np.shape(A.fine) != (m,):
             raise ValueError(f"label target needs {m} labels per side")
         coarse, fine = _codes(A.coarse), _codes(A.fine)
-        local = _refines(fine, coarse) and all(_refines(b, coarse) for b, _, _, _ in parts)
+        # one coarse class leaves no pair to skip: read views of all rows
+        local = (
+            coarse.max(initial=0) > 0
+            and _refines(fine, coarse)
+            and all(_refines(b, coarse) for b, _, _, _ in parts)
+        )
     else:
         dense = np.asarray(A, dtype=float)
         if dense.shape != (m, m):

@@ -5,7 +5,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_sdp.py"
 
@@ -20,30 +19,25 @@ def _load():
 bench_sdp = _load()
 
 
-def test_writes_one_row_per_class(tmp_path, capsys):
+def test_measure_records_every_field():
+    row = bench_sdp.measure(7, 40, 3, 2)
+    assert (row["n"], row["m"], row["seed"]) == (7, 40, 3)
+    assert row["stages"] >= 1 and row["max_cost"] > 0
+    assert row["worst_stage_residual"] < 1e-12 and row["identity_residual"] < 1e-12
+    for key in ("build_s", "stage_checks_s", "identity_check_s"):
+        assert len(row["runs"][key]) == 2 and row[key] > 0
+    assert row["peak_rss_mib"] > 0
+
+
+def test_writes_one_row_per_class(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_sdp, "CLASSES", ((7, 40), (5, 1)))
+    monkeypatch.setattr(bench_sdp, "REPEATS", 1)
     out = tmp_path / "bench.json"
-    argv = ["--classes", "7:40,5:1", "--seed", "3", "--repeats", "2", "--out", str(out)]
-    assert bench_sdp.main(argv) == 0
+    assert bench_sdp.main(["--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert set(report["machine"]) >= {"cpu", "nproc", "python", "numpy", "blas_threads"}
     big, single = report["classes"]
-    assert (big["n"], big["m"], big["seed"]) == (7, 40, 3)
-    assert big["stages"] >= 1 and big["max_cost"] > 0
-    assert big["worst_stage_residual"] < 1e-12 and big["identity_residual"] < 1e-12
-    for key in ("build_s", "stage_checks_s", "identity_check_s"):
-        assert len(big["runs"][key]) == 2 and big[key] > 0
-    assert big["peak_rss_mib"] > 0
+    assert (big["n"], big["m"], big["seed"]) == (7, 40, bench_sdp.SEED)
     # one member: nothing to learn, nothing to check
     assert single["stages"] == 0 and single["worst_stage_residual"] == 0.0
     assert len(capsys.readouterr().out.splitlines()) == 2
-
-
-@pytest.mark.parametrize(
-    "argv", [["--classes", "16"], ["--classes", "16:x"], ["--classes", "0:5"],
-             ["--classes", "16:2000:3"], ["--repeats", "0"]]
-)
-def test_rejects_malformed_arguments(argv, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        bench_sdp.main(argv + ["--out", str(tmp_path / "b.json")])
-    assert exc.value.code == 2
-    assert not (tmp_path / "b.json").exists()

@@ -696,7 +696,8 @@ def _refined(rng, labels, spread):
 
 class TestBlockLocalCheck:
     """The check that proves cross-class pairs zero equals the all-pairs
-    check it replaced (``tests/verify_reference.py``), exactly."""
+    check it replaced (``tests/verify_reference.py``): exactly on integer
+    coordinates, to the last bit of rounding on the pipeline's own."""
 
     def assert_same(self, target, sol):
         got = verify_feasible(target, sol)
@@ -708,10 +709,15 @@ class TestBlockLocalCheck:
         cls = TestPipelineAgainstReference.CLASSES[name]()
         m = cls.size
         pipe = oracle_id_pipeline(cls)
-        for sol, target in zip(pipe.stage_solutions, pipe.stage_targets):
-            assert self.assert_same(target, sol) < 1e-12
         identity = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))
-        assert self.assert_same(identity, pipe.solution) < 1e-12
+        checks = list(zip(pipe.stage_targets, pipe.stage_solutions)) + [(identity, pipe.solution)]
+        for target, sol in checks:
+            # real-valued sums: BLAS may add them in another order per row
+            # arrangement, so agree to a tolerance; the integer tests use ==
+            got = verify_feasible(target, sol)
+            ref = verify_reference.verify_feasible(target, sol)
+            assert abs(got - ref) <= 1e-15
+            assert got < 1e-12 and ref < 1e-12
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_random_refining_labels(self, monkeypatch, chunk):
