@@ -3,8 +3,8 @@
 Identify a hidden N-bit string promised to lie in a known class of M
 strings, using as few oracle queries as possible.  The package implements
 the halving-style identification loops with ideal and simulated-quantum
-search engines, the greedy informative query ordering, feasibility
-verification and composition of query-complexity SDP solutions, and the
+search engines, the greedy informative query ordering, the staged
+query-complexity SDP certificate for identification and its check, and the
 exhaustive / LP-certified / closed-form cost bounds, plus a CLI harness.
 """
 
@@ -13,7 +13,6 @@ from .bitstrings import (
     ConceptClass,
     FunctionTable,
     generate_class,
-    majority_string,
 )
 from .identify import (
     IdealFinder,
@@ -34,7 +33,6 @@ __all__ = [
     "BitString",
     "ConceptClass",
     "FunctionTable",
-    "majority_string",
     "generate_class",
     "Ordering",
     "hegedus_ordering",

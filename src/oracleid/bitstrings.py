@@ -25,7 +25,6 @@ __all__ = [
     "BitString",
     "ConceptClass",
     "FunctionTable",
-    "majority_string",
     "majority_value",
     "generate_class",
 ]
@@ -195,11 +194,6 @@ class FunctionTable:
     def __call__(self, x: BitString) -> Hashable:
         return self.outputs[self.domain.index(x)]
 
-    def preimage(self, label: Hashable) -> tuple[BitString, ...]:
-        return tuple(
-            m for m, out in zip(self.domain.members, self.outputs) if out == label
-        )
-
     @cached_property
     def labels(self) -> tuple[Hashable, ...]:
         return tuple(dict.fromkeys(self.outputs))
@@ -234,22 +228,6 @@ def majority_value(values: Sequence[int], n: int) -> int:
         if 2 * ones >= size:
             out |= 1
     return out
-
-
-def majority_string(strings: Iterable[BitString]) -> BitString:
-    """Bitwise majority of a nonempty set of equal-length strings.
-
-    Bit ``i`` of the result is 1 iff at least half the strings have bit
-    ``i`` equal to 1 (ties go to 1).  The result need not be a member of
-    the input set.
-    """
-    members = list(strings)
-    if not members:
-        raise ValueError("majority of empty set")
-    n = members[0].n
-    if any(m.n != n for m in members):
-        raise ValueError("strings must have uniform length")
-    return BitString(n, majority_value([m.value for m in members], n))
 
 
 _KIND_ALIASES = {

@@ -11,13 +11,14 @@ Subcommands::
     oracleid bounds --grid "N=4,8;M=4,16" [--output FILE]
 
 Per-trace output is JSON lines (one object per run, then a summary object);
-sweeps are CSV.  Every subcommand is deterministic given --seed, which
-falls back to the ORACLEID_SEED environment variable, then to 0.  verify
-and bounds exit nonzero when any check fails; run exits nonzero only on
-hard errors (statistical misidentification by the quantum engine is
-reported in the summary, not an error).  Invalid input (a bad value, an
-unreadable file) ends with one ``oracleid: error:`` line on stderr and exit
-code 2.
+sweeps are CSV.  gen and run are deterministic given --seed, which falls
+back to the ORACLEID_SEED environment variable, then to 0; verify takes
+--seed too and records it in its report's config, and bounds draws nothing
+at random.  verify and bounds exit nonzero when any check fails; run exits
+nonzero only on hard errors (statistical misidentification by the quantum
+engine is reported in the summary, not an error).  Invalid input (a bad
+value, an unreadable file) ends with one ``oracleid: error:`` line on
+stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -323,12 +324,15 @@ def _parse_grid(text: str) -> tuple[list[int], list[int]]:
             key, _, values = part.partition("=")
             key = key.strip().upper()
             parsed = [int(v) for v in values.split(",") if v.strip()]
-            if key == "N":
-                ns = parsed
+            if key == "N":  # a string has at least 1 bit, a class 2 members
+                ns, least = parsed, 1
             elif key == "M":
-                ms = parsed
+                ms, least = parsed, 2
             else:
                 raise ValueError(f"unknown grid axis {key!r}")
+            for v in parsed:
+                if v < least:
+                    raise ValueError(f"grid axis {key} needs values >= {least}, got {v}")
     return ns, ms
 
 
@@ -337,7 +341,7 @@ def cmd_bounds(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be positive, got {args.jobs}")
     ns, ms = _parse_grid(args.grid)
-    cells = [(m, n) for n in ns for m in ms if 2 <= m <= (1 << n)]
+    cells = [(m, n) for n in ns for m in ms if m <= (1 << n)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_report_star, cells))
@@ -409,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help='e.g. "N=4,8;M=4,16" (cells with M > 2^N are skipped)')
     bounds.add_argument("--tolerance", type=float, default=1e-9)
     bounds.add_argument("--jobs", type=int, default=1)
-    bounds.add_argument("--seed", type=int, default=_default_seed())
     bounds.add_argument("--output", "-o", default=None)
     bounds.set_defaults(func=cmd_bounds)
 

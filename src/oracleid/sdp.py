@@ -1,5 +1,6 @@
-"""Feasible solutions of the query-complexity vector program and their
-compositions.
+"""The identification certificate: a feasible solution of the
+query-complexity vector program for ``J - I``, built stage by stage and
+checked.
 
 A solution assigns two vector families ``u[x, j]``, ``v[x, j]`` (one pair
 per input ``x`` and bit position ``j``) to a target matrix ``A`` indexed by
@@ -35,40 +36,29 @@ input an integer block id; each block owns its own ``d`` coordinates, so
 ambient vectors are the parts laid side by side, the blocks of a part in
 increasing id order, but checks and costs never build them: every input
 has ``d`` coordinates per part, however many blocks the part has.  The
-explicit single-output solutions are one part with one block.
+explicit first-disagreement solution is one part with one block.
 
-Three composition operators preserve feasibility:
-
-* ``sum_compose``: solutions for A and B give one for A + B with cost at
-  most ``c_A + c_B`` pointwise (the parts of both, side by side).
-* ``output_conditioned_compose``: per-output-label solutions for the
-  restricted targets ``J - G_e`` give one for ``F - F*G`` (elementwise
-  product) with cost exactly ``c_{f(x)}(x)`` -- each label gets its own
-  blocks, which makes cross-label inner products vanish.
-* ``tensor_compose``: an outer solution whose input bits are realized by
-  inner function instances gives one for the composed function, with cost
-  at most the product of outer and worst inner cost (one dense part).
-
-``oracle_id_pipeline`` chains these to build, from the exact pruning tree
-of the final identification algorithm, a feasible solution for full
-identification (target ``J - I``) whose cost tracks the per-input trace
-cost ``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction factor
-for composing bounded-error stages.  It does not walk the tree itself: the
+``oracle_id_pipeline`` builds, from the exact pruning tree of the final
+identification algorithm, a feasible solution for full identification
+(target ``J - I``) whose cost tracks the per-input trace cost
+``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction factor for
+composing bounded-error stages.  It does not walk the tree itself: the
 stage tables ``f_k`` are the first ``k`` ranks of ``identify_all``'s
 traces.  Stage ``k`` is the output-conditioned composite of one
 first-disagreement solution per ``f_{k-1}`` label shared by two or more
-members (a lone member's target is zero, so it gets zero rows), and the
-pipeline writes that composite directly, one array per stage, instead of
-building the per-label solutions and stitching them.  The solution has one
-part per stage, with one block per output label of the stage before, so it
-stores ``stages * inputs * bits`` numbers per side where the ambient arrays
-hold ``dim`` times that.
+members (a lone member's target is zero, so it gets zero rows), written
+directly as one array; the stages are the parts of one direct sum.  The
+solution has one part per stage, with one block per output label of the
+stage before, so it stores ``stages * inputs * bits`` numbers per side
+where the ambient arrays hold ``dim`` times that.  The general algebra
+this is an instance of -- direct sums, output-conditioned blocks and
+tensor products -- lives with its tests in ``tests/sdp_compose.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,14 +75,8 @@ __all__ = [
     "cost_of",
     "find_first_one_solution",
     "first_disagreement_table",
-    "sum_compose",
-    "output_conditioned_compose",
-    "tensor_compose",
-    "boolean_or_solution",
-    "boolean_and_solution",
     "OracleIdPipeline",
     "oracle_id_pipeline",
-    "oracle_id_solution",
 ]
 
 
@@ -363,6 +347,29 @@ def _full_cube(n: int) -> tuple[BitString, ...]:
     return tuple(BitString(n, v) for v in range(1 << n))
 
 
+def _scan_rows(sigmas: np.ndarray, ranks: np.ndarray, widths: np.ndarray | int) -> np.ndarray:
+    """First-disagreement vectors, one row per input, shape (inputs, bits, 1).
+
+    Row ``i`` is written along its scan order ``sigmas[i]``: the ramp
+    ``t**-0.25`` at ``sigmas[i][t-1]`` for every rank ``t`` before
+    ``ranks[i]`` and the spike ``ranks[i]**0.25`` at the rank itself; rank 0
+    (no disagreement) writes the ramp through ``widths[i]``.  ``sigmas``
+    (inputs, bits) and ``widths`` (inputs,) may be one order and one width
+    shared by every row.
+    """
+    m, n = len(ranks), np.shape(sigmas)[-1]
+    # Python floats: a scalar t**-0.25 gives the same bits
+    ramp = np.array([t**-0.25 for t in range(1, n + 1)])
+    spike = np.array([t**0.25 for t in range(1, n + 1)])
+    ramp_end = np.where(ranks > 0, ranks - 1, widths)
+    scanned = np.where(np.arange(1, n + 1) <= ramp_end[:, None], ramp, 0.0)
+    hit = np.flatnonzero(ranks)
+    scanned[hit, ranks[hit] - 1] = spike[ranks[hit] - 1]
+    u = np.zeros((m, n, 1))
+    u[np.arange(m)[:, None], sigmas, 0] = scanned
+    return u
+
+
 def find_first_one_solution(
     n: int,
     sigma: Sequence[int] | None = None,
@@ -399,14 +406,10 @@ def find_first_one_solution(
         raise ValueError(f"width must lie in [0, {n}]")
     members = tuple(domain) if domain is not None else _full_cube(n)
 
-    u = np.zeros((len(members), n, 1))
-    for idx, x in enumerate(members):
-        f = first_disagreement_rank(x, s, sigma, width)
-        stop = width + 1 if f is None else f
-        for t in range(1, stop):
-            u[idx, sigma[t - 1], 0] = t**-0.25
-        if f is not None:
-            u[idx, sigma[f - 1], 0] = f**0.25
+    ranks = np.array(
+        [first_disagreement_rank(x, s, sigma, width) or 0 for x in members], dtype=np.intp
+    )
+    u = _scan_rows(np.array(sigma, dtype=np.intp), ranks, width)
     return SdpSolution(members, u, u)
 
 
@@ -423,173 +426,6 @@ def first_disagreement_table(
     return FunctionTable(domain, outputs)
 
 
-def sum_compose(a: SdpSolution, b: SdpSolution) -> SdpSolution:
-    """Direct sum: feasible for ``A + B`` with cost at most ``c_A + c_B``."""
-    if a.domain != b.domain:
-        raise ValueError("solutions must share a domain")
-    return SdpSolution.from_parts(a.domain, a.parts + b.parts)
-
-
-def output_conditioned_compose(
-    f: FunctionTable, blocks: Mapping[Hashable, SdpSolution]
-) -> SdpSolution:
-    """Stitch per-output solutions into one for ``F - F*G``.
-
-    ``blocks[e]`` must be a solution on exactly the inputs with
-    ``f(x) == e`` (for the target ``J - G_e``).  Part ``k`` of every label's
-    solution goes into part ``k`` of the result, its block ids shifted past
-    those of the labels before it, so inputs with different labels never
-    share a block and their constraint sums vanish -- exactly where ``F``
-    is zero.  The composite cost at ``x`` equals the cost its own block
-    assigned to it.  A label with one input has target ``J - G_e = 0`` and
-    may be left out: its input gets zero rows of width 1 in the first part,
-    under a block id of its own.
-    """
-    members = f.domain.members
-    pieces = []
-    for e, idx in zip(f.labels, f.groups()):
-        if e in blocks:
-            if blocks[e].domain != tuple(members[i] for i in idx):
-                raise ValueError(f"block for {e!r} is not defined on exactly f^-1({e!r})")
-            pieces.append((idx, blocks[e].parts))
-        elif len(idx) == 1:
-            pieces.append((idx, (None,)))
-        else:
-            raise ValueError(f"missing block for output label {e!r}")
-
-    m, n = len(members), f.domain.n
-    parts = []
-    for k in range(max(len(sub) for _, sub in pieces)):
-        layer = [(idx, sub[k]) for idx, sub in pieces if k < len(sub)]
-        d = max(1 if p is None else p.u.shape[2] for _, p in layer)
-        shared = all(p is None or p.u is p.v for _, p in layer)
-        block = np.zeros(m, dtype=np.intp)
-        u = np.zeros((m, n, d))
-        v = u if shared else np.zeros((m, n, d))
-        next_id = 0
-        for idx, p in layer:
-            if p is None:  # a lone input: its rows stay zero
-                block[idx] = next_id
-                next_id += 1
-                continue
-            width = p.u.shape[2]
-            u[idx, :, :width] = p.u
-            if not shared:
-                v[idx, :, :width] = p.v
-            block[idx] = next_id + p.block
-            next_id += int(p.block.max()) + 1
-        parts.append((block, u, v))
-    return SdpSolution.from_parts(members, parts)
-
-
-def tensor_compose(
-    outer: SdpSolution,
-    inner: Sequence[tuple[SdpSolution, FunctionTable]],
-    *,
-    domain: Sequence[tuple[BitString, ...]] | None = None,
-) -> SdpSolution:
-    """Compose an outer solution with inner instances feeding its bits.
-
-    ``inner[i]`` supplies the solution and 0/1-valued function table of the
-    instance realizing the outer's ``i``-th input bit.  Composite inputs
-    are concatenations of one member per instance; coordinates are tensor
-    products ``u_outer[z, i] (x) u_inner[x_i, j]`` with ``z`` the string of
-    inner outputs, giving per-pair constraint sums
-
-        sum_i <u_f[z,i], v_f[z',i]> * (J - G_i)[x_i, y_i]  =  (J - F)[z, z'],
-
-    i.e. feasibility for the composed function, and cost at most
-    ``c_outer(z) * max_i c_i(x_i)``.
-    """
-    m = outer.n_bits
-    if len(inner) != m:
-        raise ValueError(f"need exactly {m} inner instances")
-    for sol_i, table_i in inner:
-        if set(table_i.outputs) - {0, 1}:
-            raise ValueError("inner outputs must be bits")
-        if sol_i.domain != table_i.domain.members:
-            raise ValueError("inner solution and table must share a domain")
-
-    if domain is None:
-        combos: list[tuple[BitString, ...]] = [()]
-        for sol_i, _ in inner:
-            combos = [c + (x,) for c in combos for x in sol_i.domain]
-            if len(combos) > 4096:
-                raise ValueError("composite domain too large; pass one explicitly")
-    else:
-        combos = [tuple(c) for c in domain]
-
-    widths = [sol_i.n_bits for sol_i, _ in inner]
-    n_total = sum(widths)
-    inner_uv = [(sol_i.u, sol_i.v) for sol_i, _ in inner]
-    d_in = max(iu.shape[2] for iu, _ in inner_uv)
-    outer_u, outer_v = outer.u, outer.v
-    dim = outer_u.shape[2] * d_in
-
-    members = []
-    u = np.zeros((len(combos), n_total, dim))
-    v = np.zeros((len(combos), n_total, dim))
-    for row, combo in enumerate(combos):
-        bits: list[int] = []
-        for (sol_i, table_i), part in zip(inner, combo):
-            bits.append(table_i(part))
-        z = BitString.from_bits(bits)
-        zi = outer.index(z)
-        value = 0
-        offset = 0
-        for i, ((sol_i, _), (iu, iv), part) in enumerate(zip(inner, inner_uv, combo)):
-            value = (value << part.n) | part.value
-            pi = sol_i.index(part)
-            for j in range(sol_i.n_bits):
-                grid_u = np.outer(outer_u[zi, i], iu[pi, j])
-                grid_v = np.outer(outer_v[zi, i], iv[pi, j])
-                u[row, offset + j, :] = _pad_grid(grid_u, d_in)
-                v[row, offset + j, :] = _pad_grid(grid_v, d_in)
-            offset += sol_i.n_bits
-        members.append(BitString(n_total, value))
-    return SdpSolution(tuple(members), u, v)
-
-
-def _pad_grid(grid: np.ndarray, d_in: int) -> np.ndarray:
-    """Flatten an (outer, inner) coordinate grid, inner side zero-padded to
-    the common width so every instance strides identically."""
-    if grid.shape[1] == d_in:
-        return grid.reshape(-1)
-    padded = np.zeros((grid.shape[0], d_in))
-    padded[:, : grid.shape[1]] = grid
-    return padded.reshape(-1)
-
-
-def boolean_or_solution(m: int) -> tuple[SdpSolution, FunctionTable]:
-    """Standard solution for m-bit OR: ramp on the zero string, one spike
-    at the first 1 of everything else; cost sqrt(m) everywhere."""
-    return _constant_string_solution(m, 0)
-
-
-def boolean_and_solution(m: int) -> tuple[SdpSolution, FunctionTable]:
-    """Same construction as OR with the roles of 0 and 1 swapped."""
-    return _constant_string_solution(m, 1)
-
-
-def _constant_string_solution(m: int, b: int) -> tuple[SdpSolution, FunctionTable]:
-    """The all-``b`` string outputs ``b`` and carries the ramp; every other
-    string outputs ``1 - b`` and has one spike at its first bit unequal
-    to ``b``."""
-    cube = ConceptClass.from_values(m, range(1 << m))
-    u = np.zeros((cube.size, m, 1))
-    low, high = m**-0.25, m**0.25
-    outputs = []
-    for idx, x in enumerate(cube.members):
-        first = next((j for j in range(m) if x.bit(j) != b), None)
-        if first is None:
-            u[idx, :, 0] = low
-            outputs.append(b)
-        else:
-            u[idx, first, 0] = high
-            outputs.append(1 - b)
-    return SdpSolution(cube.members, u, u), FunctionTable(cube, tuple(outputs))
-
-
 @dataclass(frozen=True)
 class OracleIdPipeline:
     """Staged feasible solution for identifying a member of a class.
@@ -598,8 +434,8 @@ class OracleIdPipeline:
     ``gram(f_{k-1}) - gram(f_k)`` where ``f_k`` maps each member to its
     first ``k`` disagreement ranks (0-padded once identification finished);
     ``stage_targets[k-1]`` holds it as the label codes of the two tables.
-    The chained solution is feasible for ``J - I`` since the full rank
-    sequence pins the member down.
+    The solution, the stages side by side, is feasible for ``J - I`` since
+    the full rank sequence pins the member down.
     """
 
     concept_class: ConceptClass
@@ -613,15 +449,14 @@ class OracleIdPipeline:
 def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
     """The staged feasible solution for identifying a member of the class.
 
-    Stage ``k`` is written in one pass, as the one part that
-    ``output_conditioned_compose`` would make of one
+    Stage ``k`` is written in one pass, by one ``_scan_rows`` call, as the
+    one part that output-conditioned composition would make of one
     ``find_first_one_solution`` per ``f_{k-1}`` label of two or more
     members: its block ids are ``f_{k-1}.codes``, and member ``x``'s row is
     its first-disagreement vector along its group's greedy order at rank
-    ``traces[x].positions[k-1]`` -- the ramp ``t**-0.25`` before that rank
-    and the spike ``rank**0.25`` at it, the ramp through the group's width
-    when there is no hit, and zeros for a lone member.  The stages are
-    then chained with ``sum_compose``.
+    ``traces[x].positions[k-1]`` -- the ramp through the group's width when
+    there is no hit, and zeros for a lone member (width 0).  The solution
+    is the direct sum of the stage parts.
     """
     n = concept_class.n
     members = concept_class.members
@@ -634,15 +469,9 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
     stages = max(t.iterations for t in traces.values()) if m > 1 else 0
     paths = [traces[x].positions + (0,) * stages for x in members]
     tables = [FunctionTable(concept_class, tuple(p[:k] for p in paths)) for k in range(stages + 1)]
-
-    # Python floats, as find_first_one_solution writes them
-    ramp = np.array([t**-0.25 for t in range(1, n + 1)])
-    spike = np.array([t**0.25 for t in range(1, n + 1)])
-    scan = np.arange(1, n + 1)
     ranks = np.array([p[:stages] for p in paths], dtype=np.intp).reshape(m, stages)
-    rows = np.arange(m)[:, None]
 
-    stage_solutions: list[SdpSolution] = []
+    stage_parts = []
     stage_targets: list[LabelTarget] = []
     for k, (f_prev, f_next) in enumerate(zip(tables, tables[1:])):
         groups = f_prev.groups()
@@ -653,20 +482,13 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
                 sigma, _, _, width = _greedy(n, tuple(values[i] for i in idx.tolist()))
                 sigmas[code], widths[code] = sigma, width
         codes = f_prev.codes
-        rank = ranks[:, k]
-        ramp_end = np.where(rank > 0, rank - 1, widths[codes])
-        scanned = np.where(scan <= ramp_end[:, None], ramp, 0.0)
-        hit = np.flatnonzero(rank)
-        scanned[hit, rank[hit] - 1] = spike[rank[hit] - 1]
-        u = np.zeros((m, n, 1))
-        u[rows, sigmas[codes], 0] = scanned
-        stage_solutions.append(SdpSolution.from_parts(members, [(codes, u, u)]))
+        u = _scan_rows(sigmas[codes], ranks[:, k], widths[codes])
+        stage_parts.append((codes, u, u))
         stage_targets.append(LabelTarget(codes, f_next.codes))
+    stage_solutions = tuple(SdpSolution.from_parts(members, [part]) for part in stage_parts)
 
-    if stage_solutions:
-        combined = stage_solutions[0]
-        for sol in stage_solutions[1:]:
-            combined = sum_compose(combined, sol)
+    if stage_parts:
+        combined = SdpSolution.from_parts(members, stage_parts)
     else:  # singleton class: nothing to learn
         zero = np.zeros((m, n, 1))
         combined = SdpSolution(members, zero, zero)
@@ -674,14 +496,8 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
     return OracleIdPipeline(
         concept_class=concept_class,
         stage_tables=tuple(tables),
-        stage_solutions=tuple(stage_solutions),
+        stage_solutions=stage_solutions,
         stage_targets=tuple(stage_targets),
         solution=combined,
         cost=cost_of(combined),
     )
-
-
-def oracle_id_solution(concept_class: ConceptClass) -> tuple[SdpSolution, CostFunction]:
-    """Feasible solution for ``J - I`` over the class, with its cost."""
-    pipe = oracle_id_pipeline(concept_class)
-    return pipe.solution, pipe.cost

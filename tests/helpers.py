@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Hashable, Iterable
+
 import numpy as np
 
-from oracleid.bitstrings import BitString, ConceptClass
+from oracleid.bitstrings import BitString, ConceptClass, FunctionTable, majority_value
 
 
 def random_class(rng: np.random.Generator, n: int, size: int) -> ConceptClass:
@@ -17,3 +19,26 @@ def subsets_of_cube(n: int):
     base = [BitString(n, v) for v in range(1 << n)]
     for mask in range(1, 1 << len(base)):
         yield [base[i] for i in range(len(base)) if (mask >> i) & 1]
+
+
+def majority_string(strings: Iterable[BitString]) -> BitString:
+    """Bitwise majority of a nonempty set of equal-length strings.
+
+    Bit ``i`` of the result is 1 iff at least half the strings have bit
+    ``i`` equal to 1 (ties go to 1).  The result need not be a member of
+    the input set.
+    """
+    members = list(strings)
+    if not members:
+        raise ValueError("majority of empty set")
+    n = members[0].n
+    if any(m.n != n for m in members):
+        raise ValueError("strings must have uniform length")
+    return BitString(n, majority_value([m.value for m in members], n))
+
+
+def preimage(f: FunctionTable, label: Hashable) -> tuple[BitString, ...]:
+    """The members ``f`` maps to ``label``, in domain order."""
+    return tuple(
+        m for m, out in zip(f.domain.members, f.outputs) if out == label
+    )

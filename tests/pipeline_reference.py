@@ -4,8 +4,12 @@ the pruning tree.
 ``oracle_id_pipeline`` below is the level-by-level construction that
 ``oracleid.sdp.oracle_id_pipeline`` replaced: it rebuilds the pruning tree
 from the greedy's elimination sets instead of reading ``identify_all``, and
-gives every lone member an explicit zero block at every stage.  The
-differential tests hold the runtime pipeline to it exactly.
+gives every lone member an explicit zero block at every stage.  Its blocks
+come from ``find_first_one_solution`` below, the member-by-member writer
+that the runtime's vectorised ``_scan_rows`` replaced, and are stitched
+with the composition operators of ``sdp_compose``.  The differential tests
+hold the runtime pipeline and the runtime first-disagreement solution to
+it exactly.
 """
 
 from __future__ import annotations
@@ -13,16 +17,27 @@ from __future__ import annotations
 import numpy as np
 
 from oracleid.bitstrings import BitString, ConceptClass, FunctionTable
-from oracleid.ordering import _greedy
-from oracleid.sdp import (
-    LabelTarget,
-    OracleIdPipeline,
-    SdpSolution,
-    cost_of,
-    find_first_one_solution,
-    output_conditioned_compose,
-    sum_compose,
-)
+from oracleid.ordering import _greedy, first_disagreement_rank
+from oracleid.sdp import LabelTarget, OracleIdPipeline, SdpSolution, cost_of
+from sdp_compose import output_conditioned_compose, sum_compose
+
+
+def find_first_one_solution(
+    n: int, sigma, s: BitString, *, domain, width: int
+) -> SdpSolution:
+    """The first-disagreement solution on ``domain``, one member at a time:
+    the ramp ``t**-0.25`` along ``sigma`` before the member's rank, the
+    spike ``rank**0.25`` at it, the ramp through ``width`` without a hit."""
+    members = tuple(domain)
+    u = np.zeros((len(members), n, 1))
+    for idx, x in enumerate(members):
+        f = first_disagreement_rank(x, s, sigma, width)
+        stop = width + 1 if f is None else f
+        for t in range(1, stop):
+            u[idx, sigma[t - 1], 0] = t**-0.25
+        if f is not None:
+            u[idx, sigma[f - 1], 0] = f**0.25
+    return SdpSolution(members, u, u)
 
 
 def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:

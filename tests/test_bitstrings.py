@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import subsets_of_cube
+from helpers import majority_string, preimage, subsets_of_cube
 from partition_reference import filter_by_disagreement
 from oracleid.bitstrings import (
     BitString,
     ConceptClass,
     FunctionTable,
     generate_class,
-    majority_string,
 )
 
 
@@ -175,7 +174,7 @@ class TestGram:
         groups = f.groups()
         assert len(groups) == len(f.labels)
         for label, idx in zip(f.labels, groups):
-            assert tuple(cls.members[i] for i in idx) == f.preimage(label)
+            assert tuple(cls.members[i] for i in idx) == preimage(f, label)
 
 
 class TestGenerateClass:

@@ -172,6 +172,11 @@ class TestInputErrors:
         ("bounds", "--grid", "N=4;M=4", "--jobs", "0"),
         ("bounds", "--grid", "N=4;M=4", "--jobs", "-3"),
         ("bounds", "--grid", "N=4;M=4", "--tolerance", "-1"),
+        # grid values below the smallest class: N >= 1 bits, M >= 2 members
+        ("bounds", "--grid", "N=0;M=4"),
+        ("bounds", "--grid", "N=4;M=1"),
+        ("bounds", "--grid", "N=4;M=-3"),
+        ("bounds", "--grid", "N=-1;M=4"),
     ])
     def test_one_line_and_exit_code_2(self, tmp_path, capsys, argv):
         cf = tmp_path / "c.json"

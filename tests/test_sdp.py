@@ -8,7 +8,14 @@ import pytest
 from dense_sdp import dense_cost, dense_gram, dense_sums, dense_verify, domain_bits
 import pipeline_reference
 import verify_reference
-from helpers import random_class
+from helpers import preimage, random_class
+from sdp_compose import (
+    boolean_and_solution,
+    boolean_or_solution,
+    output_conditioned_compose,
+    sum_compose,
+    tensor_compose,
+)
 from oracleid import sdp
 from oracleid.bitstrings import (
     BitString,
@@ -21,16 +28,10 @@ from oracleid.ordering import clear_ordering_cache
 from oracleid.sdp import (
     LabelTarget,
     SdpSolution,
-    boolean_and_solution,
-    boolean_or_solution,
     cost_of,
     find_first_one_solution,
     first_disagreement_table,
     oracle_id_pipeline,
-    oracle_id_solution,
-    output_conditioned_compose,
-    sum_compose,
-    tensor_compose,
     verify_feasible,
 )
 
@@ -158,6 +159,27 @@ class TestFirstOneSolution:
         target = rank_target(3, sigma, s, width=2, domain=cls.members)
         assert verify_feasible(target, sol) < 1e-12
 
+    def test_same_bytes_as_the_member_by_member_writer(self):
+        rng = np.random.default_rng(9)
+
+        def assert_same(n, sigma, s, width, domain):
+            got = find_first_one_solution(n, sigma, s, domain=domain, width=width)
+            want = pipeline_reference.find_first_one_solution(
+                n, sigma, s, domain=domain, width=width
+            )
+            assert got.parts[0].u.tobytes() == want.parts[0].u.tobytes()
+
+        for n in range(1, 9):
+            cube = tuple(BitString(n, v) for v in range(1 << n))
+            for width in sorted({0, n, *(int(w) for w in rng.integers(0, n + 1, size=3))}):
+                sigma = tuple(int(v) for v in rng.permutation(n))
+                s = BitString(n, int(rng.integers(0, 1 << n)))
+                assert_same(n, sigma, s, width, cube)
+                # restricted domains, down to one member
+                for size in (1, 2, max(1, len(cube) // 3)):
+                    pick = rng.choice(len(cube), size=size, replace=False)
+                    assert_same(n, sigma, s, width, tuple(cube[i] for i in sorted(pick)))
+
 
 class TestSumCompose:
     def test_zero_padding_keeps_cost(self):
@@ -217,7 +239,7 @@ class TestOutputConditionedCompose:
         cls = generate_class("cube", 2)
         f = FunctionTable(cls, (0, 0, 1, 1))  # split on the first bit
         blocks = {
-            label: find_first_one_solution(2, domain=f.preimage(label))
+            label: find_first_one_solution(2, domain=preimage(f, label))
             for label in (0, 1)
         }
         composed = output_conditioned_compose(f, blocks)
@@ -237,7 +259,7 @@ class TestOutputConditionedCompose:
         table = first_disagreement_table(cls, order, s, 2)
         blocks = {}
         for label in table.labels:
-            members = table.preimage(label)
+            members = preimage(table, label)
             blocks[label] = find_first_one_solution(3, domain=members)
         composed = output_conditioned_compose(table, blocks)
         for x in cls.members:
@@ -247,17 +269,17 @@ class TestOutputConditionedCompose:
     def test_lone_labels_may_be_left_out(self):
         cls = generate_class("random", 6, size=30, seed=8)
         f = FunctionTable(cls, tuple(int(v) % 11 for v in cls.values))
-        assert any(len(f.preimage(e)) == 1 for e in f.labels)
-        assert any(len(f.preimage(e)) > 1 for e in f.labels)
+        assert any(len(preimage(f, e)) == 1 for e in f.labels)
+        assert any(len(preimage(f, e)) > 1 for e in f.labels)
         blocks = {
-            e: find_first_one_solution(6, domain=f.preimage(e))
-            for e in f.labels if len(f.preimage(e)) > 1
+            e: find_first_one_solution(6, domain=preimage(f, e))
+            for e in f.labels if len(preimage(f, e)) > 1
         }
         zero = np.zeros((1, 6, 1))
         explicit = dict(blocks)
         explicit.update({
-            e: SdpSolution(f.preimage(e), zero, zero)
-            for e in f.labels if len(f.preimage(e)) == 1
+            e: SdpSolution(preimage(f, e), zero, zero)
+            for e in f.labels if len(preimage(f, e)) == 1
         })
         left_out = output_conditioned_compose(f, blocks)
         given = output_conditioned_compose(f, explicit)
@@ -268,7 +290,7 @@ class TestOutputConditionedCompose:
         f = FunctionTable(cls, (0, 0, 1, 1))
         with pytest.raises(ValueError, match="missing block"):
             output_conditioned_compose(
-                f, {0: find_first_one_solution(2, domain=f.preimage(0))}
+                f, {0: find_first_one_solution(2, domain=preimage(f, 0))}
             )
 
 
@@ -350,7 +372,8 @@ class TestOracleIdPipeline:
 
     def test_two_cube(self):
         cls = generate_class("cube", 2)
-        sol, cost = oracle_id_solution(cls)
+        pipe = oracle_id_pipeline(cls)
+        sol, cost = pipe.solution, pipe.cost
         assert verify_feasible(self.identity_target(4), sol) < 1e-10
         assert cost.max_value <= 3 * 2.8284271247461903  # 3 * optimum for (4, 2)
 
@@ -396,7 +419,8 @@ class TestOracleIdPipeline:
 
     def test_singleton_class(self):
         cls = ConceptClass.from_strings(["0101"])
-        sol, cost = oracle_id_solution(cls)
+        pipe = oracle_id_pipeline(cls)
+        sol, cost = pipe.solution, pipe.cost
         assert verify_feasible(np.zeros((1, 1)), sol) == 0.0
         assert cost.max_value == 0.0
 
@@ -455,8 +479,8 @@ class TestPipelineAgainstReference:
             assert np.array_equal(a.coarse, b.coarse) and np.array_equal(a.fine, b.fine)
 
     def test_one_construction_per_stage(self, monkeypatch):
-        # each stage is written as one solution, and one sum_compose per
-        # stage after the first chains them; no block gets a solution
+        # each stage is written as one solution, and one more holds the
+        # stage parts side by side; no block gets a solution
         cls = generate_class("random", 13, size=400, seed=1)
         calls = []
         setup = SdpSolution._setup
@@ -469,7 +493,7 @@ class TestPipelineAgainstReference:
         pipe = oracle_id_pipeline(cls)
         monkeypatch.undo()
         stages = len(pipe.stage_tables) - 1
-        assert len(calls) == 2 * stages - 1 == 15
+        assert len(calls) == stages + 1 == 9
 
     def test_no_reference_cycles(self):
         cls = generate_class("random", 13, size=400, seed=1)
@@ -567,7 +591,7 @@ class TestFactoredAgainstDense:
             f = FunctionTable(cls, tuple(int(e) for e in rng.integers(0, 5, size=40)))
             blocks = {}
             for label in f.labels:
-                members = f.preimage(label)
+                members = preimage(f, label)
                 # labels differ in part count and part width
                 parts = _random_parts(rng, len(members), 6, int(rng.integers(1, 4)))
                 blocks[label] = SdpSolution.from_parts(members, parts)
@@ -582,7 +606,7 @@ class TestFactoredAgainstDense:
         f = FunctionTable(cls, tuple(int(e) for e in rng.integers(0, 3, size=20)))
         blocks = {
             label: SdpSolution.from_parts(
-                f.preimage(label), _random_parts(rng, len(f.preimage(label)), 5, 2)
+                preimage(f, label), _random_parts(rng, len(preimage(f, label)), 5, 2)
             )
             for label in f.labels
         }
