@@ -207,12 +207,15 @@ class FunctionTable:
         codes.setflags(write=False)
         return codes
 
-    def groups(self) -> list[np.ndarray]:
-        """Member indices per label, ascending, labels in ``labels`` order."""
-        codes = self.codes
-        order = np.argsort(codes, kind="stable")
-        ends = np.cumsum(np.bincount(codes)).tolist()
-        return [order[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+def bit_matrix(n: int, values: Sequence[int]) -> np.ndarray:
+    """The packed ``n``-bit ``values`` as a (len(values), n) uint8 array of
+    their bits, row ``i`` holding ``values[i]`` MSB-first."""
+    size = (n + 7) // 8
+    pad = 8 * size - n  # left-align each value so its n bits come first
+    raw = b"".join((v << pad).to_bytes(size, "big") for v in values)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), size)
+    return np.unpackbits(packed, axis=1, count=n)
 
 
 def majority_value(values: Sequence[int], n: int) -> int:

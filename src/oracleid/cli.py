@@ -285,18 +285,29 @@ def _verify_lp_suite(n: int, m: int, tolerance: float, checks: list) -> None:
         })
 
 
+# the size options each suite reads, with their defaults; "all" runs the
+# lp suite at N=8, so there --n is the ordering suite's alone
+_VERIFY_SIZES = {"n": 4, "m": 3}
+_SUITE_READS = {"ordering": ("n",), "sdp": (), "lp": ("n", "m"), "all": ("n", "m")}
+
+
 def cmd_verify(args) -> int:
     _check_tolerance(args.tolerance)
+    unread = [f"--{k}" for k in _VERIFY_SIZES
+              if getattr(args, k) is not None and k not in _SUITE_READS[args.suite]]
+    if unread:
+        raise ValueError(f"the {args.suite} suite does not read {' or '.join(unread)}")
+    n = _VERIFY_SIZES["n"] if args.n is None else args.n
+    m = _VERIFY_SIZES["m"] if args.m is None else args.m
     checks: list[dict] = []
     if args.suite in ("ordering", "all"):
-        if not 1 <= args.n <= 4:
+        if not 1 <= n <= 4:
             raise ValueError("the ordering suite is exhaustive and needs 1 <= --n <= 4")
-        _verify_ordering_suite(args.n, args.tolerance, checks)
+        _verify_ordering_suite(n, args.tolerance, checks)
     if args.suite in ("sdp", "all"):
         _verify_sdp_suite(args.class_file, args.tolerance, checks, dump=args.dump)
     if args.suite in ("lp", "all"):
-        _verify_lp_suite(args.n if args.suite == "lp" else 8,
-                         args.m, args.tolerance, checks)
+        _verify_lp_suite(n if args.suite == "lp" else 8, m, args.tolerance, checks)
 
     all_passed = all(c["passed"] for c in checks)
     for c in checks:
@@ -306,7 +317,7 @@ def cmd_verify(args) -> int:
         "suite": args.suite,
         "passed": all_passed,
         "checks": checks,
-        "config": {"n": args.n, "m": args.m, "tolerance": args.tolerance,
+        "config": {"n": n, "m": m, "tolerance": args.tolerance,
                    "class_file": args.class_file, "seed": args.seed},
     }
     if args.output:
@@ -398,8 +409,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("--suite", choices=["ordering", "sdp", "lp", "all"],
                         required=True)
-    verify.add_argument("--n", type=int, default=4)
-    verify.add_argument("--m", type=int, default=3)
+    verify.add_argument("--n", type=int, default=None,
+                        help="string length (ordering, lp; default 4)")
+    verify.add_argument("--m", type=int, default=None,
+                        help="log2 of the class size (lp; default 3)")
     verify.add_argument("--class-file", "--class", dest="class_file", default=None)
     verify.add_argument("--dump", action="store_true",
                         help="include solution vectors in the JSON report")

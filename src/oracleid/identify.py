@@ -23,8 +23,9 @@ disagreement is charged ``sqrt(L)`` where ``L`` is the width it scanned
 (the unconsumed suffix for improved, the ordering width for final; the
 basic step charges ``sqrt(N)`` every iteration since it never shortens its
 scan).  ``raw_queries`` counts actual oracle invocations and is nonzero
-only for the quantum engine.  ``identify_all`` walks the final algorithm's
-pruning tree once, through the same greedy elimination sets.
+only for the quantum engine.  ``identify_all`` reads every member's trace
+off the final algorithm's pruning tree, which ``ordering._tree`` builds
+once per class from the class's bit columns with the same greedy.
 
 Each run builds one ``qsim.EngineContext`` (its generator, query count,
 worst norm drift and per-call error budget) and hands it to every step; the
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import qsim
 from .bitstrings import BitString, ConceptClass, majority_value
-from .ordering import _greedy, first_disagreement_rank
+from .ordering import _greedy, _tree, first_disagreement_rank
 from .qsim import EngineContext
 
 __all__ = [
@@ -298,48 +299,40 @@ def run_final(
 def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
     """Exact final-algorithm traces for every member at once.
 
-    Walks the deterministic pruning tree a single time instead of running
-    each member separately, sharing every ordering computation; the traces
-    are identical to per-member ``run_final`` with the ideal engine.
+    Read off the class's memoized pruning tree (``ordering._tree``) instead
+    of running each member separately: a member's positions are its rank
+    path, and its run ends at the node the path leads to (it is that
+    node's reference, found by one more, unsuccessful search charged
+    ``sqrt(width)``) or as the lone member of a block.  The traces are
+    identical to per-member ``run_final`` with the ideal engine, in the
+    order of a depth-first walk of the tree.
     """
+    n = concept_class.n
+    nodes, paths = _tree(n, concept_class.values)
     traces: dict[BitString, RunTrace] = {}
-    _walk(concept_class.n, concept_class.values, (), 0.0, 0, traces)
+    for value, positions in paths.items():
+        ideal = 0.0
+        for p in positions:
+            ideal += math.sqrt(p)
+        iterations = len(positions)
+        node = nodes.get(positions)
+        if node is not None:  # the node's reference
+            _, _, width = node
+            ideal += math.sqrt(width)
+            iterations += 1
+        xs = BitString(n, value)
+        traces[xs] = RunTrace(
+            x=xs,
+            identified=xs,
+            positions=positions,
+            r=len(positions),
+            ideal_cost=ideal,
+            raw_queries=0,
+            iterations=iterations,
+            norm_drift=0.0,
+            engine=IdealFinder.name,
+        )
     return traces
-
-
-def _walk(n, values, positions, ideal, iterations, traces) -> None:
-    """One pruning-tree node of ``identify_all``: record the members it
-    settles in ``traces`` and recurse into blocks of two or more.
-
-    A module-level function, not a closure over ``traces``: a closure that
-    calls itself is a reference cycle, which would keep every call's
-    traces alive until the cyclic collector runs.
-    """
-    _, s_value, elim, width = _greedy(n, tuple(values))
-    iterations += 1
-    for p, block in enumerate(elim[:width], start=1):
-        if len(block) == 1:
-            _emit(n, block[0], positions + (p,), ideal + math.sqrt(p), iterations, traces)
-        else:
-            _walk(n, block, positions + (p,), ideal + math.sqrt(p), iterations, traces)
-    # after width ranks only s itself is left: one more (unsuccessful)
-    # search charged sqrt(width)
-    _emit(n, s_value, positions, ideal + math.sqrt(width), iterations, traces)
-
-
-def _emit(n, value, positions, ideal, iterations, traces) -> None:
-    xs = BitString(n, value)
-    traces[xs] = RunTrace(
-        x=xs,
-        identified=xs,
-        positions=positions,
-        r=len(positions),
-        ideal_cost=ideal,
-        raw_queries=0,
-        iterations=iterations,
-        norm_drift=0.0,
-        engine=IdealFinder.name,
-    )
 
 
 def classical_identify(

@@ -6,15 +6,26 @@ strings that first disagree with ``s`` at scan rank ``p`` number at most
 ``|S| / max(2, p)``.  A disagreement found at rank ``p`` therefore prunes
 the candidate set by a factor ``max(2, p)`` -- the further the scan has to
 go, the more it learns.
+
+The greedy counts on bit columns: a set's members are the bits of an
+index mask, column ``j`` is the mask of the members with bit ``j`` set,
+and a count is ``(column & survivors).bit_count()``.  One greedy,
+``_greedy_masks``, serves two memos.  ``_greedy`` orders one candidate set
+(the final algorithm's step and ``hegedus_ordering``); ``_tree`` builds the
+final algorithm's whole pruning tree over a class from the class's own
+columns, each node on a sub-mask of the root, and is what
+``identify.identify_all`` and ``sdp.oracle_id_pipeline`` read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .bitstrings import BitString, ConceptClass
+import numpy as np
+
+from .bitstrings import BitString, ConceptClass, bit_matrix
 
 __all__ = [
     "Ordering",
@@ -55,62 +66,136 @@ class Ordering:
         }
 
 
-@lru_cache(maxsize=1 << 17)
-def _greedy(n: int, values: tuple[int, ...]):
-    """Greedy scan order on packed ints.
+def _columns(n: int, values: Sequence[int]) -> list[int]:
+    """The bit columns of ``values`` as ``n`` ints: bit ``i`` of column ``j``
+    is bit ``j`` (MSB-first) of ``values[i]``."""
+    bits = np.packbits(bit_matrix(n, values).T, axis=1, bitorder="little")
+    raw, w = bits.tobytes(), bits.shape[1]
+    return [int.from_bytes(raw[j * w : (j + 1) * w], "little") for j in range(n)]
 
-    Returns ``(sigma, s_value, elim_values, width)`` where ``elim_values[p-1]``
-    holds the members first disagreeing with ``s`` at rank ``p``.
+
+def _greedy_masks(n: int, cols: Sequence[int], cur: int):
+    """The greedy scan order of the members in the index mask ``cur``.
+
+    Member ``i`` is bit ``i`` of every mask, and ``cols`` are the bit
+    columns (``_columns``) of the class it indexes.  Returns ``(sigma,
+    s_value, elim, width)`` where ``elim[p-1]`` is the mask of the members
+    first disagreeing with ``s`` at rank ``p``.
 
     At each step the next scan position is the still-unused bit with the
-    largest number of strings disagreeing with the current survivors'
-    majority (ties to the lowest bit index), and ``s`` copies the majority
-    bit there.  Survivors are then restricted to the strings agreeing with
+    largest number of survivors disagreeing with the survivors' majority
+    (ties to the lowest bit index), and ``s`` copies the majority bit
+    there.  Survivors are then restricted to the members agreeing with
     ``s`` at that bit.  Once a single survivor remains all later ranks are
     filled in increasing index order with the survivor's own bits.
     """
-    current = list(values)
-    size0 = len(current)
+    total = cur.bit_count()
     unused = list(range(n))
     sigma: list[int] = []
     s_value = 0
-    elim: list[tuple[int, ...]] = []
-    width = 0 if size0 <= 1 else None
+    elim: list[int] = []
+    width = 0 if total <= 1 else None
 
     for step in range(n):
-        if len(current) == 1:
+        if total == 1:
             break
-        total = len(current)
+        half = total // 2  # no bit splits the survivors more evenly
         best_j = -1
         best_count = -1
         best_ones = 0
         for j in unused:
-            mask = 1 << (n - 1 - j)
-            ones = sum(1 for v in current if v & mask)
+            ones = (cols[j] & cur).bit_count()
             count = min(ones, total - ones)
             if count > best_count:
                 best_j, best_count, best_ones = j, count, ones
-        maj_bit = 1 if 2 * best_ones >= total else 0
+                if count == half:
+                    break
         sigma.append(best_j)
         unused.remove(best_j)
-        s_value |= maj_bit << (n - 1 - best_j)
-
-        mask = 1 << (n - 1 - best_j)
-        keep, drop = [], []
-        for v in current:
-            (keep if ((v & mask) != 0) == bool(maj_bit) else drop).append(v)
-        elim.append(tuple(drop))
-        current = keep
-        if width is None and len(current) <= 1:
+        if 2 * best_ones >= total:
+            s_value |= 1 << (n - 1 - best_j)
+            keep, total = cur & cols[best_j], best_ones
+        else:
+            keep, total = cur & ~cols[best_j], total - best_ones
+        elim.append(cur ^ keep)
+        cur = keep
+        if width is None and total <= 1:
             width = step + 1
 
     if len(sigma) < n:  # one survivor left: the loop would take its bits in index order
-        (survivor,) = current
         for j in unused:
             sigma.append(j)
-            s_value |= survivor & (1 << (n - 1 - j))
-            elim.append(())
+            if cols[j] & cur:
+                s_value |= 1 << (n - 1 - j)
+            elim.append(0)
     return tuple(sigma), s_value, tuple(elim), width if width is not None else n
+
+
+def _select(values: Sequence[int], mask: int) -> tuple[int, ...]:
+    """The ``values[i]`` for the set bits ``i`` of ``mask``, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(values[low.bit_length() - 1])
+        mask ^= low
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 17)
+def _greedy(n: int, values: tuple[int, ...]):
+    """Greedy scan order on packed ints: ``_greedy_masks`` over all of
+    ``values``.
+
+    Returns ``(sigma, s_value, elim_values, width)`` where ``elim_values[p-1]``
+    holds the members first disagreeing with ``s`` at rank ``p``, in the
+    order of ``values``.
+    """
+    sigma, s_value, elim, width = _greedy_masks(n, _columns(n, values), (1 << len(values)) - 1)
+    # the ranks past the width, most of sigma on small sets, hold no one
+    blocks = tuple(_select(values, mask) if mask else () for mask in elim)
+    return sigma, s_value, blocks, width
+
+
+class _Tree(NamedTuple):
+    """The final algorithm's pruning tree over a whole class.
+
+    nodes: per node, keyed by its rank path (the ranks of the hits that
+       lead to it, ``()`` for the root), the greedy's ``(sigma, s_value,
+       width)`` on its members.
+    paths: per member value, its rank path, in the order a depth-first
+       walk settles the members: a node's lone-member blocks and subtrees
+       by rank, then its reference, whose path is the node's own.
+    """
+
+    nodes: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]]
+    paths: dict[int, tuple[int, ...]]
+
+
+@lru_cache(maxsize=16)
+def _tree(n: int, values: tuple[int, ...]) -> _Tree:
+    """The pruning tree of the class ``values``, from its bit columns, built
+    once: every node runs ``_greedy_masks`` on a sub-mask of the root."""
+    nodes: dict = {}
+    paths: dict = {}
+    _grow(n, _columns(n, values), values, (1 << len(values)) - 1, (), nodes, paths)
+    return _Tree(nodes, paths)
+
+
+def _grow(n, cols, values, cur, path, nodes, paths) -> None:
+    """Add the node of the members in ``cur``, at ``path``, and its subtree.
+
+    A module-level function, not a closure over ``nodes``: a closure that
+    calls itself is a reference cycle.
+    """
+    sigma, s_value, elim, width = _greedy_masks(n, cols, cur)
+    nodes[path] = (sigma, s_value, width)
+    for p, block in enumerate(elim[:width], start=1):
+        if block & (block - 1):  # two or more members
+            _grow(n, cols, values, block, path + (p,), nodes, paths)
+        else:
+            paths[values[block.bit_length() - 1]] = path + (p,)
+    # after width ranks only s itself is left
+    paths[s_value] = path
 
 
 def _as_values(strings: Iterable[BitString] | ConceptClass) -> tuple[int, tuple[int, ...]]:
@@ -177,5 +262,7 @@ def first_disagreement_rank(
 
 
 def clear_ordering_cache() -> None:
-    """Drop memoized greedy results (useful between large sweeps)."""
+    """Drop both memos: ``_greedy``'s scan orders and ``_tree``'s pruning
+    trees (useful between large sweeps, and to time a cold build)."""
     _greedy.cache_clear()
+    _tree.cache_clear()

@@ -42,9 +42,11 @@ explicit first-disagreement solution is one part with one block.
 identification algorithm, a feasible solution for full identification
 (target ``J - I``) whose cost tracks the per-input trace cost
 ``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction factor for
-composing bounded-error stages.  It does not walk the tree itself: the
-stage tables ``f_k`` are the first ``k`` ranks of ``identify_all``'s
-traces.  Stage ``k`` is the output-conditioned composite of one
+composing bounded-error stages.  It does not walk the tree itself: it
+reads the class's memoized pruning tree (``ordering._tree``, the one
+``identify_all`` reads), whose member rank paths give the stage tables
+``f_k`` (the first ``k`` ranks) and whose nodes give each block's greedy
+order and width.  Stage ``k`` is the output-conditioned composite of one
 first-disagreement solution per ``f_{k-1}`` label shared by two or more
 members (a lone member's target is zero, so it gets zero rows), written
 directly as one array; the stages are the parts of one direct sum.  The
@@ -62,9 +64,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bitstrings import BitString, ConceptClass, FunctionTable
-from .identify import identify_all
-from .ordering import _greedy, first_disagreement_rank
+from .bitstrings import BitString, ConceptClass, FunctionTable, bit_matrix
+from .ordering import _tree, first_disagreement_rank
 
 __all__ = [
     "SdpPart",
@@ -216,12 +217,7 @@ ROW_CHUNK = 64
 
 
 def _domain_bits(domain: Sequence[BitString]) -> np.ndarray:
-    n = domain[0].n
-    size = (n + 7) // 8
-    pad = 8 * size - n  # left-align each value so its n bits come first
-    raw = b"".join((x.value << pad).to_bytes(size, "big") for x in domain)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(domain), size)
-    return np.unpackbits(packed, axis=1, count=n)
+    return bit_matrix(domain[0].n, [x.value for x in domain])
 
 
 def _codes(labels) -> np.ndarray:
@@ -453,34 +449,37 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
     one part that output-conditioned composition would make of one
     ``find_first_one_solution`` per ``f_{k-1}`` label of two or more
     members: its block ids are ``f_{k-1}.codes``, and member ``x``'s row is
-    its first-disagreement vector along its group's greedy order at rank
-    ``traces[x].positions[k-1]`` -- the ramp through the group's width when
-    there is no hit, and zeros for a lone member (width 0).  The solution
-    is the direct sum of the stage parts.
+    its first-disagreement vector along its group's greedy order at the
+    ``k``-th rank of its path in the pruning tree -- the ramp through the
+    group's width when there is no hit, and zeros for a lone member (width
+    0).  A group of two or more members is one tree node, its label the
+    node's rank path, which holds that order and width.  The solution is
+    the direct sum of the stage parts.
     """
     n = concept_class.n
     members = concept_class.members
-    values = concept_class.values
     m = concept_class.size
 
-    # f_k(x) is the first k ranks of x's trace, 0-padded: a lone member, or
-    # the reference of its block, finds no disagreement
-    traces = identify_all(concept_class)
-    stages = max(t.iterations for t in traces.values()) if m > 1 else 0
-    paths = [traces[x].positions + (0,) * stages for x in members]
+    # f_k(x) is the first k ranks of x's rank path, 0-padded: a lone member,
+    # or the reference of its block, finds no disagreement
+    nodes, tree_paths = _tree(n, concept_class.values)
+    stages = 1 + max(map(len, nodes)) if m > 1 else 0
+    paths = [tree_paths[x.value] + (0,) * stages for x in members]
     tables = [FunctionTable(concept_class, tuple(p[:k] for p in paths)) for k in range(stages + 1)]
     ranks = np.array([p[:stages] for p in paths], dtype=np.intp).reshape(m, stages)
 
     stage_parts = []
     stage_targets: list[LabelTarget] = []
     for k, (f_prev, f_next) in enumerate(zip(tables, tables[1:])):
-        groups = f_prev.groups()
-        sigmas = np.tile(np.arange(n), (len(groups), 1))
-        widths = np.zeros(len(groups), dtype=np.intp)  # a lone member: no ramp
-        for code, idx in enumerate(groups):
-            if len(idx) > 1:
-                sigma, _, _, width = _greedy(n, tuple(values[i] for i in idx.tolist()))
-                sigmas[code], widths[code] = sigma, width
+        # a label of two or more members is the rank path of their tree
+        # node; a lone member's label is no node, and it gets no ramp
+        labels = f_prev.labels
+        sigmas = np.tile(np.arange(n), (len(labels), 1))
+        widths = np.zeros(len(labels), dtype=np.intp)
+        for code, label in enumerate(labels):
+            node = nodes.get(label)
+            if node is not None:
+                sigmas[code], _, widths[code] = node
         codes = f_prev.codes
         u = _scan_rows(sigmas[codes], ranks[:, k], widths[codes])
         stage_parts.append((codes, u, u))

@@ -42,3 +42,12 @@ def preimage(f: FunctionTable, label: Hashable) -> tuple[BitString, ...]:
     return tuple(
         m for m, out in zip(f.domain.members, f.outputs) if out == label
     )
+
+
+def groups(f: FunctionTable) -> list[np.ndarray]:
+    """Member indices per label of ``f``, ascending, labels in ``f.labels``
+    order."""
+    codes = f.codes
+    order = np.argsort(codes, kind="stable")
+    ends = np.cumsum(np.bincount(codes)).tolist()
+    return [order[lo:hi] for lo, hi in zip([0] + ends, ends)]

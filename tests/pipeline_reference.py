@@ -3,8 +3,9 @@ the pruning tree.
 
 ``oracle_id_pipeline`` below is the level-by-level construction that
 ``oracleid.sdp.oracle_id_pipeline`` replaced: it rebuilds the pruning tree
-from the greedy's elimination sets instead of reading ``identify_all``, and
-gives every lone member an explicit zero block at every stage.  Its blocks
+from the elimination sets of the reference greedy (``greedy_reference``)
+instead of reading the runtime's memoized tree, and gives every lone
+member an explicit zero block at every stage.  Its blocks
 come from ``find_first_one_solution`` below, the member-by-member writer
 that the runtime's vectorised ``_scan_rows`` replaced, and are stitched
 with the composition operators of ``sdp_compose``.  The differential tests
@@ -16,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from greedy_reference import _greedy
 from oracleid.bitstrings import BitString, ConceptClass, FunctionTable
-from oracleid.ordering import _greedy, first_disagreement_rank
+from oracleid.ordering import first_disagreement_rank
 from oracleid.sdp import LabelTarget, OracleIdPipeline, SdpSolution, cost_of
 from sdp_compose import output_conditioned_compose, sum_compose
 

@@ -27,6 +27,7 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
+from helpers import groups
 from oracleid.bitstrings import BitString, ConceptClass, FunctionTable
 from oracleid.sdp import SdpSolution
 
@@ -55,7 +56,7 @@ def output_conditioned_compose(
     """
     members = f.domain.members
     pieces = []
-    for e, idx in zip(f.labels, f.groups()):
+    for e, idx in zip(f.labels, groups(f)):
         if e in blocks:
             if blocks[e].domain != tuple(members[i] for i in idx):
                 raise ValueError(f"block for {e!r} is not defined on exactly f^-1({e!r})")

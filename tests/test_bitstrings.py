@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import helpers
 from helpers import majority_string, preimage, subsets_of_cube
 from partition_reference import filter_by_disagreement
 from oracleid.bitstrings import (
@@ -171,7 +172,7 @@ class TestGram:
         rng = np.random.default_rng(13)
         cls = generate_class("random", 6, size=40, seed=5)
         f = FunctionTable(cls, tuple(int(v) for v in rng.integers(0, 7, size=40)))
-        groups = f.groups()
+        groups = helpers.groups(f)
         assert len(groups) == len(f.labels)
         for label, idx in zip(f.labels, groups):
             assert tuple(cls.members[i] for i in idx) == preimage(f, label)

@@ -163,6 +163,10 @@ class TestInputErrors:
         ("verify", "--suite", "ordering", "--n", "0"),
         ("verify", "--suite", "all", "--n", "5"),
         ("verify", "--suite", "sdp", "--class-file", "{missing}"),
+        # size options a suite does not read are refused, not echoed
+        ("verify", "--suite", "sdp", "--n", "0", "--m", "1"),
+        ("verify", "--suite", "sdp", "--m", "3"),
+        ("verify", "--suite", "ordering", "--m", "3"),
         ("bounds", "--grid", "N=30;M=64"),
         ("bounds", "--grid", "N=a"),
         ("bounds", "--grid", "N=4;K=4"),

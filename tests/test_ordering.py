@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import greedy_reference
 from helpers import random_class, subsets_of_cube
 from partition_reference import filter_by_disagreement
 from oracleid.bitstrings import BitString, ConceptClass, generate_class
 from oracleid.ordering import (
     Ordering,
+    _columns,
     _greedy,
+    _tree,
+    clear_ordering_cache,
     first_disagreement_rank,
     hegedus_ordering,
     verify_ordering,
@@ -173,3 +177,90 @@ class TestPartitionAgainstReference:
                     nodes.append(elim[p - 1])
             # past the width only s itself agrees
             assert filter_by_disagreement(members, sigma[:width], s, None, False) == (s,)
+
+
+def _reference_tree(n, values):
+    """Nodes and member paths of the pruning tree, walked with the
+    reference greedy in the order ``identify_all`` settles members."""
+    nodes, paths = {}, {}
+
+    def grow(vals, path):
+        sigma, s_value, elim, width = greedy_reference._greedy(n, tuple(vals))
+        nodes[path] = (sigma, s_value, width)
+        for p, block in enumerate(elim[:width], start=1):
+            if len(block) == 1:
+                paths[block[0]] = path + (p,)
+            else:
+                grow(block, path + (p,))
+        paths[s_value] = path
+
+    grow(values, ())
+    return nodes, paths
+
+
+def _differential_classes():
+    rng = np.random.default_rng(41)
+    out = {}
+    for n in (1, 2, 3, 5, 8, 13, 20):
+        for size in (1, 2, 3, 17, 60):
+            if size <= 1 << n:
+                out[f"random-{n}-{size}"] = random_class(rng, n, size)
+    # ties everywhere: every bit splits the cube evenly
+    out["cube-4"] = generate_class("cube", 4)
+    out["prefix-9-3"] = generate_class("prefix", 9, free_bits=3)
+    for n in (2, 7, 33, 128):
+        out[f"hamming1-{n}"] = generate_class("hamming1", n)
+    out["hamming-12-2"] = generate_class("hamming", 12, k=2)
+    out["hamming-pair-9-3"] = generate_class("hamming-pair", 9, k=3)
+    # more than 64 bits, and bit counts that are no multiple of 8
+    out["random-70-40"] = generate_class("random", 70, size=40, seed=3)
+    out["random-131-25"] = generate_class("random", 131, size=25, seed=4)
+    out["random-13-300"] = generate_class("random", 13, size=300, seed=5)
+    return out
+
+
+DIFFERENTIAL = _differential_classes()
+
+
+class TestGreedyAgainstReference:
+    """The bit-column greedy and the pruning tree agree exactly with the
+    value-tuple greedy they replaced, tie-breaks and block order included."""
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+    def test_greedy_matches(self, name):
+        cls = DIFFERENTIAL[name]
+        values = cls.values
+        shuffled = tuple(np.random.default_rng(len(values)).permutation(values).tolist())
+        for vals in (values, shuffled, values[: len(values) // 2 + 1]):
+            assert _greedy(cls.n, vals) == greedy_reference._greedy(cls.n, vals)
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+    def test_tree_matches(self, name):
+        cls = DIFFERENTIAL[name]
+        clear_ordering_cache()
+        nodes, paths = _tree(cls.n, cls.values)
+        want_nodes, want_paths = _reference_tree(cls.n, cls.values)
+        assert nodes == want_nodes
+        assert list(paths.items()) == list(want_paths.items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 10), st.integers(1, 40))
+    def test_random_small_classes(self, seed, n, size):
+        cls = random_class(np.random.default_rng(seed), n, min(size, 1 << n))
+        assert _greedy(n, cls.values) == greedy_reference._greedy(n, cls.values)
+        nodes, paths = _tree(n, cls.values)
+        want_nodes, want_paths = _reference_tree(n, cls.values)
+        assert nodes == want_nodes
+        assert list(paths.items()) == list(want_paths.items())
+
+
+class TestColumns:
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 65, 130])
+    def test_bit_i_of_column_j_is_bit_j_of_member_i(self, n):
+        rng = np.random.default_rng(n)
+        values = [int.from_bytes(rng.bytes(-(-n // 8)), "big") >> (-n % 8) for _ in range(37)]
+        cols = _columns(n, values)
+        assert len(cols) == n
+        for j, col in enumerate(cols):
+            for i, v in enumerate(values):
+                assert (col >> i) & 1 == (v >> (n - 1 - j)) & 1
