@@ -15,8 +15,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -136,15 +138,9 @@ class ConceptClass:
         return tuple(m.value for m in self.members)
 
     def index(self, x: BitString) -> int:
-        lo, hi = 0, len(self.members)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.members[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self.members) and self.members[lo] == x:
-            return lo
+        i = bisect_left(self.members, x.value, key=attrgetter("value"))
+        if i < len(self.members) and self.members[i] == x:
+            return i
         raise KeyError(f"{x!r} is not a member")
 
     def __contains__(self, x: BitString) -> bool:
@@ -216,6 +212,14 @@ def bit_matrix(n: int, values: Sequence[int]) -> np.ndarray:
     raw = b"".join((v << pad).to_bytes(size, "big") for v in values)
     packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(values), size)
     return np.unpackbits(packed, axis=1, count=n)
+
+
+def bit_columns(n: int, values: Sequence[int]) -> list[int]:
+    """The bit columns of ``values`` as ``n`` ints: bit ``i`` of column ``j``
+    is bit ``j`` (MSB-first) of ``values[i]``."""
+    bits = np.packbits(bit_matrix(n, values).T, axis=1, bitorder="little")
+    raw, w = bits.tobytes(), bits.shape[1]
+    return [int.from_bytes(raw[j * w : (j + 1) * w], "little") for j in range(n)]
 
 
 def majority_value(values: Sequence[int], n: int) -> int:

@@ -16,13 +16,14 @@ point, giving the chain
 
     brute_force_cost  <=  lp_primal_opt  <=  dual certificate value.
 
-Also here: the threshold-class lower-bound scan, the per-class elimination
-parameter ``gamma_hat`` with its learning bound, and baseline formulas.
-All logarithms are base 2.
+Also here: the threshold-class lower-bound scan and the per-class
+elimination parameter ``gamma_hat`` with its learning bound.  All
+logarithms are base 2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .bitstrings import BitString, ConceptClass
+from .bitstrings import BitString, ConceptClass, bit_columns
 
 __all__ = [
     "brute_force_cost",
@@ -44,8 +45,6 @@ __all__ = [
     "gamma_hat",
     "LearningBound",
     "learning_bound",
-    "Baselines",
-    "baseline_formulas",
     "BoundReport",
     "build_report",
     "CSV_HEADER",
@@ -119,15 +118,16 @@ def lp_problem_data(N: int, m: int):
         maximize    sum_k sqrt(2^k) x_k
         subject to  sum_k 2^k x_k <= 4N,   sum_k k x_k <= 4m,   x >= 0,
 
-    with ``n' = ceil(log2(4N))``.  Returns (objective, rows, rhs).
+    with ``n' = ceil(log2(4N))``.  Returns (objective, rows, rhs): the
+    objective as floats, the rows ``(2^k)_k`` and ``(k)_k`` and the
+    right-hand side ``(4N, 4m)`` as exact ints.
     """
     if N < 1 or m < 1:
         raise ValueError("N and m must be positive")
-    n_prime = math.ceil(math.log2(4 * N))
-    ks = list(range(1, n_prime + 1))
+    ks = range(1, math.ceil(math.log2(4 * N)) + 1)
     objective = [math.sqrt(2.0**k) for k in ks]
-    rows = [[float(2**k) for k in ks], [float(k) for k in ks]]
-    rhs = [4.0 * N, 4.0 * m]
+    rows = [[2**k for k in ks], list(ks)]
+    rhs = [4 * N, 4 * m]
     return objective, rows, rhs
 
 
@@ -137,27 +137,19 @@ def lp_primal_opt(N: int, m: int) -> float:
     Two inequality constraints mean every vertex has at most two positive
     coordinates; the candidate points are solved in exact rationals.
     """
-    if N < 1 or m < 1:
-        raise ValueError("N and m must be positive")
-    n_prime = math.ceil(math.log2(4 * N))
-    big_n = 4 * N
-    big_m = 4 * m
+    objective, (sizes, counts), (big_n, big_m) = lp_problem_data(N, m)
+    variables = list(zip(objective, sizes, counts))
     best = 0.0
-    for k in range(1, n_prime + 1):
-        xk = min(Fraction(big_n, 2**k), Fraction(big_m, k))
-        best = max(best, math.sqrt(2.0**k) * float(xk))
-    for k in range(1, n_prime + 1):
-        for l in range(k + 1, n_prime + 1):
-            det = 2**k * l - 2**l * k
-            if det == 0:
-                continue
-            xk = Fraction(big_n * l - 2**l * big_m, det)
-            xl = Fraction(2**k * big_m - big_n * k, det)
-            if xk >= 0 and xl >= 0:
-                best = max(
-                    best,
-                    math.sqrt(2.0**k) * float(xk) + math.sqrt(2.0**l) * float(xl),
-                )
+    for c, a, k in variables:
+        best = max(best, c * float(min(Fraction(big_n, a), Fraction(big_m, k))))
+    for (ck, ak, k), (cl, al, l) in itertools.combinations(variables, 2):
+        det = ak * l - al * k
+        if det == 0:
+            continue
+        xk = Fraction(big_n * l - al * big_m, det)
+        xl = Fraction(ak * big_m - big_n * k, det)
+        if xk >= 0 and xl >= 0:
+            best = max(best, ck * float(xk) + cl * float(xl))
     return best
 
 
@@ -180,23 +172,20 @@ def check_dual_certificate(N: int, m: int, tol: float = 1e-9) -> DualCertificate
     ``2^k y + k z >= sqrt(2^k)`` for every k up to ``ceil(log2(4N))``.
     Its objective ``4N y + 4m z`` upper-bounds the primal by weak duality.
     """
-    if N < 1 or m < 1:
-        raise ValueError("N and m must be positive")
+    objective, (sizes, counts), (big_n, big_m) = lp_problem_data(N, m)
     if m > N:
         raise ValueError("outside certificate regime (need m <= N so that d >= 1)")
     d = math.log2(2.0 * N / m)
     y = 1.0 / math.sqrt(d * 2.0**d)
     z = math.sqrt(2.0**d / d)
-    n_prime = math.ceil(math.log2(4 * N))
-    slacks = [2.0**k * y + k * z - math.sqrt(2.0**k) for k in range(1, n_prime + 1)]
-    min_slack = min(slacks)
+    min_slack = min(a * y + k * z - c for c, a, k in zip(objective, sizes, counts))
     return DualCertificate(
         y=y,
         z=z,
-        dual_value=4.0 * N * y + 4.0 * m * z,
+        dual_value=big_n * y + big_m * z,
         min_slack=min_slack,
         feasible=min_slack >= -tol,
-        n_prime=n_prime,
+        n_prime=len(objective),
         d=d,
     )
 
@@ -288,16 +277,8 @@ def gamma_hat(
     m = concept_class.size
     if m < 2:
         raise ValueError("need at least two members")
-    n = concept_class.n
-    values = concept_class.values
     # per bit: which member indices have that bit set, as an index bitmask
-    columns = []
-    for j in range(n):
-        mask = 0
-        for i, v in enumerate(values):
-            if (v >> (n - 1 - j)) & 1:
-                mask |= 1 << i
-        columns.append(mask)
+    columns = bit_columns(concept_class.n, concept_class.values)
 
     if subset_samples is None:
         if m > 20:
@@ -350,18 +331,6 @@ def learning_bound(M: int, gamma) -> LearningBound:
         query_bound=math.sqrt(inv / math.log2(inv)) * logm,
         trace_sum_bound=logm / g,
     )
-
-
-@dataclass(frozen=True)
-class Baselines:
-    classical: int  # min(M, N)
-    quantum: float  # sqrt(M)
-
-
-def baseline_formulas(M: int, N: int) -> Baselines:
-    if M < 1 or N < 1:
-        raise ValueError("M and N must be positive")
-    return Baselines(classical=min(M, N), quantum=math.sqrt(M))
 
 
 CSV_HEADER = "M,N,brute_force_C,closed_form_C,lp_primal,lp_dual,k_lower,lower_value"

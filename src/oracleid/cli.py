@@ -12,11 +12,12 @@ Subcommands::
 
 Per-trace output is JSON lines (one object per run, then a summary object);
 sweeps are CSV.  gen and run are deterministic given --seed, which falls
-back to the ORACLEID_SEED environment variable, then to 0; verify takes
---seed too and records it in its report's config, and bounds draws nothing
-at random.  verify and bounds exit nonzero when any check fails; run exits
-nonzero only on hard errors (statistical misidentification by the quantum
-engine is reported in the summary, not an error).  Invalid input (a bad
+back to the ORACLEID_SEED environment variable, then to 0; verify and
+bounds draw nothing at random.  run and bounds spread their work over
+--jobs worker processes.  verify and bounds exit nonzero when any check
+fails; run exits nonzero only on hard errors (statistical
+misidentification by the quantum engine is reported in the summary, not an
+error).  Invalid input (a bad
 value, an unreadable file) ends with one ``oracleid: error:`` line on
 stderr and exit code 2.
 """
@@ -94,6 +95,15 @@ def _json_line(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _starmap(fn, arg_tuples: list[tuple], jobs: int) -> list:
+    """``fn(*args)`` for each tuple, in order: in this process, or spread over
+    up to ``jobs`` worker processes."""
+    if jobs > 1 and len(arg_tuples) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(arg_tuples))) as pool:
+            return list(pool.map(fn, *zip(*arg_tuples)))
+    return [fn(*args) for args in arg_tuples]
+
+
 # ---------------------------------------------------------------- gen
 
 def cmd_gen(args) -> int:
@@ -159,11 +169,7 @@ def cmd_run(args) -> int:
     step = -(-len(xs) // args.jobs)
     jobs = [(cls, xs[i:i + step], args.algorithm, args.engine, args.trials, args.seed)
             for i in range(0, len(xs), step)]
-    if len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            results = list(pool.map(_run_rows_star, jobs))
-    else:
-        results = [_run_rows_star(job) for job in jobs]
+    results = _starmap(_run_rows, jobs, args.jobs)
 
     lines = []
     rows = [row for batch in results for row in batch]
@@ -185,10 +191,6 @@ def cmd_run(args) -> int:
     lines.append(_json_line(summary))
     _emit("\n".join(lines) + "\n", args.output)
     return 0
-
-
-def _run_rows_star(job) -> list[dict]:
-    return _run_rows(*job)
 
 
 # ---------------------------------------------------------------- verify
@@ -309,6 +311,11 @@ def cmd_verify(args) -> int:
     if args.suite in ("lp", "all"):
         _verify_lp_suite(n if args.suite == "lp" else 8, m, args.tolerance, checks)
 
+    # the config echoes only what the suites run read
+    config = {k: v for k, v in (("n", n), ("m", m)) if k in _SUITE_READS[args.suite]}
+    config["tolerance"] = args.tolerance
+    if args.suite in ("sdp", "all"):
+        config["class_file"] = args.class_file
     all_passed = all(c["passed"] for c in checks)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"
@@ -317,8 +324,7 @@ def cmd_verify(args) -> int:
         "suite": args.suite,
         "passed": all_passed,
         "checks": checks,
-        "config": {"n": n, "m": m, "tolerance": args.tolerance,
-                   "class_file": args.class_file, "seed": args.seed},
+        "config": config,
     }
     if args.output:
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.output)
@@ -353,11 +359,7 @@ def cmd_bounds(args) -> int:
         raise ValueError(f"--jobs must be positive, got {args.jobs}")
     ns, ms = _parse_grid(args.grid)
     cells = [(m, n) for n in ns for m in ms if m <= (1 << n)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_report_star, cells))
-    else:
-        reports = [_report_star(cell) for cell in cells]
+    reports = _starmap(bounds_mod.build_report, cells, args.jobs)
     lines = [bounds_mod.CSV_HEADER]
     lines += [rep.to_csv_row() for rep in reports]
     _emit("\n".join(lines) + "\n", args.output)
@@ -367,10 +369,6 @@ def cmd_bounds(args) -> int:
         for rep in reports
     )
     return 0 if ok else 1
-
-
-def _report_star(cell) -> bounds_mod.BoundReport:
-    return bounds_mod.build_report(*cell)
 
 
 # ---------------------------------------------------------------- parser
@@ -417,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--dump", action="store_true",
                         help="include solution vectors in the JSON report")
     verify.add_argument("--tolerance", type=float, default=1e-9)
-    verify.add_argument("--seed", type=int, default=_default_seed())
     verify.add_argument("--output", "-o", default=None)
     verify.set_defaults(func=cmd_verify)
 

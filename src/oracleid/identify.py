@@ -5,8 +5,11 @@ All three algorithms run one loop, ``_identify``: keep a candidate set
 ``S``, let a step search for a disagreement between the hidden string and a
 reference derived from ``S``, replace ``S`` by the candidates consistent
 with the hit, and stop once one candidate remains or the search finds
-nothing (the reference is then the answer).  The three steps differ only in
-the reference and the scan:
+nothing (the reference is then the answer).  ``S`` is a tuple of packed
+member values in class order, the key ``_greedy``'s memo is looked up by,
+and every step returns its survivors as such a tuple: the final step hands
+back the greedy's elimination block for the hit rank as it is.  The three
+steps differ only in the reference and the scan:
 
 * ``_basic_step``: reference is the bitwise majority of ``S``; any
   disagreement will do; a hit at least halves ``S``.
@@ -155,7 +158,7 @@ class QuantumFinder:
         return qsim.quantum_disagreement_finder(x, s, order, width, ctx, self.config).rank
 
     def find_any(self, x, s, ctx) -> int | None:
-        per_call = qsim.bbht_failure(1 << (x.n - 1).bit_length(), self.config)
+        per_call = qsim.bbht_failure(qsim.search_dim(x.n), self.config)
         for _ in range(qsim.repetitions_for_budget(ctx.error_budget, per_call)):
             v = qsim.grover_search_unknown_count(x, x.n, ctx, s=s, config=self.config)
             if v is not None:
@@ -190,12 +193,12 @@ def _identify(concept_class: ConceptClass, x: BitString, engine, seed, step) -> 
     ``step(engine, ctx, x, S, positions)`` returns ``(reference, rank, cost,
     survivors)``: the reference value, the recorded rank of the disagreement
     found (None for none), the idealized cost charged, and the members of
-    ``S`` consistent with the hit.
+    ``S`` consistent with the hit, as a tuple in the order of ``S``.
     """
     engine = make_engine(engine)
     _check_input(concept_class, x)
     ctx = _new_context(concept_class, seed)
-    S = list(concept_class.values)
+    S = concept_class.values
     positions: list[int] = []
     ideal = 0.0
     iterations = 0
@@ -233,7 +236,7 @@ def _basic_step(engine, ctx, x, S, positions):
     if found is None:
         return maj, None, math.sqrt(n), None
     mask = 1 << (n - 1 - found)
-    return maj, found + 1, math.sqrt(n), [v for v in S if (v ^ maj) & mask]
+    return maj, found + 1, math.sqrt(n), tuple(v for v in S if (v ^ maj) & mask)
 
 
 def _improved_step(engine, ctx, x, S, positions):
@@ -248,15 +251,15 @@ def _improved_step(engine, ctx, x, S, positions):
     if rank is None:
         return maj, None, math.sqrt(width), None
     hit = offset + rank - 1
-    return maj, rank, math.sqrt(rank), [v for v in S if (v ^ maj) >> (n - 1 - hit) == 1]
+    return maj, rank, math.sqrt(rank), tuple(v for v in S if (v ^ maj) >> (n - 1 - hit) == 1)
 
 
 def _final_step(engine, ctx, x, S, positions):
-    sigma, s_value, elim, width = _greedy(x.n, tuple(S))
+    sigma, s_value, elim, width = _greedy(x.n, S)
     rank = engine.find_first(x, BitString(x.n, s_value), sigma, width, ctx)
     if rank is None:
         return s_value, None, math.sqrt(width), None
-    return s_value, rank, math.sqrt(rank), list(elim[rank - 1])
+    return s_value, rank, math.sqrt(rank), elim[rank - 1]
 
 
 def run_halving_basic(

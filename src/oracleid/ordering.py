@@ -23,9 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
-from .bitstrings import BitString, ConceptClass, bit_matrix
+from .bitstrings import BitString, ConceptClass, bit_columns
 
 __all__ = [
     "Ordering",
@@ -66,21 +64,13 @@ class Ordering:
         }
 
 
-def _columns(n: int, values: Sequence[int]) -> list[int]:
-    """The bit columns of ``values`` as ``n`` ints: bit ``i`` of column ``j``
-    is bit ``j`` (MSB-first) of ``values[i]``."""
-    bits = np.packbits(bit_matrix(n, values).T, axis=1, bitorder="little")
-    raw, w = bits.tobytes(), bits.shape[1]
-    return [int.from_bytes(raw[j * w : (j + 1) * w], "little") for j in range(n)]
-
-
 def _greedy_masks(n: int, cols: Sequence[int], cur: int):
     """The greedy scan order of the members in the index mask ``cur``.
 
     Member ``i`` is bit ``i`` of every mask, and ``cols`` are the bit
-    columns (``_columns``) of the class it indexes.  Returns ``(sigma,
-    s_value, elim, width)`` where ``elim[p-1]`` is the mask of the members
-    first disagreeing with ``s`` at rank ``p``.
+    columns (``bitstrings.bit_columns``) of the class it indexes.  Returns
+    ``(sigma, s_value, elim, width)`` where ``elim[p-1]`` is the mask of the
+    members first disagreeing with ``s`` at rank ``p``.
 
     At each step the next scan position is the still-unused bit with the
     largest number of survivors disagreeing with the survivors' majority
@@ -150,7 +140,8 @@ def _greedy(n: int, values: tuple[int, ...]):
     holds the members first disagreeing with ``s`` at rank ``p``, in the
     order of ``values``.
     """
-    sigma, s_value, elim, width = _greedy_masks(n, _columns(n, values), (1 << len(values)) - 1)
+    cols = bit_columns(n, values)
+    sigma, s_value, elim, width = _greedy_masks(n, cols, (1 << len(values)) - 1)
     # the ranks past the width, most of sigma on small sets, hold no one
     blocks = tuple(_select(values, mask) if mask else () for mask in elim)
     return sigma, s_value, blocks, width
@@ -177,7 +168,7 @@ def _tree(n: int, values: tuple[int, ...]) -> _Tree:
     once: every node runs ``_greedy_masks`` on a sub-mask of the root."""
     nodes: dict = {}
     paths: dict = {}
-    _grow(n, _columns(n, values), values, (1 << len(values)) - 1, (), nodes, paths)
+    _grow(n, bit_columns(n, values), values, (1 << len(values)) - 1, (), nodes, paths)
     return _Tree(nodes, paths)
 
 

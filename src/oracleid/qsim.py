@@ -55,6 +55,7 @@ __all__ = [
     "FirstOneResult",
     "DisagreementResult",
     "grover_probabilities",
+    "search_dim",
     "grover_search_unknown_count",
     "find_first_one",
     "bbht_failure",
@@ -186,6 +187,12 @@ def grover_probabilities(dim: int, marked: int, iterations: int) -> tuple[float,
     return p_marked, p_unmarked
 
 
+def search_dim(limit: int) -> int:
+    """Index-register size of a search over ``limit`` ranks: the least power
+    of two at or above ``limit``, and 1 for ``limit <= 1``."""
+    return 1 << max(limit - 1, 0).bit_length()
+
+
 def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig) -> int | None:
     """Search ranks [0, limit) for any marked one, marked count unknown.
 
@@ -203,7 +210,7 @@ def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig)
     """
     if limit <= 0:
         return None
-    dim = 1 << max(0, (limit - 1).bit_length())
+    dim = search_dim(limit)
     if dim == 1:
         # single candidate: one verification settles it
         if eff.query(0, ctx):
@@ -342,7 +349,7 @@ def _miss_by_marked(limit: int, config: SearchConfig) -> np.ndarray:
     that remainder as missed, so each entry is an upper bound exact to
     1e-18.
     """
-    dim = 1 << max(0, (limit - 1).bit_length())
+    dim = search_dim(limit)
     theta = np.arcsin(np.sqrt(np.arange(1, dim + 1) / dim))
     top = math.floor(config.cutoff_coeff * math.sqrt(limit))  # last used value that runs
     m, m_cap = 1.0, math.sqrt(dim)
@@ -407,12 +414,12 @@ def scan_failure(width: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     rather than certified.  Dims are taken smallest first, so the costly
     large-dim DPs are skipped once the bound has reached 1/3.  Memoized.
     """
-    top = max(width - 1, 0).bit_length()
-    if 1 << top > MAX_CERTIFIED_DIM:
+    dim = search_dim(width)
+    if dim > MAX_CERTIFIED_DIM:
         return 1.0 / 3.0
     calls = len(_stage_ladder(config.classical_width, width)) + width
     worst = 0.0
-    for k in range(1, top + 1):
+    for k in range(1, dim.bit_length()):
         worst = max(worst, bbht_failure(1 << k, config))
         if calls * worst >= 1.0 / 3.0:
             return 1.0 / 3.0

@@ -237,3 +237,23 @@ class TestConceptClassSerialization:
     def test_members_canonically_sorted(self):
         cls = ConceptClass.from_strings(["11", "00", "10"])
         assert [str(m) for m in cls.members] == ["00", "10", "11"]
+
+
+class TestConceptClassIndex:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_index_and_membership_agree_with_a_linear_scan(self, n):
+        rng = np.random.default_rng(n)
+        for size in (1, int(rng.integers(2, 1 << n, endpoint=True)), 1 << n):
+            cls = helpers.random_class(rng, n, size)
+            probes = [BitString(n, v) for v in range(1 << n)]
+            # a member's value at the wrong length is not a member
+            probes.append(BitString(n + 1, cls.members[-1].value))
+            for x in probes:
+                scan = [i for i, y in enumerate(cls.members) if y == x]
+                if scan:
+                    assert cls.index(x) == scan[0]
+                    assert x in cls
+                else:
+                    with pytest.raises(KeyError):
+                        cls.index(x)
+                    assert x not in cls

@@ -8,8 +8,6 @@ from gamma_reference import gamma_hat_reference
 from helpers import random_class
 from oracleid.bitstrings import ConceptClass, generate_class
 from oracleid.bounds import (
-    Baselines,
-    baseline_formulas,
     brute_force_cost,
     build_report,
     check_dual_certificate,
@@ -316,18 +314,6 @@ class TestLearningBound:
             learning_bound(4, 0.0)
         with pytest.raises(ValueError):
             learning_bound(4, 1.0)
-
-
-class TestBaselines:
-    def test_small_class(self):
-        assert baseline_formulas(3, 100) == Baselines(3, pytest.approx(math.sqrt(3)))
-
-    def test_full_cube(self):
-        assert baseline_formulas(2**12, 12).classical == 12
-
-    def test_meeting_point(self):
-        base = baseline_formulas(16, 16)
-        assert base.classical == 16 and base.quantum == 4.0
 
 
 class TestBoundReport:

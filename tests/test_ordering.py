@@ -5,10 +5,9 @@ from hypothesis import given, settings, strategies as st
 import greedy_reference
 from helpers import random_class, subsets_of_cube
 from partition_reference import filter_by_disagreement
-from oracleid.bitstrings import BitString, ConceptClass, generate_class
+from oracleid.bitstrings import BitString, ConceptClass, bit_columns, generate_class
 from oracleid.ordering import (
     Ordering,
-    _columns,
     _greedy,
     _tree,
     clear_ordering_cache,
@@ -259,7 +258,7 @@ class TestColumns:
     def test_bit_i_of_column_j_is_bit_j_of_member_i(self, n):
         rng = np.random.default_rng(n)
         values = [int.from_bytes(rng.bytes(-(-n // 8)), "big") >> (-n % 8) for _ in range(37)]
-        cols = _columns(n, values)
+        cols = bit_columns(n, values)
         assert len(cols) == n
         for j, col in enumerate(cols):
             for i, v in enumerate(values):

@@ -448,8 +448,9 @@ def assert_same_solution(a, b):
 
 
 class TestPipelineAgainstReference:
-    """The pipeline read off ``identify_all`` equals the level walk it
-    replaced, which gave every lone member an explicit zero block."""
+    """The pipeline read off the pruning tree (``ordering._tree``) equals
+    the level walk it replaced, which gave every lone member an explicit
+    zero block."""
 
     CLASSES = {
         "hamming1-8": lambda: generate_class("hamming1", 8),
