@@ -119,11 +119,17 @@ class ConceptClass:
         object.__setattr__(self, "members", ordered)
 
     @classmethod
+    def of(cls, strings: "Iterable[BitString] | ConceptClass") -> "ConceptClass":
+        """``strings`` as a class: a class as it is, any other iterable sorted
+        and put through the class's checks (nonempty, one length, distinct)."""
+        if isinstance(strings, ConceptClass):
+            return strings
+        members = tuple(strings)
+        return cls(members[0].n if members else 0, members)
+
+    @classmethod
     def from_strings(cls, strings: Iterable[str]) -> "ConceptClass":
-        members = tuple(BitString.from_str(s) for s in strings)
-        if not members:
-            raise ValueError("concept class must have at least one member")
-        return cls(members[0].n, members)
+        return cls.of(BitString.from_str(s) for s in strings)
 
     @classmethod
     def from_values(cls, n: int, values: Iterable[int]) -> "ConceptClass":
@@ -249,6 +255,10 @@ _KIND_ALIASES = {
     "random": "random",
 }
 
+# the parameters a kind reads besides n, if any; every kind accepts a seed
+_KIND_READS = {"hamming": ("k",), "hamming-pair": ("k",), "prefix": ("free_bits",),
+               "random": ("size",)}
+
 _ENUM_LIMIT = 1 << 20  # no materialized class beyond ~2^20 members
 
 
@@ -266,13 +276,18 @@ def generate_class(
     kind: ``cube`` (all of {0,1}^n), ``hamming`` (weight exactly ``k``),
     ``hamming1`` (weight 1), ``hamming-pair`` (weight ``k-1`` or ``k``),
     ``prefix`` (arbitrary first ``free_bits`` bits, zeros elsewhere), or
-    ``random`` (``size`` distinct strings drawn with the given seed).
+    ``random`` (``size`` distinct strings drawn with the given seed).  A
+    parameter other than ``seed`` that the kind does not read is rejected.
     """
     if n < 1:
         raise ValueError("n must be positive")
     canonical = _KIND_ALIASES.get(kind)
     if canonical is None:
         raise ValueError(f"unknown class kind {kind!r}")
+    unread = [name for name, value in (("k", k), ("free_bits", free_bits), ("size", size))
+              if value is not None and name not in _KIND_READS.get(canonical, ())]
+    if unread:
+        raise ValueError(f"a {kind} class does not read {' or '.join(unread)}")
 
     if canonical == "cube":
         _check_size(1 << n, f"cube of dimension {n}")

@@ -142,10 +142,12 @@ def _run_rows(cls: ConceptClass, xs: list[str], algorithm: str, engine: str,
 
 
 def cmd_run(args) -> int:
+    if args.all == (args.x is not None):
+        raise ValueError("run needs one of --x and --all")
     cls = ConceptClass.load(args.class_file)
     if args.all:
         xs = [str(m) for m in cls.members]
-    elif args.x:
+    else:
         try:
             member = BitString.from_str(args.x) in cls
         except ValueError:  # not a binary string
@@ -153,8 +155,6 @@ def cmd_run(args) -> int:
         if not member:
             raise ValueError(f"--x {args.x} is not a member of the class")
         xs = [args.x]
-    else:
-        raise ValueError("run needs --x or --all")
 
     config = ExperimentConfig(
         seed=args.seed,
@@ -201,7 +201,8 @@ def _verify_ordering_suite(n: int, tolerance: float, checks: list) -> None:
     worst_order = None
     count = 0
     for mask in range(1, 1 << len(base)):
-        subset = [base[i] for i in range(len(base)) if (mask >> i) & 1]
+        # one class per subset, validated once and read by both calls
+        subset = ConceptClass(n, tuple(base[i] for i in range(len(base)) if (mask >> i) & 1))
         order = hegedus_ordering(subset)
         ratio = verify_ordering(subset, order)
         if ratio >= worst:
@@ -250,11 +251,8 @@ def _verify_sdp_suite(
             "max_violation": v,
         })
     the8 = sdp.find_first_one_solution(6)
-    cube = the8.domain
-    table = sdp.first_disagreement_table(
-        ConceptClass(6, cube), tuple(range(6)), BitString.zeros(6), 6
-    )
-    target = sdp.LabelTarget(np.zeros(len(cube), dtype=np.intp), table.codes)
+    table = sdp.first_disagreement_table(the8.domain, tuple(range(6)), BitString.zeros(6), 6)
+    target = sdp.LabelTarget(np.zeros(the8.size, dtype=np.intp), table.codes)
     v8 = sdp.verify_feasible(target, the8)
     checks.append({
         "check": "sdp: first-disagreement solution feasible on the 6-bit cube",
@@ -287,20 +285,26 @@ def _verify_lp_suite(n: int, m: int, tolerance: float, checks: list) -> None:
         })
 
 
-# the size options each suite reads, with their defaults; "all" runs the
-# lp suite at N=8, so there --n is the ordering suite's alone
-_VERIFY_SIZES = {"n": 4, "m": 3}
-_SUITE_READS = {"ordering": ("n",), "sdp": (), "lp": ("n", "m"), "all": ("n", "m")}
+# the options each suite reads, with their defaults; "all" runs the lp
+# suite at N=8, so there --n is the ordering suite's alone
+_VERIFY_DEFAULTS = {"n": 4, "m": 3, "class_file": None}
+_SUITE_READS = {"ordering": ("n",), "sdp": ("class_file",), "lp": ("n", "m"),
+                "all": ("n", "m", "class_file")}
 
 
 def cmd_verify(args) -> int:
     _check_tolerance(args.tolerance)
-    unread = [f"--{k}" for k in _VERIFY_SIZES
-              if getattr(args, k) is not None and k not in _SUITE_READS[args.suite]]
+    reads = _SUITE_READS[args.suite]
+    given = {k: getattr(args, k) for k in _VERIFY_DEFAULTS}
+    unread = [f"--{k.replace('_', '-')}" for k, v in given.items()
+              if v is not None and k not in reads]
     if unread:
         raise ValueError(f"the {args.suite} suite does not read {' or '.join(unread)}")
-    n = _VERIFY_SIZES["n"] if args.n is None else args.n
-    m = _VERIFY_SIZES["m"] if args.m is None else args.m
+    resolved = {k: _VERIFY_DEFAULTS[k] if v is None else v for k, v in given.items()}
+    # the config echoes only what the suites run read
+    config = {k: resolved[k] for k in reads}
+    config["tolerance"] = args.tolerance
+    n, m = resolved["n"], resolved["m"]
     checks: list[dict] = []
     if args.suite in ("ordering", "all"):
         if not 1 <= n <= 4:
@@ -311,11 +315,6 @@ def cmd_verify(args) -> int:
     if args.suite in ("lp", "all"):
         _verify_lp_suite(n if args.suite == "lp" else 8, m, args.tolerance, checks)
 
-    # the config echoes only what the suites run read
-    config = {k: v for k, v in (("n", n), ("m", m)) if k in _SUITE_READS[args.suite]}
-    config["tolerance"] = args.tolerance
-    if args.suite in ("sdp", "all"):
-        config["class_file"] = args.class_file
     all_passed = all(c["passed"] for c in checks)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"

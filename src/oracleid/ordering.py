@@ -15,6 +15,8 @@ and a count is ``(column & survivors).bit_count()``.  One greedy,
 final algorithm's whole pruning tree over a class from the class's own
 columns, each node on a sub-mask of the root, and is what
 ``identify.identify_all`` and ``sdp.oracle_id_pipeline`` read.
+``hegedus_ordering`` and ``verify_ordering`` take a `ConceptClass`, or any
+strings ``ConceptClass.of`` makes one of (distinct, of one length).
 """
 
 from __future__ import annotations
@@ -189,22 +191,11 @@ def _grow(n, cols, values, cur, path, nodes, paths) -> None:
     paths[s_value] = path
 
 
-def _as_values(strings: Iterable[BitString] | ConceptClass) -> tuple[int, tuple[int, ...]]:
-    if isinstance(strings, ConceptClass):
-        return strings.n, strings.values
-    members = sorted(strings)
-    if not members:
-        raise ValueError("cannot order an empty set")
-    n = members[0].n
-    if any(m.n != n for m in members):
-        raise ValueError("strings must have uniform length")
-    return n, tuple(m.value for m in members)
-
-
 def hegedus_ordering(strings: Iterable[BitString] | ConceptClass) -> Ordering:
-    """Build the greedy scan order for a nonempty candidate set."""
-    n, values = _as_values(strings)
-    sigma, s_value, elim_values, width = _greedy(n, values)
+    """Build the greedy scan order for a candidate set."""
+    cls = ConceptClass.of(strings)
+    n = cls.n
+    sigma, s_value, elim_values, width = _greedy(n, cls.values)
     elim_sets = tuple(
         tuple(BitString(n, v) for v in block) for block in elim_values
     )
@@ -218,20 +209,20 @@ def verify_ordering(strings: Iterable[BitString] | ConceptClass, order: Ordering
     is an independent check of any ordering, not just greedy output.  A
     return value of at most 1 certifies the pruning guarantee.
     """
-    n, values = _as_values(strings)
+    cls = ConceptClass.of(strings)
+    n = cls.n
     if sorted(order.sigma) != list(range(n)):
         raise ValueError("sigma is not a permutation of the bit positions")
-    size = len(values)
     s_value = order.s.value
     worst = 0.0
-    remaining = list(values)
+    remaining = list(cls.values)
     for p, j in enumerate(order.sigma, start=1):
         mask = 1 << (n - 1 - j)
         s_bit = (s_value & mask) != 0
         agree, disagree = [], []
         for v in remaining:
             (agree if ((v & mask) != 0) == s_bit else disagree).append(v)
-        worst = max(worst, len(disagree) * max(2, p) / size)
+        worst = max(worst, len(disagree) * max(2, p) / cls.size)
         remaining = agree
     return worst
 

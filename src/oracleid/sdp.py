@@ -4,7 +4,9 @@ checked.
 
 A solution assigns two vector families ``u[x, j]``, ``v[x, j]`` (one pair
 per input ``x`` and bit position ``j``) to a target matrix ``A`` indexed by
-the inputs.  Feasibility means
+the inputs, a `ConceptClass` (the solution's ``domain``): input ``x`` is
+row ``domain.index(x)`` of every array and of the per-input cost.
+Feasibility means
 
     sum over j with x_j != y_j of  <u[x, j], v[y, j]>  ==  A[x, y]
 
@@ -60,7 +62,7 @@ tensor products -- lives with its tests in ``tests/sdp_compose.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,7 +93,11 @@ class SdpPart(NamedTuple):
 
 
 class SdpSolution:
-    """A solution on ``domain`` stored as a direct sum of parts.
+    """A solution on the class ``domain`` stored as a direct sum of parts.
+
+    Row ``i`` of every array is ``domain.members[i]``.  Other strings are
+    made a class by ``ConceptClass.of`` and must already be in its sorted
+    order, so rows never silently re-align.
 
     ``SdpSolution(domain, u, v)`` is one part with a single block, ``u`` and
     ``v`` of shape (inputs, bits, dimension); ``SdpSolution.from_parts``
@@ -100,25 +106,24 @@ class SdpSolution:
     (only a one-part, one-block solution hands back its own arrays).
     """
 
-    def __init__(self, domain: Sequence[BitString], u: np.ndarray, v: np.ndarray):
-        self._setup(domain, (SdpPart(np.zeros(len(domain), dtype=np.intp), u, v),))
+    def __init__(self, domain: ConceptClass | Sequence[BitString], u: np.ndarray, v: np.ndarray):
+        self._setup(domain, (SdpPart(np.zeros(len(u), dtype=np.intp), u, v),))
 
     @classmethod
     def from_parts(
-        cls, domain: Sequence[BitString], parts: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]]
+        cls, domain: ConceptClass | Sequence[BitString], parts: Sequence[tuple[np.ndarray, ...]]
     ) -> "SdpSolution":
         sol = cls.__new__(cls)
         sol._setup(domain, tuple(SdpPart(np.asarray(b), u, v) for b, u, v in parts))
         return sol
 
-    def _setup(self, domain: Sequence[BitString], parts: tuple[SdpPart, ...]) -> None:
-        domain = tuple(domain)
-        m = len(domain)
-        if m == 0:
-            raise ValueError("empty domain")
-        n = domain[0].n
-        if any(x.n != n for x in domain):
-            raise ValueError("domain strings must have uniform length")
+    def _setup(self, domain, parts: tuple[SdpPart, ...]) -> None:
+        if not isinstance(domain, ConceptClass):
+            rows = tuple(domain)
+            domain = ConceptClass.of(rows)
+            if domain.members != rows:  # row i must be the class's member i
+                raise ValueError("domain strings must be listed in sorted class order")
+        m, n = domain.size, domain.n
         for block, u, v in parts:
             for name, arr in (("u", u), ("v", v)):
                 if arr.ndim != 3 or arr.shape[0] != m or arr.shape[1] != n:
@@ -129,16 +134,14 @@ class SdpSolution:
                 raise ValueError(f"block must hold {m} nonnegative integer ids")
         self.domain = domain
         self.parts = parts
-        self._n = n
-        self._index: dict[BitString, int] | None = None
 
     @property
     def size(self) -> int:
-        return len(self.domain)
+        return self.domain.size
 
     @property
     def n_bits(self) -> int:
-        return self._n
+        return self.domain.n
 
     @property
     def dim(self) -> int:
@@ -156,7 +159,7 @@ class SdpSolution:
         if len(self.parts) == 1 and len(np.unique(self.parts[0].block)) == 1:
             return getattr(self.parts[0], side)
         rows = np.arange(self.size)
-        out = np.zeros((self.size, self._n, self.dim))
+        out = np.zeros((self.size, self.n_bits, self.dim))
         lo = 0
         for part in self.parts:
             ids, slot = np.unique(part.block, return_inverse=True)
@@ -166,24 +169,16 @@ class SdpSolution:
             lo += len(ids) * d
         return out
 
-    def index(self, x: BitString) -> int:
-        if self._index is None:
-            self._index = {y: i for i, y in enumerate(self.domain)}
-        return self._index[x]
-
 
 @dataclass(frozen=True)
 class CostFunction:
     """Per-input cost ``c(x)`` of the solution it annotates."""
 
-    domain: tuple[BitString, ...]
+    domain: ConceptClass
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.domain)})
-
     def __call__(self, x: BitString) -> float:
-        return float(self.values[self._index[x]])
+        return float(self.values[self.domain.index(x)])
 
     @property
     def max_value(self) -> float:
@@ -214,10 +209,6 @@ class LabelTarget(NamedTuple):
 # rows checked per step: each step holds two ROW_CHUNK x (at most) inputs
 # float arrays, small enough to stay in cache up to a few thousand inputs
 ROW_CHUNK = 64
-
-
-def _domain_bits(domain: Sequence[BitString]) -> np.ndarray:
-    return bit_matrix(domain[0].n, [x.value for x in domain])
 
 
 def _codes(labels) -> np.ndarray:
@@ -296,7 +287,7 @@ def verify_feasible(A, sol: SdpSolution) -> float:
         def target_window(a, b, cols):
             return dense[a:b, cols].copy()
 
-    bits = _domain_bits(sol.domain)[order]
+    bits = bit_matrix(sol.domain.n, sol.domain.values)[order]
     ones = bits[:, :, None].astype(float)
     zeros = 1.0 - ones
     rows = len(bits)
@@ -337,10 +328,10 @@ def cost_of(sol: SdpSolution) -> CostFunction:
     return CostFunction(sol.domain, np.maximum(cu, cv))
 
 
-def _full_cube(n: int) -> tuple[BitString, ...]:
+def _full_cube(n: int) -> ConceptClass:
     if n > 16:
         raise ValueError("refusing to materialize a cube beyond 2^16 inputs")
-    return tuple(BitString(n, v) for v in range(1 << n))
+    return ConceptClass.from_values(n, range(1 << n))
 
 
 def _scan_rows(sigmas: np.ndarray, ranks: np.ndarray, widths: np.ndarray | int) -> np.ndarray:
@@ -371,7 +362,7 @@ def find_first_one_solution(
     sigma: Sequence[int] | None = None,
     s: BitString | None = None,
     *,
-    domain: Sequence[BitString] | None = None,
+    domain: ConceptClass | Iterable[BitString] | None = None,
     width: int | None = None,
 ) -> SdpSolution:
     """Feasible solution for finding the first scan-order disagreement.
@@ -400,7 +391,7 @@ def find_first_one_solution(
     width = n if width is None else width
     if not 0 <= width <= n:
         raise ValueError(f"width must lie in [0, {n}]")
-    members = tuple(domain) if domain is not None else _full_cube(n)
+    members = ConceptClass.of(domain) if domain is not None else _full_cube(n)
 
     ranks = np.array(
         [first_disagreement_rank(x, s, sigma, width) or 0 for x in members], dtype=np.intp
@@ -484,13 +475,14 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
         u = _scan_rows(sigmas[codes], ranks[:, k], widths[codes])
         stage_parts.append((codes, u, u))
         stage_targets.append(LabelTarget(codes, f_next.codes))
-    stage_solutions = tuple(SdpSolution.from_parts(members, [part]) for part in stage_parts)
+    # the class itself, not its members: a class is taken as it is, unchecked
+    stage_solutions = tuple(SdpSolution.from_parts(concept_class, [p]) for p in stage_parts)
 
     if stage_parts:
-        combined = SdpSolution.from_parts(members, stage_parts)
+        combined = SdpSolution.from_parts(concept_class, stage_parts)
     else:  # singleton class: nothing to learn
         zero = np.zeros((m, n, 1))
-        combined = SdpSolution(members, zero, zero)
+        combined = SdpSolution(concept_class, zero, zero)
 
     return OracleIdPipeline(
         concept_class=concept_class,

@@ -58,7 +58,7 @@ def output_conditioned_compose(
     pieces = []
     for e, idx in zip(f.labels, groups(f)):
         if e in blocks:
-            if blocks[e].domain != tuple(members[i] for i in idx):
+            if blocks[e].domain.members != tuple(members[i] for i in idx):
                 raise ValueError(f"block for {e!r} is not defined on exactly f^-1({e!r})")
             pieces.append((idx, blocks[e].parts))
         elif len(idx) == 1:
@@ -116,7 +116,7 @@ def tensor_compose(
     for sol_i, table_i in inner:
         if set(table_i.outputs) - {0, 1}:
             raise ValueError("inner outputs must be bits")
-        if sol_i.domain != table_i.domain.members:
+        if sol_i.domain != table_i.domain:
             raise ValueError("inner solution and table must share a domain")
 
     if domain is None:
@@ -143,12 +143,12 @@ def tensor_compose(
         for (sol_i, table_i), part in zip(inner, combo):
             bits.append(table_i(part))
         z = BitString.from_bits(bits)
-        zi = outer.index(z)
+        zi = outer.domain.index(z)
         value = 0
         offset = 0
         for i, ((sol_i, _), (iu, iv), part) in enumerate(zip(inner, inner_uv, combo)):
             value = (value << part.n) | part.value
-            pi = sol_i.index(part)
+            pi = sol_i.domain.index(part)
             for j in range(sol_i.n_bits):
                 grid_u = np.outer(outer_u[zi, i], iu[pi, j])
                 grid_v = np.outer(outer_v[zi, i], iv[pi, j])

@@ -162,9 +162,10 @@ def test_05_composed_identification_solutions():
         for table, sol in zip(pipe.stage_tables, pipe.stage_solutions):
             stage_cost = sdp.cost_of(sol)
             for x in cls.members:
+                i = sol.domain.index(x)
                 own = max(
-                    float(np.einsum("jd,jd->", sol.u[sol.index(x)], sol.u[sol.index(x)])),
-                    float(np.einsum("jd,jd->", sol.v[sol.index(x)], sol.v[sol.index(x)])),
+                    float(np.einsum("jd,jd->", sol.u[i], sol.u[i])),
+                    float(np.einsum("jd,jd->", sol.v[i], sol.v[i])),
                 )
                 worst_conditioning = max(worst_conditioning, abs(stage_cost(x) - own))
 

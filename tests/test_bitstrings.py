@@ -219,6 +219,21 @@ class TestGenerateClass:
         with pytest.raises(ValueError):
             generate_class("mystery", 3)
 
+    @pytest.mark.parametrize("kind, params, unread", [
+        ("hamming1", {"k": 3}, "k"),
+        ("cube", {"size": 3, "free_bits": 1}, "free_bits or size"),
+        ("hamming", {"k": 2, "size": 3}, "size"),
+        ("prefix", {"free_bits": 2, "k": 1}, "k"),
+        ("random", {"size": 3, "free_bits": 1}, "free_bits"),
+    ])
+    def test_parameters_the_kind_does_not_read_are_refused(self, kind, params, unread):
+        with pytest.raises(ValueError, match=f"does not read {unread}$"):
+            generate_class(kind, 4, **params)
+
+    @pytest.mark.parametrize("kind", ["cube", "hamming1", "full-cube"])
+    def test_every_kind_takes_a_seed(self, kind):
+        assert generate_class(kind, 3, seed=1) == generate_class(kind, 3)
+
 
 class TestConceptClassSerialization:
     def test_json_round_trip(self):

@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import asdict
 from pathlib import Path
@@ -6,7 +7,7 @@ import pytest
 
 from oracleid import qsim
 from oracleid.bitstrings import ConceptClass
-from oracleid.cli import main
+from oracleid.cli import build_parser, main
 
 
 def run_cli(*argv):
@@ -153,6 +154,11 @@ class TestInputErrors:
         ("gen", "--kind", "hamming-pair", "--n", "60", "--k", "30"),
         ("gen", "--kind", "random", "--n", "40", "--m", str((1 << 20) + 1)),
         ("gen", "--kind", "cube", "--n", "21"),
+        # parameters a kind does not read are refused, not ignored
+        ("gen", "--kind", "hamming1", "--n", "4", "--k", "3"),
+        ("gen", "--kind", "cube", "--n", "2", "--m", "3", "--free-bits", "1"),
+        ("gen", "--kind", "random", "--n", "4", "--m", "3", "--k", "2"),
+        ("gen", "--kind", "prefix", "--n", "4", "--free-bits", "2", "--m", "3"),
         ("run", "--class-file", "{cf}", "--all", "--trials", "0"),
         ("run", "--class-file", "{cf}", "--all", "--jobs", "0"),
         ("run", "--class-file", "{cf}", "--all", "--jobs", "-1"),
@@ -160,13 +166,16 @@ class TestInputErrors:
         ("run", "--class-file", "{cf}", "--x", "011"),
         ("run", "--class-file", "{cf}", "--x", "ab"),
         ("run", "--class-file", "{cf}"),
+        ("run", "--class-file", "{cf}", "--x", "001", "--all"),
         ("verify", "--suite", "ordering", "--n", "0"),
         ("verify", "--suite", "all", "--n", "5"),
         ("verify", "--suite", "sdp", "--class-file", "{missing}"),
-        # size options a suite does not read are refused, not echoed
+        # options a suite does not read are refused, not echoed
         ("verify", "--suite", "sdp", "--n", "0", "--m", "1"),
         ("verify", "--suite", "sdp", "--m", "3"),
         ("verify", "--suite", "ordering", "--m", "3"),
+        ("verify", "--suite", "lp", "--class-file", "{missing}"),
+        ("verify", "--suite", "ordering", "--class-file", "{cf}"),
         ("bounds", "--grid", "N=30;M=64"),
         ("bounds", "--grid", "N=a"),
         ("bounds", "--grid", "N=4;K=4"),
@@ -295,3 +304,34 @@ class TestBounds:
         out = tmp_path / "grid.csv"
         run_cli("bounds", "--grid", "N=2;M=4,16", "-o", str(out))
         assert len(out.read_text().splitlines()) == 2  # only M = 4 fits in 2 bits
+
+
+class TestOptionInventory:
+    """The long options of every subcommand, read off the parser: a new
+    setting shows up here as a test change."""
+
+    INVENTORY = {
+        "gen": ["--kind", "--n", "--k", "--free-bits", "--m", "--seed", "--output"],
+        "run": ["--class-file", "--x", "--all", "--engine", "--algorithm", "--trials",
+                "--seed", "--jobs", "--output"],
+        "verify": ["--suite", "--n", "--m", "--class-file", "--dump", "--tolerance", "--output"],
+        "bounds": ["--grid", "--tolerance", "--jobs", "--output"],
+    }
+
+    @staticmethod
+    def options(parser):
+        # one entry per option, named by its first long flag (aliases such as
+        # --class and -o ride along); --help is argparse's own
+        return [
+            next(flag for flag in action.option_strings if flag.startswith("--"))
+            for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)
+        ]
+
+    def test_long_options_per_subcommand(self):
+        subcommands = next(
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        got = {name: self.options(sub) for name, sub in subcommands.items()}
+        assert got == self.INVENTORY
+        assert sum(map(len, got.values())) == 27  # gen 7, run 9, verify 7, bounds 4

@@ -1,0 +1,89 @@
+"""One input-set type: the ordering and the SDP certificate take a
+`ConceptClass`, and any other set of strings goes through
+``ConceptClass.of``, so a repeated or misplaced string is refused, never
+silently counted twice or re-aligned."""
+
+import numpy as np
+import pytest
+
+from oracleid.bitstrings import BitString, ConceptClass, generate_class
+from oracleid.ordering import hegedus_ordering, verify_ordering
+from oracleid.sdp import (
+    SdpSolution,
+    cost_of,
+    find_first_one_solution,
+    oracle_id_pipeline,
+)
+
+A, B, C = (BitString.from_str(t) for t in ("010", "011", "110"))
+
+
+class TestOf:
+    def test_a_class_is_returned_as_it_is(self):
+        cls = generate_class("hamming1", 4)
+        assert ConceptClass.of(cls) is cls
+
+    def test_strings_are_sorted(self):
+        cls = ConceptClass.of(iter([C, A, B]))
+        assert cls.members == (A, B, C) and cls.n == 3
+
+    @pytest.mark.parametrize("strings, match", [
+        ((), "at least one member"),
+        ((A, BitString.from_str("0101")), "declared length"),
+        ((A, A, B), "duplicate"),
+    ])
+    def test_the_class_checks_apply(self, strings, match):
+        with pytest.raises(ValueError, match=match):
+            ConceptClass.of(strings)
+
+
+class TestDuplicatesAreRefused:
+    def test_hegedus_ordering(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            hegedus_ordering([A, A, B])
+
+    def test_verify_ordering(self):
+        order = hegedus_ordering([A, B])
+        with pytest.raises(ValueError, match="duplicate"):
+            verify_ordering([A, A, B], order)
+
+    def test_sdp_solution(self):
+        zero = np.zeros((3, 3, 1))
+        with pytest.raises(ValueError, match="duplicate"):
+            SdpSolution((A, A, B), zero, zero)
+        with pytest.raises(ValueError, match="duplicate"):
+            SdpSolution.from_parts((A, A, B), [(np.zeros(3, dtype=int), zero, zero)])
+
+    def test_find_first_one_solution(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            find_first_one_solution(3, domain=(A, A))
+
+
+class TestDomainOrder:
+    def test_unsorted_domain_is_refused(self):
+        zero = np.zeros((3, 3, 1))
+        with pytest.raises(ValueError, match="sorted class order"):
+            SdpSolution((B, A, C), zero, zero)
+        with pytest.raises(ValueError, match="sorted class order"):
+            SdpSolution.from_parts((B, A, C), [(np.zeros(3, dtype=int), zero, zero)])
+
+    def test_sorted_strings_become_the_class(self):
+        zero = np.zeros((3, 3, 1))
+        sol = SdpSolution([A, B, C], zero, zero)
+        assert sol.domain == ConceptClass(3, (A, B, C))
+        assert sol.domain.index(C) == 2 and cost_of(sol).domain is sol.domain
+
+    def test_find_first_one_solution_reads_any_order(self):
+        sol = find_first_one_solution(3, domain=[C, A, B])
+        assert sol.domain.members == (A, B, C)
+        assert cost_of(sol)(A) == pytest.approx(1 + 2**0.5)  # first one at rank 2
+
+    def test_default_domain_is_the_cube(self):
+        assert find_first_one_solution(3).domain == generate_class("cube", 3)
+
+
+def test_pipeline_solutions_share_the_class():
+    cls = generate_class("random", 6, size=20, seed=3)
+    pipe = oracle_id_pipeline(cls)
+    assert pipe.solution.domain is cls and pipe.cost.domain is cls
+    assert all(sol.domain is cls for sol in pipe.stage_solutions)

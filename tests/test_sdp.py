@@ -21,6 +21,7 @@ from oracleid.bitstrings import (
     BitString,
     ConceptClass,
     FunctionTable,
+    bit_matrix,
     generate_class,
 )
 from oracleid.identify import identify_all
@@ -69,7 +70,7 @@ class TestVerifyFeasible:
     def test_doubled_hit_weight_breaks_one_constraint(self):
         sol = find_first_one_solution(4)
         u = sol.u.copy()
-        idx = sol.index(bs("1000"))  # first disagreement at rank 1
+        idx = sol.domain.index(bs("1000"))  # first disagreement at rank 1
         u[idx, 0, 0] *= 2.0
         broken = SdpSolution(sol.domain, u, u)
         assert verify_feasible(rank_target(4), broken) == pytest.approx(1.0)
@@ -102,7 +103,7 @@ class TestCostFunction:
 class TestFirstOneSolution:
     def test_explicit_weights(self):
         sol = find_first_one_solution(4)
-        x = sol.index(bs("0010"))  # first one at rank 3
+        x = sol.domain.index(bs("0010"))  # first one at rank 3
         column = sol.u[x, :, 0]
         assert column[0] == pytest.approx(1.0)  # 1^(-1/4)
         assert column[1] == pytest.approx(2.0**-0.25)
@@ -111,8 +112,8 @@ class TestFirstOneSolution:
 
     def test_hit_pairs_meet_exactly_once(self):
         sol = find_first_one_solution(4)
-        a = sol.index(bs("1000"))
-        b = sol.index(bs("0100"))
+        a = sol.domain.index(bs("1000"))
+        b = sol.domain.index(bs("0100"))
         total = sum(
             sol.u[a, j, 0] * sol.v[b, j, 0]
             for j in range(4)
@@ -122,8 +123,8 @@ class TestFirstOneSolution:
 
     def test_equal_rank_pairs_contribute_nothing(self):
         sol = find_first_one_solution(4)
-        a = sol.index(bs("1010"))
-        b = sol.index(bs("1100"))  # both rank 1
+        a = sol.domain.index(bs("1010"))
+        b = sol.domain.index(bs("1100"))  # both rank 1
         total = sum(
             sol.u[a, j, 0] * sol.v[b, j, 0]
             for j in range(4)
@@ -857,10 +858,10 @@ class TestDomainBits:
             values = {0, (1 << n) - 1} | {int(v) for v in rng.integers(0, 1 << min(n, 62), size=5)}
             values |= {((1 << n) - 1) ^ v for v in list(values)}
             domain = tuple(BitString(n, v) for v in sorted(values))
-            got = sdp._domain_bits(domain)
+            got = bit_matrix(n, [x.value for x in domain])
             assert got.dtype == np.uint8
             np.testing.assert_array_equal(got, domain_bits(domain))
 
     def test_one_member(self):
         domain = (BitString.from_str("1011001"),)
-        np.testing.assert_array_equal(sdp._domain_bits(domain), [[1, 0, 1, 1, 0, 0, 1]])
+        np.testing.assert_array_equal(bit_matrix(7, [domain[0].value]), [[1, 0, 1, 1, 0, 0, 1]])

@@ -19,8 +19,7 @@ from oracleid.sdp import LabelTarget, SdpSolution
 ROW_CHUNK = 64
 
 
-def _domain_bits(domain: Sequence[BitString]) -> np.ndarray:
-    n = domain[0].n
+def _domain_bits(n: int, domain: Sequence[BitString]) -> np.ndarray:
     text = "".join(format(x.value, f"0{n}b") for x in domain).encode("ascii")
     return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(domain), n)
 
@@ -50,7 +49,7 @@ def verify_feasible(A, sol: SdpSolution) -> float:
         def target_rows(lo, hi):
             return dense[lo:hi].copy()
 
-    bits = _domain_bits(sol.domain)
+    bits = _domain_bits(sol.domain.n, sol.domain.members)
     ones = bits[:, :, None].astype(float)
     zeros = 1.0 - ones
 
