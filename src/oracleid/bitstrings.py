@@ -243,21 +243,10 @@ def majority_value(values: Sequence[int], n: int) -> int:
     return out
 
 
-_KIND_ALIASES = {
-    "cube": "cube",
-    "full-cube": "cube",
-    "hamming": "hamming",
-    "hamming-weight-k": "hamming",
-    "hamming1": "hamming1",
-    "hamming-pair": "hamming-pair",
-    "hamming-weight-pair": "hamming-pair",
-    "prefix": "prefix",
-    "random": "random",
-}
-
-# the parameters a kind reads besides n, if any; every kind accepts a seed
-_KIND_READS = {"hamming": ("k",), "hamming-pair": ("k",), "prefix": ("free_bits",),
-               "random": ("size",)}
+# every class kind, with the parameters it reads besides n; every kind
+# accepts a seed
+_KIND_READS = {"cube": (), "hamming": ("k",), "hamming1": (), "hamming-pair": ("k",),
+               "prefix": ("free_bits",), "random": ("size",)}
 
 _ENUM_LIMIT = 1 << 20  # no materialized class beyond ~2^20 members
 
@@ -281,29 +270,28 @@ def generate_class(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    canonical = _KIND_ALIASES.get(kind)
-    if canonical is None:
+    if kind not in _KIND_READS:
         raise ValueError(f"unknown class kind {kind!r}")
     unread = [name for name, value in (("k", k), ("free_bits", free_bits), ("size", size))
-              if value is not None and name not in _KIND_READS.get(canonical, ())]
+              if value is not None and name not in _KIND_READS[kind]]
     if unread:
         raise ValueError(f"a {kind} class does not read {' or '.join(unread)}")
 
-    if canonical == "cube":
+    if kind == "cube":
         _check_size(1 << n, f"cube of dimension {n}")
         return ConceptClass.from_values(n, range(1 << n))
 
-    if canonical == "hamming1":
-        canonical, k = "hamming", 1
+    if kind == "hamming1":
+        kind, k = "hamming", 1
 
-    if canonical == "hamming":
+    if kind == "hamming":
         if k is None or not 0 <= k <= n:
             raise ValueError(f"need a weight 0 <= k <= {n}")
         _check_size(math.comb(n, k), f"weight-{k} class of length {n}")
         values = [_pack_positions(n, combo) for combo in itertools.combinations(range(n), k)]
         return ConceptClass.from_values(n, values)
 
-    if canonical == "hamming-pair":
+    if kind == "hamming-pair":
         if k is None or not 1 <= k <= n:
             raise ValueError(f"need a weight 1 <= k <= {n}")
         members = math.comb(n, k - 1) + math.comb(n, k)
@@ -312,7 +300,7 @@ def generate_class(
         values += [_pack_positions(n, c) for c in itertools.combinations(range(n), k)]
         return ConceptClass.from_values(n, values)
 
-    if canonical == "prefix":
+    if kind == "prefix":
         if free_bits is None or not 1 <= free_bits <= n:
             raise ValueError(f"need 1 <= free_bits <= {n}")
         _check_size(1 << free_bits, f"prefix class with {free_bits} free bits")

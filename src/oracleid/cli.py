@@ -11,22 +11,19 @@ Subcommands::
     oracleid bounds --grid "N=4,8;M=4,16" [--output FILE]
 
 Per-trace output is JSON lines (one object per run, then a summary object);
-sweeps are CSV.  gen and run are deterministic given --seed, which falls
-back to the ORACLEID_SEED environment variable, then to 0; verify and
-bounds draw nothing at random.  run and bounds spread their work over
---jobs worker processes.  verify and bounds exit nonzero when any check
-fails; run exits nonzero only on hard errors (statistical
-misidentification by the quantum engine is reported in the summary, not an
-error).  Invalid input (a bad
-value, an unreadable file) ends with one ``oracleid: error:`` line on
-stderr and exit code 2.
+sweeps are CSV.  gen and run are deterministic given --seed (default 0);
+verify and bounds draw nothing at random.  run and bounds spread their
+work over --jobs worker processes.  verify and bounds exit nonzero when
+any check fails; run exits nonzero only on hard errors (statistical
+misidentification by the quantum engine is reported in the summary, not
+an error).  Invalid input (a bad value, an unreadable file) ends with one
+``oracleid: error:`` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -35,7 +32,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import qsim, sdp
-from .bitstrings import BitString, ConceptClass, generate_class
+from .bitstrings import _KIND_READS, BitString, ConceptClass, generate_class
 from .identify import (
     PromiseViolation,
     run_final,
@@ -63,24 +60,15 @@ class ExperimentConfig:
     algorithm: str = "final"
     jobs: int = 1
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("ORACLEID_SEED", "")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
-
 
 def _check_tolerance(tolerance: float) -> None:
     if not tolerance >= 0:
         raise ValueError(f"--tolerance must be non-negative, got {tolerance}")
+
+
+def _check_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"--{flag} must be positive, got {value}")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -144,6 +132,8 @@ def _run_rows(cls: ConceptClass, xs: list[str], algorithm: str, engine: str,
 def cmd_run(args) -> int:
     if args.all == (args.x is not None):
         raise ValueError("run needs one of --x and --all")
+    _check_positive("trials", args.trials)
+    _check_positive("jobs", args.jobs)
     cls = ConceptClass.load(args.class_file)
     if args.all:
         xs = [str(m) for m in cls.members]
@@ -354,8 +344,7 @@ def _parse_grid(text: str) -> tuple[list[int], list[int]]:
 
 def cmd_bounds(args) -> int:
     _check_tolerance(args.tolerance)
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be positive, got {args.jobs}")
+    _check_positive("jobs", args.jobs)
     ns, ms = _parse_grid(args.grid)
     cells = [(m, n) for n in ns for m in ms if m <= (1 << n)]
     reports = _starmap(bounds_mod.build_report, cells, args.jobs)
@@ -380,25 +369,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a concept-class JSON file")
-    gen.add_argument("--kind", required=True,
-                     choices=["cube", "hamming", "hamming1", "hamming-pair",
-                              "prefix", "random"])
+    gen.add_argument("--kind", required=True, choices=list(_KIND_READS))
     gen.add_argument("--n", type=int, required=True, help="string length")
     gen.add_argument("--k", type=int, default=None, help="Hamming weight")
     gen.add_argument("--free-bits", type=int, default=None)
     gen.add_argument("--m", type=int, default=None, help="random-class size")
-    gen.add_argument("--seed", type=int, default=_default_seed())
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", "-o", default=None)
     gen.set_defaults(func=cmd_gen)
 
     run = sub.add_parser("run", help="run identification and emit JSON-line traces")
-    run.add_argument("--class-file", "--class", dest="class_file", required=True)
+    run.add_argument("--class-file", required=True)
     run.add_argument("--x", default=None, help="hidden string (ASCII bits)")
     run.add_argument("--all", action="store_true", help="run every member")
     run.add_argument("--engine", choices=["ideal", "quantum"], default="ideal")
     run.add_argument("--algorithm", choices=sorted(_ALGORITHMS), default="final")
     run.add_argument("--trials", type=int, default=1)
-    run.add_argument("--seed", type=int, default=_default_seed())
+    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--jobs", type=int, default=1)
     run.add_argument("--output", "-o", default=None)
     run.set_defaults(func=cmd_run)
@@ -410,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="string length (ordering, lp; default 4)")
     verify.add_argument("--m", type=int, default=None,
                         help="log2 of the class size (lp; default 3)")
-    verify.add_argument("--class-file", "--class", dest="class_file", default=None)
+    verify.add_argument("--class-file", default=None)
     verify.add_argument("--dump", action="store_true",
                         help="include solution vectors in the JSON report")
     verify.add_argument("--tolerance", type=float, default=1e-9)

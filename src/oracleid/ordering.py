@@ -213,6 +213,8 @@ def verify_ordering(strings: Iterable[BitString] | ConceptClass, order: Ordering
     n = cls.n
     if sorted(order.sigma) != list(range(n)):
         raise ValueError("sigma is not a permutation of the bit positions")
+    if order.s.n != n:
+        raise ValueError("reference string length mismatch")
     s_value = order.s.value
     worst = 0.0
     remaining = list(cls.values)
@@ -235,6 +237,8 @@ def first_disagreement_rank(
     Only the first ``width`` ranks are scanned (all of ``sigma`` when
     ``width`` is None); returns None when they all agree.
     """
+    if x.n != s.n:
+        raise ValueError("reference string length mismatch")
     limit = len(sigma) if width is None else min(width, len(sigma))
     for t in range(limit):
         j = sigma[t]

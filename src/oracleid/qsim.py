@@ -32,7 +32,10 @@ are reproducible bit-for-bit across platforms.  Each search round draws its
 iteration count, then exactly one uniform variate for the measurement.
 Within one amplified search the marked set is fixed, so the measurement
 distribution is built once per distinct iteration count and sampled by
-bisection on its cumulative sums.
+bisection on its cumulative sums.  Ranks a classical scan has queried one
+by one are known zeros; the repetitions of one disagreement-finder call
+share them through one view of the searched string, which carries its
+cleared prefix.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ __all__ = [
     "SearchConfig",
     "DEFAULT_CONFIG",
     "EngineContext",
-    "ScanState",
     "FirstOneResult",
     "DisagreementResult",
     "grover_probabilities",
@@ -113,16 +115,6 @@ class EngineContext:
     max_drift: float = 0.0
 
 
-@dataclass
-class ScanState:
-    """Classical knowledge shared between repeated scans of one string.
-
-    Ranks below ``cleared`` have been queried individually and are zero.
-    """
-
-    cleared: int = 0
-
-
 @dataclass(frozen=True)
 class FirstOneResult:
     """Outcome of one first-marked-position scan.
@@ -148,9 +140,11 @@ class _Effective:
     reference ``s`` (zero reference and identity order by default).  The
     raw bits live here so the simulator can count marked ranks, but every
     read that reaches the algorithm is routed through a counted query.
+    Ranks below ``cleared`` have been queried one by one and are zero;
+    repeated scans of one view share them.
     """
 
-    __slots__ = ("ranks",)
+    __slots__ = ("ranks", "cleared")
 
     def __init__(
         self,
@@ -168,6 +162,7 @@ class _Effective:
             self.ranks = tuple(x.bit(j) for j in scan[:width])
         else:
             self.ranks = tuple(x.bit(j) ^ s.bit(j) for j in scan[:width])
+        self.cleared = 0
 
     def query(self, t: int, ctx: EngineContext) -> int:
         ctx.queries += 1
@@ -244,13 +239,13 @@ def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig)
     return None
 
 
-def _scan_region(eff: _Effective, scan: ScanState, hi: int, ctx: EngineContext) -> int | None:
+def _scan_region(eff: _Effective, hi: int, ctx: EngineContext) -> int | None:
     """Classically query ranks [cleared, hi); returns the first 1 if any."""
-    for t in range(scan.cleared, hi):
+    for t in range(eff.cleared, hi):
         if eff.query(t, ctx):
-            scan.cleared = t
+            eff.cleared = t
             return t
-        scan.cleared = t + 1
+        eff.cleared = t + 1
     return None
 
 
@@ -269,7 +264,6 @@ def grover_search_unknown_count(
     ctx: EngineContext,
     *,
     s: BitString | None = None,
-    order: Sequence[int] | None = None,
     config: SearchConfig = DEFAULT_CONFIG,
 ) -> int | None:
     """Find any rank in [0, width) where ``x`` disagrees with ``s``.
@@ -278,7 +272,7 @@ def grover_search_unknown_count(
     schedule -- which is certain when nothing is marked and a bounded-error
     miss otherwise.
     """
-    return _bbht(_Effective(x, s, order, width), width, ctx, config)
+    return _bbht(_Effective(x, s, None, width), width, ctx, config)
 
 
 def find_first_one(
@@ -289,7 +283,6 @@ def find_first_one(
     s: BitString | None = None,
     order: Sequence[int] | None = None,
     config: SearchConfig = DEFAULT_CONFIG,
-    scan: ScanState | None = None,
 ) -> FirstOneResult:
     """Find the first rank in [0, width) where ``x`` disagrees with ``s``.
 
@@ -301,18 +294,24 @@ def find_first_one(
 
     Expected query cost scales with the square root of the answer.  A
     returned position is always a verified disagreement but may be later
-    than the true first one; None may be wrong unless ``exact``.
+    than the true first one; None may be wrong unless ``exact``.  Each call
+    starts with no rank cleared; ``quantum_disagreement_finder``'s
+    repetitions share theirs.
     """
-    scan = scan if scan is not None else ScanState()
     if width <= 0:
         return FirstOneResult(None, True)
-    eff = _Effective(x, s, order, width)
+    return _first_one(_Effective(x, s, order, width), ctx, config)
 
+
+def _first_one(eff: _Effective, ctx: EngineContext, config: SearchConfig) -> FirstOneResult:
+    """``find_first_one`` over all of ``eff``'s ranks, skipping those below
+    ``eff.cleared``, which are known zeros, and extending them."""
+    width = len(eff.ranks)
     for top in _stage_ladder(config.classical_width, width):
-        if top <= scan.cleared:
+        if top <= eff.cleared:
             continue
         if top <= config.classical_width:
-            q = _scan_region(eff, scan, top, ctx)
+            q = _scan_region(eff, top, ctx)
             if q is not None:
                 return FirstOneResult(q, True)
             continue
@@ -321,17 +320,17 @@ def find_first_one(
             continue
         best = v
         while True:
-            gap = best - scan.cleared
+            gap = best - eff.cleared
             if gap <= 0:
                 return FirstOneResult(best, True)
             if gap <= config.classical_width:
-                q = _scan_region(eff, scan, best, ctx)
+                q = _scan_region(eff, best, ctx)
                 return FirstOneResult(q if q is not None else best, True)
             w = _bbht(eff, best, ctx, config)
             if w is None:
                 return FirstOneResult(best, False)
             best = w
-    return FirstOneResult(None, scan.cleared >= width)
+    return FirstOneResult(None, eff.cleared >= width)
 
 
 def _miss_by_marked(limit: int, config: SearchConfig) -> np.ndarray:
@@ -426,14 +425,13 @@ def scan_failure(width: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     return calls * worst
 
 
-def repetitions_for_budget(error_budget: float, per_scan: float = 1.0 / 3.0) -> int:
+def repetitions_for_budget(error_budget: float, per_scan: float) -> int:
     """Independent repetitions needed to push failure below the budget.
 
     ``per_scan`` bounds the probability that one scan fails, whatever the
     earlier repetitions did, so ``t`` repetitions fail together with
     probability at most ``per_scan**t``.  The finders pass the certified
-    ``scan_failure`` or ``bbht_failure``; the default 1/3 is the textbook
-    bounded-error rate.
+    ``scan_failure`` or ``bbht_failure``.
     """
     if not 0 < error_budget < 1:
         raise ValueError("error budget must be in (0, 1)")
@@ -463,11 +461,11 @@ def quantum_disagreement_finder(
     verified zero ranks) is shared across repetitions, and an exact
     repetition short-circuits the rest.
     """
-    scan = ScanState()
+    eff = _Effective(x, s, order, width)
     best: int | None = None
     repetitions = repetitions_for_budget(ctx.error_budget, scan_failure(width, config))
     for _ in range(repetitions):
-        res = find_first_one(x, width, ctx, s=s, order=order, config=config, scan=scan)
+        res = _first_one(eff, ctx, config)
         if res.exact:
             pos = res.position
             return DisagreementResult(None if pos is None else pos + 1, True)

@@ -392,10 +392,7 @@ def find_first_one_solution(
     if not 0 <= width <= n:
         raise ValueError(f"width must lie in [0, {n}]")
     members = ConceptClass.of(domain) if domain is not None else _full_cube(n)
-
-    ranks = np.array(
-        [first_disagreement_rank(x, s, sigma, width) or 0 for x in members], dtype=np.intp
-    )
+    ranks = np.array(first_disagreement_table(members, sigma, s, width).outputs, dtype=np.intp)
     u = _scan_rows(np.array(sigma, dtype=np.intp), ranks, width)
     return SdpSolution(members, u, u)
 

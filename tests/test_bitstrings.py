@@ -219,6 +219,11 @@ class TestGenerateClass:
         with pytest.raises(ValueError):
             generate_class("mystery", 3)
 
+    @pytest.mark.parametrize("name", ["full-cube", "hamming-weight-k", "hamming-weight-pair"])
+    def test_a_kind_has_one_name(self, name):
+        with pytest.raises(ValueError, match="unknown class kind"):
+            generate_class(name, 3, k=1)
+
     @pytest.mark.parametrize("kind, params, unread", [
         ("hamming1", {"k": 3}, "k"),
         ("cube", {"size": 3, "free_bits": 1}, "free_bits or size"),
@@ -230,7 +235,7 @@ class TestGenerateClass:
         with pytest.raises(ValueError, match=f"does not read {unread}$"):
             generate_class(kind, 4, **params)
 
-    @pytest.mark.parametrize("kind", ["cube", "hamming1", "full-cube"])
+    @pytest.mark.parametrize("kind", ["cube", "hamming1"])
     def test_every_kind_takes_a_seed(self, kind):
         assert generate_class(kind, 3, seed=1) == generate_class(kind, 3)
 

@@ -34,6 +34,15 @@ class TestGen:
         run_cli(*args, "-o", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seed_comes_from_the_flag_alone(self, tmp_path, monkeypatch):
+        # --seed defaults to 0 whatever the environment holds
+        monkeypatch.setenv("ORACLEID_SEED", "5")
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["gen", "--kind", "random", "--n", "8", "--m", "3"]
+        run_cli(*args, "-o", str(a))
+        run_cli(*args, "--seed", "0", "-o", str(b))
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestRun:
     @pytest.fixture()
@@ -55,6 +64,12 @@ class TestRun:
         assert summary["search_config"] == asdict(qsim.DEFAULT_CONFIG)
         assert summary["search_config"]["cutoff_coeff"] == 9.0
         assert all("search_config" not in row for row in rows)
+
+    def test_class_is_read_as_a_prefix_of_class_file(self, class_file, tmp_path):
+        # argparse takes an unambiguous prefix for the whole flag
+        out = tmp_path / "rows.jsonl"
+        assert run_cli("run", "--class", class_file, "--all", "-o", str(out)) == 0
+        assert run_cli("verify", "--suite", "sdp", "--class", class_file) == 0
 
     def test_summary_config_is_the_run_settings(self, class_file, tmp_path):
         out = tmp_path / "rows.jsonl"
@@ -203,6 +218,19 @@ class TestInputErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, flag, value", [
+        (("run", "--class-file", "{cf}", "--all", "--trials", "0"), "trials", "0"),
+        (("run", "--class-file", "{cf}", "--all", "--jobs", "0"), "jobs", "0"),
+        (("run", "--class-file", "{cf}", "--all", "--jobs", "-1"), "jobs", "-1"),
+        (("bounds", "--grid", "N=4;M=4", "--jobs", "0"), "jobs", "0"),
+    ])
+    def test_positive_integers_name_their_flag(self, tmp_path, capsys, argv, flag, value):
+        cf = tmp_path / "c.json"
+        run_cli("gen", "--kind", "hamming1", "--n", "3", "-o", str(cf))
+        assert run_cli(*[a.format(cf=cf) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"oracleid: error: --{flag} must be positive, got {value}\n"
+
 
 class TestVerify:
     def test_ordering_suite_passes(self, capsys):
@@ -320,8 +348,8 @@ class TestOptionInventory:
 
     @staticmethod
     def options(parser):
-        # one entry per option, named by its first long flag (aliases such as
-        # --class and -o ride along); --help is argparse's own
+        # one entry per option, named by its first long flag (short aliases
+        # such as -o ride along); --help is argparse's own
         return [
             next(flag for flag in action.option_strings if flag.startswith("--"))
             for action in parser._actions

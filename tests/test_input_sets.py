@@ -81,6 +81,10 @@ class TestDomainOrder:
     def test_default_domain_is_the_cube(self):
         assert find_first_one_solution(3).domain == generate_class("cube", 3)
 
+    def test_domain_of_another_length_is_named(self):
+        with pytest.raises(ValueError, match="reference string length mismatch"):
+            find_first_one_solution(3, domain=[BitString(4, 1)])
+
 
 def test_pipeline_solutions_share_the_class():
     cls = generate_class("random", 6, size=20, seed=3)

@@ -116,6 +116,15 @@ class TestVerifyOrdering:
         with pytest.raises(ValueError):
             verify_ordering(cls, order)
 
+    def test_requires_a_reference_of_the_class_length(self):
+        # a 5-bit reference whose low 3 bits are a good one is still refused
+        cls = generate_class("cube", 3)
+        good = hegedus_ordering(cls)
+        long = Ordering(good.sigma, BitString(5, 0b11000 | good.s.value), good.elim_sets,
+                        good.width)
+        with pytest.raises(ValueError, match="reference string length mismatch"):
+            verify_ordering(cls, long)
+
 
 class TestWidth:
     def test_width_bounds_every_disagreement_rank(self):
@@ -152,6 +161,10 @@ class TestFirstDisagreementRank:
 
     def test_respects_width(self):
         assert first_disagreement_rank(bs("001"), bs("000"), (0, 1, 2), width=2) is None
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="reference string length mismatch"):
+            first_disagreement_rank(bs("000"), bs("0001"), (0, 1, 2))
 
 
 class TestPartitionAgainstReference:

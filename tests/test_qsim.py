@@ -11,7 +11,6 @@ from oracleid.identify import QuantumFinder, _new_context
 from oracleid.ordering import clear_ordering_cache
 from oracleid.qsim import (
     EngineContext,
-    ScanState,
     find_first_one,
     grover_probabilities,
     grover_search_unknown_count,
@@ -275,16 +274,6 @@ class TestFindFirstOne:
             res = find_first_one(x, n, ctx_for((10, t)))
             assert res.position in (70, None)
 
-    def test_shared_scan_state_is_reused(self):
-        scan = ScanState()
-        ctx = ctx_for(0)
-        find_first_one(bs("0000"), 4, ctx, scan=scan)
-        assert scan.cleared == 4
-        before = ctx.queries
-        res = find_first_one(bs("0000"), 4, ctx, scan=scan)
-        assert res == qsim.FirstOneResult(None, True)
-        assert ctx.queries == before  # nothing left to query
-
 
 class TestDisagreementFinder:
     def test_examples(self):
@@ -310,12 +299,36 @@ class TestDisagreementFinder:
             hits += res.rank == p0 + 1
         assert hits / trials >= 0.60
 
+    def test_repetitions_share_the_cleared_prefix(self, monkeypatch):
+        # past the classical prefix nothing is marked, so no repetition is
+        # exact and every one runs; the prefix is still queried only once
+        width = 16
+        scanned, full_searches = [], []
+        scan_region, bbht = qsim._scan_region, qsim._bbht
+
+        def record_scan(eff, hi, ctx):
+            scanned.extend(range(eff.cleared, hi))
+            return scan_region(eff, hi, ctx)
+
+        def record_search(eff, limit, ctx, config):
+            if limit == width:
+                full_searches.append(limit)
+            return bbht(eff, limit, ctx, config)
+
+        monkeypatch.setattr(qsim, "_scan_region", record_scan)
+        monkeypatch.setattr(qsim, "_bbht", record_search)
+        zeros = BitString.zeros(width)
+        res = quantum_disagreement_finder(zeros, zeros, range(width), width, ctx_for(0, 1e-12))
+        assert res == qsim.DisagreementResult(None, False)
+        assert len(full_searches) >= 2  # one per repetition
+        assert scanned == list(range(qsim.DEFAULT_CONFIG.classical_width))
+
     def test_repetition_count(self):
-        assert repetitions_for_budget(1 / 15) == 3
-        assert repetitions_for_budget(1 / 28) == 4
-        assert repetitions_for_budget(1 / 100) == 5
+        assert repetitions_for_budget(1 / 15, 1 / 3) == 3
+        assert repetitions_for_budget(1 / 28, 1 / 3) == 4
+        assert repetitions_for_budget(1 / 100, 1 / 3) == 5
         with pytest.raises(ValueError):
-            repetitions_for_budget(0.0)
+            repetitions_for_budget(0.0, 1 / 3)
 
 
 def _enumerated_miss(limit, marked, config):
