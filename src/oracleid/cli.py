@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -62,8 +63,9 @@ class ExperimentConfig:
 
 
 def _check_tolerance(tolerance: float) -> None:
-    if not tolerance >= 0:
-        raise ValueError(f"--tolerance must be non-negative, got {tolerance}")
+    # inf would pass every check, whatever its violation; nan would fail them all
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(f"--tolerance must be finite and non-negative, got {tolerance}")
 
 
 def _check_positive(flag: str, value: int) -> None:

@@ -25,20 +25,47 @@ the targets built here -- ``J - I``, ``J - F`` and the stage targets
 ``gram(f_{k-1}) - gram(f_k)`` -- are each a difference of two function
 Gram matrices and are kept as a ``LabelTarget``: two integer label vectors
 whose entry ``(x, y)`` is ``[coarse_x == coarse_y] - [fine_x == fine_y]``.
-``verify_feasible`` reads either form a block of rows at a time, so a
-label target is never held as a dense matrix.  The check is block-local:
-when the fine labels and every part's blocks refine the coarse labels, as
-they do for every stage target, a pair across coarse classes is exactly
+When ``verify_feasible`` checks pair by pair, it reads either form a block
+of rows at a time, so a label target is never held as a dense matrix.
+That check is block-local: when the fine labels and every part's blocks
+refine the coarse labels, a pair across coarse classes is exactly
 ``0 - 0``, so only the pairs inside a class are computed.
 
-A solution is stored as a direct sum of *parts* ``(block, u, v)``.  In a
-part, ``u`` and ``v`` have shape (inputs, bits, d) and ``block`` gives every
-input an integer block id; each block owns its own ``d`` coordinates, so
-``<u[x, j], v[y, j]>`` counts only when ``block[x] == block[y]``.  The
-ambient vectors are the parts laid side by side, the blocks of a part in
-increasing id order, but checks and costs never build them: every input
-has ``d`` coordinates per part, however many blocks the part has.  The
-explicit first-disagreement solution is one part with one block.
+A solution is stored as a direct sum of *parts*, each of which unpacks as
+``(block, u, v)``: ``u`` and ``v`` have shape (inputs, bits, d) and
+``block`` gives every input an integer block id; each block owns its own
+``d`` coordinates, so ``<u[x, j], v[y, j]>`` counts only when
+``block[x] == block[y]``.  The ambient vectors are the parts laid side by
+side, the blocks of a part in increasing id order, but checks and costs
+never build them: every input has ``d`` coordinates per part, however many
+blocks the part has.  An `SdpPart` holds its arrays.  A `ScanPart` is a
+first-disagreement part (``d = 1``, ``u is v``) kept as its scans: the
+block ids, each block's scan order ``sigma``, reference ``s`` and
+``width``, and each input's rank; ``_scan_rows`` writes its rows only when
+they are asked for.  The explicit first-disagreement solution is one
+`SdpPart` with one block; every pipeline stage is one `ScanPart`.
+
+A scan part is checked from its defining property, in O(inputs * bits),
+without touching a pair.  Within a block, take two inputs with ranks
+``p < q`` (rank 0, no disagreement within the width, counts as past every
+rank).  They agree along ``sigma`` before rank ``p`` and differ at it, and
+the rank-``p`` row is zero after it, so their constraint sum is exactly
+the one product ``p**0.25 * p**-0.25``; inputs of equal rank sum to
+exactly 0.  So once every rank is recomputed from the input bits as the
+first disagreement with ``s`` along ``sigma`` within ``width``, and the
+target's labels split the blocks by rank, the residual is
+``max |1 - p**0.25 * p**-0.25|`` over the ranks ``p`` that are the
+smaller rank of a pair in their block -- the very value the pair-by-pair
+check computes, bit for bit.  Parts chain the same way: when the first
+part's blocks are the coarse classes, part ``k + 1``'s blocks are the
+classes of part ``k``'s ``(block, rank)``, and the last ``(block, rank)``
+gives the fine classes, each pair of a coarse class with different fine
+labels is split at exactly one part and sums to zero at every other, so
+the residual is the largest part residual.  That telescopes ``J - I``
+(one coarse class, every fine label its own) over the pipeline's stages.
+Any other solution or target -- dense parts, a dense target other than
+``J - I``, or a failed premise -- is checked pair by pair, so
+``verify_feasible`` always returns the exact residual.
 
 ``oracle_id_pipeline`` builds, from the exact pruning tree of the final
 identification algorithm, a feasible solution for full identification
@@ -48,13 +75,15 @@ composing bounded-error stages.  It does not walk the tree itself: it
 reads the class's memoized pruning tree (``ordering._tree``, the one
 ``identify_all`` reads), whose member rank paths give the stage tables
 ``f_k`` (the first ``k`` ranks) and whose nodes give each block's greedy
-order and width.  Stage ``k`` is the output-conditioned composite of one
-first-disagreement solution per ``f_{k-1}`` label shared by two or more
-members (a lone member's target is zero, so it gets zero rows), written
-directly as one array; the stages are the parts of one direct sum.  The
-solution has one part per stage, with one block per output label of the
-stage before, so it stores ``stages * inputs * bits`` numbers per side
-where the ambient arrays hold ``dim`` times that.  The general algebra
+order, reference and width.  Stage ``k`` is the output-conditioned
+composite of one first-disagreement solution per ``f_{k-1}`` label shared
+by two or more members (a lone member's target is zero, so it gets zero
+rows), kept as one scan part; the stages are the parts of one direct sum.
+The solution has one part per stage, with one block per output label of
+the stage before, so it stores a rank per input and an order and a
+reference per block for each stage, where the rows would be
+``stages * inputs * bits`` numbers per side and the ambient arrays
+``dim`` times that.  The general algebra
 this is an instance of -- direct sums, output-conditioned blocks and
 tensor products -- lives with its tests in ``tests/sdp_compose.py``.
 """
@@ -71,6 +100,7 @@ from .ordering import _tree, first_disagreement_rank
 
 __all__ = [
     "SdpPart",
+    "ScanPart",
     "SdpSolution",
     "LabelTarget",
     "CostFunction",
@@ -91,6 +121,73 @@ class SdpPart(NamedTuple):
     u: np.ndarray
     v: np.ndarray
 
+    @property
+    def d(self) -> int:
+        return self.u.shape[2]
+
+
+@dataclass(frozen=True, eq=False)
+class ScanPart:
+    """A first-disagreement direct summand kept as its scans.
+
+    block: per input, its block id in ``0..blocks-1``.
+    sigma, s: per block, its scan order and its reference string's bits
+       (shape (blocks, bits); ``s`` is boolean, by bit position).
+    width: per block, the ranks scanned.
+    rank: per input, its claimed first disagreement with its block's ``s``
+       along ``sigma`` within ``width``, 0 when none.
+
+    It unpacks as ``(block, u, u)`` like an `SdpPart`, the rows written
+    by ``_scan_rows`` on each unpacking (and on each read of ``u`` or
+    ``v``), so a part holds two numbers per input and per block and bit,
+    never its rows.
+    """
+
+    block: np.ndarray
+    sigma: np.ndarray
+    s: np.ndarray
+    width: np.ndarray
+    rank: np.ndarray
+
+    d = 1
+
+    @property
+    def u(self) -> np.ndarray:
+        return _scan_rows(self.sigma[self.block], self.rank, self.width[self.block])
+
+    v = u
+
+    def __iter__(self):
+        u = self.u
+        return iter((self.block, u, u))
+
+    def ranks_hold(self, bits: np.ndarray) -> bool:
+        """Whether every ``sigma`` is a permutation and every ``rank`` is its
+        input's first disagreement, read off the inputs' 0/1 ``bits``
+        (inputs, bits)."""
+        m, n = bits.shape
+        if not (np.sort(self.sigma, axis=1) == np.arange(n)).all():
+            return False
+        # flat index of the bit each input reads at each rank
+        order = self.sigma[self.block] + np.arange(0, m * n, n)[:, None]
+        differ = (bits ^ self.s[self.block]).ravel()[order]
+        differ &= np.arange(n) < self.width[self.block, None]
+        first = differ.argmax(axis=1)
+        return bool(np.array_equal(np.where(differ[np.arange(m), first], first + 1, 0), self.rank))
+
+    def split_residual(self) -> float:
+        """``max |1 - p**0.25 * p**-0.25|`` over the ranks ``p`` that are
+        the smaller rank of a pair in their block, 0.0 when there are none;
+        the part's exact residual once ``ranks_hold`` and the target's
+        labels split the blocks by rank."""
+        n = self.sigma.shape[1]
+        ramp, spike = _ramp_spike(n)
+        later = np.where(self.rank > 0, self.rank, n + 1)  # rank 0 is past every rank
+        last = np.zeros(len(self.width), dtype=later.dtype)
+        np.maximum.at(last, self.block, later)
+        split = self.rank[later < last[self.block]]
+        return float(np.abs(1.0 - spike * ramp)[split - 1].max(initial=0.0))
+
 
 class SdpSolution:
     """A solution on the class ``domain`` stored as a direct sum of parts.
@@ -101,9 +198,10 @@ class SdpSolution:
 
     ``SdpSolution(domain, u, v)`` is one part with a single block, ``u`` and
     ``v`` of shape (inputs, bits, dimension); ``SdpSolution.from_parts``
-    takes any sequence of ``(block, u, v)`` parts.  ``.u``, ``.v`` and
-    ``.dim`` describe the ambient arrays, which are built on each access
-    (only a one-part, one-block solution hands back its own arrays).
+    takes any sequence of ``(block, u, v)`` triples and scan parts.
+    ``.u``, ``.v`` and ``.dim`` describe the ambient arrays, which are
+    built on each access (only a one-part, one-block `SdpPart` solution
+    hands back its own arrays).
     """
 
     def __init__(self, domain: ConceptClass | Sequence[BitString], u: np.ndarray, v: np.ndarray):
@@ -111,10 +209,12 @@ class SdpSolution:
 
     @classmethod
     def from_parts(
-        cls, domain: ConceptClass | Sequence[BitString], parts: Sequence[tuple[np.ndarray, ...]]
+        cls, domain: ConceptClass | Sequence[BitString], parts: Sequence[tuple[np.ndarray, ...] | ScanPart]
     ) -> "SdpSolution":
         sol = cls.__new__(cls)
-        sol._setup(domain, tuple(SdpPart(np.asarray(b), u, v) for b, u, v in parts))
+        sol._setup(domain, tuple(
+            p if isinstance(p, ScanPart) else SdpPart(np.asarray(p[0]), p[1], p[2]) for p in parts
+        ))
         return sol
 
     def _setup(self, domain, parts: tuple[SdpPart, ...]) -> None:
@@ -124,14 +224,23 @@ class SdpSolution:
             if domain.members != rows:  # row i must be the class's member i
                 raise ValueError("domain strings must be listed in sorted class order")
         m, n = domain.size, domain.n
-        for block, u, v in parts:
-            for name, arr in (("u", u), ("v", v)):
-                if arr.ndim != 3 or arr.shape[0] != m or arr.shape[1] != n:
-                    raise ValueError(f"{name} must have shape ({m}, {n}, dim)")
-            if u.shape[2] != v.shape[2]:
-                raise ValueError("u and v must share the ambient dimension")
+        for part in parts:
+            block = part.block
             if block.shape != (m,) or block.dtype.kind not in "iu" or block.min() < 0:
                 raise ValueError(f"block must hold {m} nonnegative integer ids")
+            if isinstance(part, ScanPart):
+                blocks = len(part.width)
+                if (part.sigma.shape != (blocks, n) or part.s.shape != (blocks, n)
+                        or part.rank.shape != (m,) or block.max() >= blocks or part.s.dtype != bool
+                        or part.sigma.dtype.kind not in "iu" or part.rank.dtype.kind not in "iu"):
+                    raise ValueError(f"a scan part needs {m} integer ranks, ({blocks}, {n}) "
+                                     f"integer orders and ({blocks}, {n}) boolean s")
+                continue
+            for name, arr in (("u", part.u), ("v", part.v)):
+                if arr.ndim != 3 or arr.shape[0] != m or arr.shape[1] != n:
+                    raise ValueError(f"{name} must have shape ({m}, {n}, dim)")
+            if part.u.shape[2] != part.v.shape[2]:
+                raise ValueError("u and v must share the ambient dimension")
         self.domain = domain
         self.parts = parts
 
@@ -145,7 +254,7 @@ class SdpSolution:
 
     @property
     def dim(self) -> int:
-        return sum(len(np.unique(p.block)) * p.u.shape[2] for p in self.parts)
+        return sum(len(np.unique(p.block)) * p.d for p in self.parts)
 
     @property
     def u(self) -> np.ndarray:
@@ -163,9 +272,9 @@ class SdpSolution:
         lo = 0
         for part in self.parts:
             ids, slot = np.unique(part.block, return_inverse=True)
-            d = part.u.shape[2]
+            w, d = getattr(part, side), part.d
             for c in range(d):
-                out[rows, :, lo + slot * d + c] = getattr(part, side)[:, :, c]
+                out[rows, :, lo + slot * d + c] = w[:, :, c]
             lo += len(ids) * d
         return out
 
@@ -223,13 +332,60 @@ def _refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
     return bool(np.array_equal(seen[fine], coarse))
 
 
+def _same_classes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two vectors of nonnegative integer labels split the inputs
+    into the same classes (each label indexes an array of ``max + 1``)."""
+    return _refines(a, b) and _refines(b, a)
+
+
+def _is_identity_target(dense: np.ndarray) -> bool:
+    """Whether the square array is ``J - I``: ``m(m-1)`` ones and a zero
+    diagonal leave no room for any other entry."""
+    m = len(dense)
+    return int(np.count_nonzero(dense == 1.0)) == m * (m - 1) and not np.diagonal(dense).any()
+
+
+def _scan_chain_residual(target: LabelTarget, sol: SdpSolution) -> float | None:
+    """The exact residual of a solution of scan parts that chain from the
+    target's coarse classes to its fine ones (module docstring), or None
+    when the parts are not all scan parts or a structural check fails."""
+    if not sol.parts or not all(isinstance(p, ScanPart) for p in sol.parts):
+        return None
+    bits = bit_matrix(sol.domain.n, sol.domain.values)
+    first = sol.parts[0].block
+    # the stage targets' coarse labels are their part's own block ids
+    classes = first if np.array_equal(target.coarse, first) else _codes(target.coarse)
+    worst = 0.0
+    for part in sol.parts:
+        if not (part.ranks_hold(bits) and _same_classes(part.block, classes)):
+            return None
+        # ranks lie in 0..bits now: (block, rank) packs into one label below
+        # blocks * (bits + 1), an index as block ids are
+        classes = part.block * (bits.shape[1] + 1) + part.rank
+        worst = max(worst, part.split_residual())
+    return worst if _same_classes(classes, _codes(target.fine)) else None
+
+
 def verify_feasible(A, sol: SdpSolution) -> float:
     """Worst absolute violation of the bilinear constraints against ``A``.
 
-    ``A`` is an (inputs, inputs) array or a `LabelTarget`.  Every input
-    pair is covered, ``ROW_CHUNK`` rows at a time, so memory stays flat.
-    A return value at most the caller's tolerance certifies feasibility.
+    ``A`` is an (inputs, inputs) array or a `LabelTarget`.  A return value
+    at most the caller's tolerance certifies feasibility.  The value is
+    the exact worst residual over every input pair, whichever way it is
+    found.
 
+    A solution made of `ScanPart` parts is proven from its ranks, in
+    O(parts * inputs * bits): when each part's ranks are the first
+    disagreements of its inputs' bits and the parts chain from the
+    target's coarse classes to its fine ones, the residual is the largest
+    ``split_residual`` (module docstring).  That covers every pipeline
+    stage against its stage target and the pipeline's solution against
+    ``J - I``, given as ``LabelTarget(zeros, arange)`` or as the dense
+    array, which one elementwise pass finds equal to ``J - I``.
+
+    Any other case -- dense parts, a dense target other than ``J - I``,
+    or a failed check -- reads every input pair, ``ROW_CHUNK`` rows at a
+    time, so memory stays flat; scan parts are unpacked into their rows.
     Per part, the constraint sums of all pairs are ``U1 V0^T + U0 V1^T``,
     one product ``[U1 U0] [V0 V1]^T``, masked to equal blocks, where
     ``U1``/``U0`` keep the ``u[x, j]`` with ``x_j`` = 1/0 (flattened over
@@ -246,13 +402,25 @@ def verify_feasible(A, sol: SdpSolution) -> float:
     single coarse class such as ``J - I`` -- every chunk reads all columns.
     """
     m = sol.size
+    if isinstance(A, LabelTarget):
+        if np.shape(A.coarse) != (m,) or np.shape(A.fine) != (m,):
+            raise ValueError(f"label target needs {m} labels per side")
+        labels = A
+    else:
+        dense = np.asarray(A, dtype=float)
+        if dense.shape != (m, m):
+            raise ValueError(f"target must be {m}x{m}, got {dense.shape}")
+        labels = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m)) if _is_identity_target(dense) else None
+    if labels is not None:
+        worst = _scan_chain_residual(labels, sol)
+        if worst is not None:
+            return worst
+
     parts = []
     for block, u, v in sol.parts:
         ids, codes = np.unique(block, return_inverse=True)
         parts.append((codes.reshape(-1), len(ids) > 1, u, v))
     if isinstance(A, LabelTarget):
-        if np.shape(A.coarse) != (m,) or np.shape(A.fine) != (m,):
-            raise ValueError(f"label target needs {m} labels per side")
         coarse, fine = _codes(A.coarse), _codes(A.fine)
         # one coarse class leaves no pair to skip: read views of all rows
         local = (
@@ -261,9 +429,6 @@ def verify_feasible(A, sol: SdpSolution) -> float:
             and all(_refines(b, coarse) for b, _, _, _ in parts)
         )
     else:
-        dense = np.asarray(A, dtype=float)
-        if dense.shape != (m, m):
-            raise ValueError(f"target must be {m}x{m}, got {dense.shape}")
         local = False
 
     if local:
@@ -334,6 +499,14 @@ def _full_cube(n: int) -> ConceptClass:
     return ConceptClass.from_values(n, range(1 << n))
 
 
+def _ramp_spike(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``t**-0.25`` and ``t**0.25`` for the ranks ``t = 1..n``."""
+    # Python floats: a scalar t**-0.25 gives the same bits
+    ramp = np.array([t**-0.25 for t in range(1, n + 1)])
+    spike = np.array([t**0.25 for t in range(1, n + 1)])
+    return ramp, spike
+
+
 def _scan_rows(sigmas: np.ndarray, ranks: np.ndarray, widths: np.ndarray | int) -> np.ndarray:
     """First-disagreement vectors, one row per input, shape (inputs, bits, 1).
 
@@ -345,9 +518,7 @@ def _scan_rows(sigmas: np.ndarray, ranks: np.ndarray, widths: np.ndarray | int) 
     shared by every row.
     """
     m, n = len(ranks), np.shape(sigmas)[-1]
-    # Python floats: a scalar t**-0.25 gives the same bits
-    ramp = np.array([t**-0.25 for t in range(1, n + 1)])
-    spike = np.array([t**0.25 for t in range(1, n + 1)])
+    ramp, spike = _ramp_spike(n)
     ramp_end = np.where(ranks > 0, ranks - 1, widths)
     scanned = np.where(np.arange(1, n + 1) <= ramp_end[:, None], ramp, 0.0)
     hit = np.flatnonzero(ranks)
@@ -433,16 +604,16 @@ class OracleIdPipeline:
 def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
     """The staged feasible solution for identifying a member of the class.
 
-    Stage ``k`` is written in one pass, by one ``_scan_rows`` call, as the
-    one part that output-conditioned composition would make of one
-    ``find_first_one_solution`` per ``f_{k-1}`` label of two or more
-    members: its block ids are ``f_{k-1}.codes``, and member ``x``'s row is
-    its first-disagreement vector along its group's greedy order at the
-    ``k``-th rank of its path in the pruning tree -- the ramp through the
-    group's width when there is no hit, and zeros for a lone member (width
-    0).  A group of two or more members is one tree node, its label the
-    node's rank path, which holds that order and width.  The solution is
-    the direct sum of the stage parts.
+    Stage ``k`` is one `ScanPart`, the part that output-conditioned
+    composition would make of one ``find_first_one_solution`` per
+    ``f_{k-1}`` label of two or more members: its block ids are
+    ``f_{k-1}.codes``, each block scans along its group's greedy order and
+    reference up to its width, and member ``x``'s rank is the ``k``-th rank
+    of its path in the pruning tree -- 0 when there is no hit, so its row
+    is the ramp through the width, and zeros for a lone member (width 0).
+    A group of two or more members is one tree node, its label the node's
+    rank path, which holds that order, reference and width.  The solution
+    is the direct sum of the stage parts.
     """
     n = concept_class.n
     members = concept_class.members
@@ -462,16 +633,16 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
         # a label of two or more members is the rank path of their tree
         # node; a lone member's label is no node, and it gets no ramp
         labels = f_prev.labels
-        sigmas = np.tile(np.arange(n), (len(labels), 1))
+        scanned = [code for code, label in enumerate(labels) if label in nodes]
+        node_sigmas, s_values, node_widths = zip(*(nodes[labels[code]] for code in scanned))
+        # a lone member's block scans nothing; orders in the narrowest
+        # integer type, as late stages have a block per member
+        sigmas = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (len(labels), 1))
+        s = np.zeros((len(labels), n), dtype=bool)
         widths = np.zeros(len(labels), dtype=np.intp)
-        for code, label in enumerate(labels):
-            node = nodes.get(label)
-            if node is not None:
-                sigmas[code], _, widths[code] = node
-        codes = f_prev.codes
-        u = _scan_rows(sigmas[codes], ranks[:, k], widths[codes])
-        stage_parts.append((codes, u, u))
-        stage_targets.append(LabelTarget(codes, f_next.codes))
+        sigmas[scanned], s[scanned], widths[scanned] = node_sigmas, bit_matrix(n, s_values), node_widths
+        stage_parts.append(ScanPart(f_prev.codes, sigmas, s, widths, ranks[:, k]))
+        stage_targets.append(LabelTarget(f_prev.codes, f_next.codes))
     # the class itself, not its members: a class is taken as it is, unchecked
     stage_solutions = tuple(SdpSolution.from_parts(concept_class, [p]) for p in stage_parts)
 

@@ -197,6 +197,10 @@ class TestInputErrors:
         ("verify", "--suite", "sdp", "--tolerance", "-1"),
         ("verify", "--suite", "ordering", "--tolerance=-1e-12"),
         ("verify", "--suite", "lp", "--tolerance", "nan"),
+        # an infinite tolerance would pass every check, whatever its violation
+        ("verify", "--suite", "sdp", "--tolerance", "inf"),
+        ("verify", "--suite", "all", "--tolerance=-inf"),
+        ("bounds", "--grid", "N=4;M=4", "--tolerance", "inf"),
         ("bounds", "--grid", "N=4;M=4", "--jobs", "0"),
         ("bounds", "--grid", "N=4;M=4", "--jobs", "-3"),
         ("bounds", "--grid", "N=4;M=4", "--tolerance", "-1"),

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -438,13 +439,16 @@ class TestOracleIdPipeline:
 
 
 def assert_same_solution(a, b):
-    """Equal parts byte for byte, with the same ``u is v`` sharing."""
+    """Equal parts byte for byte, with the same ``u is v`` sharing.  Each
+    part is read as the ``(block, u, v)`` it unpacks to: a scan part writes
+    its rows on each unpacking, so its ``.u`` and ``.v`` are two arrays."""
     assert a.domain == b.domain and len(a.parts) == len(b.parts)
     for pa, pb in zip(a.parts, b.parts):
-        assert pa.block.dtype == pb.block.dtype and pa.block.tobytes() == pb.block.tobytes()
-        for x, y in ((pa.u, pb.u), (pa.v, pb.v)):
+        (block_a, ua, va), (block_b, ub, vb) = pa, pb
+        assert block_a.dtype == block_b.dtype and block_a.tobytes() == block_b.tobytes()
+        for x, y in ((ua, ub), (va, vb)):
             assert x.shape == y.shape and x.tobytes() == y.tobytes()
-        assert (pa.u is pa.v) == (pb.u is pb.v)
+        assert (ua is va) == (ub is vb)
     assert a.dim == b.dim
 
 
@@ -849,6 +853,211 @@ class TestBlockLocalCheck:
             # at most each class's own pairs plus one chunk's spill per class
             assert sum(read) <= np.sum(sizes[sizes > 1] * (sizes[sizes > 1] + 2 * sdp.ROW_CHUNK))
             assert sum(read) < cls.size**2 / 2
+
+
+def _unpacked(sol):
+    """The same solution with every part unpacked into a dense
+    ``(block, u, v)`` part, which ``verify_feasible`` checks pair by pair."""
+    return SdpSolution.from_parts(sol.domain, [tuple(part) for part in sol.parts])
+
+
+def _identity_targets(m):
+    """``J - I`` as the dense array and as the label target."""
+    return [np.ones((m, m)) - np.eye(m), LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))]
+
+
+def _scan_ranks(part, bits):
+    """Each input's first disagreement with its block's ``s`` along its
+    ``sigma`` within its ``width``, one input and one rank at a time."""
+    ranks = []
+    for row, b in zip(bits, part.block):
+        sigma, s, width = part.sigma[b], part.s[b], part.width[b]
+        ranks.append(next((t + 1 for t in range(width) if row[sigma[t]] != s[sigma[t]]), 0))
+    return np.array(ranks, dtype=np.intp)
+
+
+SCAN_CLASSES = {
+    **TestPipelineAgainstReference.CLASSES,
+    **{
+        f"random-{n}-{m}-seed{seed}": (
+            lambda n=n, m=m, seed=seed: generate_class("random", n, size=m, seed=seed)
+        )
+        for n, m, seed in ((6, 40, 3), (9, 3, 4), (16, 700, 5), (24, 500, 6), (70, 200, 7))
+    },
+}
+
+
+class TestScanPartCheck:
+    """A pipeline of scan parts is proven from its ranks, and the residual
+    the proof returns is the one the pair-by-pair check returns on the same
+    parts unpacked into their rows, and the all-pairs oracle's: equal, not
+    close."""
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CLASSES))
+    def test_same_residual_as_the_unpacked_parts(self, name):
+        cls = SCAN_CLASSES[name]()
+        m = cls.size
+        pipe = oracle_id_pipeline(cls)
+        dense_identity, identity = _identity_targets(m)
+        checks = [(dense_identity, pipe.solution), (identity, pipe.solution)]
+        checks += list(zip(pipe.stage_targets, pipe.stage_solutions))
+        assert sdp._is_identity_target(dense_identity)
+        for target, sol in checks:
+            if m > 1:  # one member: no stage, and one dense zero part
+                labels = target if isinstance(target, LabelTarget) else identity
+                assert sdp._scan_chain_residual(labels, sol) is not None
+            got = verify_feasible(target, sol)
+            assert got == verify_feasible(target, _unpacked(sol))
+            assert got == verify_reference.verify_feasible(target, sol)
+            assert got < 1e-12
+
+    def test_ranks_are_the_first_disagreements(self):
+        cls = generate_class("random", 10, size=150, seed=1)
+        bits = domain_bits(cls.members)
+        for part in oracle_id_pipeline(cls).solution.parts:
+            assert np.array_equal(part.rank, _scan_ranks(part, bits))
+            assert part.ranks_hold(bits)
+
+    def test_a_scan_part_stores_no_rows(self):
+        cls = generate_class("random", 13, size=400, seed=1)
+        for part in oracle_id_pipeline(cls).solution.parts:
+            block, u, v = part
+            assert u is v and u.shape == (cls.size, cls.n, 1) and part.d == 1
+            stored = sum(a.nbytes for a in (part.block, part.sigma, part.s, part.width, part.rank))
+            assert stored < u.nbytes / 2
+            assert part.u.tobytes() == part.v.tobytes() == u.tobytes()
+
+    def test_invalid_scan_parts_rejected(self):
+        part = oracle_id_pipeline(generate_class("cube", 3)).solution.parts[1]
+        domain = generate_class("cube", 3)
+        bad = [
+            dataclasses.replace(part, rank=part.rank[:-1]),
+            dataclasses.replace(part, rank=part.rank.astype(float)),
+            dataclasses.replace(part, sigma=part.sigma[:, :-1]),
+            dataclasses.replace(part, s=part.s.astype(np.uint8)),
+            dataclasses.replace(part, width=part.width[:-1]),
+        ]
+        for mutant in bad:
+            with pytest.raises(ValueError, match="scan part"):
+                SdpSolution.from_parts(domain, [mutant])
+
+
+class TestScanPartMutants:
+    """A scan solution or target that breaks a premise of the proof is
+    checked pair by pair: its residual is exact, equal to the all-pairs
+    oracle's, and far outside the tolerance."""
+
+    TOLERANCE = 1e-9
+
+    @pytest.fixture(scope="class")
+    def pipe(self):
+        return oracle_id_pipeline(generate_class("random", 10, size=150, seed=1))
+
+    def assert_caught(self, target, sol):
+        got = verify_feasible(target, sol)
+        assert got == verify_feasible(target, _unpacked(sol))
+        assert got == verify_reference.verify_feasible(target, sol)
+        assert got > self.TOLERANCE
+        return got
+
+    def assert_part_caught(self, pipe, k, part):
+        """Stage ``k`` with ``part`` for its own fails its stage target, and
+        the stages with it fail ``J - I``."""
+        domain = pipe.concept_class
+        self.assert_caught(pipe.stage_targets[k], SdpSolution.from_parts(domain, [part]))
+        parts = list(pipe.solution.parts)
+        parts[k] = part
+        for target in _identity_targets(domain.size):
+            self.assert_caught(target, SdpSolution.from_parts(domain, parts))
+
+    def test_rank_one_place_late(self, pipe):
+        part = pipe.solution.parts[0]
+        # a rank of 2 or more: one late, its ramp meets its partners' ramp
+        # at its true rank, which no longer sums to 1
+        x = int(np.flatnonzero(part.rank >= 2)[0])
+        rank = part.rank.copy()
+        rank[x] += 1
+        self.assert_part_caught(pipe, 0, dataclasses.replace(part, rank=rank))
+
+    def test_two_sigma_entries_swapped(self, pipe):
+        # the rank-1 spikes land on the rank-2 bit
+        part = pipe.solution.parts[0]
+        sigma = part.sigma.copy()
+        sigma[0, [0, 1]] = sigma[0, [1, 0]]
+        self.assert_part_caught(pipe, 0, dataclasses.replace(part, sigma=sigma))
+
+    def test_sigma_that_is_no_permutation(self, pipe):
+        # a block's last rank, past its width, repeats its first bit: the
+        # ranks still hold, but the rows write that bit twice
+        k, b = next(
+            (k, b) for k, part in enumerate(pipe.solution.parts)
+            for b in range(len(part.width))
+            if part.width[b] < pipe.concept_class.n and np.sum(part.block == b) > 1
+        )
+        part = pipe.solution.parts[k]
+        sigma = part.sigma.copy()
+        sigma[b, -1] = sigma[b, 0]
+        mutant = dataclasses.replace(part, sigma=sigma)
+        assert mutant.rank is part.rank and not mutant.ranks_hold(domain_bits(pipe.concept_class))
+        domain = pipe.concept_class
+        parts = list(pipe.solution.parts)
+        parts[k] = mutant
+        for target, sol in ((pipe.stage_targets[k], SdpSolution.from_parts(domain, [mutant])),
+                            (_identity_targets(domain.size)[1], SdpSolution.from_parts(domain, parts))):
+            assert sdp._scan_chain_residual(target, sol) is None
+            got = verify_feasible(target, sol)
+            assert got == verify_feasible(target, _unpacked(sol))
+            assert got == verify_reference.verify_feasible(target, sol)
+
+    def test_flipped_bit_of_s(self, pipe):
+        # the ranks recomputed against the flipped reference hold, but the
+        # labels no longer split the block by rank
+        part = pipe.solution.parts[0]
+        s = part.s.copy()
+        s[0, part.sigma[0, 0]] ^= True
+        mutant = dataclasses.replace(part, s=s)
+        mutant = dataclasses.replace(mutant, rank=_scan_ranks(mutant, domain_bits(pipe.concept_class)))
+        assert mutant.ranks_hold(domain_bits(pipe.concept_class))
+        self.assert_part_caught(pipe, 0, mutant)
+
+    def test_fine_label_merging_two_ranks(self, pipe):
+        target = pipe.stage_targets[0]
+        rank = pipe.solution.parts[0].rank
+        fine = np.array(target.fine)
+        fine[rank == 2] = fine[np.flatnonzero(rank == 1)[0]]
+        self.assert_caught(LabelTarget(target.coarse, fine), pipe.stage_solutions[0])
+        m = pipe.concept_class.size
+        merged = np.arange(m)
+        merged[1] = 0
+        self.assert_caught(LabelTarget(np.zeros(m, dtype=np.intp), merged), pipe.solution)
+
+    def test_broken_stage_chain(self, pipe):
+        # a stage left out, and the first stage alone
+        domain, parts = pipe.concept_class, pipe.solution.parts
+        dropped = SdpSolution.from_parts(domain, parts[:2] + parts[3:])
+        for sol in (dropped, pipe.stage_solutions[0]):
+            for target in _identity_targets(domain.size):
+                self.assert_caught(target, sol)
+
+    def test_stages_out_of_order_are_read_pair_by_pair(self, pipe):
+        # the same direct sum in another order is still feasible, but the
+        # chain of the proof starts at the first part: the check falls back
+        # and returns the exact residual, not a verdict
+        domain, parts = pipe.concept_class, pipe.solution.parts
+        swapped = SdpSolution.from_parts(domain, (parts[1], parts[0]) + parts[2:])
+        _, identity = _identity_targets(domain.size)
+        assert sdp._scan_chain_residual(identity, swapped) is None
+        got = verify_feasible(identity, swapped)
+        assert got == verify_reference.verify_feasible(identity, swapped)
+        assert got == verify_feasible(identity, pipe.solution) < 1e-12
+
+    def test_dense_target_one_entry_off_identity(self, pipe):
+        m = pipe.concept_class.size
+        for i, j, value in ((3, 7, 1 - 1e-6), (5, 5, 1e-6), (0, 1, 0.0)):
+            target = np.ones((m, m)) - np.eye(m)
+            target[i, j] = value
+            assert not sdp._is_identity_target(target)
+            self.assert_caught(target, pipe.solution)
 
 
 class TestDomainBits:

@@ -2,9 +2,10 @@
 
 ``verify_feasible`` below is the check that ``oracleid.sdp.verify_feasible``
 replaced: it computes the constraint sum of every input pair, ``ROW_CHUNK``
-rows against all columns at a time, where the runtime check proves the
-pairs across coarse label classes zero and computes only the rest.  The
-differential tests hold the runtime check to it exactly.
+rows against all columns at a time, where the runtime check proves scan
+parts from their ranks, and otherwise proves the pairs across coarse label
+classes zero and computes only the rest.  The differential tests hold the
+runtime check to it exactly.
 """
 
 from __future__ import annotations
