@@ -5,14 +5,16 @@
 For each random class of ``N`` bits and ``M`` members in ``CLASSES`` (seed
 ``SEED``) it times, ``REPEATS`` times over, and records the median of each:
 
-* the cold build: ``oracle_id_pipeline`` with an empty ordering cache;
+* the cold pruning tree: ``ordering._tree`` with an empty ordering cache;
+* the rest of the build: ``oracle_id_pipeline`` on that tree;
 * the stage checks: ``verify_feasible`` on every stage target;
 * the ``J - I`` check of the chained solution, as the label target
   ``LabelTarget(zeros, arange)``.
 
-Both checks prove the pipeline's scan parts from their ranks, in
-O(stages * M * N); the build includes the pruning tree (``ordering._tree``),
-which dominates it at M = 10^5.
+Each repeat takes a fresh copy of the class, so the stage checks also pay
+for the class's cached bit matrix (``ConceptClass.bits``).  Both checks
+prove the pipeline's scan parts from their ranks, in O(stages * M * N).
+The tree is timed apart because it dominates a cold build at M = 10^5.
 
 It records the worst residual of each check, the stage count, the largest
 certified cost and the process's peak RSS so far, with the machine it ran
@@ -42,24 +44,27 @@ REPEATS = 3
 def measure(n: int, m: int, seed: int, repeats: int) -> dict:
     import numpy as np
 
-    from oracleid.bitstrings import generate_class
-    from oracleid.ordering import clear_ordering_cache
+    from oracleid.bitstrings import ConceptClass, generate_class
+    from oracleid.ordering import _tree, clear_ordering_cache
     from oracleid.sdp import LabelTarget, oracle_id_pipeline, verify_feasible
 
-    cls = generate_class("random", n, size=m, seed=seed)
-    identity = LabelTarget(np.zeros(cls.size, dtype=np.intp), np.arange(cls.size))
-    times = {"build_s": [], "stage_checks_s": [], "identity_check_s": []}
+    first = generate_class("random", n, size=m, seed=seed)
+    identity = LabelTarget(np.zeros(first.size, dtype=np.intp), np.arange(first.size))
+    times = {"tree_s": [], "build_s": [], "stage_checks_s": [], "identity_check_s": []}
     for _ in range(repeats):
         pipe = None  # the last repeat's solution is not held through this build
+        cls = ConceptClass(first.n, first.members)  # nothing cached on it yet
         clear_ordering_cache()
         t0 = time.perf_counter()
-        pipe = oracle_id_pipeline(cls)
+        _tree(cls.n, cls.values)
         t1 = time.perf_counter()
-        stage_residuals = [verify_feasible(t, s) for s, t in zip(pipe.stage_solutions, pipe.stage_targets)]
+        pipe = oracle_id_pipeline(cls)
         t2 = time.perf_counter()
-        identity_residual = verify_feasible(identity, pipe.solution)
+        stage_residuals = [verify_feasible(t, s) for s, t in zip(pipe.stage_solutions, pipe.stage_targets)]
         t3 = time.perf_counter()
-        for key, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2)):
+        identity_residual = verify_feasible(identity, pipe.solution)
+        t4 = time.perf_counter()
+        for key, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
             times[key].append(seconds)
     return {
         "kind": "random",

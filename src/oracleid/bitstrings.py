@@ -15,10 +15,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from operator import attrgetter
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -143,11 +141,23 @@ class ConceptClass:
     def values(self) -> tuple[int, ...]:
         return tuple(m.value for m in self.members)
 
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """The members' bits, (size, n) uint8, row ``i`` holding
+        ``members[i]`` MSB-first.  Read-only, computed once."""
+        bits = bit_matrix(self.n, self.values)
+        bits.setflags(write=False)
+        return bits
+
+    @cached_property
+    def _rows(self) -> dict[BitString, int]:
+        return {x: i for i, x in enumerate(self.members)}
+
     def index(self, x: BitString) -> int:
-        i = bisect_left(self.members, x.value, key=attrgetter("value"))
-        if i < len(self.members) and self.members[i] == x:
-            return i
-        raise KeyError(f"{x!r} is not a member")
+        try:
+            return self._rows[x]
+        except KeyError:
+            raise KeyError(f"{x!r} is not a member") from None
 
     def __contains__(self, x: BitString) -> bool:
         try:

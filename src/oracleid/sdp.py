@@ -73,12 +73,15 @@ identification algorithm, a feasible solution for full identification
 ``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction factor for
 composing bounded-error stages.  It does not walk the tree itself: it
 reads the class's memoized pruning tree (``ordering._tree``, the one
-``identify_all`` reads), whose member rank paths give the stage tables
-``f_k`` (the first ``k`` ranks) and whose nodes give each block's greedy
-order, reference and width.  Stage ``k`` is the output-conditioned
-composite of one first-disagreement solution per ``f_{k-1}`` label shared
-by two or more members (a lone member's target is zero, so it gets zero
-rows), kept as one scan part; the stages are the parts of one direct sum.
+``identify_all`` reads), whose member rank paths give one (inputs,
+stages) rank matrix and whose nodes give each block's greedy order,
+reference and width.  The stage labels ``f_k`` (the first ``k`` ranks)
+are integer codes, never tuples: ``f_k``'s classes are those of
+``f_{k-1}`` paired with the ``k``-th rank.  Stage ``k`` is the
+output-conditioned composite of one first-disagreement solution per
+``f_{k-1}`` label shared by two or more members (a lone member's target
+is zero, so it gets zero rows), kept as one scan part; the stages are the
+parts of one direct sum.
 The solution has one part per stage, with one block per output label of
 the stage before, so it stores a rank per input and an order and a
 reference per block for each stage, where the rows would be
@@ -90,6 +93,7 @@ tensor products -- lives with its tests in ``tests/sdp_compose.py``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -136,6 +140,10 @@ class ScanPart:
     width: per block, the ranks scanned.
     rank: per input, its claimed first disagreement with its block's ``s``
        along ``sigma`` within ``width``, 0 when none.
+
+    A solution refuses a part whose ranks or widths lie outside
+    ``0..bits`` or whose orders hold an entry outside ``0..bits-1``; an
+    order that is no permutation is taken, and checked pair by pair.
 
     It unpacks as ``(block, u, u)`` like an `SdpPart`, the rows written
     by ``_scan_rows`` on each unpacking (and on each read of ``u`` or
@@ -232,9 +240,14 @@ class SdpSolution:
                 blocks = len(part.width)
                 if (part.sigma.shape != (blocks, n) or part.s.shape != (blocks, n)
                         or part.rank.shape != (m,) or block.max() >= blocks or part.s.dtype != bool
+                        or part.width.shape != (blocks,) or part.width.dtype.kind not in "iu"
                         or part.sigma.dtype.kind not in "iu" or part.rank.dtype.kind not in "iu"):
-                    raise ValueError(f"a scan part needs {m} integer ranks, ({blocks}, {n}) "
-                                     f"integer orders and ({blocks}, {n}) boolean s")
+                    raise ValueError(f"a scan part needs {m} integer ranks, {blocks} integer widths, "
+                                     f"({blocks}, {n}) integer orders and ({blocks}, {n}) boolean s")
+                if (part.rank.min() < 0 or part.rank.max() > n or part.width.min() < 0
+                        or part.width.max() > n or part.sigma.min() < 0 or part.sigma.max() >= n):
+                    raise ValueError(f"a scan part's ranks and widths must lie in [0, {n}] "
+                                     f"and its orders in [0, {n - 1}]")
                 continue
             for name, arr in (("u", part.u), ("v", part.v)):
                 if arr.ndim != 3 or arr.shape[0] != m or arr.shape[1] != n:
@@ -351,7 +364,7 @@ def _scan_chain_residual(target: LabelTarget, sol: SdpSolution) -> float | None:
     when the parts are not all scan parts or a structural check fails."""
     if not sol.parts or not all(isinstance(p, ScanPart) for p in sol.parts):
         return None
-    bits = bit_matrix(sol.domain.n, sol.domain.values)
+    bits = sol.domain.bits
     first = sol.parts[0].block
     # the stage targets' coarse labels are their part's own block ids
     classes = first if np.array_equal(target.coarse, first) else _codes(target.coarse)
@@ -452,7 +465,7 @@ def verify_feasible(A, sol: SdpSolution) -> float:
         def target_window(a, b, cols):
             return dense[a:b, cols].copy()
 
-    bits = bit_matrix(sol.domain.n, sol.domain.values)[order]
+    bits = sol.domain.bits[order]
     ones = bits[:, :, None].astype(float)
     zeros = 1.0 - ones
     rows = len(bits)
@@ -588,17 +601,29 @@ class OracleIdPipeline:
     Stage ``k`` refines the knowledge from stages before it: its target is
     ``gram(f_{k-1}) - gram(f_k)`` where ``f_k`` maps each member to its
     first ``k`` disagreement ranks (0-padded once identification finished);
-    ``stage_targets[k-1]`` holds it as the label codes of the two tables.
-    The solution, the stages side by side, is feasible for ``J - I`` since
-    the full rank sequence pins the member down.
+    ``stage_targets[k-1]`` holds it as the read-only label codes of
+    ``f_{k-1}`` and ``f_k``, each member's label numbered in order of first
+    appearance.  The solution, the stages side by side, is feasible for
+    ``J - I`` since the full rank sequence pins the member down.
     """
 
     concept_class: ConceptClass
-    stage_tables: tuple[FunctionTable, ...]  # f_0 (constant) .. f_r
     stage_solutions: tuple[SdpSolution, ...]
     stage_targets: tuple[LabelTarget, ...]
     solution: SdpSolution
     cost: CostFunction
+
+
+def _first_seen_codes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` re-coded as ``0..k-1`` in order of first appearance (equal
+    keys, equal codes; read-only), and each code's first position."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    recode = np.empty_like(order)
+    recode[order] = np.arange(len(order))
+    codes = recode[inverse.reshape(-1)]
+    codes.setflags(write=False)
+    return codes, first[order]
 
 
 def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
@@ -607,42 +632,65 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
     Stage ``k`` is one `ScanPart`, the part that output-conditioned
     composition would make of one ``find_first_one_solution`` per
     ``f_{k-1}`` label of two or more members: its block ids are
-    ``f_{k-1}.codes``, each block scans along its group's greedy order and
+    ``f_{k-1}``'s codes, each block scans along its group's greedy order and
     reference up to its width, and member ``x``'s rank is the ``k``-th rank
     of its path in the pruning tree -- 0 when there is no hit, so its row
     is the ramp through the width, and zeros for a lone member (width 0).
     A group of two or more members is one tree node, its label the node's
     rank path, which holds that order, reference and width.  The solution
     is the direct sum of the stage parts.
+
+    The labels are never built as tuples: ``f_k``'s classes are those of
+    the pairs ``(f_{k-1}(x), rank k of x)``, so each stage's codes come
+    from the one (members, stages) rank matrix, numbered in order of first
+    appearance as ``FunctionTable.codes`` numbers the rank-path tuples.
     """
     n = concept_class.n
-    members = concept_class.members
     m = concept_class.size
+    values = concept_class.values
 
     # f_k(x) is the first k ranks of x's rank path, 0-padded: a lone member,
     # or the reference of its block, finds no disagreement
-    nodes, tree_paths = _tree(n, concept_class.values)
+    nodes, tree_paths = _tree(n, values)
     stages = 1 + max(map(len, nodes)) if m > 1 else 0
-    paths = [tree_paths[x.value] + (0,) * stages for x in members]
-    tables = [FunctionTable(concept_class, tuple(p[:k] for p in paths)) for k in range(stages + 1)]
-    ranks = np.array([p[:stages] for p in paths], dtype=np.intp).reshape(m, stages)
+    paths = [tree_paths[v] for v in values]
+    lengths = np.fromiter(map(len, paths), dtype=np.intp, count=m)
+    ranks = np.zeros((m, stages), dtype=np.intp)
+    ranks[np.arange(stages) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(paths), dtype=np.intp, count=int(lengths.sum())
+    )
+
+    codes = [np.zeros(m, dtype=np.intp)]
+    codes[0].setflags(write=False)
+    scanned = []  # per stage, its block count and its blocks of two or more members
+    refs = []  # the tree node of each such block, stage by stage
+    first = np.zeros(1, dtype=np.intp)  # per block, its first member
+    for k in range(stages):
+        # a block of two or more members is the tree node at its members'
+        # first k ranks; a lone member's block is no node, and gets no ramp
+        blocks = np.flatnonzero(np.bincount(codes[k]) > 1)
+        scanned.append((len(first), blocks))
+        refs += [nodes[paths[i][:k]] for i in first[blocks].tolist()]
+        # ranks lie in 0..n: (block, rank) packs into one key
+        next_codes, first = _first_seen_codes(codes[k] * (n + 1) + ranks[:, k])
+        codes.append(next_codes)
+    if refs:
+        node_sigmas, s_values, node_widths = zip(*refs)
+        node_s = bit_matrix(n, s_values).astype(bool)
 
     stage_parts = []
-    stage_targets: list[LabelTarget] = []
-    for k, (f_prev, f_next) in enumerate(zip(tables, tables[1:])):
-        # a label of two or more members is the rank path of their tree
-        # node; a lone member's label is no node, and it gets no ramp
-        labels = f_prev.labels
-        scanned = [code for code, label in enumerate(labels) if label in nodes]
-        node_sigmas, s_values, node_widths = zip(*(nodes[labels[code]] for code in scanned))
+    lo = 0
+    for k, (count, blocks) in enumerate(scanned):
+        hi = lo + len(blocks)
         # a lone member's block scans nothing; orders in the narrowest
         # integer type, as late stages have a block per member
-        sigmas = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (len(labels), 1))
-        s = np.zeros((len(labels), n), dtype=bool)
-        widths = np.zeros(len(labels), dtype=np.intp)
-        sigmas[scanned], s[scanned], widths[scanned] = node_sigmas, bit_matrix(n, s_values), node_widths
-        stage_parts.append(ScanPart(f_prev.codes, sigmas, s, widths, ranks[:, k]))
-        stage_targets.append(LabelTarget(f_prev.codes, f_next.codes))
+        sigmas = np.tile(np.arange(n, dtype=np.min_scalar_type(n - 1)), (count, 1))
+        s = np.zeros((count, n), dtype=bool)
+        widths = np.zeros(count, dtype=np.intp)
+        sigmas[blocks], s[blocks], widths[blocks] = node_sigmas[lo:hi], node_s[lo:hi], node_widths[lo:hi]
+        stage_parts.append(ScanPart(codes[k], sigmas, s, widths, ranks[:, k]))
+        lo = hi
+    stage_targets = tuple(LabelTarget(coarse, fine) for coarse, fine in zip(codes, codes[1:]))
     # the class itself, not its members: a class is taken as it is, unchecked
     stage_solutions = tuple(SdpSolution.from_parts(concept_class, [p]) for p in stage_parts)
 
@@ -654,9 +702,8 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
 
     return OracleIdPipeline(
         concept_class=concept_class,
-        stage_tables=tuple(tables),
         stage_solutions=stage_solutions,
-        stage_targets=tuple(stage_targets),
+        stage_targets=stage_targets,
         solution=combined,
         cost=cost_of(combined),
     )

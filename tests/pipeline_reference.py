@@ -15,13 +15,27 @@ it exactly.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from greedy_reference import _greedy
 from oracleid.bitstrings import BitString, ConceptClass, FunctionTable
 from oracleid.ordering import first_disagreement_rank
-from oracleid.sdp import LabelTarget, OracleIdPipeline, SdpSolution, cost_of
+from oracleid.sdp import CostFunction, LabelTarget, SdpSolution, cost_of
 from sdp_compose import output_conditioned_compose, sum_compose
+
+
+class ReferencePipeline(NamedTuple):
+    """The runtime pipeline's fields, plus the stage tables ``f_0`` (constant)
+    .. ``f_r`` as `FunctionTable`s of rank-path tuples."""
+
+    concept_class: ConceptClass
+    stage_tables: tuple[FunctionTable, ...]
+    stage_solutions: tuple[SdpSolution, ...]
+    stage_targets: tuple[LabelTarget, ...]
+    solution: SdpSolution
+    cost: CostFunction
 
 
 def find_first_one_solution(
@@ -42,7 +56,7 @@ def find_first_one_solution(
     return SdpSolution(members, u, u)
 
 
-def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
+def oracle_id_pipeline(concept_class: ConceptClass) -> ReferencePipeline:
     n = concept_class.n
     members = concept_class.members
     m = concept_class.size
@@ -91,7 +105,7 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
         zero = np.zeros((m, n, 1))
         combined = SdpSolution(members, zero, zero)
 
-    return OracleIdPipeline(
+    return ReferencePipeline(
         concept_class=concept_class,
         stage_tables=tuple(tables),
         stage_solutions=tuple(stage_solutions),

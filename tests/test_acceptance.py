@@ -159,7 +159,7 @@ def test_05_composed_identification_solutions():
         worst_additivity = max(worst_additivity, float(gap.max()))
 
         # per-stage conditioning: each input is charged its own block cost
-        for table, sol in zip(pipe.stage_tables, pipe.stage_solutions):
+        for sol in pipe.stage_solutions:
             stage_cost = sdp.cost_of(sol)
             for x in cls.members:
                 i = sol.domain.index(x)

@@ -11,6 +11,7 @@ from oracleid.bitstrings import (
     BitString,
     ConceptClass,
     FunctionTable,
+    bit_matrix,
     generate_class,
 )
 
@@ -268,12 +269,36 @@ class TestConceptClassIndex:
             probes = [BitString(n, v) for v in range(1 << n)]
             # a member's value at the wrong length is not a member
             probes.append(BitString(n + 1, cls.members[-1].value))
+            if n > 1 and cls.members[0].value < 1 << (n - 1):
+                probes.append(BitString(n - 1, cls.members[0].value))
             for x in probes:
                 scan = [i for i, y in enumerate(cls.members) if y == x]
                 if scan:
                     assert cls.index(x) == scan[0]
                     assert x in cls
                 else:
-                    with pytest.raises(KeyError):
+                    with pytest.raises(KeyError, match="is not a member"):
                         cls.index(x)
                     assert x not in cls
+
+
+class TestConceptClassBits:
+    @pytest.mark.parametrize("n", (1, 5, 8, 13, 70))
+    def test_the_members_bit_matrix_read_only(self, n):
+        cls = generate_class("random", n, size=min(1 << n, 40), seed=n)
+        bits = cls.bits
+        assert bits.dtype == np.uint8 and bits.shape == (cls.size, n)
+        np.testing.assert_array_equal(bits, bit_matrix(n, cls.values))
+        np.testing.assert_array_equal(bits, [x.bits for x in cls.members])
+        assert not bits.flags.writeable
+        with pytest.raises(ValueError):
+            bits[0, 0] = 1
+        assert cls.bits is bits  # built once
+
+    def test_not_part_of_equality_hash_or_repr(self):
+        cls = generate_class("random", 6, size=9, seed=1)
+        fresh = generate_class("random", 6, size=9, seed=1)
+        before = repr(cls)
+        cls.bits, cls.index(cls.members[3])  # fill both caches on one side only
+        assert cls == fresh and hash(cls) == hash(fresh)
+        assert repr(cls) == before == repr(fresh)

@@ -17,7 +17,7 @@ from sdp_compose import (
     sum_compose,
     tensor_compose,
 )
-from oracleid import sdp
+from oracleid import bitstrings, sdp
 from oracleid.bitstrings import (
     BitString,
     ConceptClass,
@@ -431,9 +431,10 @@ class TestOracleIdPipeline:
         cls = random_class(rng, 4, 10)
         pipe = oracle_id_pipeline(cls)
         traces = identify_all(cls)
-        final = pipe.stage_tables[-1]
+        # member x's rank at each stage is its trace's rank, 0 once done
+        ranks = np.stack([sol.parts[0].rank for sol in pipe.stage_solutions], axis=1)
         for x in cls.members:
-            path = final(x)
+            path = tuple(ranks[cls.index(x)].tolist())
             expected = traces[x].positions + (0,) * (len(path) - len(traces[x].positions))
             assert path == expected
 
@@ -474,7 +475,6 @@ class TestPipelineAgainstReference:
         cls = self.CLASSES[name]()
         got = oracle_id_pipeline(cls)
         want = pipeline_reference.oracle_id_pipeline(cls)
-        assert [t.outputs for t in got.stage_tables] == [t.outputs for t in want.stage_tables]
         assert len(got.stage_solutions) == len(want.stage_solutions)
         for a, b in zip(got.stage_solutions, want.stage_solutions):
             assert_same_solution(a, b)
@@ -483,6 +483,13 @@ class TestPipelineAgainstReference:
         assert len(got.stage_targets) == len(want.stage_targets)
         for a, b in zip(got.stage_targets, want.stage_targets):
             assert np.array_equal(a.coarse, b.coarse) and np.array_equal(a.fine, b.fine)
+        # the stage labels are the codes of the reference's rank-path tables,
+        # numbered in first-seen order, and read-only like them
+        tables = want.stage_tables
+        for k, target in enumerate(got.stage_targets, 1):
+            assert np.array_equal(target.coarse, tables[k - 1].codes)
+            assert np.array_equal(target.fine, tables[k].codes)
+            assert not target.coarse.flags.writeable and not target.fine.flags.writeable
 
     def test_one_construction_per_stage(self, monkeypatch):
         # each stage is written as one solution, and one more holds the
@@ -498,7 +505,7 @@ class TestPipelineAgainstReference:
         monkeypatch.setattr(SdpSolution, "_setup", counted)
         pipe = oracle_id_pipeline(cls)
         monkeypatch.undo()
-        stages = len(pipe.stage_tables) - 1
+        stages = len(pipe.stage_solutions)
         assert len(calls) == stages + 1 == 9
 
     def test_no_reference_cycles(self):
@@ -559,7 +566,8 @@ class TestFactoredAgainstDense:
         noise = _symmetric(rng, m)
         identity = np.ones((m, m)) - np.eye(m)
         self.assert_agree(pipe.solution, [identity, identity + noise])
-        tables = pipe.stage_tables
+        # the stage labels as the reference's own rank-path tables
+        tables = pipeline_reference.oracle_id_pipeline(cls).stage_tables
         for k, (sol, target) in enumerate(zip(pipe.stage_solutions, pipe.stage_targets), 1):
             dense = dense_gram(tables[k - 1].outputs) - dense_gram(tables[k].outputs)
             self.assert_labels_expand_to(target, dense, sol)
@@ -940,6 +948,55 @@ class TestScanPartCheck:
         for mutant in bad:
             with pytest.raises(ValueError, match="scan part"):
                 SdpSolution.from_parts(domain, [mutant])
+
+    @pytest.fixture(scope="class")
+    def small_part(self):
+        cls = generate_class("random", 6, size=10, seed=1)
+        return cls, oracle_id_pipeline(cls).solution.parts[0]
+
+    @pytest.mark.parametrize("field, value", [
+        ("rank", 7), ("rank", -1), ("width", 7), ("width", -1), ("sigma", 6), ("sigma", -1),
+    ])
+    def test_out_of_range_scan_part_rejected(self, small_part, field, value):
+        # rank and width lie in 0..N, sigma's entries in 0..N-1
+        cls, part = small_part
+        arr = getattr(part, field).astype(np.intp)
+        arr.flat[-1] = value
+        mutant = dataclasses.replace(part, **{field: arr})
+        with pytest.raises(ValueError, match=r"lie in \[0, 6\] and its orders in \[0, 5\]"):
+            SdpSolution.from_parts(cls, [mutant])
+
+    def test_in_range_scan_part_accepted(self, small_part):
+        # the extremes of each range, and an order that is no permutation:
+        # the check, not construction, finds it infeasible
+        cls, part = small_part
+        rank, width, sigma = part.rank.copy(), part.width.copy(), part.sigma.astype(np.intp)
+        rank[-1], width[-1], sigma[0, :] = 6, 6, 0
+        mutant = dataclasses.replace(part, rank=rank, width=width, sigma=sigma)
+        sol = SdpSolution.from_parts(cls, [mutant])
+        assert verify_feasible(LabelTarget(np.zeros(cls.size, dtype=np.intp), np.arange(cls.size)), sol) > 0
+
+    def test_the_members_are_transposed_once(self, monkeypatch):
+        # one build, the 8 stage checks and J - I read one bit matrix of
+        # the members, and one more holds every tree node's reference
+        cls = generate_class("random", 13, size=400, seed=1)
+        sdp._tree(cls.n, cls.values)  # the tree's bit columns transpose them too
+        cls = generate_class("random", 13, size=400, seed=1)  # no cached bits
+        calls = []
+
+        def counted(n, values):
+            calls.append(tuple(values))
+            return bit_matrix(n, values)
+
+        monkeypatch.setattr(bitstrings, "bit_matrix", counted)
+        monkeypatch.setattr(sdp, "bit_matrix", counted)
+        pipe = oracle_id_pipeline(cls)
+        assert len(pipe.stage_solutions) == 8
+        for sol, target in zip(pipe.stage_solutions, pipe.stage_targets):
+            assert verify_feasible(target, sol) < 1e-12
+        for target in _identity_targets(cls.size):
+            assert verify_feasible(target, pipe.solution) < 1e-12
+        assert calls.count(cls.values) == 1 and len(calls) == 2
 
 
 class TestScanPartMutants:
