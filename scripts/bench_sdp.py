@@ -27,15 +27,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import resource
 import statistics
 import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from benchlib import BLAS_VARS, ROOT, machine  # noqa: E402
+
 CLASSES = ((16, 2000), (20, 10_000), (24, 100_000))  # (N, M) of each random class
 SEED = 1
 REPEATS = 3
@@ -78,30 +78,6 @@ def measure(n: int, m: int, seed: int, repeats: int) -> dict:
         "identity_residual": identity_residual,
         "max_cost": pipe.cost.max_value,
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-    }
-
-
-def cpu_model() -> str | None:
-    try:
-        with open("/proc/cpuinfo") as info:
-            for line in info:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return None
-
-
-def machine() -> dict:
-    import numpy as np
-
-    return {
-        "platform": platform.platform(),
-        "cpu": cpu_model() or platform.machine(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas_threads": {var: os.environ.get(var) for var in BLAS_VARS},
     }
 
 

@@ -9,7 +9,7 @@ and M members drawn with seed ``SEED``, whose trees are deep -- it times
 and records their median.  Then, under tracemalloc, it records what a cold
 ``oracle_id_pipeline`` build leaves allocated once its result is dropped:
 the memory the ordering memos keep.  With the machine it ran on (from
-``bench_sdp.machine``), it writes them as JSON.
+``benchlib.machine``), it writes them as JSON.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_sdp import BLAS_VARS, ROOT, machine  # noqa: E402
+from benchlib import BLAS_VARS, ROOT, machine  # noqa: E402
 
 # (kind, N, M) of each class; hamming1 has M = N
 CLASSES = (

@@ -11,7 +11,6 @@ exhaustive / LP-certified / closed-form cost bounds, plus a CLI harness.
 from .bitstrings import (
     BitString,
     ConceptClass,
-    FunctionTable,
     generate_class,
 )
 from .identify import (
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BitString",
     "ConceptClass",
-    "FunctionTable",
     "generate_class",
     "Ordering",
     "hegedus_ordering",

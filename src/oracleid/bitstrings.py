@@ -1,4 +1,4 @@
-"""Bit strings, concept classes, function tables, and class generators.
+"""Bit strings, concept classes, and class generators.
 
 Conventions used across the package:
 
@@ -17,14 +17,13 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "BitString",
     "ConceptClass",
-    "FunctionTable",
     "majority_value",
     "generate_class",
 ]
@@ -190,34 +189,6 @@ class ConceptClass:
     def load(cls, path) -> "ConceptClass":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(fh.read())
-
-
-@dataclass(frozen=True)
-class FunctionTable:
-    """A total function on a concept class, given by one output per member."""
-
-    domain: ConceptClass
-    outputs: tuple[Hashable, ...]
-
-    def __post_init__(self):
-        if len(self.outputs) != self.domain.size:
-            raise ValueError("need exactly one output per domain member")
-
-    def __call__(self, x: BitString) -> Hashable:
-        return self.outputs[self.domain.index(x)]
-
-    @cached_property
-    def labels(self) -> tuple[Hashable, ...]:
-        return tuple(dict.fromkeys(self.outputs))
-
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """Per member, the index of its output in ``labels``: two members
-        share a code iff they share an output.  Read-only, computed once."""
-        index: dict[Hashable, int] = {}
-        codes = np.array([index.setdefault(out, len(index)) for out in self.outputs], dtype=np.intp)
-        codes.setflags(write=False)
-        return codes
 
 
 def bit_matrix(n: int, values: Sequence[int]) -> np.ndarray:

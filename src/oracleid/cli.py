@@ -243,8 +243,8 @@ def _verify_sdp_suite(
             "max_violation": v,
         })
     the8 = sdp.find_first_one_solution(6)
-    table = sdp.first_disagreement_table(the8.domain, tuple(range(6)), BitString.zeros(6), 6)
-    target = sdp.LabelTarget(np.zeros(the8.size, dtype=np.intp), table.codes)
+    ranks = sdp.first_disagreement_ranks(the8.domain, tuple(range(6)), BitString.zeros(6), 6)
+    target = sdp.LabelTarget(np.zeros(the8.size, dtype=np.intp), ranks)
     v8 = sdp.verify_feasible(target, the8)
     checks.append({
         "check": "sdp: first-disagreement solution feasible on the 6-bit cube",

@@ -20,75 +20,53 @@ per-input cost is ``c``; ``max_x c(x)`` bounds the worst case.  Everything
 here is real-valued: all the explicit constructions use nonnegative
 coordinates.
 
-A target comes in one of two forms.  Any (inputs, inputs) array will do;
-the targets built here -- ``J - I``, ``J - F`` and the stage targets
-``gram(f_{k-1}) - gram(f_k)`` -- are each a difference of two function
-Gram matrices and are kept as a ``LabelTarget``: two integer label vectors
-whose entry ``(x, y)`` is ``[coarse_x == coarse_y] - [fine_x == fine_y]``.
-When ``verify_feasible`` checks pair by pair, it reads either form a block
-of rows at a time, so a label target is never held as a dense matrix.
-That check is block-local: when the fine labels and every part's blocks
-refine the coarse labels, a pair across coarse classes is exactly
-``0 - 0``, so only the pairs inside a class are computed.
+A target comes in one of two forms.  Any (inputs, inputs) array of finite
+entries will do; the targets built here -- ``J - I``, ``J - F`` and the
+stage targets ``gram(f_{k-1}) - gram(f_k)`` -- are each a difference of two
+function Gram matrices and are kept as a ``LabelTarget``: two integer label
+vectors whose entry ``(x, y)`` is ``[coarse_x == coarse_y] - [fine_x ==
+fine_y]``, read a block of rows at a time and never held as a dense matrix.
 
-A solution is stored as a direct sum of *parts*, each of which unpacks as
-``(block, u, v)``: ``u`` and ``v`` have shape (inputs, bits, d) and
-``block`` gives every input an integer block id; each block owns its own
-``d`` coordinates, so ``<u[x, j], v[y, j]>`` counts only when
-``block[x] == block[y]``.  The ambient vectors are the parts laid side by
-side, the blocks of a part in increasing id order, but checks and costs
-never build them: every input has ``d`` coordinates per part, however many
-blocks the part has.  An `SdpPart` holds its arrays.  A `ScanPart` is a
-first-disagreement part (``d = 1``, ``u is v``) kept as its scans: the
-block ids, each block's scan order ``sigma``, reference ``s`` and
-``width``, and each input's rank; ``_scan_rows`` writes its rows only when
-they are asked for.  The explicit first-disagreement solution is one
-`SdpPart` with one block; every pipeline stage is one `ScanPart`.
+A solution is a direct sum of `ScanPart`s, first-disagreement parts kept as
+their scans: per input a block id and a rank, per block a scan order
+``sigma``, a reference ``s`` and a ``width``.  Each block owns one
+coordinate, so ``<u[x, j], v[y, j]>`` counts only when ``block[x] ==
+block[y]``, and a part's rows (``u`` is ``v``) are written by ``_scan_rows``
+only when they are asked for.  The ambient vectors are the parts laid side
+by side, the blocks of a part in increasing id order; checks and costs never
+build them.  The explicit first-disagreement solution is one part with one
+block; every pipeline stage is one part.
 
-A scan part is checked from its defining property, in O(inputs * bits),
-without touching a pair.  Within a block, take two inputs with ranks
-``p < q`` (rank 0, no disagreement within the width, counts as past every
-rank).  They agree along ``sigma`` before rank ``p`` and differ at it, and
-the rank-``p`` row is zero after it, so their constraint sum is exactly
-the one product ``p**0.25 * p**-0.25``; inputs of equal rank sum to
-exactly 0.  So once every rank is recomputed from the input bits as the
-first disagreement with ``s`` along ``sigma`` within ``width``, and the
-target's labels split the blocks by rank, the residual is
-``max |1 - p**0.25 * p**-0.25|`` over the ranks ``p`` that are the
-smaller rank of a pair in their block -- the very value the pair-by-pair
+``verify_feasible`` has two paths.  The first proves scan parts from their
+defining property, in O(inputs * bits), without touching a pair.  Within a
+block, take two inputs with ranks ``p < q`` (rank 0, no disagreement within
+the width, counts as past every rank).  They agree along ``sigma`` before
+rank ``p`` and differ at it, and the rank-``p`` row is zero after it, so
+their constraint sum is exactly the one product ``p**0.25 * p**-0.25``;
+inputs of equal rank sum to exactly 0.  So once every rank is recomputed
+from the input bits as the first disagreement with ``s`` along ``sigma``
+within ``width``, and the target's labels split the blocks by rank, the
+residual is ``max |1 - p**0.25 * p**-0.25|`` over the ranks ``p`` that are
+the smaller rank of a pair in their block -- the very value the pair-by-pair
 check computes, bit for bit.  Parts chain the same way: when the first
 part's blocks are the coarse classes, part ``k + 1``'s blocks are the
 classes of part ``k``'s ``(block, rank)``, and the last ``(block, rank)``
 gives the fine classes, each pair of a coarse class with different fine
-labels is split at exactly one part and sums to zero at every other, so
-the residual is the largest part residual.  That telescopes ``J - I``
-(one coarse class, every fine label its own) over the pipeline's stages.
-Any other solution or target -- dense parts, a dense target other than
-``J - I``, or a failed premise -- is checked pair by pair, so
+labels is split at exactly one part and sums to zero at every other, so the
+residual is the largest part residual.  That telescopes ``J - I`` (one
+coarse class, every fine label its own) over the pipeline's stages.  The
+second path computes every input pair's constraint sum, a chunk of rows at a
+time: it takes a dense target other than ``J - I``, a failed premise, and
+any part that unpacks as ``(block, u, v)`` without being a scan part.  So
 ``verify_feasible`` always returns the exact residual.
 
-``oracle_id_pipeline`` builds, from the exact pruning tree of the final
-identification algorithm, a feasible solution for full identification
-(target ``J - I``) whose cost tracks the per-input trace cost
-``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction factor for
-composing bounded-error stages.  It does not walk the tree itself: it
-reads the class's memoized pruning tree (``ordering._tree``, the one
-``identify_all`` reads), whose member rank paths give one (inputs,
-stages) rank matrix and whose nodes give each block's greedy order,
-reference and width.  The stage labels ``f_k`` (the first ``k`` ranks)
-are integer codes, never tuples: ``f_k``'s classes are those of
-``f_{k-1}`` paired with the ``k``-th rank.  Stage ``k`` is the
-output-conditioned composite of one first-disagreement solution per
-``f_{k-1}`` label shared by two or more members (a lone member's target
-is zero, so it gets zero rows), kept as one scan part; the stages are the
-parts of one direct sum.
-The solution has one part per stage, with one block per output label of
-the stage before, so it stores a rank per input and an order and a
-reference per block for each stage, where the rows would be
-``stages * inputs * bits`` numbers per side and the ambient arrays
-``dim`` times that.  The general algebra
-this is an instance of -- direct sums, output-conditioned blocks and
-tensor products -- lives with its tests in ``tests/sdp_compose.py``.
+``oracle_id_pipeline`` builds, from the class's memoized pruning tree
+(``ordering._tree``, the one ``identify_all`` reads), a feasible solution
+for ``J - I`` of one scan part per stage, whose cost tracks the per-input
+trace cost ``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction
+factor for composing bounded-error stages.  The general algebra this is an
+instance of -- direct sums, output-conditioned blocks and tensor products,
+on dense parts -- lives with its tests in ``tests/sdp_compose.py``.
 """
 
 from __future__ import annotations
@@ -99,11 +77,10 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitstrings import BitString, ConceptClass, FunctionTable, bit_matrix
+from .bitstrings import BitString, ConceptClass, bit_matrix
 from .ordering import _tree, first_disagreement_rank
 
 __all__ = [
-    "SdpPart",
     "ScanPart",
     "SdpSolution",
     "LabelTarget",
@@ -111,23 +88,10 @@ __all__ = [
     "verify_feasible",
     "cost_of",
     "find_first_one_solution",
-    "first_disagreement_table",
+    "first_disagreement_ranks",
     "OracleIdPipeline",
     "oracle_id_pipeline",
 ]
-
-
-class SdpPart(NamedTuple):
-    """One direct summand: ``u``, ``v`` of shape (inputs, bits, d) and a
-    nonnegative block id per input."""
-
-    block: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-
-    @property
-    def d(self) -> int:
-        return self.u.shape[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,9 +109,9 @@ class ScanPart:
     ``0..bits`` or whose orders hold an entry outside ``0..bits-1``; an
     order that is no permutation is taken, and checked pair by pair.
 
-    It unpacks as ``(block, u, u)`` like an `SdpPart`, the rows written
-    by ``_scan_rows`` on each unpacking (and on each read of ``u`` or
-    ``v``), so a part holds two numbers per input and per block and bit,
+    It unpacks as ``(block, u, u)``, the rows (shape (inputs, bits, 1))
+    written by ``_scan_rows`` on each unpacking and on each read of ``u``
+    or ``v``, so a part holds two numbers per input and per block and bit,
     never its rows.
     """
 
@@ -156,8 +120,6 @@ class ScanPart:
     s: np.ndarray
     width: np.ndarray
     rank: np.ndarray
-
-    d = 1
 
     @property
     def u(self) -> np.ndarray:
@@ -198,34 +160,17 @@ class ScanPart:
 
 
 class SdpSolution:
-    """A solution on the class ``domain`` stored as a direct sum of parts.
+    """A solution on the class ``domain``: the direct sum of its scan
+    ``parts``, in order.
 
     Row ``i`` of every array is ``domain.members[i]``.  Other strings are
     made a class by ``ConceptClass.of`` and must already be in its sorted
-    order, so rows never silently re-align.
-
-    ``SdpSolution(domain, u, v)`` is one part with a single block, ``u`` and
-    ``v`` of shape (inputs, bits, dimension); ``SdpSolution.from_parts``
-    takes any sequence of ``(block, u, v)`` triples and scan parts.
-    ``.u``, ``.v`` and ``.dim`` describe the ambient arrays, which are
-    built on each access (only a one-part, one-block `SdpPart` solution
-    hands back its own arrays).
+    order, so rows never silently re-align.  ``.u`` (equal to ``.v``) and
+    ``.dim`` describe the ambient arrays, one coordinate per block of each
+    part, which are built on each access.
     """
 
-    def __init__(self, domain: ConceptClass | Sequence[BitString], u: np.ndarray, v: np.ndarray):
-        self._setup(domain, (SdpPart(np.zeros(len(u), dtype=np.intp), u, v),))
-
-    @classmethod
-    def from_parts(
-        cls, domain: ConceptClass | Sequence[BitString], parts: Sequence[tuple[np.ndarray, ...] | ScanPart]
-    ) -> "SdpSolution":
-        sol = cls.__new__(cls)
-        sol._setup(domain, tuple(
-            p if isinstance(p, ScanPart) else SdpPart(np.asarray(p[0]), p[1], p[2]) for p in parts
-        ))
-        return sol
-
-    def _setup(self, domain, parts: tuple[SdpPart, ...]) -> None:
+    def __init__(self, domain: ConceptClass | Sequence[BitString], parts: Sequence[ScanPart]):
         if not isinstance(domain, ConceptClass):
             rows = tuple(domain)
             domain = ConceptClass.of(rows)
@@ -233,63 +178,40 @@ class SdpSolution:
                 raise ValueError("domain strings must be listed in sorted class order")
         m, n = domain.size, domain.n
         for part in parts:
-            block = part.block
+            if not isinstance(part, ScanPart):
+                raise TypeError(f"a solution's parts must be scan parts, got {type(part).__name__}")
+            block, blocks = part.block, len(part.width)
             if block.shape != (m,) or block.dtype.kind not in "iu" or block.min() < 0:
                 raise ValueError(f"block must hold {m} nonnegative integer ids")
-            if isinstance(part, ScanPart):
-                blocks = len(part.width)
-                if (part.sigma.shape != (blocks, n) or part.s.shape != (blocks, n)
-                        or part.rank.shape != (m,) or block.max() >= blocks or part.s.dtype != bool
-                        or part.width.shape != (blocks,) or part.width.dtype.kind not in "iu"
-                        or part.sigma.dtype.kind not in "iu" or part.rank.dtype.kind not in "iu"):
-                    raise ValueError(f"a scan part needs {m} integer ranks, {blocks} integer widths, "
-                                     f"({blocks}, {n}) integer orders and ({blocks}, {n}) boolean s")
-                if (part.rank.min() < 0 or part.rank.max() > n or part.width.min() < 0
-                        or part.width.max() > n or part.sigma.min() < 0 or part.sigma.max() >= n):
-                    raise ValueError(f"a scan part's ranks and widths must lie in [0, {n}] "
-                                     f"and its orders in [0, {n - 1}]")
-                continue
-            for name, arr in (("u", part.u), ("v", part.v)):
-                if arr.ndim != 3 or arr.shape[0] != m or arr.shape[1] != n:
-                    raise ValueError(f"{name} must have shape ({m}, {n}, dim)")
-            if part.u.shape[2] != part.v.shape[2]:
-                raise ValueError("u and v must share the ambient dimension")
-        self.domain = domain
-        self.parts = parts
-
-    @property
-    def size(self) -> int:
-        return self.domain.size
-
-    @property
-    def n_bits(self) -> int:
-        return self.domain.n
+            if (part.sigma.shape != (blocks, n) or part.s.shape != (blocks, n)
+                    or part.rank.shape != (m,) or block.max() >= blocks or part.s.dtype != bool
+                    or part.width.shape != (blocks,) or part.width.dtype.kind not in "iu"
+                    or part.sigma.dtype.kind not in "iu" or part.rank.dtype.kind not in "iu"):
+                raise ValueError(f"a scan part needs {m} integer ranks, {blocks} integer widths, "
+                                 f"({blocks}, {n}) integer orders and ({blocks}, {n}) boolean s")
+            if (part.rank.min() < 0 or part.rank.max() > n or part.width.min() < 0
+                    or part.width.max() > n or part.sigma.min() < 0 or part.sigma.max() >= n):
+                raise ValueError(f"a scan part's ranks and widths must lie in [0, {n}] "
+                                 f"and its orders in [0, {n - 1}]")
+        self.domain, self.size, self.n_bits = domain, m, n
+        self.parts = tuple(parts)
 
     @property
     def dim(self) -> int:
-        return sum(len(np.unique(p.block)) * p.d for p in self.parts)
+        return sum(len(np.unique(p.block)) for p in self.parts)
 
     @property
     def u(self) -> np.ndarray:
-        return self._ambient("u")
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._ambient("v")
-
-    def _ambient(self, side: str) -> np.ndarray:
-        if len(self.parts) == 1 and len(np.unique(self.parts[0].block)) == 1:
-            return getattr(self.parts[0], side)
         rows = np.arange(self.size)
         out = np.zeros((self.size, self.n_bits, self.dim))
         lo = 0
         for part in self.parts:
             ids, slot = np.unique(part.block, return_inverse=True)
-            w, d = getattr(part, side), part.d
-            for c in range(d):
-                out[rows, :, lo + slot * d + c] = w[:, :, c]
-            lo += len(ids) * d
+            out[rows, :, lo + slot] = part.u[:, :, 0]
+            lo += len(ids)
         return out
+
+    v = u
 
 
 @dataclass(frozen=True)
@@ -312,24 +234,25 @@ class LabelTarget(NamedTuple):
     one integer label per input on each side.
 
     ``J - I`` is ``LabelTarget(zeros, arange)``, ``J - F`` is
-    ``LabelTarget(zeros, f.codes)``, and a stage target
-    ``gram(f_{k-1}) - gram(f_k)`` is ``LabelTarget(f_{k-1}.codes, f_k.codes)``.
+    ``LabelTarget(zeros, f)`` for any integer coding of ``f``'s outputs, and
+    a stage target ``gram(f_{k-1}) - gram(f_k)`` is
+    ``LabelTarget(f_{k-1}, f_k)``.  The rank proof reads only the classes
+    the labels make; the pair loop reads the target ``rows`` it needs.
     """
 
     coarse: np.ndarray
     fine: np.ndarray
 
-    def rows(self, lo: int, hi: int, cols: slice = slice(None)) -> np.ndarray:
-        """Rows ``lo:hi`` of the target, columns ``cols``, as a dense float
-        array."""
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows ``lo:hi`` of the target as a dense float array."""
         coarse, fine = np.asarray(self.coarse), np.asarray(self.fine)
-        out = (coarse[lo:hi, None] == coarse[cols]).astype(float)
-        out -= fine[lo:hi, None] == fine[cols]
+        out = (coarse[lo:hi, None] == coarse).astype(float)
+        out -= fine[lo:hi, None] == fine
         return out
 
 
-# rows checked per step: each step holds two ROW_CHUNK x (at most) inputs
-# float arrays, small enough to stay in cache up to a few thousand inputs
+# rows checked per step: each step holds two ROW_CHUNK x inputs float
+# arrays, small enough to stay in cache up to a few thousand inputs
 ROW_CHUNK = 64
 
 
@@ -338,17 +261,16 @@ def _codes(labels) -> np.ndarray:
     return np.unique(np.asarray(labels), return_inverse=True)[1].reshape(-1)
 
 
-def _refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
-    """Whether two inputs with equal ``fine`` codes always share ``coarse``."""
-    seen = np.empty(int(fine.max()) + 1, dtype=coarse.dtype)
-    seen[fine] = coarse
-    return bool(np.array_equal(seen[fine], coarse))
-
-
 def _same_classes(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two vectors of nonnegative integer labels split the inputs
-    into the same classes (each label indexes an array of ``max + 1``)."""
-    return _refines(a, b) and _refines(b, a)
+    into the same classes (each label indexes an array of ``max + 1``): each
+    refines the other, so equal labels on one side mean equal on the other."""
+    for fine, coarse in ((a, b), (b, a)):
+        seen = np.empty(int(fine.max()) + 1, dtype=coarse.dtype)
+        seen[fine] = coarse
+        if not np.array_equal(seen[fine], coarse):
+            return False
+    return True
 
 
 def _is_identity_target(dense: np.ndarray) -> bool:
@@ -382,118 +304,73 @@ def _scan_chain_residual(target: LabelTarget, sol: SdpSolution) -> float | None:
 def verify_feasible(A, sol: SdpSolution) -> float:
     """Worst absolute violation of the bilinear constraints against ``A``.
 
-    ``A`` is an (inputs, inputs) array or a `LabelTarget`.  A return value
-    at most the caller's tolerance certifies feasibility.  The value is
-    the exact worst residual over every input pair, whichever way it is
-    found.
+    ``A`` is an (inputs, inputs) array of finite entries or a
+    `LabelTarget`.  A return value at most the caller's tolerance certifies
+    feasibility.  The value is the exact worst residual over every input
+    pair, found on one of two paths.
 
-    A solution made of `ScanPart` parts is proven from its ranks, in
-    O(parts * inputs * bits): when each part's ranks are the first
-    disagreements of its inputs' bits and the parts chain from the
-    target's coarse classes to its fine ones, the residual is the largest
-    ``split_residual`` (module docstring).  That covers every pipeline
-    stage against its stage target and the pipeline's solution against
-    ``J - I``, given as ``LabelTarget(zeros, arange)`` or as the dense
-    array, which one elementwise pass finds equal to ``J - I``.
+    The rank proof (module docstring) takes a solution of `ScanPart`s whose
+    ranks hold and whose parts chain from the target's coarse classes to its
+    fine ones: every pipeline stage against its stage target, and the
+    pipeline's solution against ``J - I``, given as ``LabelTarget(zeros,
+    arange)`` or as the dense array, which one elementwise pass recognises.
 
-    Any other case -- dense parts, a dense target other than ``J - I``,
-    or a failed check -- reads every input pair, ``ROW_CHUNK`` rows at a
-    time, so memory stays flat; scan parts are unpacked into their rows.
-    Per part, the constraint sums of all pairs are ``U1 V0^T + U0 V1^T``,
-    one product ``[U1 U0] [V0 V1]^T``, masked to equal blocks, where
-    ``U1``/``U0`` keep the ``u[x, j]`` with ``x_j`` = 1/0 (flattened over
-    bits and coordinates), and likewise ``V``.
-
-    Pairs of a label target that its labels force to zero are proven
-    zero, not computed.  When the ``fine`` labels refine the ``coarse``
-    ones and every part's blocks refine ``coarse`` too, a pair with
-    different coarse labels has target ``0 - 0`` and shares no block, so
-    its residual is exactly 0.  The rows are then taken class by class,
-    each chunk against the columns of the classes it touches, and a class
-    of one input is skipped: its only pair ``(x, x)`` is ``0 - 0`` as
-    well.  Otherwise -- a dense target, labels that do not refine, or a
-    single coarse class such as ``J - I`` -- every chunk reads all columns.
+    The pair loop takes everything else -- a dense target other than
+    ``J - I``, a failed premise, or parts that only unpack as ``(block, u,
+    v)`` -- ``ROW_CHUNK`` rows at a time, so memory stays flat.  Per part,
+    the constraint sums of all pairs are ``U1 V0^T + U0 V1^T``, one product
+    ``[U1 U0] [V0 V1]^T``, masked to equal blocks, where ``U1``/``U0`` keep
+    the ``u[x, j]`` with ``x_j`` = 1/0 (flattened over bits and
+    coordinates), and likewise ``V``.  A non-finite coordinate gives a
+    non-finite residual, which passes no tolerance.
     """
     m = sol.size
     if isinstance(A, LabelTarget):
         if np.shape(A.coarse) != (m,) or np.shape(A.fine) != (m,):
             raise ValueError(f"label target needs {m} labels per side")
-        labels = A
+        labels, target_rows = A, A.rows
     else:
         dense = np.asarray(A, dtype=float)
         if dense.shape != (m, m):
             raise ValueError(f"target must be {m}x{m}, got {dense.shape}")
-        labels = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m)) if _is_identity_target(dense) else None
+        if _is_identity_target(dense):  # J - I is finite: no second pass
+            labels = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))
+        elif not np.isfinite(dense).all():
+            raise ValueError("target entries must be finite")
+        else:
+            labels = None
+
+        def target_rows(lo, hi):
+            return dense[lo:hi].copy()
+
     if labels is not None:
         worst = _scan_chain_residual(labels, sol)
         if worst is not None:
             return worst
 
-    parts = []
-    for block, u, v in sol.parts:
-        ids, codes = np.unique(block, return_inverse=True)
-        parts.append((codes.reshape(-1), len(ids) > 1, u, v))
-    if isinstance(A, LabelTarget):
-        coarse, fine = _codes(A.coarse), _codes(A.fine)
-        # one coarse class leaves no pair to skip: read views of all rows
-        local = (
-            coarse.max(initial=0) > 0
-            and _refines(fine, coarse)
-            and all(_refines(b, coarse) for b, _, _, _ in parts)
-        )
-    else:
-        local = False
-
-    if local:
-        # rows class by class, classes of one input dropped; row i may only
-        # meet the columns window_lo[i]:window_hi[i] of its own class
-        sizes = np.bincount(coarse)
-        order = np.argsort(coarse, kind="stable")
-        order = order[sizes[coarse[order]] > 1]
-        ends = np.cumsum(np.where(sizes > 1, sizes, 0))
-        window_lo, window_hi = (ends - sizes)[coarse[order]], ends[coarse[order]]
-    else:
-        order = slice(None)
-        window_lo, window_hi = np.zeros(m, dtype=np.intp), np.full(m, m)
-    if isinstance(A, LabelTarget):
-        target = LabelTarget(coarse[order], fine[order])
-
-        def target_window(a, b, cols):
-            return target.rows(a, b, cols)
-    else:
-
-        def target_window(a, b, cols):
-            return dense[a:b, cols].copy()
-
-    bits = sol.domain.bits[order]
-    ones = bits[:, :, None].astype(float)
+    ones = sol.domain.bits[:, :, None].astype(float)
     zeros = 1.0 - ones
-    rows = len(bits)
 
     def split(w, first, second):
-        flat = (rows, w.shape[1] * w.shape[2])
-        return np.concatenate([(w * first).reshape(flat), (w * second).reshape(flat)], axis=1)
+        return np.concatenate([(w * first).reshape(m, -1), (w * second).reshape(m, -1)], axis=1)
 
     factors = []
-    for block, blocked, u, v in parts:
-        factors.append((
-            block[order] if blocked else None,
-            split(u[order], ones, zeros),
-            split(v[order], zeros, ones),
-        ))
+    for block, u, v in sol.parts:
+        blocked = block.min() < block.max()
+        factors.append((block if blocked else None, split(u, ones, zeros), split(v, zeros, ones)))
     worst = 0.0
-    for a in range(0, rows, ROW_CHUNK):
-        b = min(a + ROW_CHUNK, rows)
-        cols = slice(int(window_lo[a]), int(window_hi[b - 1]))
+    for lo in range(0, m, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, m)
         # |target - sums| in place: few temporaries, so the heap stays put
-        residual = target_window(a, b, cols)
+        residual = target_rows(lo, hi)
         for block, uu, vv in factors:
-            inner = uu[a:b] @ vv[cols].T
+            inner = uu[lo:hi] @ vv.T
             if block is not None:
-                inner *= block[a:b, None] == block[None, cols]
+                inner *= block[lo:hi, None] == block[None, :]
             residual -= inner
-        worst = max(worst, float(np.abs(residual, out=residual).max()))
-    return worst
+        # np.maximum, not max: a NaN chunk must not lose to an earlier worst
+        worst = np.maximum(worst, np.abs(residual, out=residual).max())
+    return float(worst)
 
 
 def cost_of(sol: SdpSolution) -> CostFunction:
@@ -520,15 +397,13 @@ def _ramp_spike(n: int) -> tuple[np.ndarray, np.ndarray]:
     return ramp, spike
 
 
-def _scan_rows(sigmas: np.ndarray, ranks: np.ndarray, widths: np.ndarray | int) -> np.ndarray:
+def _scan_rows(sigmas: np.ndarray, ranks: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """First-disagreement vectors, one row per input, shape (inputs, bits, 1).
 
     Row ``i`` is written along its scan order ``sigmas[i]``: the ramp
     ``t**-0.25`` at ``sigmas[i][t-1]`` for every rank ``t`` before
     ``ranks[i]`` and the spike ``ranks[i]**0.25`` at the rank itself; rank 0
-    (no disagreement) writes the ramp through ``widths[i]``.  ``sigmas``
-    (inputs, bits) and ``widths`` (inputs,) may be one order and one width
-    shared by every row.
+    (no disagreement) writes the ramp through ``widths[i]``.
     """
     m, n = len(ranks), np.shape(sigmas)[-1]
     ramp, spike = _ramp_spike(n)
@@ -549,7 +424,8 @@ def find_first_one_solution(
     domain: ConceptClass | Iterable[BitString] | None = None,
     width: int | None = None,
 ) -> SdpSolution:
-    """Feasible solution for finding the first scan-order disagreement.
+    """Feasible solution for finding the first scan-order disagreement: one
+    `ScanPart` with one block.
 
     The underlying function maps ``x`` to the first rank ``t`` (1-based,
     scanning ``sigma`` up to ``width``) where ``x`` differs from ``s``, all
@@ -576,22 +452,26 @@ def find_first_one_solution(
     if not 0 <= width <= n:
         raise ValueError(f"width must lie in [0, {n}]")
     members = ConceptClass.of(domain) if domain is not None else _full_cube(n)
-    ranks = np.array(first_disagreement_table(members, sigma, s, width).outputs, dtype=np.intp)
-    u = _scan_rows(np.array(sigma, dtype=np.intp), ranks, width)
-    return SdpSolution(members, u, u)
-
-
-def first_disagreement_table(
-    domain: ConceptClass,
-    sigma: Sequence[int],
-    s: BitString,
-    width: int,
-) -> FunctionTable:
-    """Rank of the first scan-order disagreement per member (0 when none)."""
-    outputs = tuple(
-        first_disagreement_rank(x, s, sigma, width) or 0 for x in domain.members
+    part = ScanPart(
+        np.zeros(members.size, dtype=np.intp),
+        np.array([sigma], dtype=np.intp),
+        bit_matrix(n, [s.value]).astype(bool),
+        np.array([width], dtype=np.intp),
+        first_disagreement_ranks(members, sigma, s, width),
     )
-    return FunctionTable(domain, outputs)
+    return SdpSolution(members, [part])
+
+
+def first_disagreement_ranks(domain: ConceptClass, sigma: Sequence[int], s: BitString, width: int) -> np.ndarray:
+    """Rank of the first scan-order disagreement per member (0 when none),
+    member by member with ``ordering.first_disagreement_rank``: an
+    ``intp`` array, read-only."""
+    ranks = np.fromiter(
+        (first_disagreement_rank(x, s, sigma, width) or 0 for x in domain.members),
+        dtype=np.intp, count=domain.size,
+    )
+    ranks.setflags(write=False)
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -637,13 +517,9 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
     of its path in the pruning tree -- 0 when there is no hit, so its row
     is the ramp through the width, and zeros for a lone member (width 0).
     A group of two or more members is one tree node, its label the node's
-    rank path, which holds that order, reference and width.  The solution
-    is the direct sum of the stage parts.
-
-    The labels are never built as tuples: ``f_k``'s classes are those of
-    the pairs ``(f_{k-1}(x), rank k of x)``, so each stage's codes come
-    from the one (members, stages) rank matrix, numbered in order of first
-    appearance as ``FunctionTable.codes`` numbers the rank-path tuples.
+    rank path, which holds that order, reference and width.  The labels are
+    never built as tuples: ``f_k``'s classes are those of the pairs
+    ``(f_{k-1}(x), rank k of x)``, numbered in order of first appearance.
     """
     n = concept_class.n
     m = concept_class.size
@@ -692,13 +568,11 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
         lo = hi
     stage_targets = tuple(LabelTarget(coarse, fine) for coarse, fine in zip(codes, codes[1:]))
     # the class itself, not its members: a class is taken as it is, unchecked
-    stage_solutions = tuple(SdpSolution.from_parts(concept_class, [p]) for p in stage_parts)
-
+    stage_solutions = tuple(SdpSolution(concept_class, [p]) for p in stage_parts)
     if stage_parts:
-        combined = SdpSolution.from_parts(concept_class, stage_parts)
-    else:  # singleton class: nothing to learn
-        zero = np.zeros((m, n, 1))
-        combined = SdpSolution(concept_class, zero, zero)
+        combined = SdpSolution(concept_class, stage_parts)
+    else:  # singleton class: nothing to learn, one block scanning nothing
+        combined = find_first_one_solution(n, domain=concept_class, width=0)
 
     return OracleIdPipeline(
         concept_class=concept_class,

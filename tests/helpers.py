@@ -2,11 +2,43 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Iterable
 
 import numpy as np
 
-from oracleid.bitstrings import BitString, ConceptClass, FunctionTable, majority_value
+from oracleid.bitstrings import BitString, ConceptClass, majority_value
+
+
+@dataclass(frozen=True)
+class FunctionTable:
+    """A total function on a concept class, given by one output per member:
+    the form the composition algebra and the reference pipeline take
+    functions in."""
+
+    domain: ConceptClass
+    outputs: tuple[Hashable, ...]
+
+    def __post_init__(self):
+        if len(self.outputs) != self.domain.size:
+            raise ValueError("need exactly one output per domain member")
+
+    def __call__(self, x: BitString) -> Hashable:
+        return self.outputs[self.domain.index(x)]
+
+    @cached_property
+    def labels(self) -> tuple[Hashable, ...]:
+        return tuple(dict.fromkeys(self.outputs))
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """Per member, the index of its output in ``labels``: two members
+        share a code iff they share an output.  Read-only, computed once."""
+        index: dict[Hashable, int] = {}
+        codes = np.array([index.setdefault(out, len(index)) for out in self.outputs], dtype=np.intp)
+        codes.setflags(write=False)
+        return codes
 
 
 def random_class(rng: np.random.Generator, n: int, size: int) -> ConceptClass:

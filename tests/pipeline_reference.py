@@ -8,7 +8,7 @@ instead of reading the runtime's memoized tree, and gives every lone
 member an explicit zero block at every stage.  Its blocks
 come from ``find_first_one_solution`` below, the member-by-member writer
 that the runtime's vectorised ``_scan_rows`` replaced, and are stitched
-with the composition operators of ``sdp_compose``.  The differential tests
+with the composition operators of ``sdp_compose`` into dense solutions.  The differential tests
 hold the runtime pipeline and the runtime first-disagreement solution to
 it exactly.
 """
@@ -20,10 +20,11 @@ from typing import NamedTuple
 import numpy as np
 
 from greedy_reference import _greedy
-from oracleid.bitstrings import BitString, ConceptClass, FunctionTable
+from helpers import FunctionTable
+from oracleid.bitstrings import BitString, ConceptClass
 from oracleid.ordering import first_disagreement_rank
-from oracleid.sdp import CostFunction, LabelTarget, SdpSolution, cost_of
-from sdp_compose import output_conditioned_compose, sum_compose
+from oracleid.sdp import CostFunction, LabelTarget, cost_of
+from sdp_compose import DenseSolution, output_conditioned_compose, sum_compose
 
 
 class ReferencePipeline(NamedTuple):
@@ -32,15 +33,15 @@ class ReferencePipeline(NamedTuple):
 
     concept_class: ConceptClass
     stage_tables: tuple[FunctionTable, ...]
-    stage_solutions: tuple[SdpSolution, ...]
+    stage_solutions: tuple[DenseSolution, ...]
     stage_targets: tuple[LabelTarget, ...]
-    solution: SdpSolution
+    solution: DenseSolution
     cost: CostFunction
 
 
 def find_first_one_solution(
     n: int, sigma, s: BitString, *, domain, width: int
-) -> SdpSolution:
+) -> DenseSolution:
     """The first-disagreement solution on ``domain``, one member at a time:
     the ramp ``t**-0.25`` along ``sigma`` before the member's rank, the
     spike ``rank**0.25`` at it, the ramp through ``width`` without a hit."""
@@ -53,7 +54,7 @@ def find_first_one_solution(
             u[idx, sigma[t - 1], 0] = t**-0.25
         if f is not None:
             u[idx, sigma[f - 1], 0] = f**0.25
-    return SdpSolution(members, u, u)
+    return DenseSolution(members, u, u)
 
 
 def oracle_id_pipeline(concept_class: ConceptClass) -> ReferencePipeline:
@@ -64,17 +65,17 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> ReferencePipeline:
     paths: dict[int, tuple] = {x.value: () for x in members}
     level: dict[tuple, list[int]] = {(): list(concept_class.values)}
     tables = [FunctionTable(concept_class, tuple(() for _ in members))]
-    stage_solutions: list[SdpSolution] = []
+    stage_solutions: list[DenseSolution] = []
     stage_targets: list[LabelTarget] = []
 
     while any(len(vals) > 1 for vals in level.values()):
-        blocks: dict[tuple, SdpSolution] = {}
+        blocks: dict[tuple, DenseSolution] = {}
         next_level: dict[tuple, list[int]] = {}
         for path, vals in level.items():
             block_members = tuple(BitString(n, v) for v in vals)
             if len(vals) == 1:
                 zero = np.zeros((1, n, 1))
-                blocks[path] = SdpSolution(block_members, zero, zero)
+                blocks[path] = DenseSolution(block_members, zero, zero)
                 ranks = {}
             else:
                 sigma, s_value, elim, width = _greedy(n, tuple(vals))
@@ -103,7 +104,7 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> ReferencePipeline:
             combined = sum_compose(combined, sol)
     else:  # singleton class: nothing to learn
         zero = np.zeros((m, n, 1))
-        combined = SdpSolution(members, zero, zero)
+        combined = DenseSolution(members, zero, zero)
 
     return ReferencePipeline(
         concept_class=concept_class,

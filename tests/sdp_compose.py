@@ -1,9 +1,11 @@
 """Test-only composition algebra for solutions of the query-complexity
-vector program.
+vector program, on dense solutions.
 
-``oracleid.sdp`` writes the identification certificate directly; these
-general operators are kept here, with their tests, as the algebra that
-certificate is an instance of.
+``oracleid.sdp`` writes the identification certificate directly, as scan
+parts; these general operators are kept here, with their tests, as the
+algebra that certificate is an instance of.  They work on `DenseSolution`,
+a direct sum of dense ``(block, u, v)`` parts, which ``verify_feasible`` and
+``cost_of`` read as they read scan parts, checking it pair by pair.
 
 Three composition operators preserve feasibility:
 
@@ -23,25 +25,78 @@ single-output solutions the tensor tests compose.
 
 from __future__ import annotations
 
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from helpers import groups
-from oracleid.bitstrings import BitString, ConceptClass, FunctionTable
+from helpers import FunctionTable, groups
+from oracleid.bitstrings import BitString, ConceptClass
 from oracleid.sdp import SdpSolution
 
 
-def sum_compose(a: SdpSolution, b: SdpSolution) -> SdpSolution:
+class DensePart(NamedTuple):
+    """One direct summand: ``u``, ``v`` of shape (inputs, bits, d) and a
+    nonnegative block id per input."""
+
+    block: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+
+
+class DenseSolution:
+    """A solution on the class ``domain`` stored as a direct sum of
+    `DensePart`s, with the surface of `oracleid.sdp.SdpSolution`
+    (``domain``, ``size``, ``n_bits``, ``parts``, ``u``, ``v``, ``dim``).
+
+    Each block of a part owns its own ``d`` coordinates, laid out in
+    increasing id order.  ``DenseSolution(domain, u, v)`` is one part with
+    a single block; ``from_parts`` takes any sequence of ``(block, u, v)``
+    triples, a scan part unpacked into its rows.
+    """
+
+    def __init__(self, domain, u: np.ndarray, v: np.ndarray):
+        self._setup(domain, [(np.zeros(len(u), dtype=np.intp), u, v)])
+
+    @classmethod
+    def from_parts(cls, domain, parts) -> "DenseSolution":
+        sol = cls.__new__(cls)
+        sol._setup(domain, parts)
+        return sol
+
+    def _setup(self, domain, parts) -> None:
+        self.domain = SdpSolution(domain, ()).domain  # the runtime's domain checks
+        self.size, self.n_bits = self.domain.size, self.domain.n
+        self.parts = tuple(DensePart(np.asarray(block), u, v) for block, u, v in parts)
+
+    @property
+    def dim(self) -> int:
+        return sum(len(np.unique(p.block)) * p.u.shape[2] for p in self.parts)
+
+    u = property(lambda self: self._ambient("u"))
+    v = property(lambda self: self._ambient("v"))
+
+    def _ambient(self, side: str) -> np.ndarray:
+        out = np.zeros((self.size, self.n_bits, self.dim))
+        lo = 0
+        for part in self.parts:
+            ids, slot = np.unique(part.block, return_inverse=True)
+            w, d = getattr(part, side), part.u.shape[2]
+            for c in range(d):
+                out[np.arange(self.size), :, lo + slot * d + c] = w[:, :, c]
+            lo += len(ids) * d
+        return out
+
+
+def sum_compose(a, b) -> DenseSolution:
     """Direct sum: feasible for ``A + B`` with cost at most ``c_A + c_B``."""
     if a.domain != b.domain:
         raise ValueError("solutions must share a domain")
-    return SdpSolution.from_parts(a.domain, a.parts + b.parts)
+    return DenseSolution.from_parts(a.domain, a.parts + b.parts)
 
 
 def output_conditioned_compose(
-    f: FunctionTable, blocks: Mapping[Hashable, SdpSolution]
-) -> SdpSolution:
+    f: FunctionTable, blocks: Mapping[Hashable, SdpSolution | DenseSolution]
+) -> DenseSolution:
     """Stitch per-output solutions into one for ``F - F*G``.
 
     ``blocks[e]`` must be a solution on exactly the inputs with
@@ -88,15 +143,15 @@ def output_conditioned_compose(
             block[idx] = next_id + p.block
             next_id += int(p.block.max()) + 1
         parts.append((block, u, v))
-    return SdpSolution.from_parts(members, parts)
+    return DenseSolution.from_parts(members, parts)
 
 
 def tensor_compose(
-    outer: SdpSolution,
-    inner: Sequence[tuple[SdpSolution, FunctionTable]],
+    outer: DenseSolution,
+    inner: Sequence[tuple[DenseSolution, FunctionTable]],
     *,
     domain: Sequence[tuple[BitString, ...]] | None = None,
-) -> SdpSolution:
+) -> DenseSolution:
     """Compose an outer solution with inner instances feeding its bits.
 
     ``inner[i]`` supplies the solution and 0/1-valued function table of the
@@ -156,7 +211,7 @@ def tensor_compose(
                 v[row, offset + j, :] = _pad_grid(grid_v, d_in)
             offset += sol_i.n_bits
         members.append(BitString(n_total, value))
-    return SdpSolution(tuple(members), u, v)
+    return DenseSolution(tuple(members), u, v)
 
 
 def _pad_grid(grid: np.ndarray, d_in: int) -> np.ndarray:
@@ -169,18 +224,18 @@ def _pad_grid(grid: np.ndarray, d_in: int) -> np.ndarray:
     return padded.reshape(-1)
 
 
-def boolean_or_solution(m: int) -> tuple[SdpSolution, FunctionTable]:
+def boolean_or_solution(m: int) -> tuple[DenseSolution, FunctionTable]:
     """Standard solution for m-bit OR: ramp on the zero string, one spike
     at the first 1 of everything else; cost sqrt(m) everywhere."""
     return _constant_string_solution(m, 0)
 
 
-def boolean_and_solution(m: int) -> tuple[SdpSolution, FunctionTable]:
+def boolean_and_solution(m: int) -> tuple[DenseSolution, FunctionTable]:
     """Same construction as OR with the roles of 0 and 1 swapped."""
     return _constant_string_solution(m, 1)
 
 
-def _constant_string_solution(m: int, b: int) -> tuple[SdpSolution, FunctionTable]:
+def _constant_string_solution(m: int, b: int) -> tuple[DenseSolution, FunctionTable]:
     """The all-``b`` string outputs ``b`` and carries the ramp; every other
     string outputs ``1 - b`` and has one spike at its first bit unequal
     to ``b``."""
@@ -196,4 +251,4 @@ def _constant_string_solution(m: int, b: int) -> tuple[SdpSolution, FunctionTabl
         else:
             u[idx, first, 0] = high
             outputs.append(1 - b)
-    return SdpSolution(cube.members, u, u), FunctionTable(cube, tuple(outputs))
+    return DenseSolution(cube.members, u, u), FunctionTable(cube, tuple(outputs))

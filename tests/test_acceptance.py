@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dense_sdp import dense_gram
+from verify_reference import dense_gram
 from helpers import random_class
 from oracleid.bitstrings import BitString, ConceptClass, generate_class
 from oracleid.bounds import (
@@ -126,10 +126,8 @@ def test_04_first_disagreement_solution_everywhere():
             worst_cost_ratio = max(worst_cost_ratio, cost.values[idx] / (3 * math.sqrt(f)))
         if n <= 10:
             cls = ConceptClass(n, sol.domain)
-            table = sdp.first_disagreement_table(
-                cls, tuple(range(n)), BitString.zeros(n), n
-            )
-            target = np.ones((cls.size,) * 2) - dense_gram(table.outputs)
+            ranks = sdp.first_disagreement_ranks(cls, tuple(range(n)), BitString.zeros(n), n)
+            target = np.ones((cls.size,) * 2) - dense_gram(ranks)
             worst_violation = max(worst_violation, sdp.verify_feasible(target, sol))
     elapsed = time.perf_counter() - start
     report(

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from helpers import majority_string, preimage, subsets_of_cube
+from helpers import FunctionTable, majority_string, preimage, subsets_of_cube
 from partition_reference import filter_by_disagreement
 from oracleid.bitstrings import (
     BitString,
     ConceptClass,
-    FunctionTable,
     bit_matrix,
     generate_class,
 )
@@ -118,6 +117,10 @@ def code_gram(f):
 
 
 class TestGram:
+    """The test-side ``helpers.FunctionTable``, which the composition algebra
+    and the reference pipeline take functions in: its label codes and the
+    Gram matrix they give."""
+
     def test_identity_function_gives_identity_matrix(self):
         cls = generate_class("cube", 2)
         f = FunctionTable(cls, tuple(str(m) for m in cls.members))

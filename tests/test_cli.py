@@ -307,6 +307,21 @@ class TestVerifySdpDump:
                 for x, c in w["cost"].items():
                     assert g["cost"][x] == pytest.approx(c, rel=1e-12, abs=0)
 
+    def test_one_member_class_file(self, tmp_path, capsys):
+        # one block scanning nothing: zero rows of dim 1, cost 0, residual 0
+        cf = tmp_path / "c.json"
+        cf.write_text(json.dumps({"n": 5, "members": ["01101"]}))
+        out = tmp_path / "r.json"
+        assert run_cli("verify", "--suite", "sdp", "--dump", "--class-file", str(cf), "-o", str(out)) == 0
+        identity, cube = json.loads(out.read_text())["checks"]
+        zeros = [[[0.0]] * 5]
+        assert identity["vectors"] == {"u": zeros, "v": zeros}
+        assert identity["cost"] == {"01101": 0.0} and identity["max_violation"] == 0.0
+        # the 6-cube check, proven from its ranks, gives the golden value exactly
+        for case in self.GOLDEN.values():
+            assert cube == case["report"]["checks"][-1]
+        assert cube["max_violation"] == 2.220446049250313e-16
+
 
 class TestBounds:
     def test_grid_csv(self, tmp_path):

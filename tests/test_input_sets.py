@@ -3,7 +3,6 @@
 ``ConceptClass.of``, so a repeated or misplaced string is refused, never
 silently counted twice or re-aligned."""
 
-import numpy as np
 import pytest
 
 from oracleid.bitstrings import BitString, ConceptClass, generate_class
@@ -48,11 +47,11 @@ class TestDuplicatesAreRefused:
             verify_ordering([A, A, B], order)
 
     def test_sdp_solution(self):
-        zero = np.zeros((3, 3, 1))
+        part = find_first_one_solution(3, domain=(A, B)).parts[0]
         with pytest.raises(ValueError, match="duplicate"):
-            SdpSolution((A, A, B), zero, zero)
+            SdpSolution((A, A, B), [])
         with pytest.raises(ValueError, match="duplicate"):
-            SdpSolution.from_parts((A, A, B), [(np.zeros(3, dtype=int), zero, zero)])
+            SdpSolution((A, A, B), [part])
 
     def test_find_first_one_solution(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -61,15 +60,15 @@ class TestDuplicatesAreRefused:
 
 class TestDomainOrder:
     def test_unsorted_domain_is_refused(self):
-        zero = np.zeros((3, 3, 1))
+        part = find_first_one_solution(3, domain=(A, B, C)).parts[0]
         with pytest.raises(ValueError, match="sorted class order"):
-            SdpSolution((B, A, C), zero, zero)
+            SdpSolution((B, A, C), [])
         with pytest.raises(ValueError, match="sorted class order"):
-            SdpSolution.from_parts((B, A, C), [(np.zeros(3, dtype=int), zero, zero)])
+            SdpSolution((B, A, C), [part])
 
     def test_sorted_strings_become_the_class(self):
-        zero = np.zeros((3, 3, 1))
-        sol = SdpSolution([A, B, C], zero, zero)
+        part = find_first_one_solution(3, domain=(A, B, C), width=0).parts[0]
+        sol = SdpSolution([A, B, C], [part])
         assert sol.domain == ConceptClass(3, (A, B, C))
         assert sol.domain.index(C) == 2 and cost_of(sol).domain is sol.domain
 

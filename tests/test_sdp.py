@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dense_sdp import dense_cost, dense_gram, dense_sums, dense_verify, domain_bits
 import pipeline_reference
 import verify_reference
-from helpers import preimage, random_class
+from verify_reference import dense_cost, dense_gram, dense_sums, dense_verify, domain_bits
+from helpers import FunctionTable, preimage, random_class
 from sdp_compose import (
+    DenseSolution,
     boolean_and_solution,
     boolean_or_solution,
     output_conditioned_compose,
@@ -21,7 +22,6 @@ from oracleid import bitstrings, sdp
 from oracleid.bitstrings import (
     BitString,
     ConceptClass,
-    FunctionTable,
     bit_matrix,
     generate_class,
 )
@@ -29,10 +29,11 @@ from oracleid.identify import identify_all
 from oracleid.ordering import clear_ordering_cache
 from oracleid.sdp import (
     LabelTarget,
+    ScanPart,
     SdpSolution,
     cost_of,
     find_first_one_solution,
-    first_disagreement_table,
+    first_disagreement_ranks,
     oracle_id_pipeline,
     verify_feasible,
 )
@@ -42,26 +43,23 @@ def bs(text):
     return BitString.from_str(text)
 
 
+def identity(m):
+    return np.ones((m, m)) - np.eye(m)
+
+
 def rank_target(n, sigma=None, s=None, width=None, domain=None):
     """J - F for the first-disagreement function on the given domain."""
-    members = tuple(domain) if domain is not None else tuple(
-        BitString(n, v) for v in range(1 << n)
-    )
-    cls = ConceptClass(n, members)
-    table = first_disagreement_table(
-        cls,
-        tuple(sigma) if sigma is not None else tuple(range(n)),
-        s if s is not None else BitString.zeros(n),
-        n if width is None else width,
-    )
-    F = dense_gram(table.outputs)
-    return np.ones_like(F) - F
+    cls = ConceptClass.of(domain) if domain is not None else generate_class("cube", n)
+    sigma = tuple(range(n)) if sigma is None else tuple(sigma)
+    s = BitString.zeros(n) if s is None else s
+    ranks = first_disagreement_ranks(cls, sigma, s, n if width is None else width)
+    return 1.0 - dense_gram(ranks)
 
 
 class TestVerifyFeasible:
     def test_zero_solution_for_zero_matrix(self):
         domain = tuple(BitString(2, v) for v in range(4))
-        sol = SdpSolution(domain, np.zeros((4, 2, 1)), np.zeros((4, 2, 1)))
+        sol = DenseSolution(domain, np.zeros((4, 2, 1)), np.zeros((4, 2, 1)))
         assert verify_feasible(np.zeros((4, 4)), sol) == 0.0
 
     def test_explicit_solution_is_feasible(self):
@@ -73,7 +71,7 @@ class TestVerifyFeasible:
         u = sol.u.copy()
         idx = sol.domain.index(bs("1000"))  # first disagreement at rank 1
         u[idx, 0, 0] *= 2.0
-        broken = SdpSolution(sol.domain, u, u)
+        broken = DenseSolution(sol.domain, u, u)
         assert verify_feasible(rank_target(4), broken) == pytest.approx(1.0)
 
     def test_dimension_mismatch_rejected(self):
@@ -84,10 +82,44 @@ class TestVerifyFeasible:
             verify_feasible(LabelTarget(np.zeros(8, dtype=int), np.arange(4)), sol)
 
 
+class TestNonFinite:
+    """A dense target with a non-finite entry is refused, and a NaN
+    coordinate gives a NaN residual, which passes no tolerance, however
+    small the residual of the other chunks."""
+
+    @pytest.fixture(scope="class")
+    def pipe(self):
+        return oracle_id_pipeline(generate_class("random", 8, size=40, seed=1))
+
+    def test_a_non_finite_dense_target_is_refused(self, pipe):
+        one_nan = _identity_targets(40)[0]
+        one_nan[3, 5], one_nan[4, 6] = np.nan, 5.0  # and a miss by 4 in its chunk
+        for target in (np.full((40, 40), np.nan), one_nan, np.diag(np.full(40, np.inf))):
+            for sol in (pipe.solution, _unpacked(pipe.solution)):
+                with pytest.raises(ValueError, match="target entries must be finite"):
+                    verify_feasible(target, sol)
+            assert not np.isfinite(verify_reference.verify_feasible(target, pipe.solution))
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_a_nan_coordinate_fails_every_tolerance(self, monkeypatch, pipe, chunk):
+        monkeypatch.setattr(sdp, "ROW_CHUNK", chunk)
+        monkeypatch.setattr(verify_reference, "ROW_CHUNK", chunk)
+        for row in (0, 20, 39):
+            parts = [tuple(part) for part in pipe.solution.parts]
+            block, u, v = parts[-1]
+            u = u.copy()
+            u[row, 0, 0] = np.nan  # on the u side only: one chunk reads it
+            parts[-1] = (block, u, v)
+            sol = DenseSolution.from_parts(pipe.concept_class, parts)
+            for target in _identity_targets(40):
+                assert math.isnan(verify_feasible(target, sol))
+                assert math.isnan(verify_reference.verify_feasible(target, sol))
+
+
 class TestCostFunction:
     def test_zero_vectors_cost_zero(self):
         domain = tuple(BitString(2, v) for v in range(4))
-        sol = SdpSolution(domain, np.zeros((4, 2, 1)), np.zeros((4, 2, 1)))
+        sol = DenseSolution(domain, np.zeros((4, 2, 1)), np.zeros((4, 2, 1)))
         assert cost_of(sol).max_value == 0.0
 
     def test_immediate_hit_costs_one(self):
@@ -186,7 +218,7 @@ class TestFirstOneSolution:
 class TestSumCompose:
     def test_zero_padding_keeps_cost(self):
         sol = find_first_one_solution(3)
-        zero = SdpSolution(sol.domain, np.zeros((8, 3, 1)), np.zeros((8, 3, 1)))
+        zero = DenseSolution(sol.domain, np.zeros((8, 3, 1)), np.zeros((8, 3, 1)))
         both = sum_compose(sol, zero)
         assert verify_feasible(rank_target(3), both) < 1e-12
         np.testing.assert_allclose(cost_of(both).values, cost_of(sol).values)
@@ -203,8 +235,8 @@ class TestSumCompose:
         rng = np.random.default_rng(2)
         domain = tuple(BitString(3, v) for v in range(8))
         for _ in range(20):
-            a = SdpSolution(domain, rng.standard_normal((8, 3, 2)), rng.standard_normal((8, 3, 2)))
-            b = SdpSolution(domain, rng.standard_normal((8, 3, 3)), rng.standard_normal((8, 3, 3)))
+            a = DenseSolution(domain, rng.standard_normal((8, 3, 2)), rng.standard_normal((8, 3, 2)))
+            b = DenseSolution(domain, rng.standard_normal((8, 3, 3)), rng.standard_normal((8, 3, 3)))
             lhs = cost_of(sum_compose(a, b)).values
             rhs = cost_of(a).values + cost_of(b).values
             assert np.all(lhs <= rhs + 1e-12)
@@ -212,8 +244,8 @@ class TestSumCompose:
     def test_violations_add_at_most(self):
         rng = np.random.default_rng(3)
         domain = tuple(BitString(3, v) for v in range(8))
-        a = SdpSolution(domain, rng.standard_normal((8, 3, 2)), rng.standard_normal((8, 3, 2)))
-        b = SdpSolution(domain, rng.standard_normal((8, 3, 2)), rng.standard_normal((8, 3, 2)))
+        a = DenseSolution(domain, rng.standard_normal((8, 3, 2)), rng.standard_normal((8, 3, 2)))
+        b = DenseSolution(domain, rng.standard_normal((8, 3, 2)), rng.standard_normal((8, 3, 2)))
         ta = rng.standard_normal((8, 8))
         ta = ta + ta.T
         tb = rng.standard_normal((8, 8))
@@ -258,7 +290,7 @@ class TestOutputConditionedCompose:
         cls = generate_class("hamming1", 3)
         order = (0, 1, 2)
         s = bs("010")
-        table = first_disagreement_table(cls, order, s, 2)
+        table = FunctionTable(cls, tuple(first_disagreement_ranks(cls, order, s, 2).tolist()))
         blocks = {}
         for label in table.labels:
             members = preimage(table, label)
@@ -280,7 +312,7 @@ class TestOutputConditionedCompose:
         zero = np.zeros((1, 6, 1))
         explicit = dict(blocks)
         explicit.update({
-            e: SdpSolution(preimage(f, e), zero, zero)
+            e: DenseSolution(preimage(f, e), zero, zero)
             for e in f.labels if len(preimage(f, e)) == 1
         })
         left_out = output_conditioned_compose(f, blocks)
@@ -300,7 +332,7 @@ class TestTensorCompose:
     def test_one_bit_identity_inner_keeps_outer(self):
         outer, _ = boolean_or_solution(2)
         one_bit = ConceptClass.from_values(1, (0, 1))
-        inner_sol = SdpSolution(one_bit.members, np.ones((2, 1, 1)), np.ones((2, 1, 1)))
+        inner_sol = DenseSolution(one_bit.members, np.ones((2, 1, 1)), np.ones((2, 1, 1)))
         inner_tab = FunctionTable(one_bit, (0, 1))
         composed = tensor_compose(outer, [(inner_sol, inner_tab)] * 2)
         # inner gram is the identity, so the composite target equals the
@@ -342,7 +374,7 @@ class TestTensorCompose:
         # every instance's coordinates on the same stride
         or_sol, _ = boolean_or_solution(2)
         and_sol, and_tab = boolean_and_solution(2)
-        wide = SdpSolution(
+        wide = DenseSolution(
             and_sol.domain,
             np.concatenate([and_sol.u, np.zeros_like(and_sol.u)], axis=2),
             np.concatenate([and_sol.v, np.zeros_like(and_sol.v)], axis=2),
@@ -363,27 +395,24 @@ class TestTensorCompose:
 
 
 class TestOracleIdPipeline:
-    def identity_target(self, m):
-        return np.ones((m, m)) - np.eye(m)
-
     def test_weight_one_class(self):
         cls = generate_class("hamming1", 3)
         pipe = oracle_id_pipeline(cls)
-        assert verify_feasible(self.identity_target(3), pipe.solution) < 1e-10
+        assert verify_feasible(identity(3), pipe.solution) < 1e-10
         assert pipe.cost(bs("100")) <= 3 * (1 + math.sqrt(3))
 
     def test_two_cube(self):
         cls = generate_class("cube", 2)
         pipe = oracle_id_pipeline(cls)
         sol, cost = pipe.solution, pipe.cost
-        assert verify_feasible(self.identity_target(4), sol) < 1e-10
+        assert verify_feasible(identity(4), sol) < 1e-10
         assert cost.max_value <= 3 * 2.8284271247461903  # 3 * optimum for (4, 2)
 
     def test_pair_class_single_stage(self):
         cls = ConceptClass.from_strings(["0010", "1001"])
         pipe = oracle_id_pipeline(cls)
         assert len(pipe.stage_solutions) == 1
-        assert verify_feasible(self.identity_target(2), pipe.solution) < 1e-10
+        assert verify_feasible(identity(2), pipe.solution) < 1e-10
         assert pipe.cost.max_value <= 3.0  # first disagreement at rank 1
 
     def test_stage_targets_each_feasible(self):
@@ -399,7 +428,7 @@ class TestOracleIdPipeline:
         cls = random_class(rng, 4, 9)
         pipe = oracle_id_pipeline(cls)
         total = sum(t.rows(0, cls.size) for t in pipe.stage_targets)
-        np.testing.assert_allclose(total, self.identity_target(cls.size), atol=0)
+        np.testing.assert_allclose(total, identity(cls.size), atol=0)
 
     def test_cost_tracks_traces_within_three(self):
         rng = np.random.default_rng(6)
@@ -496,13 +525,13 @@ class TestPipelineAgainstReference:
         # stage parts side by side; no block gets a solution
         cls = generate_class("random", 13, size=400, seed=1)
         calls = []
-        setup = SdpSolution._setup
+        init = SdpSolution.__init__
 
         def counted(self, *args):
             calls.append(1)
-            return setup(self, *args)
+            return init(self, *args)
 
-        monkeypatch.setattr(SdpSolution, "_setup", counted)
+        monkeypatch.setattr(SdpSolution, "__init__", counted)
         pipe = oracle_id_pipeline(cls)
         monkeypatch.undo()
         stages = len(pipe.stage_solutions)
@@ -583,17 +612,17 @@ class TestFactoredAgainstDense:
         self.assert_labels_expand_to(identity, np.ones((m, m)) - np.eye(m), pipe.solution)
         sigma = tuple(range(cls.n))
         sol = find_first_one_solution(cls.n, sigma, cls.members[0], domain=cls.members)
-        table = first_disagreement_table(cls, sigma, cls.members[0], cls.n)
-        rank = LabelTarget(np.zeros(m, dtype=np.intp), table.codes)
-        self.assert_labels_expand_to(rank, np.ones((m, m)) - dense_gram(table.outputs), sol)
+        ranks = first_disagreement_ranks(cls, sigma, cls.members[0], cls.n)
+        rank = LabelTarget(np.zeros(m, dtype=np.intp), ranks)
+        self.assert_labels_expand_to(rank, np.ones((m, m)) - dense_gram(ranks), sol)
         assert verify_feasible(rank, sol) < 1e-12
 
     def test_random_sum_compose(self):
         rng = np.random.default_rng(11)
         domain = generate_class("random", 6, size=30, seed=2).members
         for _ in range(10):
-            a = SdpSolution.from_parts(domain, _random_parts(rng, 30, 6, int(rng.integers(1, 4))))
-            b = SdpSolution.from_parts(domain, _random_parts(rng, 30, 6, int(rng.integers(1, 4))))
+            a = DenseSolution.from_parts(domain, _random_parts(rng, 30, 6, int(rng.integers(1, 4))))
+            b = DenseSolution.from_parts(domain, _random_parts(rng, 30, 6, int(rng.integers(1, 4))))
             both = sum_compose(a, b)
             assert len(both.parts) == len(a.parts) + len(b.parts)
             self.assert_agree(both, [_symmetric(rng, 30), np.zeros((30, 30))])
@@ -608,7 +637,7 @@ class TestFactoredAgainstDense:
                 members = preimage(f, label)
                 # labels differ in part count and part width
                 parts = _random_parts(rng, len(members), 6, int(rng.integers(1, 4)))
-                blocks[label] = SdpSolution.from_parts(members, parts)
+                blocks[label] = DenseSolution.from_parts(members, parts)
             composed = output_conditioned_compose(f, blocks)
             self.assert_agree(composed, [_symmetric(rng, 40)])
             own = np.array([cost_of(blocks[f(x)])(x) for x in cls.members])
@@ -619,7 +648,7 @@ class TestFactoredAgainstDense:
         cls = generate_class("random", 5, size=20, seed=4)
         f = FunctionTable(cls, tuple(int(e) for e in rng.integers(0, 3, size=20)))
         blocks = {
-            label: SdpSolution.from_parts(
+            label: DenseSolution.from_parts(
                 preimage(f, label), _random_parts(rng, len(preimage(f, label)), 5, 2)
             )
             for label in f.labels
@@ -634,7 +663,7 @@ class TestFactoredAgainstDense:
     def test_row_chunks_do_not_change_the_check(self, monkeypatch):
         rng = np.random.default_rng(15)
         domain = generate_class("random", 6, size=37, seed=6).members
-        sol = SdpSolution.from_parts(domain, _random_parts(rng, 37, 6, 3))
+        sol = DenseSolution.from_parts(domain, _random_parts(rng, 37, 6, 3))
         dense = _symmetric(rng, 37)
         labels = LabelTarget(rng.integers(0, 3, size=37), rng.integers(0, 9, size=37))
         whole = [verify_feasible(target, sol) for target in (dense, labels)]
@@ -687,30 +716,39 @@ class TestFactoredStorage:
         for target in pipe.stage_targets:
             assert target.coarse.shape == target.fine.shape == (cls.size,)
 
-    def test_single_part_solution_hands_back_its_arrays(self):
-        sol = find_first_one_solution(4)
-        assert len(sol.parts) == 1
-        assert sol.u is sol.parts[0].u and sol.dim == 1
+    def test_first_one_solution_is_one_scan_block(self):
+        sigma, s = (2, 0, 3, 1), bs("0110")
+        domain = generate_class("random", 4, size=9, seed=2).members
+        sol = find_first_one_solution(4, sigma, s, domain=domain, width=3)
+        (part,) = sol.parts
+        assert isinstance(part, ScanPart) and not part.block.any() and sol.dim == 1
+        want = pipeline_reference.find_first_one_solution(4, sigma, s, domain=domain, width=3)
+        assert sol.u.tobytes() == want.u.tobytes()
 
     def test_invalid_parts_rejected(self):
-        domain = generate_class("cube", 2).members
+        domain = generate_class("cube", 2)
+        part = find_first_one_solution(2, domain=domain).parts[0]
         u = np.zeros((4, 2, 1))
+        # a solution holds scan parts only; a dense part is a test-side one
+        with pytest.raises(TypeError, match="scan parts"):
+            SdpSolution(domain, [(np.zeros(4, dtype=np.intp), u, u)])
         with pytest.raises(ValueError, match="block"):
-            SdpSolution.from_parts(domain, [(np.array([0, 1, -1, 0]), u, u)])
+            SdpSolution(domain, [dataclasses.replace(part, block=np.array([0, 0, -1, 0]))])
         with pytest.raises(ValueError, match="block"):
-            SdpSolution.from_parts(domain, [(np.zeros(3, dtype=int), u, u)])
-        with pytest.raises(ValueError, match="share"):
-            SdpSolution.from_parts(domain, [(np.zeros(4, dtype=int), u, np.zeros((4, 2, 2)))])
+            SdpSolution(domain, [dataclasses.replace(part, block=np.zeros(3, dtype=np.intp))])
 
     def test_ambient_layout_puts_each_block_in_its_own_range(self):
-        domain = generate_class("cube", 2).members
-        u = np.arange(1.0, 9.0).reshape(4, 2, 1)
-        sol = SdpSolution.from_parts(domain, [(np.array([3, 0, 3, 0]), u, u)])
-        assert sol.dim == 2
-        expected = np.zeros((4, 2, 2))
-        expected[[1, 3], :, 0] = u[[1, 3], :, 0]  # block 0 first
-        expected[[0, 2], :, 1] = u[[0, 2], :, 0]
-        np.testing.assert_array_equal(sol.u, expected)
+        domain = generate_class("cube", 2)
+        part = ScanPart(np.array([1, 0, 1, 0]), np.array([[0, 1], [1, 0]]),
+                        np.zeros((2, 2), dtype=bool), np.array([2, 1]), np.array([0, 1, 2, 1]))
+        u = part.u
+        for sol in (SdpSolution(domain, [part]), DenseSolution.from_parts(domain, [part])):
+            assert sol.dim == 2
+            expected = np.zeros((4, 2, 2))
+            expected[[1, 3], :, 0] = u[[1, 3], :, 0]  # block 0 first
+            expected[[0, 2], :, 1] = u[[0, 2], :, 0]
+            np.testing.assert_array_equal(sol.u, expected)
+            np.testing.assert_array_equal(sol.v, expected)
 
 
 def _integer_parts(rng, m, n, blocks):
@@ -733,9 +771,10 @@ def _refined(rng, labels, spread):
 
 
 class TestBlockLocalCheck:
-    """The check that proves cross-class pairs zero equals the all-pairs
-    check it replaced (``tests/verify_reference.py``): exactly on integer
-    coordinates, to the last bit of rounding on the pipeline's own."""
+    """The runtime check equals the all-pairs oracle
+    (``tests/verify_reference.py``) exactly, on integer coordinates and on
+    the pipeline's own, whether or not the blocks refine the target's
+    classes: no target is checked block by block."""
 
     def assert_same(self, target, sol):
         got = verify_feasible(target, sol)
@@ -750,12 +789,7 @@ class TestBlockLocalCheck:
         identity = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))
         checks = list(zip(pipe.stage_targets, pipe.stage_solutions)) + [(identity, pipe.solution)]
         for target, sol in checks:
-            # real-valued sums: BLAS may add them in another order per row
-            # arrangement, so agree to a tolerance; the integer tests use ==
-            got = verify_feasible(target, sol)
-            ref = verify_reference.verify_feasible(target, sol)
-            assert abs(got - ref) <= 1e-15
-            assert got < 1e-12 and ref < 1e-12
+            assert self.assert_same(target, sol) < 1e-12
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_random_refining_labels(self, monkeypatch, chunk):
@@ -771,7 +805,7 @@ class TestBlockLocalCheck:
             coarse = rng.integers(0, max(1, m // int(rng.integers(1, 4))), size=m)
             fine = _refined(rng, coarse, 3)
             blocks = [_refined(rng, coarse, int(rng.integers(1, 3))) for _ in range(3)]
-            sol = SdpSolution.from_parts(members, _integer_parts(rng, m, n + 2, blocks))
+            sol = DenseSolution.from_parts(members, _integer_parts(rng, m, n + 2, blocks))
             self.assert_same(LabelTarget(coarse, fine), sol)
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
@@ -783,16 +817,16 @@ class TestBlockLocalCheck:
             coarse = rng.integers(0, 8, size=50)
             fine = rng.integers(0, 12, size=50)  # splits across coarse classes
             blocks = [_refined(rng, coarse, 2), rng.integers(0, 4, size=50)]
-            sol = SdpSolution.from_parts(members, _integer_parts(rng, 50, 6, blocks))
+            sol = DenseSolution.from_parts(members, _integer_parts(rng, 50, 6, blocks))
             self.assert_same(LabelTarget(coarse, fine), sol)
-            self.assert_same(LabelTarget(coarse, fine), SdpSolution.from_parts(members, []))
+            self.assert_same(LabelTarget(coarse, fine), DenseSolution.from_parts(members, []))
 
     def test_fine_labels_across_coarse_classes_are_read(self):
         # every coarse class is one input, so only the cross pairs, whose
         # fine labels agree, can be nonzero: a zero solution misses them by 1
         members = generate_class("random", 5, size=12, seed=3).members
         zero = np.zeros((12, 5, 1))
-        sol = SdpSolution.from_parts(members, [(np.arange(12), zero, zero)])
+        sol = DenseSolution.from_parts(members, [(np.arange(12), zero, zero)])
         target = LabelTarget(np.arange(12), np.arange(12) // 2)
         assert self.assert_same(target, sol) == 1.0
 
@@ -802,7 +836,7 @@ class TestBlockLocalCheck:
         u = rng.integers(1, 3, size=(12, 5, 1)).astype(float)
         # one block spans the coarse classes {0, 1}, {2, 3}, ...: the cross
         # sums are nonzero while the target is zero everywhere
-        sol = SdpSolution.from_parts(members, [(np.arange(12) // 4, u, u)])
+        sol = DenseSolution.from_parts(members, [(np.arange(12) // 4, u, u)])
         pairs = np.arange(12) // 2
         assert self.assert_same(LabelTarget(pairs, pairs), sol) > 0
         # each coarse class of one input, every nonzero pair crosses
@@ -819,13 +853,13 @@ class TestBlockLocalCheck:
         # inside one class: x's hit weight doubled
         bumped = u.copy()
         bumped[x] *= 2.0
-        inside = SdpSolution.from_parts(sol.domain, [(block, bumped, u)])
+        inside = DenseSolution.from_parts(sol.domain, [(block, bumped, u)])
         assert self.assert_same(target, inside) > 0.1
         # across classes: x joins the block of an input of another class
         y = int(np.flatnonzero(target.coarse != target.coarse[x])[0])
         moved = block.copy()
         moved[x] = block[y]
-        across = SdpSolution.from_parts(sol.domain, [(moved, u, u)])
+        across = DenseSolution.from_parts(sol.domain, [(moved, u, u)])
         assert self.assert_same(target, across) > 0.1
 
     def test_negative_and_non_contiguous_labels(self):
@@ -837,41 +871,48 @@ class TestBlockLocalCheck:
             sub = rng.integers(0, 2, size=60)
             coarse, fine = spelled[pick], spelled[pick] * 3 - 5 * sub
             blocks = [np.abs(spelled[pick]) % 1009 * 2 + sub]
-            sol = SdpSolution.from_parts(members, _integer_parts(rng, 60, 6, blocks))
+            sol = DenseSolution.from_parts(members, _integer_parts(rng, 60, 6, blocks))
             got = self.assert_same(LabelTarget(coarse, fine), sol)
             # the same classes under codes 0..k-1 check the same
             assert got == verify_feasible(LabelTarget(pick, pick * 2 + sub), sol)
 
-    def test_stage_checks_read_only_their_class_windows(self, monkeypatch):
+    def test_rank_proof_reads_no_target_rows(self, monkeypatch):
+        # the stage checks and both forms of J - I read no target row and
+        # write no solution row: the pair loop would do both
         cls = generate_class("random", 13, size=400, seed=1)
         pipe = oracle_id_pipeline(cls)
         read = []
-        rows = LabelTarget.rows
+        rows, scan_rows = LabelTarget.rows, sdp._scan_rows
 
-        def counted(self, lo, hi, cols=slice(None)):
-            out = rows(self, lo, hi, cols)
-            read.append(out.size)
-            return out
+        def counted_rows(self, lo, hi):
+            read.append(hi - lo)
+            return rows(self, lo, hi)
 
-        monkeypatch.setattr(LabelTarget, "rows", counted)
-        for sol, target in zip(pipe.stage_solutions[1:], pipe.stage_targets[1:]):
-            read.clear()
-            verify_feasible(target, sol)
-            sizes = np.bincount(target.coarse)
-            # at most each class's own pairs plus one chunk's spill per class
-            assert sum(read) <= np.sum(sizes[sizes > 1] * (sizes[sizes > 1] + 2 * sdp.ROW_CHUNK))
-            assert sum(read) < cls.size**2 / 2
+        def counted_scan_rows(sigmas, ranks, widths):
+            read.append(len(ranks))
+            return scan_rows(sigmas, ranks, widths)
+
+        monkeypatch.setattr(LabelTarget, "rows", counted_rows)
+        monkeypatch.setattr(sdp, "_scan_rows", counted_scan_rows)
+        checks = list(zip(pipe.stage_targets, pipe.stage_solutions))
+        checks += [(target, pipe.solution) for target in _identity_targets(cls.size)]
+        for target, sol in checks:
+            assert verify_feasible(target, sol) < 1e-12
+        assert len(checks) == 10 and read == []
+        # the same counters see the pair loop
+        verify_feasible(pipe.stage_targets[0], _unpacked(pipe.stage_solutions[0]))
+        assert sum(read) == 2 * cls.size
 
 
 def _unpacked(sol):
     """The same solution with every part unpacked into a dense
     ``(block, u, v)`` part, which ``verify_feasible`` checks pair by pair."""
-    return SdpSolution.from_parts(sol.domain, [tuple(part) for part in sol.parts])
+    return DenseSolution.from_parts(sol.domain, [tuple(part) for part in sol.parts])
 
 
 def _identity_targets(m):
     """``J - I`` as the dense array and as the label target."""
-    return [np.ones((m, m)) - np.eye(m), LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))]
+    return [identity(m), LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))]
 
 
 def _scan_ranks(part, bits):
@@ -911,13 +952,39 @@ class TestScanPartCheck:
         checks += list(zip(pipe.stage_targets, pipe.stage_solutions))
         assert sdp._is_identity_target(dense_identity)
         for target, sol in checks:
-            if m > 1:  # one member: no stage, and one dense zero part
-                labels = target if isinstance(target, LabelTarget) else identity
-                assert sdp._scan_chain_residual(labels, sol) is not None
+            labels = target if isinstance(target, LabelTarget) else identity
+            assert sdp._scan_chain_residual(labels, sol) is not None
             got = verify_feasible(target, sol)
             assert got == verify_feasible(target, _unpacked(sol))
             assert got == verify_reference.verify_feasible(target, sol)
             assert got < 1e-12
+
+    def test_the_six_cube_check_takes_the_rank_proof(self):
+        # the first-disagreement check of ``verify --suite sdp``, exactly
+        sol = find_first_one_solution(6)
+        ranks = first_disagreement_ranks(sol.domain, tuple(range(6)), BitString.zeros(6), 6)
+        assert ranks.dtype == np.intp and not ranks.flags.writeable
+        assert np.array_equal(ranks, _scan_ranks(sol.parts[0], domain_bits(sol.domain)))
+        target = LabelTarget(np.zeros(sol.size, dtype=np.intp), ranks)
+        proof = sdp._scan_chain_residual(target, sol)
+        assert proof == verify_feasible(target, sol) == verify_feasible(target, _unpacked(sol))
+        assert proof == verify_reference.verify_feasible(target, sol) == 2.220446049250313e-16
+
+    @pytest.mark.parametrize("name", sorted(SCAN_CLASSES))
+    def test_every_runtime_part_is_a_scan_part(self, name):
+        cls = SCAN_CLASSES[name]()
+        pipe = oracle_id_pipeline(cls)
+        sols = (pipe.solution,) + pipe.stage_solutions
+        assert all(isinstance(p, ScanPart) for sol in sols for p in sol.parts)
+        # a singleton is one block that scans nothing: zero rows, dim 1
+        one = oracle_id_pipeline(ConceptClass(cls.n, cls.members[:1])).solution
+        assert isinstance(*one.parts, ScanPart) and one.parts[0].width.tolist() == [0]
+        assert one.dim == 1 and one.u.tobytes() == np.zeros((1, cls.n, 1)).tobytes()
+        # the first-disagreement solution on a restricted domain and width
+        sigma = tuple(np.random.default_rng(cls.size).permutation(cls.n).tolist())
+        sol = find_first_one_solution(cls.n, sigma, cls.members[-1],
+                                      domain=cls.members[: cls.size // 2 + 1], width=cls.n // 2)
+        assert isinstance(*sol.parts, ScanPart) and sol.dim == 1
 
     def test_ranks_are_the_first_disagreements(self):
         cls = generate_class("random", 10, size=150, seed=1)
@@ -930,7 +997,7 @@ class TestScanPartCheck:
         cls = generate_class("random", 13, size=400, seed=1)
         for part in oracle_id_pipeline(cls).solution.parts:
             block, u, v = part
-            assert u is v and u.shape == (cls.size, cls.n, 1) and part.d == 1
+            assert u is v and u.shape == (cls.size, cls.n, 1)
             stored = sum(a.nbytes for a in (part.block, part.sigma, part.s, part.width, part.rank))
             assert stored < u.nbytes / 2
             assert part.u.tobytes() == part.v.tobytes() == u.tobytes()
@@ -947,7 +1014,7 @@ class TestScanPartCheck:
         ]
         for mutant in bad:
             with pytest.raises(ValueError, match="scan part"):
-                SdpSolution.from_parts(domain, [mutant])
+                SdpSolution(domain, [mutant])
 
     @pytest.fixture(scope="class")
     def small_part(self):
@@ -964,7 +1031,7 @@ class TestScanPartCheck:
         arr.flat[-1] = value
         mutant = dataclasses.replace(part, **{field: arr})
         with pytest.raises(ValueError, match=r"lie in \[0, 6\] and its orders in \[0, 5\]"):
-            SdpSolution.from_parts(cls, [mutant])
+            SdpSolution(cls, [mutant])
 
     def test_in_range_scan_part_accepted(self, small_part):
         # the extremes of each range, and an order that is no permutation:
@@ -973,7 +1040,7 @@ class TestScanPartCheck:
         rank, width, sigma = part.rank.copy(), part.width.copy(), part.sigma.astype(np.intp)
         rank[-1], width[-1], sigma[0, :] = 6, 6, 0
         mutant = dataclasses.replace(part, rank=rank, width=width, sigma=sigma)
-        sol = SdpSolution.from_parts(cls, [mutant])
+        sol = SdpSolution(cls, [mutant])
         assert verify_feasible(LabelTarget(np.zeros(cls.size, dtype=np.intp), np.arange(cls.size)), sol) > 0
 
     def test_the_members_are_transposed_once(self, monkeypatch):
@@ -1021,11 +1088,11 @@ class TestScanPartMutants:
         """Stage ``k`` with ``part`` for its own fails its stage target, and
         the stages with it fail ``J - I``."""
         domain = pipe.concept_class
-        self.assert_caught(pipe.stage_targets[k], SdpSolution.from_parts(domain, [part]))
+        self.assert_caught(pipe.stage_targets[k], SdpSolution(domain, [part]))
         parts = list(pipe.solution.parts)
         parts[k] = part
         for target in _identity_targets(domain.size):
-            self.assert_caught(target, SdpSolution.from_parts(domain, parts))
+            self.assert_caught(target, SdpSolution(domain, parts))
 
     def test_rank_one_place_late(self, pipe):
         part = pipe.solution.parts[0]
@@ -1059,8 +1126,8 @@ class TestScanPartMutants:
         domain = pipe.concept_class
         parts = list(pipe.solution.parts)
         parts[k] = mutant
-        for target, sol in ((pipe.stage_targets[k], SdpSolution.from_parts(domain, [mutant])),
-                            (_identity_targets(domain.size)[1], SdpSolution.from_parts(domain, parts))):
+        for target, sol in ((pipe.stage_targets[k], SdpSolution(domain, [mutant])),
+                            (_identity_targets(domain.size)[1], SdpSolution(domain, parts))):
             assert sdp._scan_chain_residual(target, sol) is None
             got = verify_feasible(target, sol)
             assert got == verify_feasible(target, _unpacked(sol))
@@ -1091,7 +1158,7 @@ class TestScanPartMutants:
     def test_broken_stage_chain(self, pipe):
         # a stage left out, and the first stage alone
         domain, parts = pipe.concept_class, pipe.solution.parts
-        dropped = SdpSolution.from_parts(domain, parts[:2] + parts[3:])
+        dropped = SdpSolution(domain, parts[:2] + parts[3:])
         for sol in (dropped, pipe.stage_solutions[0]):
             for target in _identity_targets(domain.size):
                 self.assert_caught(target, sol)
@@ -1101,7 +1168,7 @@ class TestScanPartMutants:
         # chain of the proof starts at the first part: the check falls back
         # and returns the exact residual, not a verdict
         domain, parts = pipe.concept_class, pipe.solution.parts
-        swapped = SdpSolution.from_parts(domain, (parts[1], parts[0]) + parts[2:])
+        swapped = SdpSolution(domain, (parts[1], parts[0]) + parts[2:])
         _, identity = _identity_targets(domain.size)
         assert sdp._scan_chain_residual(identity, swapped) is None
         got = verify_feasible(identity, swapped)

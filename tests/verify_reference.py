@@ -1,36 +1,34 @@
-"""Test oracle: the all-pairs feasibility check.
+"""Test oracles for the SDP checks, reading the members' bits one string
+at a time (``domain_bits``).
 
-``verify_feasible`` below is the check that ``oracleid.sdp.verify_feasible``
-replaced: it computes the constraint sum of every input pair, ``ROW_CHUNK``
-rows against all columns at a time, where the runtime check proves scan
-parts from their ranks, and otherwise proves the pairs across coarse label
-classes zero and computes only the rest.  The differential tests hold the
-runtime check to it exactly.
+``verify_feasible`` computes the constraint sum of every input pair from
+the parts' unpacked ``(block, u, v)`` rows; the differential tests hold both
+paths of the runtime check to it exactly.  ``dense_sums``, ``dense_verify``
+and ``dense_cost`` read the ambient ``u``/``v`` arrays instead, one bit at a
+time, against dense targets built with ``dense_gram``.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from oracleid.bitstrings import BitString
-from oracleid.sdp import LabelTarget, SdpSolution
+from oracleid.sdp import LabelTarget
 
 ROW_CHUNK = 64
 
 
-def _domain_bits(n: int, domain: Sequence[BitString]) -> np.ndarray:
-    text = "".join(format(x.value, f"0{n}b") for x in domain).encode("ascii")
-    return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(domain), n)
+def domain_bits(domain) -> np.ndarray:
+    text = "".join(str(x) for x in domain).encode("ascii")
+    return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(domain), -1)
 
 
-def verify_feasible(A, sol: SdpSolution) -> float:
+def verify_feasible(A, sol) -> float:
     """Worst absolute violation of the bilinear constraints against ``A``.
 
     ``A`` is an (inputs, inputs) array or a `LabelTarget`.  Every input
     pair is checked, ``ROW_CHUNK`` rows at a time, so memory stays flat.
-    A return value at most the caller's tolerance certifies feasibility.
+    A return value at most the caller's tolerance certifies feasibility; a
+    non-finite entry or coordinate gives a non-finite value.
 
     Per part, the constraint sums of all pairs are ``U1 V0^T + U0 V1^T``,
     one product ``[U1 U0] [V0 V1]^T``, masked to equal blocks, where
@@ -50,7 +48,7 @@ def verify_feasible(A, sol: SdpSolution) -> float:
         def target_rows(lo, hi):
             return dense[lo:hi].copy()
 
-    bits = _domain_bits(sol.domain.n, sol.domain.members)
+    bits = domain_bits(sol.domain)
     ones = bits[:, :, None].astype(float)
     zeros = 1.0 - ones
 
@@ -71,5 +69,33 @@ def verify_feasible(A, sol: SdpSolution) -> float:
             if block is not None:
                 inner *= block[lo:hi, None] == block[None, :]
             residual -= inner
-        worst = max(worst, float(np.abs(residual, out=residual).max()))
-    return worst
+        # np.maximum, not max: a NaN chunk must not lose to an earlier worst
+        worst = np.maximum(worst, np.abs(residual, out=residual).max())
+    return float(worst)
+
+
+def dense_gram(outputs) -> np.ndarray:
+    """Gram matrix of a function given by its outputs: 1 where two equal."""
+    outputs = list(outputs)
+    return np.array([[float(a == b) for b in outputs] for a in outputs])
+
+
+def dense_sums(sol) -> np.ndarray:
+    """Constraint sum of every input pair, bit by bit."""
+    u, v = sol.u, sol.v
+    bits = domain_bits(sol.domain)
+    got = np.zeros((sol.size, sol.size))
+    for j in range(sol.n_bits):
+        mask = bits[:, j][:, None] != bits[:, j][None, :]
+        got += mask * (u[:, j, :] @ v[:, j, :].T)
+    return got
+
+
+def dense_verify(target, sol) -> float:
+    """Worst absolute violation over every input pair, bit by bit."""
+    return float(np.abs(dense_sums(sol) - np.asarray(target, dtype=float)).max())
+
+
+def dense_cost(sol) -> np.ndarray:
+    u, v = sol.u, sol.v
+    return np.maximum(np.einsum("xjd,xjd->x", u, u), np.einsum("xjd,xjd->x", v, v))
