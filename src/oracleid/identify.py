@@ -308,10 +308,12 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
     node's reference, found by one more, unsuccessful search charged
     ``sqrt(width)``) or as the lone member of a block.  The traces are
     identical to per-member ``run_final`` with the ideal engine, in the
-    order of a depth-first walk of the tree.
+    order of a depth-first walk of the tree.  Every key, ``x`` and
+    ``identified`` is the class's own member object.
     """
-    n = concept_class.n
-    nodes, paths = _tree(n, concept_class.values)
+    values = concept_class.values
+    nodes, paths = _tree(concept_class.n, values)
+    members = dict(zip(values, concept_class.members))
     traces: dict[BitString, RunTrace] = {}
     for value, positions in paths.items():
         ideal = 0.0
@@ -323,7 +325,7 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
             _, _, width = node
             ideal += math.sqrt(width)
             iterations += 1
-        xs = BitString(n, value)
+        xs = members[value]
         traces[xs] = RunTrace(
             x=xs,
             identified=xs,

@@ -97,7 +97,7 @@ def _greedy_masks(n: int, cols: Sequence[int], cur: int):
         best_ones = 0
         for j in unused:
             ones = (cols[j] & cur).bit_count()
-            count = min(ones, total - ones)
+            count = ones if ones <= half else total - ones
             if count > best_count:
                 best_j, best_count, best_ones = j, count, ones
                 if count == half:

@@ -77,7 +77,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bitstrings import BitString, ConceptClass, bit_matrix
+from .bitstrings import BitString, ConceptClass, bit_matrix, generate_class
 from .ordering import _tree, first_disagreement_rank
 
 __all__ = [
@@ -383,12 +383,6 @@ def cost_of(sol: SdpSolution) -> CostFunction:
     return CostFunction(sol.domain, np.maximum(cu, cv))
 
 
-def _full_cube(n: int) -> ConceptClass:
-    if n > 16:
-        raise ValueError("refusing to materialize a cube beyond 2^16 inputs")
-    return ConceptClass.from_values(n, range(1 << n))
-
-
 def _ramp_spike(n: int) -> tuple[np.ndarray, np.ndarray]:
     """``t**-0.25`` and ``t**0.25`` for the ranks ``t = 1..n``."""
     # Python floats: a scalar t**-0.25 gives the same bits
@@ -451,7 +445,7 @@ def find_first_one_solution(
     width = n if width is None else width
     if not 0 <= width <= n:
         raise ValueError(f"width must lie in [0, {n}]")
-    members = ConceptClass.of(domain) if domain is not None else _full_cube(n)
+    members = ConceptClass.of(domain) if domain is not None else generate_class("cube", n)
     part = ScanPart(
         np.zeros(members.size, dtype=np.intp),
         np.array([sigma], dtype=np.intp),

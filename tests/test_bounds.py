@@ -278,6 +278,24 @@ class TestGammaHatAgainstReference:
         cls = generate_class(kind, n)
         assert gamma_hat(cls) == gamma_hat_reference(cls)
 
+    @pytest.mark.parametrize("m", [2, 3, 15, 16, 17, 18])
+    def test_split_boundaries(self, m):
+        # exact mode splits the subset masks into halves of m // 2 and
+        # m - m // 2 bits: one-bit halves at 2 and 3, odd and even above
+        cls = generate_class("random", 9, size=m, seed=m)
+        got = gamma_hat(cls)
+        assert got == gamma_hat_reference(cls)
+        assert got.exact
+
+    def test_closed_form_family_at_the_member_cap(self):
+        # the zero string and the 19 weight-one strings: only the full set
+        # keeps 19 of its 20 candidates on every query's worse answer
+        values = [0] + [1 << i for i in range(19)]
+        cls = ConceptClass.from_values(19, values)
+        got = gamma_hat(cls)
+        assert got.value == Fraction(1, 20)
+        assert got.witness == cls.members and got.exact
+
     @pytest.mark.parametrize(
         "n, m",
         [(6, 10), (10, 64), (10, 100), (70, 130)],  # 130 members: three words

@@ -171,6 +171,15 @@ class TestFinalAlgorithm:
         finally:
             gc.enable()
 
+    def test_identify_all_hands_back_the_class_members(self):
+        cls = generate_class("random", 13, size=400, seed=1)
+        traces = identify_all(cls)
+        own = {x.value: x for x in cls.members}
+        assert len(traces) == cls.size
+        for key, trace in traces.items():
+            assert key is own[key.value]
+            assert trace.x is key and trace.identified is key
+
     def test_position_sum_bounded_by_elimination_rate(self):
         # every learned bit prunes at least a gamma_hat fraction, so the
         # learned-position total cannot exceed log2(M) / gamma_hat

@@ -3,15 +3,18 @@
 ``ConceptClass.of``, so a repeated or misplaced string is refused, never
 silently counted twice or re-aligned."""
 
+import numpy as np
 import pytest
 
 from oracleid.bitstrings import BitString, ConceptClass, generate_class
 from oracleid.ordering import hegedus_ordering, verify_ordering
 from oracleid.sdp import (
+    LabelTarget,
     SdpSolution,
     cost_of,
     find_first_one_solution,
     oracle_id_pipeline,
+    verify_feasible,
 )
 
 A, B, C = (BitString.from_str(t) for t in ("010", "011", "110"))
@@ -79,6 +82,15 @@ class TestDomainOrder:
 
     def test_default_domain_is_the_cube(self):
         assert find_first_one_solution(3).domain == generate_class("cube", 3)
+
+    def test_default_cube_has_the_class_size_limit(self):
+        # the cube is generate_class's, with its limit of 2^20 members
+        sol = find_first_one_solution(17)
+        assert sol.size == 1 << 17
+        target = LabelTarget(np.zeros(sol.size, dtype=np.intp), sol.parts[0].rank)
+        assert verify_feasible(target, sol) < 1e-12
+        with pytest.raises(ValueError, match="cube of dimension 21 has 2097152 members"):
+            find_first_one_solution(21)
 
     def test_domain_of_another_length_is_named(self):
         with pytest.raises(ValueError, match="reference string length mismatch"):
