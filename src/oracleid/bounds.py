@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -214,19 +214,10 @@ def lower_bound_k(N: int, M: int) -> tuple[int, float]:
 @dataclass(frozen=True)
 class GammaHatResult:
     value: Fraction
-    exact: bool
     witness: tuple[BitString, ...]
 
     def __float__(self) -> float:
         return float(self.value)
-
-
-def _pack(masks: Iterable[int], width: int) -> np.ndarray:
-    """Bitmasks of ``width`` bits as a (len(masks), ceil(width / 64)) uint64
-    word matrix, least significant word first."""
-    nbytes = 8 * -(-width // 64)
-    raw = b"".join(t.to_bytes(nbytes, "little") for t in masks)
-    return np.frombuffer(raw, dtype="<u8").reshape(-1, nbytes // 8)
 
 
 def _split_half_scores(m: int, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -257,19 +248,6 @@ def _split_half_scores(m: int, columns: Sequence[int]) -> tuple[np.ndarray, np.n
     return size.ravel(), top.ravel()
 
 
-def _word_scores(subsets: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(size, top)`` of the subsets of a word matrix, one entry per row, as
-    ``_split_half_scores`` defines them."""
-    # sizes and counts stay within 64 * words
-    dtype = np.min_scalar_type(64 * subsets.shape[1])
-    size = np.bitwise_count(subsets).sum(axis=1, dtype=dtype)
-    top = np.zeros_like(size)
-    for col in columns:
-        ones = np.bitwise_count(subsets & col).sum(axis=1, dtype=dtype)
-        np.maximum(top, np.minimum(ones, size - ones), out=top)
-    return size, top
-
-
 def _first_minimum(size: np.ndarray, top: np.ndarray) -> tuple[Fraction, int]:
     """Exact minimum of ``top / size`` over the entries with ``size >= 2``,
     with the index of the first entry that attains it.
@@ -285,68 +263,33 @@ def _first_minimum(size: np.ndarray, top: np.ndarray) -> tuple[Fraction, int]:
     return Fraction(int(top[first]), int(size[first])), first
 
 
-def gamma_hat(
-    concept_class: ConceptClass,
-    *,
-    subset_samples: int | None = None,
-    rng=None,
-) -> GammaHatResult:
+def gamma_hat(concept_class: ConceptClass) -> GammaHatResult:
     """Worst-case best-single-query elimination fraction of a class.
 
-    Over every subset S of at least two members (exhaustive up to 20
-    members, sampled beyond -- pass ``subset_samples``), the adversary
-    answers each queried bit so as to keep as many candidates as possible;
-    the learner picks the bit whose worse answer still eliminates the
-    largest fraction.  gamma_hat is the minimum over S of that guaranteed
-    fraction, returned as an exact rational.  Sampling only ever
-    overestimates (the true value is a minimum).
+    Over every subset S of at least two members (exhaustive, up to 20
+    members), the adversary answers each queried bit so as to keep as many
+    candidates as possible; the learner picks the bit whose worse answer
+    still eliminates the largest fraction.  gamma_hat is the minimum over S
+    of that guaranteed fraction, returned as an exact rational.
 
-    Exact mode scores all 2^m index bitmasks from two popcount tables of
-    2^(m/2) entries, one per half of the mask (``_split_half_scores``):
-    ~0.8 ms at 16 members and ~12 ms at 20 (``BENCH_gamma.json``).
-    Sampled mode scores the full set, every pair and ``subset_samples``
-    random subsets, packed as ``uint64`` words.  The witness is the first
-    subset attaining the minimum: first in enumeration order (index
-    bitmasks counted upward) in exact mode, first in the sampled set's
-    iteration order in sampled mode.
+    All 2^m index bitmasks are scored from two popcount tables of 2^(m/2)
+    entries, one per half of the mask (``_split_half_scores``): ~0.8 ms at
+    16 members and ~12 ms at 20 (``BENCH_gamma.json``).  The witness is the
+    first subset attaining the minimum in enumeration order (index bitmasks
+    counted upward).
     """
-    if subset_samples is not None and subset_samples < 0:
-        raise ValueError(f"subset_samples must be non-negative, got {subset_samples}")
     m = concept_class.size
     if m < 2:
         raise ValueError("need at least two members")
+    if m > 20:
+        raise ValueError("gamma_hat is exact and caps at 20 members")
     # per bit: which member indices have that bit set, as an index bitmask
     columns = bit_columns(concept_class.n, concept_class.values)
-
-    if subset_samples is None:
-        if m > 20:
-            raise ValueError("exact mode caps at 20 members; pass subset_samples")
-        value, witness = _first_minimum(*_split_half_scores(m, columns))
-    else:
-        gen = np.random.default_rng(rng)
-        full = (1 << m) - 1
-        sampled = {full}
-        sampled.update(
-            (1 << i) | (1 << k) for i in range(m) for k in range(i + 1, m)
-        )
-        for _ in range(subset_samples):
-            if m < 64:  # numpy's integers stop at int64
-                t = int(gen.integers(1, full + 1))
-            else:  # the empty draw is dropped below with the singletons
-                t = int.from_bytes(gen.bytes(-(-m // 8)), "big") >> (-m % 8)
-            if t.bit_count() >= 2:
-                sampled.add(t)
-        subsets = _pack(sampled, m)
-        value, first = _first_minimum(*_word_scores(subsets, _pack(columns, m)))
-        witness = int.from_bytes(subsets[first].astype("<u8").tobytes(), "little")
+    value, witness = _first_minimum(*_split_half_scores(m, columns))
     members = tuple(
         concept_class.members[i] for i in range(m) if (witness >> i) & 1
     )
-    return GammaHatResult(
-        value=value,
-        exact=subset_samples is None,
-        witness=members,
-    )
+    return GammaHatResult(value=value, witness=members)
 
 
 @dataclass(frozen=True)

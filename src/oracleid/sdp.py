@@ -20,12 +20,12 @@ per-input cost is ``c``; ``max_x c(x)`` bounds the worst case.  Everything
 here is real-valued: all the explicit constructions use nonnegative
 coordinates.
 
-A target comes in one of two forms.  Any (inputs, inputs) array of finite
-entries will do; the targets built here -- ``J - I``, ``J - F`` and the
+A target is a ``LabelTarget``: two integer label vectors whose entry
+``(x, y)`` is ``[coarse_x == coarse_y] - [fine_x == fine_y]``, never held
+as a dense matrix.  The targets built here -- ``J - I``, ``J - F`` and the
 stage targets ``gram(f_{k-1}) - gram(f_k)`` -- are each a difference of two
-function Gram matrices and are kept as a ``LabelTarget``: two integer label
-vectors whose entry ``(x, y)`` is ``[coarse_x == coarse_y] - [fine_x ==
-fine_y]``, read a block of rows at a time and never held as a dense matrix.
+function Gram matrices, so each is one; ``verify_feasible`` also takes
+``J - I`` as a dense array.
 
 A solution is a direct sum of `ScanPart`s, first-disagreement parts kept as
 their scans: per input a block id and a rank, per block a scan order
@@ -33,32 +33,30 @@ their scans: per input a block id and a rank, per block a scan order
 coordinate, so ``<u[x, j], v[y, j]>`` counts only when ``block[x] ==
 block[y]``, and a part's rows (``u`` is ``v``) are written by ``_scan_rows``
 only when they are asked for.  The ambient vectors are the parts laid side
-by side, the blocks of a part in increasing id order; checks and costs never
-build them.  The explicit first-disagreement solution is one part with one
-block; every pipeline stage is one part.
+by side, the blocks of a part in increasing id order; checks never build
+them.  The explicit first-disagreement solution is one part with one block;
+every pipeline stage is one part.
 
-``verify_feasible`` has two paths.  The first proves scan parts from their
-defining property, in O(inputs * bits), without touching a pair.  Within a
-block, take two inputs with ranks ``p < q`` (rank 0, no disagreement within
-the width, counts as past every rank).  They agree along ``sigma`` before
-rank ``p`` and differ at it, and the rank-``p`` row is zero after it, so
-their constraint sum is exactly the one product ``p**0.25 * p**-0.25``;
-inputs of equal rank sum to exactly 0.  So once every rank is recomputed
-from the input bits as the first disagreement with ``s`` along ``sigma``
-within ``width``, and the target's labels split the blocks by rank, the
-residual is ``max |1 - p**0.25 * p**-0.25|`` over the ranks ``p`` that are
-the smaller rank of a pair in their block -- the very value the pair-by-pair
-check computes, bit for bit.  Parts chain the same way: when the first
-part's blocks are the coarse classes, part ``k + 1``'s blocks are the
-classes of part ``k``'s ``(block, rank)``, and the last ``(block, rank)``
-gives the fine classes, each pair of a coarse class with different fine
-labels is split at exactly one part and sums to zero at every other, so the
-residual is the largest part residual.  That telescopes ``J - I`` (one
-coarse class, every fine label its own) over the pipeline's stages.  The
-second path computes every input pair's constraint sum, a chunk of rows at a
-time: it takes a dense target other than ``J - I``, a failed premise, and
-any part that unpacks as ``(block, u, v)`` without being a scan part.  So
-``verify_feasible`` always returns the exact residual.
+``verify_feasible`` proves a solution from its defining property, in
+O(inputs * bits), without touching a pair.  Within a block, take two inputs
+with ranks ``p < q`` (rank 0, no disagreement within the width, counts as
+past every rank).  They agree along ``sigma`` before rank ``p`` and differ
+at it, and the rank-``p`` row is zero after it, so their constraint sum is
+exactly the one product ``p**0.25 * p**-0.25``; inputs of equal rank sum to
+exactly 0.  So once every rank is recomputed from the input bits as the
+first disagreement with ``s`` along ``sigma`` within ``width``, and the
+target's labels split the blocks by rank, the residual is ``max |1 -
+p**0.25 * p**-0.25|`` over the ranks ``p`` that are the smaller rank of a
+pair in their block -- the value a pair-by-pair check computes, bit for
+bit.  Parts chain the same way: when the first part's blocks are the coarse
+classes, part ``k + 1``'s blocks are the classes of part ``k``'s ``(block,
+rank)``, and the last ``(block, rank)`` gives the fine classes, each pair
+of a coarse class with different fine labels is split at exactly one part
+and sums to zero at every other, so the residual is the largest part
+residual.  That telescopes ``J - I`` (one coarse class, every fine label
+its own) over the pipeline's stages.  A solution that breaks a premise --
+a rank that is not its first disagreement, or parts that do not chain --
+is not certified: its residual is ``inf``.
 
 ``oracle_id_pipeline`` builds, from the class's memoized pruning tree
 (``ordering._tree``, the one ``identify_all`` reads), a feasible solution
@@ -66,19 +64,21 @@ for ``J - I`` of one scan part per stage, whose cost tracks the per-input
 trace cost ``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction
 factor for composing bounded-error stages.  The general algebra this is an
 instance of -- direct sums, output-conditioned blocks and tensor products,
-on dense parts -- lives with its tests in ``tests/sdp_compose.py``.
+on dense parts -- lives with its tests in ``tests/sdp_compose.py``, and
+the pair-by-pair check they are held to in ``tests/verify_reference.py``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .bitstrings import BitString, ConceptClass, bit_matrix, generate_class
-from .ordering import _tree, first_disagreement_rank
+from .ordering import _tree
 
 __all__ = [
     "ScanPart",
@@ -106,13 +106,11 @@ class ScanPart:
        along ``sigma`` within ``width``, 0 when none.
 
     A solution refuses a part whose ranks or widths lie outside
-    ``0..bits`` or whose orders hold an entry outside ``0..bits-1``; an
-    order that is no permutation is taken, and checked pair by pair.
+    ``0..bits`` or whose orders are not permutations of ``0..bits-1``.
 
-    It unpacks as ``(block, u, u)``, the rows (shape (inputs, bits, 1))
-    written by ``_scan_rows`` on each unpacking and on each read of ``u``
-    or ``v``, so a part holds two numbers per input and per block and bit,
-    never its rows.
+    Its rows (shape (inputs, bits, 1)) are written by ``_scan_rows`` on
+    each read of ``u`` or ``v``, so a part holds two numbers per input and
+    per block and bit, never its rows.
     """
 
     block: np.ndarray
@@ -127,23 +125,11 @@ class ScanPart:
 
     v = u
 
-    def __iter__(self):
-        u = self.u
-        return iter((self.block, u, u))
-
     def ranks_hold(self, bits: np.ndarray) -> bool:
-        """Whether every ``sigma`` is a permutation and every ``rank`` is its
-        input's first disagreement, read off the inputs' 0/1 ``bits``
-        (inputs, bits)."""
-        m, n = bits.shape
-        if not (np.sort(self.sigma, axis=1) == np.arange(n)).all():
-            return False
-        # flat index of the bit each input reads at each rank
-        order = self.sigma[self.block] + np.arange(0, m * n, n)[:, None]
-        differ = (bits ^ self.s[self.block]).ravel()[order]
-        differ &= np.arange(n) < self.width[self.block, None]
-        first = differ.argmax(axis=1)
-        return bool(np.array_equal(np.where(differ[np.arange(m), first], first + 1, 0), self.rank))
+        """Whether every ``rank`` is its input's first disagreement, read off
+        the inputs' 0/1 ``bits`` (inputs, bits)."""
+        found = _first_disagreements(bits, self.block, self.sigma, self.s, self.width)
+        return bool(np.array_equal(found, self.rank))
 
     def split_residual(self) -> float:
         """``max |1 - p**0.25 * p**-0.25|`` over the ranks ``p`` that are
@@ -193,6 +179,8 @@ class SdpSolution:
                     or part.width.max() > n or part.sigma.min() < 0 or part.sigma.max() >= n):
                 raise ValueError(f"a scan part's ranks and widths must lie in [0, {n}] "
                                  f"and its orders in [0, {n - 1}]")
+            if not (np.sort(part.sigma, axis=1) == np.arange(n)).all():
+                raise ValueError("a scan part's orders must be permutations of the bit positions")
         self.domain, self.size, self.n_bits = domain, m, n
         self.parts = tuple(parts)
 
@@ -236,24 +224,12 @@ class LabelTarget(NamedTuple):
     ``J - I`` is ``LabelTarget(zeros, arange)``, ``J - F`` is
     ``LabelTarget(zeros, f)`` for any integer coding of ``f``'s outputs, and
     a stage target ``gram(f_{k-1}) - gram(f_k)`` is
-    ``LabelTarget(f_{k-1}, f_k)``.  The rank proof reads only the classes
-    the labels make; the pair loop reads the target ``rows`` it needs.
+    ``LabelTarget(f_{k-1}, f_k)``.  The check reads only the classes the
+    labels make.
     """
 
     coarse: np.ndarray
     fine: np.ndarray
-
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows ``lo:hi`` of the target as a dense float array."""
-        coarse, fine = np.asarray(self.coarse), np.asarray(self.fine)
-        out = (coarse[lo:hi, None] == coarse).astype(float)
-        out -= fine[lo:hi, None] == fine
-        return out
-
-
-# rows checked per step: each step holds two ROW_CHUNK x inputs float
-# arrays, small enough to stay in cache up to a few thousand inputs
-ROW_CHUNK = 64
 
 
 def _codes(labels) -> np.ndarray:
@@ -280,107 +256,62 @@ def _is_identity_target(dense: np.ndarray) -> bool:
     return int(np.count_nonzero(dense == 1.0)) == m * (m - 1) and not np.diagonal(dense).any()
 
 
-def _scan_chain_residual(target: LabelTarget, sol: SdpSolution) -> float | None:
-    """The exact residual of a solution of scan parts that chain from the
-    target's coarse classes to its fine ones (module docstring), or None
-    when the parts are not all scan parts or a structural check fails."""
-    if not sol.parts or not all(isinstance(p, ScanPart) for p in sol.parts):
-        return None
+def _scan_chain_residual(target: LabelTarget, sol: SdpSolution) -> float:
+    """The exact residual of a solution whose parts chain from the target's
+    coarse classes to its fine ones (module docstring), or ``inf`` when a
+    rank or the chain fails."""
     bits = sol.domain.bits
-    first = sol.parts[0].block
+    coarse = np.asarray(target.coarse)
     # the stage targets' coarse labels are their part's own block ids
-    classes = first if np.array_equal(target.coarse, first) else _codes(target.coarse)
+    own = sol.parts and np.array_equal(coarse, sol.parts[0].block)
+    classes = sol.parts[0].block if own else _codes(coarse)
     worst = 0.0
     for part in sol.parts:
         if not (part.ranks_hold(bits) and _same_classes(part.block, classes)):
-            return None
+            return math.inf
         # ranks lie in 0..bits now: (block, rank) packs into one label below
         # blocks * (bits + 1), an index as block ids are
         classes = part.block * (bits.shape[1] + 1) + part.rank
         worst = max(worst, part.split_residual())
-    return worst if _same_classes(classes, _codes(target.fine)) else None
+    return worst if _same_classes(classes, _codes(target.fine)) else math.inf
 
 
 def verify_feasible(A, sol: SdpSolution) -> float:
     """Worst absolute violation of the bilinear constraints against ``A``.
 
-    ``A`` is an (inputs, inputs) array of finite entries or a
-    `LabelTarget`.  A return value at most the caller's tolerance certifies
-    feasibility.  The value is the exact worst residual over every input
-    pair, found on one of two paths.
-
-    The rank proof (module docstring) takes a solution of `ScanPart`s whose
-    ranks hold and whose parts chain from the target's coarse classes to its
-    fine ones: every pipeline stage against its stage target, and the
-    pipeline's solution against ``J - I``, given as ``LabelTarget(zeros,
-    arange)`` or as the dense array, which one elementwise pass recognises.
-
-    The pair loop takes everything else -- a dense target other than
-    ``J - I``, a failed premise, or parts that only unpack as ``(block, u,
-    v)`` -- ``ROW_CHUNK`` rows at a time, so memory stays flat.  Per part,
-    the constraint sums of all pairs are ``U1 V0^T + U0 V1^T``, one product
-    ``[U1 U0] [V0 V1]^T``, masked to equal blocks, where ``U1``/``U0`` keep
-    the ``u[x, j]`` with ``x_j`` = 1/0 (flattened over bits and
-    coordinates), and likewise ``V``.  A non-finite coordinate gives a
-    non-finite residual, which passes no tolerance.
+    ``A`` is a `LabelTarget`, or ``J - I`` as an (inputs, inputs) array,
+    which one elementwise pass recognises; any other dense target is
+    refused.  The check is the rank proof (module docstring): when every
+    rank holds and the parts chain from the target's coarse classes to its
+    fine ones -- every pipeline stage against its stage target, the
+    pipeline's solution against ``J - I`` -- the value is the exact worst
+    residual over every input pair, and a value at most the caller's
+    tolerance certifies feasibility.  When a premise fails the solution is
+    not certified, and the value is ``inf``.
     """
+    if not isinstance(sol, SdpSolution):
+        raise TypeError(f"a solution must be an SdpSolution, got {type(sol).__name__}")
     m = sol.size
     if isinstance(A, LabelTarget):
         if np.shape(A.coarse) != (m,) or np.shape(A.fine) != (m,):
             raise ValueError(f"label target needs {m} labels per side")
-        labels, target_rows = A, A.rows
-    else:
-        dense = np.asarray(A, dtype=float)
-        if dense.shape != (m, m):
-            raise ValueError(f"target must be {m}x{m}, got {dense.shape}")
-        if _is_identity_target(dense):  # J - I is finite: no second pass
-            labels = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))
-        elif not np.isfinite(dense).all():
+        return _scan_chain_residual(A, sol)
+    dense = np.asarray(A, dtype=float)
+    if dense.shape != (m, m):
+        raise ValueError(f"target must be {m}x{m}, got {dense.shape}")
+    if not _is_identity_target(dense):
+        if not np.isfinite(dense).all():
             raise ValueError("target entries must be finite")
-        else:
-            labels = None
-
-        def target_rows(lo, hi):
-            return dense[lo:hi].copy()
-
-    if labels is not None:
-        worst = _scan_chain_residual(labels, sol)
-        if worst is not None:
-            return worst
-
-    ones = sol.domain.bits[:, :, None].astype(float)
-    zeros = 1.0 - ones
-
-    def split(w, first, second):
-        return np.concatenate([(w * first).reshape(m, -1), (w * second).reshape(m, -1)], axis=1)
-
-    factors = []
-    for block, u, v in sol.parts:
-        blocked = block.min() < block.max()
-        factors.append((block if blocked else None, split(u, ones, zeros), split(v, zeros, ones)))
-    worst = 0.0
-    for lo in range(0, m, ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, m)
-        # |target - sums| in place: few temporaries, so the heap stays put
-        residual = target_rows(lo, hi)
-        for block, uu, vv in factors:
-            inner = uu[lo:hi] @ vv.T
-            if block is not None:
-                inner *= block[lo:hi, None] == block[None, :]
-            residual -= inner
-        # np.maximum, not max: a NaN chunk must not lose to an earlier worst
-        worst = np.maximum(worst, np.abs(residual, out=residual).max())
-    return float(worst)
+        raise ValueError("a dense target must be J - I; give any other as a LabelTarget")
+    return _scan_chain_residual(LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m)), sol)
 
 
 def cost_of(sol: SdpSolution) -> CostFunction:
-    cu = np.zeros(sol.size)
-    cv = np.zeros(sol.size)
-    for _, u, v in sol.parts:
-        norms = np.einsum("xjd,xjd->x", u, u)
-        cu += norms
-        cv += norms if v is u else np.einsum("xjd,xjd->x", v, v)
-    return CostFunction(sol.domain, np.maximum(cu, cv))
+    values = np.zeros(sol.size)
+    for part in sol.parts:  # u is v: the cost is the sum of u's norms
+        u = part.u
+        values += np.einsum("xjd,xjd->x", u, u)
+    return CostFunction(sol.domain, values)
 
 
 def _ramp_spike(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -458,14 +389,32 @@ def find_first_one_solution(
 
 def first_disagreement_ranks(domain: ConceptClass, sigma: Sequence[int], s: BitString, width: int) -> np.ndarray:
     """Rank of the first scan-order disagreement per member (0 when none),
-    member by member with ``ordering.first_disagreement_rank``: an
+    as ``ordering.first_disagreement_rank`` gives it member by member: an
     ``intp`` array, read-only."""
-    ranks = np.fromiter(
-        (first_disagreement_rank(x, s, sigma, width) or 0 for x in domain.members),
-        dtype=np.intp, count=domain.size,
+    if s.n != domain.n:
+        raise ValueError("reference string length mismatch")
+    ranks = _first_disagreements(
+        domain.bits, np.zeros(domain.size, dtype=np.intp), np.array([sigma], dtype=np.intp),
+        bit_matrix(s.n, [s.value]).astype(bool), np.array([width]),
     )
     ranks.setflags(write=False)
     return ranks
+
+
+def _first_disagreements(bits, block, sigma, s, width) -> np.ndarray:
+    """Per input, the 1-based rank of its first disagreement with its
+    block's ``s`` along its block's ``sigma`` within its block's ``width``,
+    0 when none: ``bits`` (inputs, bits) 0/1, per input a ``block`` id, per
+    block a row of ``sigma`` (bit positions), of ``s`` (boolean, by bit
+    position) and a ``width``."""
+    m, n = bits.shape
+    scanned = sigma.shape[1]
+    # flat index of the bit each input reads at each rank
+    order = sigma[block] + np.arange(0, m * n, n)[:, None]
+    differ = (bits ^ s[block]).ravel()[order]
+    differ &= np.arange(scanned) < width[block, None]
+    first = differ.argmax(axis=1)
+    return np.where(differ[np.arange(m), first], first + 1, 0)
 
 
 @dataclass(frozen=True)

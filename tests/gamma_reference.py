@@ -1,29 +1,23 @@
 """Reference ``gamma_hat`` for tests: one Python loop over the subsets.
 
 Scores each subset with one ``int.bit_count`` per subset and bit, the way
-the elimination parameter was computed before the scan was vectorized.
-Sampled mode draws and orders its subsets exactly as ``bounds.gamma_hat``
-does, so the two agree on the witness as well as the value.
+the elimination parameter was computed before the scan was vectorized, in
+the same order as ``bounds.gamma_hat``, so the two agree on the witness as
+well as the value.
 """
 
 from fractions import Fraction
-from typing import Iterable
-
-import numpy as np
 
 from oracleid.bitstrings import ConceptClass
 from oracleid.bounds import GammaHatResult
 
 
-def gamma_hat_reference(
-    concept_class: ConceptClass,
-    *,
-    subset_samples: int | None = None,
-    rng=None,
-) -> GammaHatResult:
+def gamma_hat_reference(concept_class: ConceptClass) -> GammaHatResult:
     m = concept_class.size
     if m < 2:
         raise ValueError("need at least two members")
+    if m > 20:
+        raise ValueError("gamma_hat is exact and caps at 20 members")
     n = concept_class.n
     values = concept_class.values
     # per bit: which member indices have that bit set, as an index bitmask
@@ -34,28 +28,7 @@ def gamma_hat_reference(
             if (v >> (n - 1 - j)) & 1:
                 mask |= 1 << i
         columns.append(mask)
-
-    if subset_samples is None:
-        if m > 20:
-            raise ValueError("exact mode caps at 20 members; pass subset_samples")
-        subsets: Iterable[int] = (
-            t for t in range(1, 1 << m) if t.bit_count() >= 2
-        )
-    else:
-        gen = np.random.default_rng(rng)
-        full = (1 << m) - 1
-        sampled = {full}
-        sampled.update(
-            (1 << i) | (1 << k) for i in range(m) for k in range(i + 1, m)
-        )
-        for _ in range(subset_samples):
-            if m < 64:  # numpy's integers stop at int64
-                t = int(gen.integers(1, full + 1))
-            else:  # the empty draw is dropped below with the singletons
-                t = int.from_bytes(gen.bytes(-(-m // 8)), "big") >> (-m % 8)
-            if t.bit_count() >= 2:
-                sampled.add(t)
-        subsets = sampled
+    subsets = (t for t in range(1, 1 << m) if t.bit_count() >= 2)
 
     best_num, best_den = 1, 1  # running minimum fraction, starts at 1
     witness = 0
@@ -73,8 +46,4 @@ def gamma_hat_reference(
     members = tuple(
         concept_class.members[i] for i in range(m) if (witness >> i) & 1
     )
-    return GammaHatResult(
-        value=Fraction(best_num, best_den),
-        exact=subset_samples is None,
-        witness=members,
-    )
+    return GammaHatResult(value=Fraction(best_num, best_den), witness=members)

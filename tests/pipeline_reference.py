@@ -23,8 +23,8 @@ from greedy_reference import _greedy
 from helpers import FunctionTable
 from oracleid.bitstrings import BitString, ConceptClass
 from oracleid.ordering import first_disagreement_rank
-from oracleid.sdp import CostFunction, LabelTarget, cost_of
-from sdp_compose import DenseSolution, output_conditioned_compose, sum_compose
+from oracleid.sdp import CostFunction, LabelTarget
+from sdp_compose import DenseSolution, cost_of, output_conditioned_compose, sum_compose
 
 
 class ReferencePipeline(NamedTuple):

@@ -4,8 +4,8 @@ vector program, on dense solutions.
 ``oracleid.sdp`` writes the identification certificate directly, as scan
 parts; these general operators are kept here, with their tests, as the
 algebra that certificate is an instance of.  They work on `DenseSolution`,
-a direct sum of dense ``(block, u, v)`` parts, which ``verify_feasible`` and
-``cost_of`` read as they read scan parts, checking it pair by pair.
+a direct sum of dense ``(block, u, v)`` parts, which the pair-by-pair
+``verify_reference.verify_feasible`` checks and ``cost_of`` below costs.
 
 Three composition operators preserve feasibility:
 
@@ -31,7 +31,7 @@ import numpy as np
 
 from helpers import FunctionTable, groups
 from oracleid.bitstrings import BitString, ConceptClass
-from oracleid.sdp import SdpSolution
+from oracleid.sdp import CostFunction, ScanPart, SdpSolution
 
 
 class DensePart(NamedTuple):
@@ -51,7 +51,7 @@ class DenseSolution:
     Each block of a part owns its own ``d`` coordinates, laid out in
     increasing id order.  ``DenseSolution(domain, u, v)`` is one part with
     a single block; ``from_parts`` takes any sequence of ``(block, u, v)``
-    triples, a scan part unpacked into its rows.
+    triples and scan parts, a scan part written out as its rows.
     """
 
     def __init__(self, domain, u: np.ndarray, v: np.ndarray):
@@ -66,7 +66,7 @@ class DenseSolution:
     def _setup(self, domain, parts) -> None:
         self.domain = SdpSolution(domain, ()).domain  # the runtime's domain checks
         self.size, self.n_bits = self.domain.size, self.domain.n
-        self.parts = tuple(DensePart(np.asarray(block), u, v) for block, u, v in parts)
+        self.parts = tuple(map(_dense_part, parts))
 
     @property
     def dim(self) -> int:
@@ -85,6 +85,27 @@ class DenseSolution:
                 out[np.arange(self.size), :, lo + slot * d + c] = w[:, :, c]
             lo += len(ids) * d
         return out
+
+
+def _dense_part(part) -> DensePart:
+    if isinstance(part, ScanPart):
+        u = part.u  # written once, shared by both sides as in the scan
+        return DensePart(part.block, u, u)
+    block, u, v = part
+    return DensePart(np.asarray(block), u, v)
+
+
+def cost_of(sol) -> CostFunction:
+    """Per-input cost ``max(sum ||u||^2, sum ||v||^2)``, each side summed
+    part by part, of a dense or scan solution."""
+    cu = np.zeros(sol.size)
+    cv = np.zeros(sol.size)
+    for part in sol.parts:
+        u, v = part.u, part.v
+        norms = np.einsum("xjd,xjd->x", u, u)
+        cu += norms
+        cv += norms if v is u else np.einsum("xjd,xjd->x", v, v)
+    return CostFunction(sol.domain, np.maximum(cu, cv))
 
 
 def sum_compose(a, b) -> DenseSolution:

@@ -13,7 +13,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from verify_reference import dense_gram
 from helpers import random_class
 from oracleid.bitstrings import BitString, ConceptClass, generate_class
 from oracleid.bounds import (
@@ -127,7 +126,7 @@ def test_04_first_disagreement_solution_everywhere():
         if n <= 10:
             cls = ConceptClass(n, sol.domain)
             ranks = sdp.first_disagreement_ranks(cls, tuple(range(n)), BitString.zeros(n), n)
-            target = np.ones((cls.size,) * 2) - dense_gram(ranks)
+            target = sdp.LabelTarget(np.zeros(cls.size, dtype=np.intp), ranks)
             worst_violation = max(worst_violation, sdp.verify_feasible(target, sol))
     elapsed = time.perf_counter() - start
     report(

@@ -222,36 +222,13 @@ class TestGammaHat:
             inv = 1 / gamma_hat(cls).value
             assert 2 <= inv <= n + 1
 
-    def test_sampled_mode_overestimates_at_most(self):
-        cls = generate_class("random", 6, size=10, seed=9)
-        exact = gamma_hat(cls)
-        sampled = gamma_hat(cls, subset_samples=50, rng=0)
-        assert sampled.value >= exact.value
-        assert not sampled.exact and exact.exact
-
     def test_single_member_rejected(self):
         with pytest.raises(ValueError):
             gamma_hat(ConceptClass.from_strings(["1"]))
 
-    @pytest.mark.parametrize("m", [64, 100])
-    def test_sampled_mode_beyond_int64(self, m):
-        cls = generate_class("random", 10, size=m, seed=11)
-        first = gamma_hat(cls, subset_samples=200, rng=4)
-        again = gamma_hat(cls, subset_samples=200, rng=4)
-        assert isinstance(first.value, Fraction)
-        assert 0 < first.value <= 1
-        assert first == again
-        assert len(first.witness) >= 2
-
-    def test_negative_samples_rejected(self):
-        cls = generate_class("random", 6, size=10, seed=9)
-        with pytest.raises(ValueError, match="subset_samples"):
-            gamma_hat(cls, subset_samples=-1)
-
     def test_exact_mode_at_the_member_cap(self):
         cls = generate_class("random", 12, size=20, seed=5)
         res = gamma_hat(cls)
-        assert res.exact
         size = len(res.witness)
         best = 0
         for j in range(cls.n):
@@ -259,12 +236,12 @@ class TestGammaHat:
             best = max(best, min(ones, size - ones))
         assert Fraction(best, size) == res.value
         over = generate_class("random", 12, size=21, seed=5)
-        with pytest.raises(ValueError, match="exact mode caps at 20 members"):
+        with pytest.raises(ValueError, match="caps at 20 members"):
             gamma_hat(over)
 
 
 class TestGammaHatAgainstReference:
-    """The vectorized scan returns the loop's value, witness and flag."""
+    """The vectorized scan returns the loop's value and witness."""
 
     def test_random_exact_classes(self):
         rng = np.random.default_rng(21)
@@ -280,12 +257,11 @@ class TestGammaHatAgainstReference:
 
     @pytest.mark.parametrize("m", [2, 3, 15, 16, 17, 18])
     def test_split_boundaries(self, m):
-        # exact mode splits the subset masks into halves of m // 2 and
+        # the scan splits the subset masks into halves of m // 2 and
         # m - m // 2 bits: one-bit halves at 2 and 3, odd and even above
         cls = generate_class("random", 9, size=m, seed=m)
         got = gamma_hat(cls)
         assert got == gamma_hat_reference(cls)
-        assert got.exact
 
     def test_closed_form_family_at_the_member_cap(self):
         # the zero string and the 19 weight-one strings: only the full set
@@ -294,17 +270,7 @@ class TestGammaHatAgainstReference:
         cls = ConceptClass.from_values(19, values)
         got = gamma_hat(cls)
         assert got.value == Fraction(1, 20)
-        assert got.witness == cls.members and got.exact
-
-    @pytest.mark.parametrize(
-        "n, m",
-        [(6, 10), (10, 64), (10, 100), (70, 130)],  # 130 members: three words
-    )
-    def test_sampled_mode(self, n, m):
-        cls = generate_class("random", n, size=m, seed=m)
-        got = gamma_hat(cls, subset_samples=300, rng=7)
-        assert got == gamma_hat_reference(cls, subset_samples=300, rng=7)
-        assert not got.exact
+        assert got.witness == cls.members
 
 
 class TestLearningBound:

@@ -8,10 +8,18 @@ import pytest
 
 import pipeline_reference
 import verify_reference
-from verify_reference import dense_cost, dense_gram, dense_sums, dense_verify, domain_bits
+from verify_reference import (
+    dense_cost,
+    dense_gram,
+    dense_sums,
+    dense_target,
+    dense_verify,
+    domain_bits,
+)
 from helpers import FunctionTable, preimage, random_class
 from sdp_compose import (
     DenseSolution,
+    cost_of as part_cost,
     boolean_and_solution,
     boolean_or_solution,
     output_conditioned_compose,
@@ -26,7 +34,7 @@ from oracleid.bitstrings import (
     generate_class,
 )
 from oracleid.identify import identify_all
-from oracleid.ordering import clear_ordering_cache
+from oracleid.ordering import clear_ordering_cache, first_disagreement_rank
 from oracleid.sdp import (
     LabelTarget,
     ScanPart,
@@ -53,26 +61,30 @@ def rank_target(n, sigma=None, s=None, width=None, domain=None):
     sigma = tuple(range(n)) if sigma is None else tuple(sigma)
     s = BitString.zeros(n) if s is None else s
     ranks = first_disagreement_ranks(cls, sigma, s, n if width is None else width)
-    return 1.0 - dense_gram(ranks)
+    return LabelTarget(np.zeros(cls.size, dtype=np.intp), ranks)
 
 
 class TestVerifyFeasible:
     def test_zero_solution_for_zero_matrix(self):
-        domain = tuple(BitString(2, v) for v in range(4))
-        sol = DenseSolution(domain, np.zeros((4, 2, 1)), np.zeros((4, 2, 1)))
-        assert verify_feasible(np.zeros((4, 4)), sol) == 0.0
+        # a scan of width 0 writes zero rows; equal labels on both sides
+        # make the zero matrix
+        sol = find_first_one_solution(2, width=0)
+        zeros = np.zeros(4, dtype=np.intp)
+        assert verify_feasible(LabelTarget(zeros, zeros), sol) == 0.0
 
     def test_explicit_solution_is_feasible(self):
         sol = find_first_one_solution(4)
         assert verify_feasible(rank_target(4), sol) < 1e-12
 
     def test_doubled_hit_weight_breaks_one_constraint(self):
+        # a dense solution, so the pair-by-pair oracle checks it
         sol = find_first_one_solution(4)
         u = sol.u.copy()
         idx = sol.domain.index(bs("1000"))  # first disagreement at rank 1
         u[idx, 0, 0] *= 2.0
         broken = DenseSolution(sol.domain, u, u)
-        assert verify_feasible(rank_target(4), broken) == pytest.approx(1.0)
+        assert verify_reference.verify_feasible(rank_target(4), broken) == pytest.approx(1.0)
+        assert dense_verify(rank_target(4), broken) == pytest.approx(1.0)
 
     def test_dimension_mismatch_rejected(self):
         sol = find_first_one_solution(3)
@@ -81,11 +93,27 @@ class TestVerifyFeasible:
         with pytest.raises(ValueError, match="labels"):
             verify_feasible(LabelTarget(np.zeros(8, dtype=int), np.arange(4)), sol)
 
+    def test_a_dense_target_other_than_identity_is_refused(self):
+        sol = find_first_one_solution(4)
+        target = dense_target(rank_target(4))
+        assert verify_reference.verify_feasible(target, sol) < 1e-12
+        for dense in (target, np.zeros((16, 16)), 2.0 * _identity_targets(16)[0]):
+            with pytest.raises(ValueError, match="a dense target must be J - I"):
+                verify_feasible(dense, sol)
+
+    def test_a_dense_solution_is_refused(self):
+        sol = find_first_one_solution(3)
+        dense = DenseSolution.from_parts(sol.domain, sol.parts)
+        for target in _identity_targets(8) + [rank_target(3)]:
+            with pytest.raises(TypeError, match="must be an SdpSolution, got DenseSolution"):
+                verify_feasible(target, dense)
+
 
 class TestNonFinite:
-    """A dense target with a non-finite entry is refused, and a NaN
-    coordinate gives a NaN residual, which passes no tolerance, however
-    small the residual of the other chunks."""
+    """A dense target with a non-finite entry is refused, and in the
+    pair-by-pair oracle a NaN coordinate gives a NaN residual, as it does
+    bit by bit, which passes no tolerance, however small the residual of
+    the other chunks."""
 
     @pytest.fixture(scope="class")
     def pipe(self):
@@ -95,31 +123,28 @@ class TestNonFinite:
         one_nan = _identity_targets(40)[0]
         one_nan[3, 5], one_nan[4, 6] = np.nan, 5.0  # and a miss by 4 in its chunk
         for target in (np.full((40, 40), np.nan), one_nan, np.diag(np.full(40, np.inf))):
-            for sol in (pipe.solution, _unpacked(pipe.solution)):
-                with pytest.raises(ValueError, match="target entries must be finite"):
-                    verify_feasible(target, sol)
+            with pytest.raises(ValueError, match="target entries must be finite"):
+                verify_feasible(target, pipe.solution)
             assert not np.isfinite(verify_reference.verify_feasible(target, pipe.solution))
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_a_nan_coordinate_fails_every_tolerance(self, monkeypatch, pipe, chunk):
-        monkeypatch.setattr(sdp, "ROW_CHUNK", chunk)
         monkeypatch.setattr(verify_reference, "ROW_CHUNK", chunk)
         for row in (0, 20, 39):
-            parts = [tuple(part) for part in pipe.solution.parts]
+            parts = list(_unpacked(pipe.solution).parts)
             block, u, v = parts[-1]
             u = u.copy()
             u[row, 0, 0] = np.nan  # on the u side only: one chunk reads it
             parts[-1] = (block, u, v)
             sol = DenseSolution.from_parts(pipe.concept_class, parts)
             for target in _identity_targets(40):
-                assert math.isnan(verify_feasible(target, sol))
                 assert math.isnan(verify_reference.verify_feasible(target, sol))
+                assert math.isnan(dense_verify(target, sol))
 
 
 class TestCostFunction:
     def test_zero_vectors_cost_zero(self):
-        domain = tuple(BitString(2, v) for v in range(4))
-        sol = DenseSolution(domain, np.zeros((4, 2, 1)), np.zeros((4, 2, 1)))
+        sol = find_first_one_solution(2, width=0)  # a scan of width 0: zero rows
         assert cost_of(sol).max_value == 0.0
 
     def test_immediate_hit_costs_one(self):
@@ -216,19 +241,22 @@ class TestFirstOneSolution:
 
 
 class TestSumCompose:
+    """The composition algebra, on dense solutions, against the pair-by-pair
+    oracle and the part-by-part cost."""
+
     def test_zero_padding_keeps_cost(self):
         sol = find_first_one_solution(3)
         zero = DenseSolution(sol.domain, np.zeros((8, 3, 1)), np.zeros((8, 3, 1)))
         both = sum_compose(sol, zero)
-        assert verify_feasible(rank_target(3), both) < 1e-12
-        np.testing.assert_allclose(cost_of(both).values, cost_of(sol).values)
+        assert verify_reference.verify_feasible(rank_target(3), both) < 1e-12
+        np.testing.assert_allclose(part_cost(both).values, part_cost(sol).values)
 
     def test_doubling_doubles_target_and_cost(self):
         sol = find_first_one_solution(3)
         double = sum_compose(sol, sol)
-        assert verify_feasible(2.0 * rank_target(3), double) < 1e-12
+        assert verify_reference.verify_feasible(2.0 * dense_target(rank_target(3)), double) < 1e-12
         np.testing.assert_allclose(
-            cost_of(double).values, 2.0 * cost_of(sol).values, atol=1e-14
+            part_cost(double).values, 2.0 * part_cost(sol).values, atol=1e-14
         )
 
     def test_cost_subadditivity_is_exact(self):
@@ -237,8 +265,8 @@ class TestSumCompose:
         for _ in range(20):
             a = DenseSolution(domain, rng.standard_normal((8, 3, 2)), rng.standard_normal((8, 3, 2)))
             b = DenseSolution(domain, rng.standard_normal((8, 3, 3)), rng.standard_normal((8, 3, 3)))
-            lhs = cost_of(sum_compose(a, b)).values
-            rhs = cost_of(a).values + cost_of(b).values
+            lhs = part_cost(sum_compose(a, b)).values
+            rhs = part_cost(a).values + part_cost(b).values
             assert np.all(lhs <= rhs + 1e-12)
 
     def test_violations_add_at_most(self):
@@ -250,9 +278,9 @@ class TestSumCompose:
         ta = ta + ta.T
         tb = rng.standard_normal((8, 8))
         tb = tb + tb.T
-        va = verify_feasible(ta, a)
-        vb = verify_feasible(tb, b)
-        assert verify_feasible(ta + tb, sum_compose(a, b)) <= va + vb + 1e-12
+        va = verify_reference.verify_feasible(ta, a)
+        vb = verify_reference.verify_feasible(tb, b)
+        assert verify_reference.verify_feasible(ta + tb, sum_compose(a, b)) <= va + vb + 1e-12
 
     def test_domain_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -266,8 +294,8 @@ class TestOutputConditionedCompose:
         block = find_first_one_solution(2, domain=cls.members)
         composed = output_conditioned_compose(f, {0: block})
         # F = J here, so the target is J - G
-        assert verify_feasible(rank_target(2), composed) < 1e-12
-        np.testing.assert_allclose(cost_of(composed).values, cost_of(block).values)
+        assert verify_reference.verify_feasible(rank_target(2), composed) < 1e-12
+        np.testing.assert_allclose(part_cost(composed).values, part_cost(block).values)
 
     def test_cross_label_pairs_vanish(self):
         cls = generate_class("cube", 2)
@@ -297,8 +325,8 @@ class TestOutputConditionedCompose:
             blocks[label] = find_first_one_solution(3, domain=members)
         composed = output_conditioned_compose(table, blocks)
         for x in cls.members:
-            own = cost_of(blocks[table(x)])(x)
-            assert cost_of(composed)(x) == own
+            own = part_cost(blocks[table(x)])(x)
+            assert part_cost(composed)(x) == own
 
     def test_lone_labels_may_be_left_out(self):
         cls = generate_class("random", 6, size=30, seed=8)
@@ -339,9 +367,9 @@ class TestTensorCompose:
         # outer target on relabeled inputs
         or_outputs = tuple(int(x.value != 0) for x in composed.domain)
         F = dense_gram(or_outputs)
-        assert verify_feasible(np.ones_like(F) - F, composed) < 1e-12
+        assert verify_reference.verify_feasible(np.ones_like(F) - F, composed) < 1e-12
         np.testing.assert_allclose(
-            cost_of(composed).values, cost_of(outer).values, atol=1e-14
+            part_cost(composed).values, part_cost(outer).values, atol=1e-14
         )
 
     def test_or_of_ands_all_sixteen_inputs(self):
@@ -353,15 +381,15 @@ class TestTensorCompose:
             for x in composed.domain
         )
         F = dense_gram(outputs)
-        assert verify_feasible(np.ones_like(F) - F, composed) < 1e-10
+        assert verify_reference.verify_feasible(np.ones_like(F) - F, composed) < 1e-10
 
     def test_cost_bounded_by_product(self):
         or_sol, _ = boolean_or_solution(2)
         and_sol, and_tab = boolean_and_solution(2)
         composed = tensor_compose(or_sol, [(and_sol, and_tab)] * 2)
-        outer_cost = cost_of(or_sol)
-        inner_cost = cost_of(and_sol)
-        comp_cost = cost_of(composed)
+        outer_cost = part_cost(or_sol)
+        inner_cost = part_cost(and_sol)
+        comp_cost = part_cost(composed)
         for x in composed.domain:
             left = BitString.from_bits(x.bits[:2])
             right = BitString.from_bits(x.bits[2:])
@@ -385,7 +413,7 @@ class TestTensorCompose:
             for x in composed.domain
         )
         F = dense_gram(outputs)
-        assert verify_feasible(np.ones_like(F) - F, composed) < 1e-10
+        assert verify_reference.verify_feasible(np.ones_like(F) - F, composed) < 1e-10
 
     def test_arity_mismatch_rejected(self):
         or_sol, _ = boolean_or_solution(2)
@@ -427,7 +455,7 @@ class TestOracleIdPipeline:
         rng = np.random.default_rng(5)
         cls = random_class(rng, 4, 9)
         pipe = oracle_id_pipeline(cls)
-        total = sum(t.rows(0, cls.size) for t in pipe.stage_targets)
+        total = sum(dense_target(t) for t in pipe.stage_targets)
         np.testing.assert_allclose(total, identity(cls.size), atol=0)
 
     def test_cost_tracks_traces_within_three(self):
@@ -470,10 +498,10 @@ class TestOracleIdPipeline:
 
 def assert_same_solution(a, b):
     """Equal parts byte for byte, with the same ``u is v`` sharing.  Each
-    part is read as the ``(block, u, v)`` it unpacks to: a scan part writes
-    its rows on each unpacking, so its ``.u`` and ``.v`` are two arrays."""
+    part is read as the dense part it writes out to: a scan part writes its
+    rows on each read, so its ``.u`` and ``.v`` are two arrays."""
     assert a.domain == b.domain and len(a.parts) == len(b.parts)
-    for pa, pb in zip(a.parts, b.parts):
+    for pa, pb in zip(_unpacked(a).parts, _unpacked(b).parts):
         (block_a, ua, va), (block_b, ub, vb) = pa, pb
         assert block_a.dtype == block_b.dtype and block_a.tobytes() == block_b.tobytes()
         for x, y in ((ua, ub), (va, vb)):
@@ -566,7 +594,9 @@ def _symmetric(rng, m):
 
 
 class TestFactoredAgainstDense:
-    """Part-wise checks and costs equal the bit-by-bit dense reference."""
+    """Part-wise checks and costs equal the bit-by-bit dense reference: the
+    runtime's on the pipeline, the pair-by-pair oracle's and the part-wise
+    cost on any solution."""
 
     CLASSES = {
         "hamming1-8": lambda: generate_class("hamming1", 8),
@@ -576,15 +606,19 @@ class TestFactoredAgainstDense:
 
     def assert_agree(self, sol, targets):
         for target in targets:
-            assert verify_feasible(target, sol) == pytest.approx(
+            assert verify_reference.verify_feasible(target, sol) == pytest.approx(
                 dense_verify(target, sol), rel=0, abs=1e-12
             )
-        np.testing.assert_allclose(cost_of(sol).values, dense_cost(sol), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(part_cost(sol).values, dense_cost(sol), rtol=1e-12, atol=0)
 
-    def assert_labels_expand_to(self, target, dense, sol):
-        """The label target is the dense one exactly, and checks the same."""
-        assert np.array_equal(target.rows(0, len(dense)), dense)
-        assert verify_feasible(target, sol) == verify_feasible(dense, sol)
+    def assert_runtime_agrees(self, target, dense, sol):
+        """The runtime's residual and cost on a label target are the dense
+        reference's, and the oracle's own expansion of the labels is the
+        dense target exactly."""
+        assert verify_feasible(target, sol) == pytest.approx(dense_verify(dense, sol), rel=0, abs=1e-12)
+        assert cost_of(sol).values.tobytes() == part_cost(sol).values.tobytes()
+        assert np.array_equal(dense_target(target), dense)
+        assert verify_reference.verify_feasible(target, sol) == verify_reference.verify_feasible(dense, sol)
 
     @pytest.mark.parametrize("name", sorted(CLASSES))
     def test_pipeline_solutions(self, name):
@@ -593,13 +627,15 @@ class TestFactoredAgainstDense:
         m = cls.size
         rng = np.random.default_rng(m)
         noise = _symmetric(rng, m)
-        identity = np.ones((m, m)) - np.eye(m)
-        self.assert_agree(pipe.solution, [identity, identity + noise])
+        dense_identity, identity = _identity_targets(m)
+        self.assert_agree(pipe.solution, [dense_identity, dense_identity + noise])
+        self.assert_runtime_agrees(identity, dense_identity, pipe.solution)
+        assert verify_feasible(dense_identity, pipe.solution) == verify_feasible(identity, pipe.solution)
         # the stage labels as the reference's own rank-path tables
         tables = pipeline_reference.oracle_id_pipeline(cls).stage_tables
         for k, (sol, target) in enumerate(zip(pipe.stage_solutions, pipe.stage_targets), 1):
             dense = dense_gram(tables[k - 1].outputs) - dense_gram(tables[k].outputs)
-            self.assert_labels_expand_to(target, dense, sol)
+            self.assert_runtime_agrees(target, dense, sol)
             self.assert_agree(sol, [dense, dense + noise])
 
     @pytest.mark.parametrize("name", sorted(CLASSES))
@@ -609,12 +645,12 @@ class TestFactoredAgainstDense:
         m = cls.size
         pipe = oracle_id_pipeline(cls)
         identity = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))
-        self.assert_labels_expand_to(identity, np.ones((m, m)) - np.eye(m), pipe.solution)
+        self.assert_runtime_agrees(identity, np.ones((m, m)) - np.eye(m), pipe.solution)
         sigma = tuple(range(cls.n))
         sol = find_first_one_solution(cls.n, sigma, cls.members[0], domain=cls.members)
         ranks = first_disagreement_ranks(cls, sigma, cls.members[0], cls.n)
         rank = LabelTarget(np.zeros(m, dtype=np.intp), ranks)
-        self.assert_labels_expand_to(rank, np.ones((m, m)) - dense_gram(ranks), sol)
+        self.assert_runtime_agrees(rank, np.ones((m, m)) - dense_gram(ranks), sol)
         assert verify_feasible(rank, sol) < 1e-12
 
     def test_random_sum_compose(self):
@@ -640,8 +676,8 @@ class TestFactoredAgainstDense:
                 blocks[label] = DenseSolution.from_parts(members, parts)
             composed = output_conditioned_compose(f, blocks)
             self.assert_agree(composed, [_symmetric(rng, 40)])
-            own = np.array([cost_of(blocks[f(x)])(x) for x in cls.members])
-            np.testing.assert_allclose(cost_of(composed).values, own, rtol=1e-12, atol=0)
+            own = np.array([part_cost(blocks[f(x)])(x) for x in cls.members])
+            np.testing.assert_allclose(part_cost(composed).values, own, rtol=1e-12, atol=0)
 
     def test_cross_label_pairs_vanish_in_every_part(self):
         rng = np.random.default_rng(13)
@@ -666,11 +702,11 @@ class TestFactoredAgainstDense:
         sol = DenseSolution.from_parts(domain, _random_parts(rng, 37, 6, 3))
         dense = _symmetric(rng, 37)
         labels = LabelTarget(rng.integers(0, 3, size=37), rng.integers(0, 9, size=37))
-        whole = [verify_feasible(target, sol) for target in (dense, labels)]
+        whole = [verify_reference.verify_feasible(target, sol) for target in (dense, labels)]
         for chunk in (1, 5, 36):
-            monkeypatch.setattr(sdp, "ROW_CHUNK", chunk)
+            monkeypatch.setattr(verify_reference, "ROW_CHUNK", chunk)
             for target, want in zip((dense, labels), whole):
-                assert verify_feasible(target, sol) == pytest.approx(want, abs=1e-12)
+                assert verify_reference.verify_feasible(target, sol) == pytest.approx(want, abs=1e-12)
 
 
 class TestFactoredStorage:
@@ -771,14 +807,16 @@ def _refined(rng, labels, spread):
 
 
 class TestBlockLocalCheck:
-    """The runtime check equals the all-pairs oracle
-    (``tests/verify_reference.py``) exactly, on integer coordinates and on
-    the pipeline's own, whether or not the blocks refine the target's
-    classes: no target is checked block by block."""
+    """The pair-by-pair oracle (``tests/verify_reference.py``) equals the
+    bit-by-bit ``dense_verify`` exactly on integer coordinates, whether or
+    not the blocks refine the target's classes, and to 1e-12 on real ones;
+    on the pipeline's own solutions the runtime rank proof equals the
+    oracle exactly.  The class keeps the name of the block-local window its
+    cases were written for."""
 
-    def assert_same(self, target, sol):
-        got = verify_feasible(target, sol)
-        assert got == verify_reference.verify_feasible(target, sol)
+    def assert_same(self, target, sol, tol=0.0):
+        got = verify_reference.verify_feasible(target, sol)
+        assert got == pytest.approx(dense_verify(target, sol), rel=0, abs=tol)
         return got
 
     @pytest.mark.parametrize("name", sorted(TestPipelineAgainstReference.CLASSES))
@@ -789,11 +827,11 @@ class TestBlockLocalCheck:
         identity = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))
         checks = list(zip(pipe.stage_targets, pipe.stage_solutions)) + [(identity, pipe.solution)]
         for target, sol in checks:
-            assert self.assert_same(target, sol) < 1e-12
+            assert verify_feasible(target, sol) == verify_reference.verify_feasible(target, sol) < 1e-12
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_random_refining_labels(self, monkeypatch, chunk):
-        monkeypatch.setattr(sdp, "ROW_CHUNK", chunk)
+        monkeypatch.setattr(verify_reference, "ROW_CHUNK", chunk)
         rng = np.random.default_rng(21)
         n = 5
         for trial in range(40):
@@ -810,7 +848,7 @@ class TestBlockLocalCheck:
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_random_labels_that_do_not_refine(self, monkeypatch, chunk):
-        monkeypatch.setattr(sdp, "ROW_CHUNK", chunk)
+        monkeypatch.setattr(verify_reference, "ROW_CHUNK", chunk)
         rng = np.random.default_rng(22)
         members = generate_class("random", 6, size=50, seed=5).members
         for trial in range(20):
@@ -847,20 +885,21 @@ class TestBlockLocalCheck:
         cls = generate_class("random", 10, size=150, seed=1)
         pipe = oracle_id_pipeline(cls)
         sol, target = pipe.stage_solutions[1], pipe.stage_targets[1]
-        (block, u, _), = sol.parts
+        (part,) = sol.parts
+        block, u = part.block, part.u
         sizes = np.bincount(target.coarse)
         x = int(np.flatnonzero(sizes[target.coarse] > 1)[-1])
         # inside one class: x's hit weight doubled
         bumped = u.copy()
         bumped[x] *= 2.0
         inside = DenseSolution.from_parts(sol.domain, [(block, bumped, u)])
-        assert self.assert_same(target, inside) > 0.1
+        assert self.assert_same(target, inside, tol=1e-12) > 0.1
         # across classes: x joins the block of an input of another class
         y = int(np.flatnonzero(target.coarse != target.coarse[x])[0])
         moved = block.copy()
         moved[x] = block[y]
         across = DenseSolution.from_parts(sol.domain, [(moved, u, u)])
-        assert self.assert_same(target, across) > 0.1
+        assert self.assert_same(target, across, tol=1e-12) > 0.1
 
     def test_negative_and_non_contiguous_labels(self):
         rng = np.random.default_rng(24)
@@ -874,40 +913,35 @@ class TestBlockLocalCheck:
             sol = DenseSolution.from_parts(members, _integer_parts(rng, 60, 6, blocks))
             got = self.assert_same(LabelTarget(coarse, fine), sol)
             # the same classes under codes 0..k-1 check the same
-            assert got == verify_feasible(LabelTarget(pick, pick * 2 + sub), sol)
+            assert got == self.assert_same(LabelTarget(pick, pick * 2 + sub), sol)
 
     def test_rank_proof_reads_no_target_rows(self, monkeypatch):
-        # the stage checks and both forms of J - I read no target row and
-        # write no solution row: the pair loop would do both
+        # the stage checks and both forms of J - I read ranks, bits and
+        # labels only: no target row is expanded and no solution row written
         cls = generate_class("random", 13, size=400, seed=1)
         pipe = oracle_id_pipeline(cls)
-        read = []
-        rows, scan_rows = LabelTarget.rows, sdp._scan_rows
-
-        def counted_rows(self, lo, hi):
-            read.append(hi - lo)
-            return rows(self, lo, hi)
+        written = []
+        scan_rows = sdp._scan_rows
 
         def counted_scan_rows(sigmas, ranks, widths):
-            read.append(len(ranks))
+            written.append(len(ranks))
             return scan_rows(sigmas, ranks, widths)
 
-        monkeypatch.setattr(LabelTarget, "rows", counted_rows)
         monkeypatch.setattr(sdp, "_scan_rows", counted_scan_rows)
         checks = list(zip(pipe.stage_targets, pipe.stage_solutions))
         checks += [(target, pipe.solution) for target in _identity_targets(cls.size)]
         for target, sol in checks:
             assert verify_feasible(target, sol) < 1e-12
-        assert len(checks) == 10 and read == []
-        # the same counters see the pair loop
-        verify_feasible(pipe.stage_targets[0], _unpacked(pipe.stage_solutions[0]))
-        assert sum(read) == 2 * cls.size
+        assert len(checks) == 10 and written == []
+        # the same counter sees the oracle write both sides' rows
+        verify_reference.verify_feasible(pipe.stage_targets[0], pipe.stage_solutions[0])
+        assert sum(written) == 2 * cls.size
 
 
 def _unpacked(sol):
-    """The same solution with every part unpacked into a dense
-    ``(block, u, v)`` part, which ``verify_feasible`` checks pair by pair."""
-    return DenseSolution.from_parts(sol.domain, [tuple(part) for part in sol.parts])
+    """The same solution with every part written out as a dense ``(block,
+    u, v)`` part."""
+    return DenseSolution.from_parts(sol.domain, sol.parts)
 
 
 def _identity_targets(m):
@@ -938,9 +972,8 @@ SCAN_CLASSES = {
 
 class TestScanPartCheck:
     """A pipeline of scan parts is proven from its ranks, and the residual
-    the proof returns is the one the pair-by-pair check returns on the same
-    parts unpacked into their rows, and the all-pairs oracle's: equal, not
-    close."""
+    the proof returns is the one the all-pairs oracle returns on the same
+    parts written out as their rows: equal, not close."""
 
     @pytest.mark.parametrize("name", sorted(SCAN_CLASSES))
     def test_same_residual_as_the_unpacked_parts(self, name):
@@ -953,10 +986,9 @@ class TestScanPartCheck:
         assert sdp._is_identity_target(dense_identity)
         for target, sol in checks:
             labels = target if isinstance(target, LabelTarget) else identity
-            assert sdp._scan_chain_residual(labels, sol) is not None
             got = verify_feasible(target, sol)
-            assert got == verify_feasible(target, _unpacked(sol))
-            assert got == verify_reference.verify_feasible(target, sol)
+            assert got == sdp._scan_chain_residual(labels, sol)
+            assert got == verify_reference.verify_feasible(target, _unpacked(sol))
             assert got < 1e-12
 
     def test_the_six_cube_check_takes_the_rank_proof(self):
@@ -966,9 +998,8 @@ class TestScanPartCheck:
         assert ranks.dtype == np.intp and not ranks.flags.writeable
         assert np.array_equal(ranks, _scan_ranks(sol.parts[0], domain_bits(sol.domain)))
         target = LabelTarget(np.zeros(sol.size, dtype=np.intp), ranks)
-        proof = sdp._scan_chain_residual(target, sol)
-        assert proof == verify_feasible(target, sol) == verify_feasible(target, _unpacked(sol))
-        assert proof == verify_reference.verify_feasible(target, sol) == 2.220446049250313e-16
+        proof = verify_feasible(target, sol)
+        assert proof == verify_reference.verify_feasible(target, _unpacked(sol)) == 2.220446049250313e-16
 
     @pytest.mark.parametrize("name", sorted(SCAN_CLASSES))
     def test_every_runtime_part_is_a_scan_part(self, name):
@@ -996,11 +1027,11 @@ class TestScanPartCheck:
     def test_a_scan_part_stores_no_rows(self):
         cls = generate_class("random", 13, size=400, seed=1)
         for part in oracle_id_pipeline(cls).solution.parts:
-            block, u, v = part
-            assert u is v and u.shape == (cls.size, cls.n, 1)
+            u = part.u
+            assert u.shape == (cls.size, cls.n, 1)
             stored = sum(a.nbytes for a in (part.block, part.sigma, part.s, part.width, part.rank))
             assert stored < u.nbytes / 2
-            assert part.u.tobytes() == part.v.tobytes() == u.tobytes()
+            assert part.v.tobytes() == u.tobytes()
 
     def test_invalid_scan_parts_rejected(self):
         part = oracle_id_pipeline(generate_class("cube", 3)).solution.parts[1]
@@ -1034,14 +1065,32 @@ class TestScanPartCheck:
             SdpSolution(cls, [mutant])
 
     def test_in_range_scan_part_accepted(self, small_part):
-        # the extremes of each range, and an order that is no permutation:
-        # the check, not construction, finds it infeasible
+        # the extremes of each range, and any permutation as an order: the
+        # check, not construction, finds the part unproven
         cls, part = small_part
         rank, width, sigma = part.rank.copy(), part.width.copy(), part.sigma.astype(np.intp)
-        rank[-1], width[-1], sigma[0, :] = 6, 6, 0
+        rank[-1], width[-1], sigma[0] = 6, 6, sigma[0, ::-1].copy()
         mutant = dataclasses.replace(part, rank=rank, width=width, sigma=sigma)
         sol = SdpSolution(cls, [mutant])
-        assert verify_feasible(LabelTarget(np.zeros(cls.size, dtype=np.intp), np.arange(cls.size)), sol) > 0
+        assert verify_feasible(_identity_targets(cls.size)[1], sol) == math.inf
+
+    def test_ranks_equal_the_member_by_member_scan(self):
+        # the vectorised ranks are ``ordering.first_disagreement_rank``'s,
+        # across widths of one 64-bit word and beyond
+        rng = np.random.default_rng(26)
+        for n in range(1, 71):
+            s = BitString(n, int.from_bytes(rng.bytes(9), "big") >> (72 - n))
+            values = {s.value, s.value ^ 1}  # no disagreement, and the last bit
+            values |= {int.from_bytes(rng.bytes(9), "big") >> (72 - n) for _ in range(30)}
+            cls = ConceptClass.from_values(n, sorted(values))
+            sigma = tuple(int(v) for v in rng.permutation(n))
+            for width in sorted({0, 1, n, int(rng.integers(0, n + 1))}):
+                ranks = first_disagreement_ranks(cls, sigma, s, width)
+                want = [first_disagreement_rank(x, s, sigma, width) or 0 for x in cls.members]
+                assert ranks.tolist() == want
+                assert ranks.dtype == np.intp and not ranks.flags.writeable
+        with pytest.raises(ValueError, match="reference string length mismatch"):
+            first_disagreement_ranks(cls, sigma, BitString.zeros(71), 70)
 
     def test_the_members_are_transposed_once(self, monkeypatch):
         # one build, the 8 stage checks and J - I read one bit matrix of
@@ -1067,9 +1116,10 @@ class TestScanPartCheck:
 
 
 class TestScanPartMutants:
-    """A scan solution or target that breaks a premise of the proof is
-    checked pair by pair: its residual is exact, equal to the all-pairs
-    oracle's, and far outside the tolerance."""
+    """A scan solution or target that breaks a premise of the proof is not
+    certified: its residual is ``inf``.  Bit by bit, every mutant but one
+    is far outside the tolerance, and the all-pairs oracle agrees; the one,
+    the pipeline's stages out of order, is feasible but unprovable."""
 
     TOLERANCE = 1e-9
 
@@ -1078,11 +1128,11 @@ class TestScanPartMutants:
         return oracle_id_pipeline(generate_class("random", 10, size=150, seed=1))
 
     def assert_caught(self, target, sol):
-        got = verify_feasible(target, sol)
-        assert got == verify_feasible(target, _unpacked(sol))
-        assert got == verify_reference.verify_feasible(target, sol)
-        assert got > self.TOLERANCE
-        return got
+        assert verify_feasible(target, sol) == math.inf
+        dense = dense_verify(target, sol)
+        assert verify_reference.verify_feasible(target, sol) == pytest.approx(dense, rel=0, abs=1e-12)
+        assert dense > self.TOLERANCE
+        return dense
 
     def assert_part_caught(self, pipe, k, part):
         """Stage ``k`` with ``part`` for its own fails its stage target, and
@@ -1112,7 +1162,8 @@ class TestScanPartMutants:
 
     def test_sigma_that_is_no_permutation(self, pipe):
         # a block's last rank, past its width, repeats its first bit: the
-        # ranks still hold, but the rows write that bit twice
+        # ranks still hold, but the rows would write that bit twice, so a
+        # solution refuses the part
         k, b = next(
             (k, b) for k, part in enumerate(pipe.solution.parts)
             for b in range(len(part.width))
@@ -1122,16 +1173,13 @@ class TestScanPartMutants:
         sigma = part.sigma.copy()
         sigma[b, -1] = sigma[b, 0]
         mutant = dataclasses.replace(part, sigma=sigma)
-        assert mutant.rank is part.rank and not mutant.ranks_hold(domain_bits(pipe.concept_class))
+        assert mutant.ranks_hold(domain_bits(pipe.concept_class))
         domain = pipe.concept_class
         parts = list(pipe.solution.parts)
         parts[k] = mutant
-        for target, sol in ((pipe.stage_targets[k], SdpSolution(domain, [mutant])),
-                            (_identity_targets(domain.size)[1], SdpSolution(domain, parts))):
-            assert sdp._scan_chain_residual(target, sol) is None
-            got = verify_feasible(target, sol)
-            assert got == verify_feasible(target, _unpacked(sol))
-            assert got == verify_reference.verify_feasible(target, sol)
+        for mutant_parts in ([mutant], parts):
+            with pytest.raises(ValueError, match="orders must be permutations of the bit positions"):
+                SdpSolution(domain, mutant_parts)
 
     def test_flipped_bit_of_s(self, pipe):
         # the ranks recomputed against the flipped reference hold, but the
@@ -1163,25 +1211,30 @@ class TestScanPartMutants:
             for target in _identity_targets(domain.size):
                 self.assert_caught(target, sol)
 
-    def test_stages_out_of_order_are_read_pair_by_pair(self, pipe):
+    def test_stages_out_of_order_are_feasible_but_unprovable(self, pipe):
         # the same direct sum in another order is still feasible, but the
-        # chain of the proof starts at the first part: the check falls back
-        # and returns the exact residual, not a verdict
+        # chain of the proof starts at the first part: the check certifies
+        # nothing, though bit by bit the residual is within the tolerance
         domain, parts = pipe.concept_class, pipe.solution.parts
         swapped = SdpSolution(domain, (parts[1], parts[0]) + parts[2:])
-        _, identity = _identity_targets(domain.size)
-        assert sdp._scan_chain_residual(identity, swapped) is None
-        got = verify_feasible(identity, swapped)
-        assert got == verify_reference.verify_feasible(identity, swapped)
-        assert got == verify_feasible(identity, pipe.solution) < 1e-12
+        dense_identity, identity = _identity_targets(domain.size)
+        for target in (dense_identity, identity):
+            assert verify_feasible(target, swapped) == math.inf
+        assert dense_verify(identity, swapped) < 1e-12
+        got = verify_reference.verify_feasible(identity, swapped)
+        assert got == verify_reference.verify_feasible(identity, pipe.solution) < 1e-12
 
     def test_dense_target_one_entry_off_identity(self, pipe):
+        # one entry off J - I is a dense target the check refuses; bit by
+        # bit the solution misses it
         m = pipe.concept_class.size
         for i, j, value in ((3, 7, 1 - 1e-6), (5, 5, 1e-6), (0, 1, 0.0)):
             target = np.ones((m, m)) - np.eye(m)
             target[i, j] = value
             assert not sdp._is_identity_target(target)
-            self.assert_caught(target, pipe.solution)
+            with pytest.raises(ValueError, match="a dense target must be J - I"):
+                verify_feasible(target, pipe.solution)
+            assert dense_verify(target, pipe.solution) > self.TOLERANCE
 
 
 class TestDomainBits:

@@ -2,10 +2,13 @@
 at a time (``domain_bits``).
 
 ``verify_feasible`` computes the constraint sum of every input pair from
-the parts' unpacked ``(block, u, v)`` rows; the differential tests hold both
-paths of the runtime check to it exactly.  ``dense_sums``, ``dense_verify``
-and ``dense_cost`` read the ambient ``u``/``v`` arrays instead, one bit at a
-time, against dense targets built with ``dense_gram``.
+each part's rows (its ``block``, ``u`` and ``v``), a chunk of rows at a
+time: the pair-by-pair check, which takes any target and any solution,
+scan parts and the dense parts of ``sdp_compose`` alike.  The runtime rank
+proof is held to it exactly.  ``dense_sums``, ``dense_verify`` and
+``dense_cost`` read the ambient ``u``/``v`` arrays instead, one bit at a
+time, against dense targets built with ``dense_gram`` or expanded from
+label targets by ``target_rows``; the pair-by-pair check is held to them.
 """
 
 from __future__ import annotations
@@ -22,13 +25,27 @@ def domain_bits(domain) -> np.ndarray:
     return (np.frombuffer(text, dtype=np.uint8) - ord("0")).reshape(len(domain), -1)
 
 
+def target_rows(A, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo:hi`` of the target as a new dense float array: a
+    `LabelTarget`'s entry ``(x, y)`` is ``[coarse_x == coarse_y] - [fine_x
+    == fine_y]``."""
+    if not isinstance(A, LabelTarget):
+        return np.array(A[lo:hi], dtype=float)
+    coarse, fine = np.asarray(A.coarse), np.asarray(A.fine)
+    return (coarse[lo:hi, None] == coarse).astype(float) - (fine[lo:hi, None] == fine)
+
+
+def dense_target(A) -> np.ndarray:
+    """The whole target as a dense float array."""
+    return target_rows(A, 0, len(A.coarse) if isinstance(A, LabelTarget) else len(A))
+
+
 def verify_feasible(A, sol) -> float:
     """Worst absolute violation of the bilinear constraints against ``A``.
 
     ``A`` is an (inputs, inputs) array or a `LabelTarget`.  Every input
-    pair is checked, ``ROW_CHUNK`` rows at a time, so memory stays flat.
-    A return value at most the caller's tolerance certifies feasibility; a
-    non-finite entry or coordinate gives a non-finite value.
+    pair is checked, ``ROW_CHUNK`` rows at a time.  A non-finite entry or
+    coordinate gives a non-finite value.
 
     Per part, the constraint sums of all pairs are ``U1 V0^T + U0 V1^T``,
     one product ``[U1 U0] [V0 V1]^T``, masked to equal blocks, where
@@ -39,14 +56,8 @@ def verify_feasible(A, sol) -> float:
     if isinstance(A, LabelTarget):
         if np.shape(A.coarse) != (m,) or np.shape(A.fine) != (m,):
             raise ValueError(f"label target needs {m} labels per side")
-        target_rows = A.rows
-    else:
-        dense = np.asarray(A, dtype=float)
-        if dense.shape != (m, m):
-            raise ValueError(f"target must be {m}x{m}, got {dense.shape}")
-
-        def target_rows(lo, hi):
-            return dense[lo:hi].copy()
+    elif np.shape(A) != (m, m):
+        raise ValueError(f"target must be {m}x{m}, got {np.shape(A)}")
 
     bits = domain_bits(sol.domain)
     ones = bits[:, :, None].astype(float)
@@ -56,14 +67,14 @@ def verify_feasible(A, sol) -> float:
         return np.concatenate([(w * first).reshape(m, -1), (w * second).reshape(m, -1)], axis=1)
 
     factors = []
-    for block, u, v in sol.parts:
+    for part in sol.parts:
+        block = np.asarray(part.block)
         blocked = len(np.unique(block)) > 1
-        factors.append((block if blocked else None, split(u, ones, zeros), split(v, zeros, ones)))
+        factors.append((block if blocked else None, split(part.u, ones, zeros), split(part.v, zeros, ones)))
     worst = 0.0
     for lo in range(0, m, ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, m)
-        # |target - sums| in place: few temporaries, so the heap stays put
-        residual = target_rows(lo, hi)
+        residual = target_rows(A, lo, hi)
         for block, uu, vv in factors:
             inner = uu[lo:hi] @ vv.T
             if block is not None:
@@ -92,8 +103,9 @@ def dense_sums(sol) -> np.ndarray:
 
 
 def dense_verify(target, sol) -> float:
-    """Worst absolute violation over every input pair, bit by bit."""
-    return float(np.abs(dense_sums(sol) - np.asarray(target, dtype=float)).max())
+    """Worst absolute violation over every input pair, bit by bit; a
+    non-finite entry or coordinate gives a non-finite value."""
+    return float(np.abs(dense_sums(sol) - dense_target(target)).max())
 
 
 def dense_cost(sol) -> np.ndarray:
