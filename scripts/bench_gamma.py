@@ -11,16 +11,13 @@ the machine it ran on (from ``benchlib.machine``).  Exact mode scores all
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import statistics
 import sys
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from benchlib import BLAS_VARS, ROOT, machine  # noqa: E402
+import benchlib  # noqa: E402
 
 MEMBERS = (12, 16, 18, 20)
 N = 24
@@ -50,21 +47,9 @@ def measure(n: int, m: int, seed: int, repeats: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_gamma.json")
-    args = parser.parse_args(argv)
-    results = []
-    for m in MEMBERS:
-        row = measure(N, m, SEED, REPEATS)
-        print(json.dumps(row), flush=True)
-        results.append(row)
-    report = {"script": "scripts/bench_gamma.py", "machine": machine(), "classes": results}
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    return 0
+    rows = (measure(N, m, SEED, REPEATS) for m in MEMBERS)
+    return benchlib.write_report(__file__, __doc__, rows, argv)
 
 
 if __name__ == "__main__":
-    for var in BLAS_VARS:
-        os.environ.setdefault(var, "1")
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.exit(main())
+    benchlib.run_script(main)

@@ -24,9 +24,6 @@ environment already says otherwise.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
 import resource
 import statistics
 import sys
@@ -34,7 +31,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from benchlib import BLAS_VARS, ROOT, machine  # noqa: E402
+import benchlib  # noqa: E402
 
 CLASSES = ((16, 2000), (20, 10_000), (24, 100_000))  # (N, M) of each random class
 SEED = 1
@@ -82,21 +79,9 @@ def measure(n: int, m: int, seed: int, repeats: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_sdp.json")
-    args = parser.parse_args(argv)
-    results = []
-    for n, m in CLASSES:
-        row = measure(n, m, SEED, REPEATS)
-        print(json.dumps(row), flush=True)
-        results.append(row)
-    report = {"script": "scripts/bench_sdp.py", "machine": machine(), "classes": results}
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    return 0
+    rows = (measure(n, m, SEED, REPEATS) for n, m in CLASSES)
+    return benchlib.write_report(__file__, __doc__, rows, argv)
 
 
 if __name__ == "__main__":
-    for var in BLAS_VARS:
-        os.environ.setdefault(var, "1")
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.exit(main())
+    benchlib.run_script(main)

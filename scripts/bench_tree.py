@@ -14,10 +14,7 @@ the memory the ordering memos keep.  With the machine it ran on (from
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
-import os
 import statistics
 import sys
 import time
@@ -25,7 +22,7 @@ import tracemalloc
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from benchlib import BLAS_VARS, ROOT, machine  # noqa: E402
+import benchlib  # noqa: E402
 
 # (kind, N, M) of each class; hamming1 has M = N
 CLASSES = (
@@ -80,21 +77,9 @@ def measure(kind: str, n: int, m: int | None, seed: int, repeats: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_tree.json")
-    args = parser.parse_args(argv)
-    results = []
-    for kind, n, m in CLASSES:
-        row = measure(kind, n, m, SEED, REPEATS)
-        print(json.dumps(row), flush=True)
-        results.append(row)
-    report = {"script": "scripts/bench_tree.py", "machine": machine(), "classes": results}
-    args.out.write_text(json.dumps(report, indent=2) + "\n")
-    return 0
+    rows = (measure(kind, n, m, SEED, REPEATS) for kind, n, m in CLASSES)
+    return benchlib.write_report(__file__, __doc__, rows, argv)
 
 
 if __name__ == "__main__":
-    for var in BLAS_VARS:
-        os.environ.setdefault(var, "1")
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.exit(main())
+    benchlib.run_script(main)

@@ -177,9 +177,16 @@ class ConceptClass:
 
     @classmethod
     def from_json(cls, text: str) -> "ConceptClass":
+        """The class ``to_json`` wrote; any other payload raises ValueError."""
         payload = json.loads(text)
-        members = tuple(BitString.from_str(s) for s in payload["members"])
-        return cls(int(payload["n"]), members)
+        if not isinstance(payload, dict) or not {"n", "members"} <= payload.keys():
+            raise ValueError('a class file must be a JSON object with keys "n" and "members"')
+        n, members = payload["n"], payload["members"]
+        if type(n) is not int:
+            raise ValueError(f'a class file\'s "n" must be an integer, got {n!r}')
+        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+            raise ValueError('a class file\'s "members" must be a list of binary strings')
+        return cls(n, tuple(BitString.from_str(m) for m in members))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -76,12 +76,16 @@ class RunTrace:
     x: BitString
     identified: BitString
     positions: tuple[int, ...]
-    r: int
     ideal_cost: float
     raw_queries: int
     iterations: int
     norm_drift: float
     engine: str
+
+    @property
+    def r(self) -> int:
+        """Disagreements found, one per recorded position."""
+        return len(self.positions)
 
     @property
     def sum_positions(self) -> int:
@@ -138,11 +142,8 @@ class QuantumFinder:
 
     Correct with probability at least 2/3 per run via per-call error
     budgets of ``1 / (3 (r_max + 1))``, where ``r_max`` bounds the number
-    of calls a run can make.  Each call repeats its search until its
-    certified failure to that power is within the budget: a first-marked
-    scan's is ``qsim.scan_failure``, a single any-marked search's is
-    ``qsim.bbht_failure``.  At the default constants one repetition
-    suffices for scans up to a few hundred ranks wide.
+    of calls a run can make.  Each call goes to one ``qsim`` finder, which
+    repeats its search until its certified failure is within the budget.
 
     The run's ``EngineContext`` goes straight down to the searches, which
     charge its queries and check the simulated norm against this engine's
@@ -158,12 +159,7 @@ class QuantumFinder:
         return qsim.quantum_disagreement_finder(x, s, order, width, ctx, self.config).rank
 
     def find_any(self, x, s, ctx) -> int | None:
-        per_call = qsim.bbht_failure(qsim.search_dim(x.n), self.config)
-        for _ in range(qsim.repetitions_for_budget(ctx.error_budget, per_call)):
-            v = qsim.grover_search_unknown_count(x, x.n, ctx, s=s, config=self.config)
-            if v is not None:
-                return v
-        return None
+        return qsim.quantum_any_disagreement(x, s, ctx, self.config)
 
 
 def make_engine(engine) -> IdealFinder | QuantumFinder:
@@ -220,7 +216,6 @@ def _identify(concept_class: ConceptClass, x: BitString, engine, seed, step) -> 
         x=x,
         identified=BitString(x.n, identified),
         positions=tuple(positions),
-        r=len(positions),
         ideal_cost=ideal,
         raw_queries=ctx.queries,
         iterations=iterations,
@@ -330,7 +325,6 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
             x=xs,
             identified=xs,
             positions=positions,
-            r=len(positions),
             ideal_cost=ideal,
             raw_queries=0,
             iterations=iterations,

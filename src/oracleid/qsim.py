@@ -24,18 +24,19 @@ amplification):
 * positions already proven zero by earlier classical scans may be skipped
   for free -- that is knowledge, not an oracle call.
 
-One ``EngineContext`` carries a run's search state into every entry point
-and down to the amplified search itself: its one seeded ``numpy`` PCG64
-generator, the query count, the worst norm drift of the simulated state,
-and the failure budget of each disagreement-finder call.  Outcome sequences
-are reproducible bit-for-bit across platforms.  Each search round draws its
-iteration count, then exactly one uniform variate for the measurement.
-Within one amplified search the marked set is fixed, so the measurement
-distribution is built once per distinct iteration count and sampled by
-bisection on its cumulative sums.  Ranks a classical scan has queried one
-by one are known zeros; the repetitions of one disagreement-finder call
-share them through one view of the searched string, which carries its
-cleared prefix.
+Two finders answer the two questions the identification loops ask:
+``quantum_disagreement_finder`` the first disagreement in a scan order and
+``quantum_any_disagreement`` any disagreement.  Each repeats its search
+until its certified failure (``scan_failure``, ``bbht_failure``) is within
+the call's budget.  One ``EngineContext`` carries a run's state down to the
+amplified search: its seeded ``numpy`` PCG64 generator, query count, worst
+norm drift and per-call failure budget, so outcome sequences are
+reproducible bit-for-bit across platforms.  Each search round draws its
+iteration count, then one uniform variate for the measurement; the marked
+set is fixed within a search, so each distinct iteration count's
+distribution is built once and sampled by bisection on its cumulative sums.
+Ranks a classical scan has queried one by one are known zeros, which the
+repetitions of one first-disagreement call share.
 """
 
 from __future__ import annotations
@@ -54,16 +55,14 @@ __all__ = [
     "SearchConfig",
     "DEFAULT_CONFIG",
     "EngineContext",
-    "FirstOneResult",
     "DisagreementResult",
     "grover_probabilities",
     "search_dim",
-    "grover_search_unknown_count",
-    "find_first_one",
     "bbht_failure",
     "scan_failure",
-    "quantum_disagreement_finder",
     "repetitions_for_budget",
+    "quantum_disagreement_finder",
+    "quantum_any_disagreement",
 ]
 
 
@@ -116,52 +115,36 @@ class EngineContext:
 
 
 @dataclass(frozen=True)
-class FirstOneResult:
-    """Outcome of one first-marked-position scan.
-
-    ``exact`` means the answer was pinned down by classical queries alone
-    (every earlier rank individually verified zero), so it cannot be wrong.
-    """
-
-    position: int | None
-    exact: bool
-
-
-@dataclass(frozen=True)
 class DisagreementResult:
-    rank: int | None  # 1-based rank in scan order, None = no disagreement
+    """A first-disagreement scan's answer: ``rank`` is 1-based in scan
+    order (None: no disagreement found); ``exact`` means classical queries
+    alone pinned it down (every earlier rank verified zero), so it cannot
+    be wrong."""
+
+    rank: int | None
     exact: bool
 
 
 class _Effective:
     """Rank-indexed view of the string actually searched.
 
-    Rank ``t`` is bit ``order[t]`` of the hidden string XORed with the
-    reference ``s`` (zero reference and identity order by default).  The
-    raw bits live here so the simulator can count marked ranks, but every
-    read that reaches the algorithm is routed through a counted query.
+    Rank ``t``, below ``width``, is bit ``order[t]`` of the hidden string
+    XORed with the reference ``s``.  The raw bits live here so the
+    simulator can count marked ranks, but every read that reaches the
+    algorithm is routed through a counted query.
     Ranks below ``cleared`` have been queried one by one and are zero;
     repeated scans of one view share them.
     """
 
     __slots__ = ("ranks", "cleared")
 
-    def __init__(
-        self,
-        x: BitString,
-        s: BitString | None,
-        order: Sequence[int] | None,
-        width: int,
-    ) -> None:
-        scan = tuple(order) if order is not None else tuple(range(x.n))
-        if width > len(scan):
-            raise ValueError(f"width {width} exceeds scan order of length {len(scan)}")
-        if s is not None and s.n != x.n:
+    def __init__(self, x: BitString, s: BitString, order: Sequence[int], width: int) -> None:
+        scan = tuple(order)
+        if not 0 <= width <= len(scan):
+            raise ValueError(f"width {width} outside [0, {len(scan)}], the scan order's length")
+        if s.n != x.n:
             raise ValueError("reference string length mismatch")
-        if s is None:
-            self.ranks = tuple(x.bit(j) for j in scan[:width])
-        else:
-            self.ranks = tuple(x.bit(j) ^ s.bit(j) for j in scan[:width])
+        self.ranks = tuple(x.bit(j) ^ s.bit(j) for j in scan[:width])
         self.cleared = 0
 
     def query(self, t: int, ctx: EngineContext) -> int:
@@ -258,54 +241,20 @@ def _stage_ladder(classical_width: int, width: int) -> list[int]:
     return tops
 
 
-def grover_search_unknown_count(
-    x: BitString,
-    width: int,
-    ctx: EngineContext,
-    *,
-    s: BitString | None = None,
-    config: SearchConfig = DEFAULT_CONFIG,
-) -> int | None:
-    """Find any rank in [0, width) where ``x`` disagrees with ``s``.
-
-    Returns a verified marked rank (0-based), or None after the cutoff
-    schedule -- which is certain when nothing is marked and a bounded-error
-    miss otherwise.
-    """
-    return _bbht(_Effective(x, s, None, width), width, ctx, config)
-
-
-def find_first_one(
-    x: BitString,
-    width: int,
-    ctx: EngineContext,
-    *,
-    s: BitString | None = None,
-    order: Sequence[int] | None = None,
-    config: SearchConfig = DEFAULT_CONFIG,
-) -> FirstOneResult:
-    """Find the first rank in [0, width) where ``x`` disagrees with ``s``.
+def _first_one(eff: _Effective, ctx: EngineContext, config: SearchConfig) -> DisagreementResult:
+    """One scan for the first marked rank of ``eff``, skipping the ranks
+    below ``eff.cleared``, which are known zeros, and extending them.
 
     Strategy: scan a small prefix classically, then search prefixes of
-    doubling width for any disagreement; once one is verified at rank ``v``,
+    doubling width for any marked rank; once one is verified at rank ``v``,
     repeatedly search strictly before it to move the candidate forward.
     The gap below the candidate is finished off classically when it is
     small, which upgrades the answer to exact.
 
     Expected query cost scales with the square root of the answer.  A
-    returned position is always a verified disagreement but may be later
-    than the true first one; None may be wrong unless ``exact``.  Each call
-    starts with no rank cleared; ``quantum_disagreement_finder``'s
-    repetitions share theirs.
+    returned rank is always a verified disagreement but may be later than
+    the true first one; None may be wrong unless ``exact``.
     """
-    if width <= 0:
-        return FirstOneResult(None, True)
-    return _first_one(_Effective(x, s, order, width), ctx, config)
-
-
-def _first_one(eff: _Effective, ctx: EngineContext, config: SearchConfig) -> FirstOneResult:
-    """``find_first_one`` over all of ``eff``'s ranks, skipping those below
-    ``eff.cleared``, which are known zeros, and extending them."""
     width = len(eff.ranks)
     for top in _stage_ladder(config.classical_width, width):
         if top <= eff.cleared:
@@ -313,7 +262,7 @@ def _first_one(eff: _Effective, ctx: EngineContext, config: SearchConfig) -> Fir
         if top <= config.classical_width:
             q = _scan_region(eff, top, ctx)
             if q is not None:
-                return FirstOneResult(q, True)
+                return DisagreementResult(q + 1, True)
             continue
         v = _bbht(eff, top, ctx, config)
         if v is None:
@@ -322,15 +271,15 @@ def _first_one(eff: _Effective, ctx: EngineContext, config: SearchConfig) -> Fir
         while True:
             gap = best - eff.cleared
             if gap <= 0:
-                return FirstOneResult(best, True)
+                return DisagreementResult(best + 1, True)
             if gap <= config.classical_width:
                 q = _scan_region(eff, best, ctx)
-                return FirstOneResult(q if q is not None else best, True)
+                return DisagreementResult((q if q is not None else best) + 1, True)
             w = _bbht(eff, best, ctx, config)
             if w is None:
-                return FirstOneResult(best, False)
+                return DisagreementResult(best + 1, False)
             best = w
-    return FirstOneResult(None, eff.cleared >= width)
+    return DisagreementResult(None, eff.cleared >= width)
 
 
 def _miss_by_marked(limit: int, config: SearchConfig) -> np.ndarray:
@@ -399,8 +348,8 @@ def bbht_failure(dim: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
 
 @functools.lru_cache(maxsize=None)
 def scan_failure(width: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
-    """Certified bound on the probability that one ``find_first_one`` scan
-    of ``width`` ranks returns a wrong answer.
+    """Certified bound on the probability that one ``_first_one`` scan of
+    ``width`` ranks returns a wrong answer.
 
     A scan is wrong only when a ``_bbht`` call on a prefix holding a marked
     rank returns None; exact answers and verified positions never are.  A
@@ -430,8 +379,8 @@ def repetitions_for_budget(error_budget: float, per_scan: float) -> int:
 
     ``per_scan`` bounds the probability that one scan fails, whatever the
     earlier repetitions did, so ``t`` repetitions fail together with
-    probability at most ``per_scan**t``.  The finders pass the certified
-    ``scan_failure`` or ``bbht_failure``.
+    probability at most ``per_scan**t``.  The two finders pass the
+    certified ``scan_failure`` and ``bbht_failure``.
     """
     if not 0 < error_budget < 1:
         raise ValueError("error budget must be in (0, 1)")
@@ -443,11 +392,7 @@ def repetitions_for_budget(error_budget: float, per_scan: float) -> int:
 
 
 def quantum_disagreement_finder(
-    x: BitString,
-    s: BitString,
-    order: Sequence[int],
-    width: int,
-    ctx: EngineContext,
+    x: BitString, s: BitString, order: Sequence[int], width: int, ctx: EngineContext,
     config: SearchConfig = DEFAULT_CONFIG,
 ) -> DisagreementResult:
     """First scan-order disagreement of ``x`` with ``s``, amplified.
@@ -467,8 +412,28 @@ def quantum_disagreement_finder(
     for _ in range(repetitions):
         res = _first_one(eff, ctx, config)
         if res.exact:
-            pos = res.position
-            return DisagreementResult(None if pos is None else pos + 1, True)
-        if res.position is not None:
-            best = res.position if best is None else min(best, res.position)
-    return DisagreementResult(None if best is None else best + 1, False)
+            return res
+        if res.rank is not None:
+            best = res.rank if best is None else min(best, res.rank)
+    return DisagreementResult(best, False)
+
+
+def quantum_any_disagreement(
+    x: BitString, s: BitString, ctx: EngineContext, config: SearchConfig = DEFAULT_CONFIG
+) -> int | None:
+    """Any bit position where ``x`` disagrees with ``s``, amplified.
+
+    Repeats one unknown-count search over all ``x.n`` positions until one
+    returns; a returned position (0-based) is a verified disagreement.
+    None is certain when ``x == s`` and otherwise a miss of every
+    repetition, so the certified ``bbht_failure`` sets the repetition count
+    that brings it within ``ctx.error_budget``.
+    """
+    n = x.n
+    eff = _Effective(x, s, range(n), n)
+    repetitions = repetitions_for_budget(ctx.error_budget, bbht_failure(search_dim(n), config))
+    for _ in range(repetitions):
+        v = _bbht(eff, n, ctx, config)
+        if v is not None:
+            return v
+    return None

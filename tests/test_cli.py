@@ -209,12 +209,25 @@ class TestInputErrors:
         ("bounds", "--grid", "N=4;M=1"),
         ("bounds", "--grid", "N=4;M=-3"),
         ("bounds", "--grid", "N=-1;M=4"),
+        # malformed class files: {bad} is a file holding the row's last entry
+        ("run", "--class-file", "{bad}", "--all", "null"),
+        ("run", "--class-file", "{bad}", "--all", "[1]"),
+        ("run", "--class-file", "{bad}", "--all", '{"members": ["011"]}'),
+        ("run", "--class-file", "{bad}", "--all", '{"n": 3}'),
+        ("run", "--class-file", "{bad}", "--all", '{"n": 1, "members": [1]}'),
+        ("run", "--class-file", "{bad}", "--all", '{"n": 3.5, "members": ["011"]}'),
+        ("run", "--class-file", "{bad}", "--all", '{"n": 1, "members": "01"}'),
+        ("verify", "--suite", "sdp", "--class-file", "{bad}", '{"n": 3.5, "members": ["011"]}'),
     ])
     def test_one_line_and_exit_code_2(self, tmp_path, capsys, argv):
         cf = tmp_path / "c.json"
         run_cli("gen", "--kind", "hamming1", "--n", "3", "-o", str(cf))
         out = tmp_path / "out.txt"
-        argv = [a.format(cf=cf, missing=tmp_path / "missing.json") for a in argv]
+        bad = tmp_path / "bad.json"
+        if "{bad}" in argv:
+            *argv, payload = argv
+            bad.write_text(payload)
+        argv = [a.format(cf=cf, missing=tmp_path / "missing.json", bad=bad) for a in argv]
         assert run_cli(*argv, "-o", str(out)) == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1

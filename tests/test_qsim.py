@@ -11,9 +11,7 @@ from oracleid.identify import QuantumFinder, _new_context
 from oracleid.ordering import clear_ordering_cache
 from oracleid.qsim import (
     EngineContext,
-    find_first_one,
     grover_probabilities,
-    grover_search_unknown_count,
     quantum_disagreement_finder,
     repetitions_for_budget,
     scan_failure,
@@ -27,6 +25,24 @@ def bs(text):
 def ctx_for(seed, error_budget=1 / 15):
     """A fresh run state: the seeded generator, no queries, no drift."""
     return EngineContext(np.random.default_rng(seed), error_budget)
+
+
+def effective(x, width, s=None):
+    """``x`` against ``s`` (zeros by default) in natural order, ``width`` ranks."""
+    return qsim._Effective(x, BitString.zeros(x.n) if s is None else s, range(x.n), width)
+
+
+def unknown_count_search(x, width, ctx, *, s=None, config=qsim.DEFAULT_CONFIG):
+    """One ``_bbht`` call over ranks [0, width) of ``x`` against ``s``."""
+    return qsim._bbht(effective(x, width, s), width, ctx, config)
+
+
+def first_one(x, ctx):
+    """The first 1 of ``x`` as a 1-based rank.  At these widths
+    ``scan_failure`` is within ``ctx_for``'s budget, so the finder runs one
+    scan."""
+    assert scan_failure(x.n) <= ctx.error_budget
+    return quantum_disagreement_finder(x, BitString.zeros(x.n), range(x.n), x.n, ctx)
 
 
 class TestSearchConfig:
@@ -128,13 +144,13 @@ class TestTwoAmplitudeModel:
 class TestUnknownCountSearch:
     def test_all_marked_found_immediately(self):
         ctx = ctx_for(0)
-        v = grover_search_unknown_count(bs("11111111"), 8, ctx)
+        v = unknown_count_search(bs("11111111"), 8, ctx)
         assert v is not None and 0 <= v < 8
         assert ctx.queries <= 5  # first round measures the uniform state
 
     def test_none_marked_gives_up_within_budget(self):
         ctx = ctx_for(1)
-        v = grover_search_unknown_count(bs("00000000"), 8, ctx)
+        v = unknown_count_search(bs("00000000"), 8, ctx)
         assert v is None
         # iteration budget 9*sqrt(8), plus one verification per round
         assert ctx.queries <= 3 * 9 * math.sqrt(8)
@@ -145,7 +161,7 @@ class TestUnknownCountSearch:
         for t in range(trials):
             ctx = ctx_for((2, t))
             x = BitString(16, 1 << (t % 16))
-            v = grover_search_unknown_count(x, 16, ctx)
+            v = unknown_count_search(x, 16, ctx)
             hits += v is not None and x.bit(v) == 1
             queries.append(ctx.queries)
         assert hits / trials >= 0.60
@@ -153,12 +169,12 @@ class TestUnknownCountSearch:
 
     def test_marked_via_reference_string(self):
         # marking is disagreement with s, not bit value
-        v = grover_search_unknown_count(bs("1011"), 4, ctx_for(5), s=bs("1111"))
+        v = unknown_count_search(bs("1011"), 4, ctx_for(5), s=bs("1111"))
         assert v == 1  # the only disagreement
 
     def test_zero_width(self):
         ctx = ctx_for(0)
-        assert grover_search_unknown_count(bs("1"), 0, ctx) is None
+        assert unknown_count_search(bs("1"), 0, ctx) is None
         assert ctx.queries == 0
 
 
@@ -182,7 +198,7 @@ class TestSamplerMatchesReference:
         for limit in range(1, 131):
             for ranks in _marked_sets(limit, rng):
                 x = BitString.from_bits([int(t in ranks) for t in range(limit)])
-                eff = qsim._Effective(x, None, None, limit)
+                eff = effective(x, limit)
                 seed = (limit, len(ranks))
                 new, old = ctx_for(seed), ctx_for(seed)
                 got = qsim._bbht(eff, limit, new, config)
@@ -203,7 +219,7 @@ class TestSamplerMatchesReference:
             return exact(dim, marked, iterations)
 
         monkeypatch.setattr(qsim, "grover_probabilities", counted)
-        eff = qsim._Effective(BitString(64, 0), None, None, 64)
+        eff = effective(BitString(64, 0), 64)
         assert bbht_reference(eff, 64, ctx_for(3), qsim.DEFAULT_CONFIG) is None
         rounds = len(calls)
         calls.clear()
@@ -215,18 +231,18 @@ class TestSamplerMatchesReference:
 class TestFindFirstOne:
     def test_first_one_mid_string(self):
         ctx = ctx_for(3)
-        res = find_first_one(bs("0010"), 4, ctx)
-        assert res.position == 2 and res.exact
+        res = first_one(bs("0010"), ctx)
+        assert res.rank == 3 and res.exact
         assert ctx.queries == 3  # classical scan of the short prefix
 
     def test_all_zero(self):
-        res = find_first_one(bs("0000"), 4, ctx_for(3))
-        assert res.position is None and res.exact
+        res = first_one(bs("0000"), ctx_for(3))
+        assert res.rank is None and res.exact
 
     def test_all_ones(self):
         ctx = ctx_for(3)
-        res = find_first_one(bs("1111"), 4, ctx)
-        assert res.position == 0 and res.exact
+        res = first_one(bs("1111"), ctx)
+        assert res.rank == 1 and res.exact
         assert ctx.queries == 1
 
     @pytest.mark.parametrize("n", [8, 16])
@@ -236,8 +252,8 @@ class TestFindFirstOne:
         for t in range(trials):
             p0 = t % n
             x = BitString(n, 1 << (n - 1 - p0))
-            res = find_first_one(x, n, ctx_for((4, n, t)))
-            hits += res.position == p0
+            res = first_one(x, ctx_for((4, n, t)))
+            hits += res.rank == p0 + 1
         assert hits / trials >= 0.60
 
     def test_mean_queries_scale_with_answer(self):
@@ -251,7 +267,7 @@ class TestFindFirstOne:
             for t in range(60):
                 ctx = ctx_for((5, p0, t))
                 x = BitString(n, 1 << (n - 1 - p0))
-                find_first_one(x, n, ctx)
+                first_one(x, ctx)
                 qs.append(ctx.queries)
             means[p0] = np.mean(qs)
             assert means[p0] <= 60 * math.sqrt(p0 + 1)
@@ -262,17 +278,17 @@ class TestFindFirstOne:
         for t in range(200):
             value = int(rng_master.integers(0, 1 << 12))
             x = BitString(12, value)
-            res = find_first_one(x, 12, ctx_for((6, t)))
-            if res.position is not None:
-                assert x.bit(res.position) == 1
+            res = first_one(x, ctx_for((6, t)))
+            if res.rank is not None:
+                assert x.bit(res.rank - 1) == 1
 
     def test_search_wider_than_64_bits(self):
         # the model holds two amplitudes, so the width is not memory-capped
         n = 100
         x = BitString(n, 1 << (n - 1 - 70))
         for t in range(20):
-            res = find_first_one(x, n, ctx_for((10, t)))
-            assert res.position in (70, None)
+            res = first_one(x, ctx_for((10, t)))
+            assert res.rank in (71, None)
 
 
 class TestDisagreementFinder:
@@ -322,6 +338,23 @@ class TestDisagreementFinder:
         assert res == qsim.DisagreementResult(None, False)
         assert len(full_searches) >= 2  # one per repetition
         assert scanned == list(range(qsim.DEFAULT_CONFIG.classical_width))
+
+    def test_any_marked_search_repeats_to_the_budget(self, monkeypatch):
+        # nothing marked: every repetition runs to its cutoff and misses
+        n, budget = 16, 1e-12
+        limits = []
+        bbht = qsim._bbht
+        monkeypatch.setattr(qsim, "_bbht", lambda *a: limits.append(a[1]) or bbht(*a))
+        zeros = BitString.zeros(n)
+        assert QuantumFinder().find_any(zeros, zeros, ctx_for(0, budget)) is None
+        repetitions = repetitions_for_budget(budget, qsim.bbht_failure(qsim.search_dim(n)))
+        assert repetitions >= 2
+        assert limits == [n] * repetitions
+
+    @pytest.mark.parametrize("width", [-1, 5])
+    def test_a_width_outside_the_scan_order_is_refused(self, width):
+        with pytest.raises(ValueError, match=rf"width {width} outside \[0, 4\]"):
+            quantum_disagreement_finder(bs("0110"), bs("0000"), range(4), width, ctx_for(0))
 
     def test_repetition_count(self):
         assert repetitions_for_budget(1 / 15, 1 / 3) == 3
@@ -386,7 +419,7 @@ class TestFailureBound:
         trials, misses = 4000, 0
         for t in range(trials):
             x = BitString(limit, sum(1 << (2 * i + 1) for i in range(n_marked)))
-            v = grover_search_unknown_count(x, limit, ctx_for((12, limit, t)), config=config)
+            v = unknown_count_search(x, limit, ctx_for((12, limit, t)), config=config)
             misses += v is None
         assert p > 0.05  # the band below is only informative where misses are common
         assert abs(misses / trials - p) <= 4 * math.sqrt(p * (1 - p) / trials)
@@ -479,7 +512,7 @@ class TestDeterminismAndNorm:
             runs = []
             for _ in range(2):
                 ctx = ctx_for(seed)
-                res = find_first_one(bs("0000000000000001"), 16, ctx)
+                res = first_one(bs("0000000000000001"), ctx)
                 runs.append((res, ctx.queries, ctx.max_drift))
             assert runs[0] == runs[1]
 
@@ -496,5 +529,5 @@ class TestDeterminismAndNorm:
         monkeypatch.setattr(qsim, "grover_probabilities", lambda dim, marked, j: (1.0, 1.0))
         ctx = ctx_for(0)
         with pytest.raises(RuntimeError, match="norm drifted"):
-            grover_search_unknown_count(bs("00010000"), 8, ctx)
+            unknown_count_search(bs("00010000"), 8, ctx)
         assert ctx.max_drift == pytest.approx(math.sqrt(8) - 1.0)
