@@ -5,7 +5,7 @@
 For each random class of ``N`` bits and ``M`` members in ``CLASSES`` (seed
 ``SEED``) it times, ``REPEATS`` times over, and records the median of each:
 
-* the cold pruning tree: ``ordering._tree`` with an empty ordering cache;
+* the cold pruning tree: ``ordering._greedy`` with an empty ordering cache;
 * the rest of the build: ``oracle_id_pipeline`` on that tree;
 * the stage checks: ``verify_feasible`` on every stage target;
 * the ``J - I`` check of the chained solution, as the label target
@@ -42,7 +42,7 @@ def measure(n: int, m: int, seed: int, repeats: int) -> dict:
     import numpy as np
 
     from oracleid.bitstrings import ConceptClass, generate_class
-    from oracleid.ordering import _tree, clear_ordering_cache
+    from oracleid.ordering import _greedy, clear_ordering_cache
     from oracleid.sdp import LabelTarget, oracle_id_pipeline, verify_feasible
 
     first = generate_class("random", n, size=m, seed=seed)
@@ -53,7 +53,7 @@ def measure(n: int, m: int, seed: int, repeats: int) -> dict:
         cls = ConceptClass(first.n, first.members)  # nothing cached on it yet
         clear_ordering_cache()
         t0 = time.perf_counter()
-        _tree(cls.n, cls.values)
+        _greedy(cls.n, cls.values)
         t1 = time.perf_counter()
         pipe = oracle_id_pipeline(cls)
         t2 = time.perf_counter()

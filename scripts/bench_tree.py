@@ -8,7 +8,7 @@ and M members drawn with seed ``SEED``, whose trees are deep -- it times
 ``REPEATS`` cold ``identify_all`` calls (an empty ordering cache each time)
 and records their median.  Then, under tracemalloc, it records what a cold
 ``oracle_id_pipeline`` build leaves allocated once its result is dropped:
-the memory the ordering memos keep.  With the machine it ran on (from
+the memory the pruning-tree memo keeps.  With the machine it ran on (from
 ``benchlib.machine``), it writes them as JSON.
 """
 

@@ -178,7 +178,10 @@ class ConceptClass:
     @classmethod
     def from_json(cls, text: str) -> "ConceptClass":
         """The class ``to_json`` wrote; any other payload raises ValueError."""
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"a class file must be JSON: {exc}") from None
         if not isinstance(payload, dict) or not {"n", "members"} <= payload.keys():
             raise ValueError('a class file must be a JSON object with keys "n" and "members"')
         n, members = payload["n"], payload["members"]

@@ -73,6 +73,11 @@ def _check_positive(flag: str, value: int) -> None:
         raise ValueError(f"--{flag} must be positive, got {value}")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -97,6 +102,7 @@ def _starmap(fn, arg_tuples: list[tuple], jobs: int) -> list:
 # ---------------------------------------------------------------- gen
 
 def cmd_gen(args) -> int:
+    _check_seed(args.seed)
     cls = generate_class(
         args.kind,
         args.n,
@@ -136,6 +142,7 @@ def cmd_run(args) -> int:
         raise ValueError("run needs one of --x and --all")
     _check_positive("trials", args.trials)
     _check_positive("jobs", args.jobs)
+    _check_seed(args.seed)
     cls = ConceptClass.load(args.class_file)
     if args.all:
         xs = [str(m) for m in cls.members]

@@ -6,10 +6,8 @@ All three algorithms run one loop, ``_identify``: keep a candidate set
 reference derived from ``S``, replace ``S`` by the candidates consistent
 with the hit, and stop once one candidate remains or the search finds
 nothing (the reference is then the answer).  ``S`` is a tuple of packed
-member values in class order, the key ``_greedy``'s memo is looked up by,
-and every step returns its survivors as such a tuple: the final step hands
-back the greedy's elimination block for the hit rank as it is.  The three
-steps differ only in the reference and the scan:
+member values in class order.  The three steps differ only in the
+reference and the scan:
 
 * ``_basic_step``: reference is the bitwise majority of ``S``; any
   disagreement will do; a hit at least halves ``S``.
@@ -18,7 +16,9 @@ steps differ only in the reference and the scan:
   hit shortens the effective string.
 * ``_final_step``: reference and scan order come from the greedy ordering,
   whose elimination set for rank ``p`` is exactly the survivors of a hit
-  at rank ``p``, so the hit prunes ``S`` by a factor ``max(2, p)``.
+  at rank ``p``, so the hit prunes ``S`` by a factor ``max(2, p)``.  It
+  walks the class's memoized pruning tree (``ordering._greedy``), where
+  the ranks found so far lead to the candidates' node or a lone member.
 
 Cost accounting in the returned trace: each found disagreement at rank
 ``p`` is charged ``sqrt(p)`` of idealized cost; an iteration that finds no
@@ -27,8 +27,7 @@ disagreement is charged ``sqrt(L)`` where ``L`` is the width it scanned
 basic step charges ``sqrt(N)`` every iteration since it never shortens its
 scan).  ``raw_queries`` counts actual oracle invocations and is nonzero
 only for the quantum engine.  ``identify_all`` reads every member's trace
-off the final algorithm's pruning tree, which ``ordering._tree`` builds
-once per class from the class's bit columns with the same greedy.
+off the same tree.
 
 Each run builds one ``qsim.EngineContext`` (its generator, query count,
 worst norm drift and per-call error budget) and hands it to every step; the
@@ -40,13 +39,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
 
 from . import qsim
 from .bitstrings import BitString, ConceptClass, majority_value
-from .ordering import _greedy, _tree, first_disagreement_rank
+from .ordering import _greedy, first_disagreement_rank
 from .qsim import EngineContext
 
 __all__ = [
@@ -183,18 +183,19 @@ def _check_input(concept_class: ConceptClass, x: BitString) -> None:
         raise ValueError("hidden string length does not match the class")
 
 
-def _identify(concept_class: ConceptClass, x: BitString, engine, seed, step) -> RunTrace:
-    """The loop every algorithm shares; ``step`` picks the reference and searches.
+def _identify(concept_class: ConceptClass, x: BitString, engine, seed, step, S) -> RunTrace:
+    """The loop every algorithm shares, from the class's values ``S``;
+    ``step`` picks the reference and searches.
 
     ``step(engine, ctx, x, S, positions)`` returns ``(reference, rank, cost,
     survivors)``: the reference value, the recorded rank of the disagreement
-    found (None for none), the idealized cost charged, and the members of
-    ``S`` consistent with the hit, as a tuple in the order of ``S``.
+    found (None for none), the idealized cost charged, and the next ``S``:
+    the members of ``S`` consistent with the hit, in the order of ``S`` (the
+    final step keeps ``S`` while its ranks lead to a tree node).
     """
     engine = make_engine(engine)
     _check_input(concept_class, x)
     ctx = _new_context(concept_class, seed)
-    S = concept_class.values
     positions: list[int] = []
     ideal = 0.0
     iterations = 0
@@ -249,12 +250,16 @@ def _improved_step(engine, ctx, x, S, positions):
     return maj, rank, math.sqrt(rank), tuple(v for v in S if (v ^ maj) >> (n - 1 - hit) == 1)
 
 
-def _final_step(engine, ctx, x, S, positions):
-    sigma, s_value, elim, width = _greedy(x.n, S)
+def _final_step(tree, engine, ctx, x, S, positions):
+    # every block within a node's width holds a member: a hit leads to a
+    # node (two or more members) or settles on a lone member
+    nodes, members = tree
+    sigma, s_value, width = nodes[tuple(positions)]
     rank = engine.find_first(x, BitString(x.n, s_value), sigma, width, ctx)
     if rank is None:
         return s_value, None, math.sqrt(width), None
-    return s_value, rank, math.sqrt(rank), elim[rank - 1]
+    path = (*positions, rank)
+    return s_value, rank, math.sqrt(rank), S if path in nodes else (members[path],)
 
 
 def run_halving_basic(
@@ -265,7 +270,7 @@ def run_halving_basic(
     Recorded positions are absolute 1-based bit indices; every iteration
     is charged ``sqrt(N)`` of idealized cost.
     """
-    return _identify(concept_class, x, engine, seed, _basic_step)
+    return _identify(concept_class, x, engine, seed, _basic_step, concept_class.values)
 
 
 def run_halving_improved(
@@ -277,7 +282,7 @@ def run_halving_improved(
     treated as strings of the remaining length; recorded positions are the
     1-based ranks within each iteration's effective suffix.
     """
-    return _identify(concept_class, x, engine, seed, _improved_step)
+    return _identify(concept_class, x, engine, seed, _improved_step, concept_class.values)
 
 
 def run_final(
@@ -285,19 +290,21 @@ def run_final(
 ) -> RunTrace:
     """Greedy scan order, first disagreement in that order.
 
-    Each iteration recomputes the ordering for the current candidate set
-    and scans only its effective width; a hit at rank ``p`` leaves the
-    greedy's elimination set for rank ``p``, pruning by a factor
-    ``max(2, p)``, which yields the trace bounds ``sum(p_i) <= N`` and
-    ``prod(max(2, p_i)) <= M``.
+    Each iteration scans the greedy ordering of the current candidate set,
+    the pruning-tree node its ranks so far lead to, up to its effective
+    width; a hit at rank ``p`` leaves the greedy's elimination set for rank
+    ``p``, pruning by a factor ``max(2, p)``, which yields the trace bounds
+    ``sum(p_i) <= N`` and ``prod(max(2, p_i)) <= M``.
     """
-    return _identify(concept_class, x, engine, seed, _final_step)
+    values = concept_class.values
+    step = partial(_final_step, _greedy(concept_class.n, values))
+    return _identify(concept_class, x, engine, seed, step, values)
 
 
 def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
     """Exact final-algorithm traces for every member at once.
 
-    Read off the class's memoized pruning tree (``ordering._tree``) instead
+    Read off the class's memoized pruning tree (``ordering._greedy``) instead
     of running each member separately: a member's positions are its rank
     path, and its run ends at the node the path leads to (it is that
     node's reference, found by one more, unsuccessful search charged
@@ -307,10 +314,10 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
     ``identified`` is the class's own member object.
     """
     values = concept_class.values
-    nodes, paths = _tree(concept_class.n, values)
-    members = dict(zip(values, concept_class.members))
+    nodes, members = _greedy(concept_class.n, values)
+    own = dict(zip(values, concept_class.members))
     traces: dict[BitString, RunTrace] = {}
-    for value, positions in paths.items():
+    for positions, value in members.items():
         ideal = 0.0
         for p in positions:
             ideal += math.sqrt(p)
@@ -320,7 +327,7 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
             _, _, width = node
             ideal += math.sqrt(width)
             iterations += 1
-        xs = members[value]
+        xs = own[value]
         traces[xs] = RunTrace(
             x=xs,
             identified=xs,

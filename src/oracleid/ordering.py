@@ -10,13 +10,14 @@ go, the more it learns.
 The greedy counts on bit columns: a set's members are the bits of an
 index mask, column ``j`` is the mask of the members with bit ``j`` set,
 and a count is ``(column & survivors).bit_count()``.  One greedy,
-``_greedy_masks``, serves two memos.  ``_greedy`` orders one candidate set
-(the final algorithm's step and ``hegedus_ordering``); ``_tree`` builds the
-final algorithm's whole pruning tree over a class from the class's own
-columns, each node on a sub-mask of the root, and is what
-``identify.identify_all`` and ``sdp.oracle_id_pipeline`` read.
-``hegedus_ordering`` and ``verify_ordering`` take a `ConceptClass`, or any
-strings ``ConceptClass.of`` makes one of (distinct, of one length).
+``_greedy_masks``, and one memo over it.  ``hegedus_ordering`` runs the
+greedy once on a set's own columns.  ``_greedy`` builds the final
+algorithm's whole pruning tree over a class from the class's columns,
+each node on a sub-mask of the root, once per class; ``identify.run_final``
+walks it, and ``identify.identify_all`` and ``sdp.oracle_id_pipeline``
+read all of it.  ``hegedus_ordering`` and ``verify_ordering`` take a
+`ConceptClass`, or any strings ``ConceptClass.of`` makes one of (distinct,
+of one length).
 """
 
 from __future__ import annotations
@@ -123,81 +124,58 @@ def _greedy_masks(n: int, cols: Sequence[int], cur: int):
     return tuple(sigma), s_value, tuple(elim), width if width is not None else n
 
 
-def _select(values: Sequence[int], mask: int) -> tuple[int, ...]:
-    """The ``values[i]`` for the set bits ``i`` of ``mask``, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(values[low.bit_length() - 1])
-        mask ^= low
-    return tuple(out)
-
-
-@lru_cache(maxsize=1 << 17)
-def _greedy(n: int, values: tuple[int, ...]):
-    """Greedy scan order on packed ints: ``_greedy_masks`` over all of
-    ``values``.
-
-    Returns ``(sigma, s_value, elim_values, width)`` where ``elim_values[p-1]``
-    holds the members first disagreeing with ``s`` at rank ``p``, in the
-    order of ``values``.
-    """
-    cols = bit_columns(n, values)
-    sigma, s_value, elim, width = _greedy_masks(n, cols, (1 << len(values)) - 1)
-    # the ranks past the width, most of sigma on small sets, hold no one
-    blocks = tuple(_select(values, mask) if mask else () for mask in elim)
-    return sigma, s_value, blocks, width
-
-
 class _Tree(NamedTuple):
     """The final algorithm's pruning tree over a whole class.
 
     nodes: per node, keyed by its rank path (the ranks of the hits that
        lead to it, ``()`` for the root), the greedy's ``(sigma, s_value,
        width)`` on its members.
-    paths: per member value, its rank path, in the order a depth-first
-       walk settles the members: a node's lone-member blocks and subtrees
-       by rank, then its reference, whose path is the node's own.
+    members: per rank path, the member value a run along it settles on: a
+       node's reference, whose path is the node's own, or the lone member
+       of a block.  In the order a depth-first walk settles them: a node's
+       lone-member blocks and subtrees by rank, then its reference.
     """
 
     nodes: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]]
-    paths: dict[int, tuple[int, ...]]
+    members: dict[tuple[int, ...], int]
 
 
 @lru_cache(maxsize=16)
-def _tree(n: int, values: tuple[int, ...]) -> _Tree:
-    """The pruning tree of the class ``values``, from its bit columns, built
-    once: every node runs ``_greedy_masks`` on a sub-mask of the root."""
-    nodes: dict = {}
-    paths: dict = {}
-    _grow(n, bit_columns(n, values), values, (1 << len(values)) - 1, (), nodes, paths)
-    return _Tree(nodes, paths)
+def _greedy(n: int, values: tuple[int, ...]) -> _Tree:
+    """The greedy on every candidate set of the final algorithm over the
+    class ``values``: its pruning tree, from its bit columns, built once.
+    Every node runs ``_greedy_masks`` on a sub-mask of the root."""
+    tree = _Tree({}, {})
+    _grow(n, bit_columns(n, values), values, (1 << len(values)) - 1, (), tree)
+    return tree
 
 
-def _grow(n, cols, values, cur, path, nodes, paths) -> None:
+def _grow(n, cols, values, cur, path, tree) -> None:
     """Add the node of the members in ``cur``, at ``path``, and its subtree.
 
-    A module-level function, not a closure over ``nodes``: a closure that
+    A module-level function, not a closure over ``tree``: a closure that
     calls itself is a reference cycle.
     """
     sigma, s_value, elim, width = _greedy_masks(n, cols, cur)
-    nodes[path] = (sigma, s_value, width)
+    tree.nodes[path] = (sigma, s_value, width)
     for p, block in enumerate(elim[:width], start=1):
         if block & (block - 1):  # two or more members
-            _grow(n, cols, values, block, path + (p,), nodes, paths)
+            _grow(n, cols, values, block, path + (p,), tree)
         else:
-            paths[values[block.bit_length() - 1]] = path + (p,)
+            tree.members[path + (p,)] = values[block.bit_length() - 1]
     # after width ranks only s itself is left
-    paths[s_value] = path
+    tree.members[path] = s_value
 
 
 def hegedus_ordering(strings: Iterable[BitString] | ConceptClass) -> Ordering:
     """Build the greedy scan order for a candidate set."""
     cls = ConceptClass.of(strings)
-    n = cls.n
-    sigma, s_value, elim_values, width = _greedy(n, cls.values)
+    n, m = cls.n, cls.size
+    sigma, s_value, elim, width = _greedy_masks(n, bit_columns(n, cls.values), (1 << m) - 1)
+    # member i is bit i of a block's mask, character i of its reversed binary
     elim_sets = tuple(
-        tuple(BitString(n, v) for v in block) for block in elim_values
+        tuple(x for x, bit in zip(cls.members, f"{mask:0{m}b}"[::-1]) if bit == "1")
+        for mask in elim
     )
     return Ordering(sigma, BitString(n, s_value), elim_sets, width)
 
@@ -248,7 +226,6 @@ def first_disagreement_rank(
 
 
 def clear_ordering_cache() -> None:
-    """Drop both memos: ``_greedy``'s scan orders and ``_tree``'s pruning
-    trees (useful between large sweeps, and to time a cold build)."""
+    """Drop the memo: ``_greedy``'s pruning trees (useful between large
+    sweeps, and to time a cold build)."""
     _greedy.cache_clear()
-    _tree.cache_clear()

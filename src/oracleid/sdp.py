@@ -59,7 +59,7 @@ a rank that is not its first disagreement, or parts that do not chain --
 is not certified: its residual is ``inf``.
 
 ``oracle_id_pipeline`` builds, from the class's memoized pruning tree
-(``ordering._tree``, the one ``identify_all`` reads), a feasible solution
+(``ordering._greedy``, the one ``identify_all`` reads), a feasible solution
 for ``J - I`` of one scan part per stage, whose cost tracks the per-input
 trace cost ``sum_i sqrt(p_i) + sqrt(width)`` without any error-reduction
 factor for composing bounded-error stages.  The general algebra this is an
@@ -78,7 +78,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .bitstrings import BitString, ConceptClass, bit_matrix, generate_class
-from .ordering import _tree
+from .ordering import _greedy
 
 __all__ = [
     "ScanPart",
@@ -470,9 +470,10 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
 
     # f_k(x) is the first k ranks of x's rank path, 0-padded: a lone member,
     # or the reference of its block, finds no disagreement
-    nodes, tree_paths = _tree(n, values)
+    nodes, members = _greedy(n, values)
     stages = 1 + max(map(len, nodes)) if m > 1 else 0
-    paths = [tree_paths[v] for v in values]
+    path_of = {v: path for path, v in members.items()}
+    paths = [path_of[v] for v in values]
     lengths = np.fromiter(map(len, paths), dtype=np.intp, count=m)
     ranks = np.zeros((m, stages), dtype=np.intp)
     ranks[np.arange(stages) < lengths[:, None]] = np.fromiter(

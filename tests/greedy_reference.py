@@ -1,15 +1,24 @@
-"""Test oracle: the value-tuple greedy that the bit-column greedy replaced.
+"""Test oracle: the value-tuple greedy that the bit-column greedy replaced,
+and the final algorithm's loop over it.
 
 ``_greedy`` below is the runtime's greedy scan order as it was before it
 counted bit columns with ``int.bit_count``: it tests every candidate bit
 of every survivor one at a time.  It is kept verbatim, so the differential
-tests hold ``oracleid.ordering._greedy`` and the pruning tree's nodes to
-it exactly, tie-breaks included.
+tests hold ``oracleid.ordering.hegedus_ordering`` and the pruning tree's
+nodes to it exactly, tie-breaks included.
+
+``run_final`` is the final algorithm as it ran before it walked the
+pruning tree: every iteration runs ``_greedy`` on the surviving value
+tuple and keeps its elimination block for the hit rank.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+
+from oracleid.bitstrings import BitString
+from oracleid.identify import PromiseViolation, RunTrace, _new_context, make_engine
 
 
 @lru_cache(maxsize=1 << 17)
@@ -68,3 +77,40 @@ def _greedy(n: int, values: tuple[int, ...]):
             s_value |= survivor & (1 << (n - 1 - j))
             elim.append(())
     return tuple(sigma), s_value, tuple(elim), width if width is not None else n
+
+
+def run_final(concept_class, x, engine="ideal", *, seed=None) -> RunTrace:
+    """``identify.run_final``'s trace, from the value-tuple greedy."""
+    engine = make_engine(engine)
+    ctx = _new_context(concept_class, seed)
+    n = x.n
+    S = concept_class.values
+    positions = []
+    ideal = 0.0
+    iterations = 0
+    while True:
+        iterations += 1
+        sigma, s_value, elim, width = _greedy(n, S)
+        rank = engine.find_first(x, BitString(n, s_value), sigma, width, ctx)
+        if rank is None:
+            ideal += math.sqrt(width)
+            identified = s_value
+            break
+        ideal += math.sqrt(rank)
+        positions.append(rank)
+        S = elim[rank - 1]
+        if not S:
+            raise PromiseViolation("candidate set emptied; promise violated")
+        if len(S) == 1:
+            identified = S[0]
+            break
+    return RunTrace(
+        x=x,
+        identified=BitString(n, identified),
+        positions=tuple(positions),
+        ideal_cost=ideal,
+        raw_queries=ctx.queries,
+        iterations=iterations,
+        norm_drift=ctx.max_drift,
+        engine=engine.name,
+    )

@@ -182,6 +182,9 @@ class TestInputErrors:
         ("run", "--class-file", "{cf}", "--x", "ab"),
         ("run", "--class-file", "{cf}"),
         ("run", "--class-file", "{cf}", "--x", "001", "--all"),
+        ("run", "--class-file", "{cf}", "--all", "--seed", "-1"),
+        ("gen", "--kind", "random", "--n", "4", "--m", "3", "--seed", "-1"),
+        ("gen", "--kind", "hamming1", "--n", "4", "--seed", "-1"),
         ("verify", "--suite", "ordering", "--n", "0"),
         ("verify", "--suite", "all", "--n", "5"),
         ("verify", "--suite", "sdp", "--class-file", "{missing}"),
@@ -218,6 +221,8 @@ class TestInputErrors:
         ("run", "--class-file", "{bad}", "--all", '{"n": 3.5, "members": ["011"]}'),
         ("run", "--class-file", "{bad}", "--all", '{"n": 1, "members": "01"}'),
         ("verify", "--suite", "sdp", "--class-file", "{bad}", '{"n": 3.5, "members": ["011"]}'),
+        ("run", "--class-file", "{bad}", "--all", "not json"),
+        ("verify", "--suite", "sdp", "--class-file", "{bad}", "not json"),
     ])
     def test_one_line_and_exit_code_2(self, tmp_path, capsys, argv):
         cf = tmp_path / "c.json"
@@ -247,6 +252,31 @@ class TestInputErrors:
         assert run_cli(*[a.format(cf=cf) for a in argv]) == 2
         err = capsys.readouterr().err
         assert err == f"oracleid: error: --{flag} must be positive, got {value}\n"
+
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--class-file", "{cf}", "--all", "--seed", "-1"),
+        ("gen", "--kind", "random", "--n", "4", "--m", "3", "--seed", "-1"),
+        ("gen", "--kind", "hamming1", "--n", "4", "--seed", "-1"),
+    ])
+    def test_a_negative_seed_names_its_flag(self, tmp_path, capsys, argv):
+        cf = tmp_path / "c.json"
+        run_cli("gen", "--kind", "hamming1", "--n", "3", "-o", str(cf))
+        assert run_cli(*[a.format(cf=cf) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == "oracleid: error: --seed must be non-negative, got -1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--class-file", "{bad}", "--all"),
+        ("verify", "--suite", "sdp", "--class-file", "{bad}"),
+    ])
+    def test_a_class_file_that_is_not_json_says_so(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        assert run_cli(*[a.format(bad=bad) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == ("oracleid: error: a class file must be JSON: "
+                       "Expecting value: line 1 column 1 (char 0)\n")
 
 
 class TestVerify:

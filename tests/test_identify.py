@@ -5,6 +5,7 @@ import time
 import numpy as np
 import pytest
 
+import greedy_reference
 from classical_reference import classical_identify_reference
 from helpers import random_class, subsets_of_cube
 from oracleid import qsim
@@ -206,6 +207,25 @@ class TestExhaustiveCorrectness:
             traces = identify_all(cls)
             for x in cls.members:
                 assert traces[x] == run_final(cls, x)
+
+
+class TestFinalAgainstReference:
+    """``run_final`` walks the class's pruning tree; the reference loop runs
+    the value-tuple greedy on each surviving set.  Quantum runs agree trace
+    for trace, for members and for hidden strings outside the class, whose
+    runs scan to late ranks and end in misidentification."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_quantum_runs_match_the_value_tuple_loop(self, seed):
+        cls = generate_class("random", 24, size=200, seed=seed)
+        rng = np.random.default_rng(seed)
+        drawn = [BitString(24, v) for v in rng.integers(0, 1 << 24, 40).tolist()]
+        outside = [x for x in drawn if x not in cls][:20]
+        clear_ordering_cache()
+        for i, x in enumerate(list(cls.members) + outside):
+            trace = run_final(cls, x, "quantum", seed=(seed, i))
+            assert trace == greedy_reference.run_final(cls, x, "quantum", seed=(seed, i))
+            assert trace.identified in cls
 
 
 class TestClassicalBaseline:

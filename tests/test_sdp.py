@@ -511,7 +511,7 @@ def assert_same_solution(a, b):
 
 
 class TestPipelineAgainstReference:
-    """The pipeline read off the pruning tree (``ordering._tree``) equals
+    """The pipeline read off the pruning tree (``ordering._greedy``) equals
     the level walk it replaced, which gave every lone member an explicit
     zero block."""
 
@@ -1096,7 +1096,7 @@ class TestScanPartCheck:
         # one build, the 8 stage checks and J - I read one bit matrix of
         # the members, and one more holds every tree node's reference
         cls = generate_class("random", 13, size=400, seed=1)
-        sdp._tree(cls.n, cls.values)  # the tree's bit columns transpose them too
+        sdp._greedy(cls.n, cls.values)  # the tree's bit columns transpose them too
         cls = generate_class("random", 13, size=400, seed=1)  # no cached bits
         calls = []
 
