@@ -198,7 +198,11 @@ class ConceptClass:
     @classmethod
     def load(cls, path) -> "ConceptClass":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"a class file must be UTF-8 JSON: {exc}") from None
+        return cls.from_json(text)
 
 
 def bit_matrix(n: int, values: Sequence[int]) -> np.ndarray:

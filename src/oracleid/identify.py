@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,14 +64,25 @@ __all__ = [
 ]
 
 
+def _pruning_product(positions) -> int:
+    """``prod(max(2, p))`` over the positions."""
+    out = 1
+    for p in positions:
+        out *= p if p > 2 else 2
+    return out
+
+
 class PromiseViolation(RuntimeError):
     """The candidate set emptied: the hidden string was not in the class
     (or, with the quantum engine, a search error poisoned the pruning)."""
 
 
-@dataclass(frozen=True)
-class RunTrace:
-    """Record of one identification run."""
+class RunTrace(NamedTuple):
+    """Record of one identification run.
+
+    A named tuple: immutable, equal and hashed by its fields in this order,
+    and built positionally by ``identify_all`` once per member.
+    """
 
     x: BitString
     identified: BitString
@@ -93,16 +104,11 @@ class RunTrace:
 
     @property
     def pruning_product(self) -> int:
-        out = 1
-        for p in self.positions:
-            out *= max(2, p)
-        return out
+        return _pruning_product(self.positions)
 
     def satisfies_trace_bounds(self, concept_class: ConceptClass) -> bool:
-        return (
-            self.sum_positions <= concept_class.n
-            and self.pruning_product <= concept_class.size
-        )
+        positions = self.positions
+        return sum(positions) <= concept_class.n and _pruning_product(positions) <= concept_class.size
 
     def to_dict(self) -> dict:
         return {
@@ -316,6 +322,7 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
     values = concept_class.values
     nodes, members = _greedy(concept_class.n, values)
     own = dict(zip(values, concept_class.members))
+    engine = IdealFinder.name
     traces: dict[BitString, RunTrace] = {}
     for positions, value in members.items():
         ideal = 0.0
@@ -328,16 +335,7 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
             ideal += math.sqrt(width)
             iterations += 1
         xs = own[value]
-        traces[xs] = RunTrace(
-            x=xs,
-            identified=xs,
-            positions=positions,
-            ideal_cost=ideal,
-            raw_queries=0,
-            iterations=iterations,
-            norm_drift=0.0,
-            engine=IdealFinder.name,
-        )
+        traces[xs] = RunTrace(xs, xs, positions, ideal, 0, iterations, 0.0, engine)
     return traces
 
 

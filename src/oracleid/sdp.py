@@ -58,6 +58,14 @@ its own) over the pipeline's stages.  A solution that breaks a premise --
 a rank that is not its first disagreement, or parts that do not chain --
 is not certified: its residual is ``inf``.
 
+The proof and ``cost_of`` take the parts in passes, not one at a time:
+consecutive parts are stacked as one part of ``inputs * parts`` rows, each
+part's block ids offset past those of the parts before it, so one call per
+pass recomputes every rank, checks every link of the chain and finds the
+largest split residual, and one ``_scan_rows`` call writes every row the
+cost reads.  A pass holds at most ``PASS_ROWS`` rows; a part of more rows
+than that runs alone, as does the single part of every pipeline stage.
+
 ``oracle_id_pipeline`` builds, from the class's memoized pruning tree
 (``ordering._greedy``, the one ``identify_all`` reads), a feasible solution
 for ``J - I`` of one scan part per stage, whose cost tracks the per-input
@@ -92,6 +100,13 @@ __all__ = [
     "OracleIdPipeline",
     "oracle_id_pipeline",
 ]
+
+# Rows (inputs times parts) that one pass of the rank proof or of the cost
+# stacks: small parts share a pass, and a part of more rows runs alone.
+# Passes save per-call overhead, not per-row work, and larger temporaries
+# cost more per row: on random N=16, M=2000, writing two parts' rows in one
+# pass took 4.6 ms against 3.7 ms one part at a time (2-CPU Xeon).
+PASS_ROWS = 1 << 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,19 +145,6 @@ class ScanPart:
         the inputs' 0/1 ``bits`` (inputs, bits)."""
         found = _first_disagreements(bits, self.block, self.sigma, self.s, self.width)
         return bool(np.array_equal(found, self.rank))
-
-    def split_residual(self) -> float:
-        """``max |1 - p**0.25 * p**-0.25|`` over the ranks ``p`` that are
-        the smaller rank of a pair in their block, 0.0 when there are none;
-        the part's exact residual once ``ranks_hold`` and the target's
-        labels split the blocks by rank."""
-        n = self.sigma.shape[1]
-        ramp, spike = _ramp_spike(n)
-        later = np.where(self.rank > 0, self.rank, n + 1)  # rank 0 is past every rank
-        last = np.zeros(len(self.width), dtype=later.dtype)
-        np.maximum.at(last, self.block, later)
-        split = self.rank[later < last[self.block]]
-        return float(np.abs(1.0 - spike * ramp)[split - 1].max(initial=0.0))
 
 
 class SdpSolution:
@@ -233,8 +235,13 @@ class LabelTarget(NamedTuple):
 
 
 def _codes(labels) -> np.ndarray:
-    """Labels re-coded as ``0..k-1``: equal labels, equal codes."""
-    return np.unique(np.asarray(labels), return_inverse=True)[1].reshape(-1)
+    """Labels as integers in ``0..len-1`` that make the same classes: as
+    they are when they already lie there, as a pipeline's codes do, and
+    otherwise re-coded as ``0..k-1`` (equal labels, equal codes)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind in "iu" and 0 <= labels.min() and labels.max() < len(labels):
+        return labels
+    return np.unique(labels, return_inverse=True)[1].reshape(-1)
 
 
 def _same_classes(a: np.ndarray, b: np.ndarray) -> bool:
@@ -256,23 +263,79 @@ def _is_identity_target(dense: np.ndarray) -> bool:
     return int(np.count_nonzero(dense == 1.0)) == m * (m - 1) and not np.diagonal(dense).any()
 
 
+def _passes(parts: Sequence[ScanPart], m: int) -> list[Sequence[ScanPart]]:
+    """The parts in order, in runs of at most ``PASS_ROWS`` rows (inputs
+    times parts); a part of more rows than that runs alone."""
+    step = max(1, PASS_ROWS // m)
+    return [parts[i:i + step] for i in range(0, len(parts), step)]
+
+
+def _stacked(parts: Sequence[ScanPart]) -> tuple[np.ndarray, ...]:
+    """``(block, sigma, s, width, rank)`` of the parts stacked as one part,
+    one row per input and part: each part's block ids are offset past the
+    blocks of the parts before it, so it keeps blocks of its own.  A lone
+    part gives its own arrays."""
+    if len(parts) == 1:
+        (p,) = parts
+        return np.asarray(p.block, dtype=np.intp), p.sigma, p.s, p.width, p.rank
+    counts = [len(p.width) for p in parts]
+    block = np.concatenate([p.block for p in parts], dtype=np.intp)
+    block += np.repeat(np.cumsum([0, *counts[:-1]]), len(parts[0].block))
+    return (
+        block,
+        np.concatenate([p.sigma for p in parts]),
+        np.concatenate([p.s for p in parts]),
+        np.concatenate([p.width for p in parts]),
+        np.concatenate([p.rank for p in parts]),
+    )
+
+
+def _split_residual(block: np.ndarray, rank: np.ndarray, blocks: int, n: int) -> float:
+    """``max |1 - p**0.25 * p**-0.25|`` over the ranks ``p`` that are the
+    smaller rank of a pair in their block (of ``blocks`` ids), 0.0 when
+    there are none: the exact residual once the ranks hold and the target's
+    labels split the blocks by rank."""
+    ramp, spike = _ramp_spike(n)
+    later = np.where(rank > 0, rank, n + 1)  # rank 0 is past every rank
+    last = np.zeros(blocks, dtype=later.dtype)
+    np.maximum.at(last, block, later)
+    split = rank[later < last[block]]
+    return float(np.abs(1.0 - spike * ramp)[split - 1].max(initial=0.0))
+
+
 def _scan_chain_residual(target: LabelTarget, sol: SdpSolution) -> float:
     """The exact residual of a solution whose parts chain from the target's
     coarse classes to its fine ones (module docstring), or ``inf`` when a
-    rank or the chain fails."""
+    rank or the chain fails; the parts are proved a pass of stacked parts
+    at a time."""
     bits = sol.domain.bits
+    m, n = bits.shape
     coarse = np.asarray(target.coarse)
-    # the stage targets' coarse labels are their part's own block ids
-    own = sol.parts and np.array_equal(coarse, sol.parts[0].block)
-    classes = sol.parts[0].block if own else _codes(coarse)
+    # the classes the next part's blocks must make; None when the first
+    # part's blocks are the coarse labels themselves, as a stage target's
+    # are, which they make with nothing to check
+    own = bool(sol.parts) and np.array_equal(coarse, sol.parts[0].block)
+    classes = None if own else _codes(coarse)
     worst = 0.0
-    for part in sol.parts:
-        if not (part.ranks_hold(bits) and _same_classes(part.block, classes)):
+    for parts in _passes(sol.parts, m):
+        block, sigma, s, width, rank = _stacked(parts)
+        if not np.array_equal(_first_disagreements(bits, block, sigma, s, width), rank):
             return math.inf
-        # ranks lie in 0..bits now: (block, rank) packs into one label below
-        # blocks * (bits + 1), an index as block ids are
-        classes = part.block * (bits.shape[1] + 1) + part.rank
-        worst = max(worst, part.split_residual())
+        # ranks lie in 0..n now: (block, rank) packs into one label below
+        # blocks * (n + 1), an index as block ids are, and the offset block
+        # ids keep each part's labels apart from the others'
+        packed = block * (n + 1) + rank
+        # each part's blocks make the classes of the (block, rank) before it
+        if classes is None:
+            blocks, made = block[m:], packed[:-m]
+        elif len(parts) == 1:
+            blocks, made = block, classes
+        else:
+            blocks, made = block, np.concatenate([classes, packed[:-m] + (int(classes.max()) + 1)])
+        if len(blocks) and not _same_classes(blocks, made):
+            return math.inf
+        worst = max(worst, _split_residual(block, rank, len(width), n))
+        classes = packed[-m:]
     return worst if _same_classes(classes, _codes(target.fine)) else math.inf
 
 
@@ -287,7 +350,10 @@ def verify_feasible(A, sol: SdpSolution) -> float:
     pipeline's solution against ``J - I`` -- the value is the exact worst
     residual over every input pair, and a value at most the caller's
     tolerance certifies feasibility.  When a premise fails the solution is
-    not certified, and the value is ``inf``.
+    not certified, and the value is ``inf``.  The parts are proved in
+    passes of stacked parts of at most ``PASS_ROWS`` rows (inputs times
+    parts), so the value is the same whatever that bound, and a pass's
+    arrays, not the whole solution's, set the check's memory.
     """
     if not isinstance(sol, SdpSolution):
         raise TypeError(f"a solution must be an SdpSolution, got {type(sol).__name__}")
@@ -307,10 +373,18 @@ def verify_feasible(A, sol: SdpSolution) -> float:
 
 
 def cost_of(sol: SdpSolution) -> CostFunction:
-    values = np.zeros(sol.size)
-    for part in sol.parts:  # u is v: the cost is the sum of u's norms
-        u = part.u
-        values += np.einsum("xjd,xjd->x", u, u)
+    """The per-input cost ``c(x)``: each part's squared row norms (``u`` is
+    ``v``), added part by part in order.  The rows are written by one
+    ``_scan_rows`` call per pass of stacked parts (at most ``PASS_ROWS``
+    rows), and each part's norms are its own slice of the pass's, so the
+    bytes are the same whatever that bound."""
+    m = sol.size
+    values = np.zeros(m)
+    for parts in _passes(sol.parts, m):
+        block, sigma, _, width, rank = _stacked(parts)
+        u = _scan_rows(sigma[block], rank, width[block])
+        for norms in np.einsum("xjd,xjd->x", u, u).reshape(-1, m):
+            values += norms
     return CostFunction(sol.domain, values)
 
 
@@ -402,19 +476,21 @@ def first_disagreement_ranks(domain: ConceptClass, sigma: Sequence[int], s: BitS
 
 
 def _first_disagreements(bits, block, sigma, s, width) -> np.ndarray:
-    """Per input, the 1-based rank of its first disagreement with its
-    block's ``s`` along its block's ``sigma`` within its block's ``width``,
-    0 when none: ``bits`` (inputs, bits) 0/1, per input a ``block`` id, per
-    block a row of ``sigma`` (bit positions), of ``s`` (boolean, by bit
-    position) and a ``width``."""
+    """Per row, the 1-based rank of its first disagreement with its block's
+    ``s`` along its block's ``sigma`` within its block's ``width``, 0 when
+    none: ``bits`` (inputs, bits) 0/1; the rows are the inputs, once per
+    stacked part, so ``block`` holds one id per row; per block a row of
+    ``sigma`` (bit positions), of ``s`` (boolean, by bit position) and a
+    ``width``."""
     m, n = bits.shape
+    rows = len(block)
     scanned = sigma.shape[1]
-    # flat index of the bit each input reads at each rank
-    order = sigma[block] + np.arange(0, m * n, n)[:, None]
-    differ = (bits ^ s[block]).ravel()[order]
+    # flat index of the bit each row reads at each rank
+    order = sigma[block] + np.arange(0, rows * n, n)[:, None]
+    differ = (bits ^ s[block].reshape(-1, m, n)).ravel()[order]
     differ &= np.arange(scanned) < width[block, None]
     first = differ.argmax(axis=1)
-    return np.where(differ[np.arange(m), first], first + 1, 0)
+    return np.where(differ[np.arange(rows), first], first + 1, 0)
 
 
 @dataclass(frozen=True)

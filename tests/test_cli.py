@@ -223,6 +223,8 @@ class TestInputErrors:
         ("verify", "--suite", "sdp", "--class-file", "{bad}", '{"n": 3.5, "members": ["011"]}'),
         ("run", "--class-file", "{bad}", "--all", "not json"),
         ("verify", "--suite", "sdp", "--class-file", "{bad}", "not json"),
+        ("run", "--class-file", "{bad}", "--all", b"\xff\xfe"),
+        ("verify", "--suite", "sdp", "--class-file", "{bad}", b"\xff\xfe"),
     ])
     def test_one_line_and_exit_code_2(self, tmp_path, capsys, argv):
         cf = tmp_path / "c.json"
@@ -231,7 +233,10 @@ class TestInputErrors:
         bad = tmp_path / "bad.json"
         if "{bad}" in argv:
             *argv, payload = argv
-            bad.write_text(payload)
+            if isinstance(payload, bytes):
+                bad.write_bytes(payload)
+            else:
+                bad.write_text(payload)
         argv = [a.format(cf=cf, missing=tmp_path / "missing.json", bad=bad) for a in argv]
         assert run_cli(*argv, "-o", str(out)) == 2
         err = capsys.readouterr().err
@@ -277,6 +282,18 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err == ("oracleid: error: a class file must be JSON: "
                        "Expecting value: line 1 column 1 (char 0)\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--class-file", "{bad}", "--all"),
+        ("verify", "--suite", "sdp", "--class-file", "{bad}"),
+    ])
+    def test_a_class_file_that_is_not_utf8_says_so(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert run_cli(*[a.format(bad=bad) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err == ("oracleid: error: a class file must be UTF-8 JSON: 'utf-8' codec can't "
+                       "decode byte 0xff in position 0: invalid start byte\n")
 
 
 class TestVerify:

@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import time
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracleid.bounds import brute_force_cost, closed_form_cost, gamma_hat
 from oracleid.identify import (
     PromiseViolation,
     QuantumFinder,
+    RunTrace,
     classical_identify,
     identify_all,
     make_engine,
@@ -382,3 +384,69 @@ class TestEngines:
                 for i, x in enumerate(cls.members)
             )
             assert hits >= 4  # bounded error, 6 runs
+
+
+class TestRunTrace:
+    """A trace is a named tuple that keeps the frozen record's interface:
+    equal by value, hashed by its fields, immutable, picklable (the CLI
+    hands traces across a process pool) and written out by ``to_dict`` in
+    the same key order."""
+
+    FIELDS = ("x", "identified", "positions", "ideal_cost", "raw_queries",
+              "iterations", "norm_drift", "engine")
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        cls = generate_class("random", 10, size=60, seed=4)
+        return (
+            [identify_all(cls)[x] for x in cls.members[:5]]
+            + [run_final(cls, x, "quantum", seed=(9, i)) for i, x in enumerate(cls.members[:5])]
+        )
+
+    def test_fields_in_order(self):
+        assert RunTrace._fields == self.FIELDS
+
+    def test_equal_traces_compare_and_hash_equal(self, traces):
+        cls = generate_class("random", 10, size=60, seed=4)
+        again = [identify_all(cls)[x] for x in cls.members[:5]]
+        again += [run_final(cls, x, "quantum", seed=(9, i)) for i, x in enumerate(cls.members[:5])]
+        for a, b in zip(traces, again):
+            assert a is not b and a == b and hash(a) == hash(b)
+            # the hash the frozen record had: that of its fields in order
+            assert hash(a) == hash(tuple(getattr(a, f) for f in self.FIELDS))
+        assert traces[0] != traces[1]
+
+    def test_setting_an_attribute_raises(self, traces):
+        trace = traces[0]
+        for name in ("positions", "ideal_cost", "r", "anything"):
+            with pytest.raises(AttributeError):
+                setattr(trace, name, 0)
+
+    def test_pickle_round_trip(self, traces):
+        for trace in traces:
+            back = pickle.loads(pickle.dumps(trace))
+            assert type(back) is RunTrace and back == trace
+            assert back.to_dict() == trace.to_dict()
+
+    def test_to_dict_keys_in_order(self, traces):
+        for trace in traces:
+            row = trace.to_dict()
+            assert list(row) == ["x", "identified", "positions", "r", "ideal_cost",
+                                 "raw_queries", "iterations", "norm_drift", "engine"]
+            assert row["r"] == len(trace.positions) and row["positions"] == list(trace.positions)
+
+    def test_bound_properties(self, traces):
+        cls = generate_class("random", 10, size=60, seed=4)
+        for trace in traces:
+            product = 1
+            for p in trace.positions:
+                product *= max(2, p)
+            assert trace.pruning_product == product
+            assert trace.sum_positions == sum(trace.positions)
+            assert trace.satisfies_trace_bounds(cls) == (
+                sum(trace.positions) <= cls.n and product <= cls.size
+            )
+        # one bound broken at a time: the sum, then the product (2**6 > 60)
+        assert not traces[0]._replace(positions=(cls.n + 1,)).satisfies_trace_bounds(cls)
+        assert not traces[0]._replace(positions=(1,) * 6).satisfies_trace_bounds(cls)
+        assert traces[0]._replace(positions=(1,) * 5).satisfies_trace_bounds(cls)

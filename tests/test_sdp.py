@@ -1251,3 +1251,140 @@ class TestDomainBits:
     def test_one_member(self):
         domain = (BitString.from_str("1011001"),)
         np.testing.assert_array_equal(bit_matrix(7, [domain[0].value]), [[1, 0, 1, 1, 0, 0, 1]])
+
+
+STACKED_CLASSES = {
+    "cube-3": lambda: generate_class("cube", 3),
+    "hamming1-8": lambda: generate_class("hamming1", 8),
+    "random-6-10": lambda: generate_class("random", 6, size=10, seed=1),
+    **{
+        f"random-13-400-seed{seed}": (lambda seed=seed: generate_class("random", 13, size=400, seed=seed))
+        for seed in (1, 2, 3)
+    },
+    "one-member": lambda: ConceptClass.from_strings(["0101"]),
+}
+
+
+class TestStackedPasses:
+    """The rank proof and the cost take the parts a pass of stacked parts at
+    a time, at most ``sdp.PASS_ROWS`` rows a pass.  Whatever that bound --
+    one part a pass, three, or every part in one -- the check equals the
+    pair-by-pair oracle exactly, refuses the same broken chains, and the
+    cost keeps its bytes."""
+
+    BUDGETS = {"one-part": lambda m: 1, "three-parts": lambda m: 3 * m, "unbounded": lambda m: 1 << 62}
+
+    @pytest.fixture(scope="class", params=sorted(STACKED_CLASSES))
+    def checked(self, request):
+        """A class's pipeline, its ``(target, solution)`` checks and the
+        oracle's value of each."""
+        cls = STACKED_CLASSES[request.param]()
+        m = cls.size
+        pipe = oracle_id_pipeline(cls)
+        identity_target = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))
+        checks = list(zip(pipe.stage_targets, pipe.stage_solutions))
+        checks += [(identity_target, pipe.solution), (identity(m), pipe.solution)]
+        want = [verify_reference.verify_feasible(t, s) for t, s in checks]
+        return pipe, checks, want
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_same_residual_as_the_pair_loop(self, monkeypatch, checked, budget):
+        pipe, checks, want = checked
+        monkeypatch.setattr(sdp, "PASS_ROWS", self.BUDGETS[budget](pipe.concept_class.size))
+        got = [verify_feasible(t, s) for t, s in checks]
+        assert got == want and max(got) < 1e-12
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_same_cost_bytes(self, monkeypatch, checked, budget):
+        pipe, _, _ = checked
+        monkeypatch.setattr(sdp, "PASS_ROWS", self.BUDGETS[budget](pipe.concept_class.size))
+        for sol in (pipe.solution, *pipe.stage_solutions):
+            # the per-part sum, one part's rows at a time
+            want = np.zeros(sol.size)
+            for part in sol.parts:
+                u = part.u
+                want += np.einsum("xjd,xjd->x", u, u)
+            assert cost_of(sol).values.tobytes() == want.tobytes()
+        assert cost_of(pipe.solution).values.tobytes() == pipe.cost.values.tobytes()
+
+    @pytest.fixture(scope="class")
+    def pipe(self):
+        return oracle_id_pipeline(generate_class("random", 13, size=400, seed=1))
+
+    def broken(self, pipe):
+        """Pipeline parts that break the chain three ways, each with ranks
+        that hold or not as named."""
+        parts = list(pipe.solution.parts)
+        bits = domain_bits(pipe.concept_class)
+        # a middle part with one rank one place late
+        k = len(parts) // 2
+        middle = parts[k]
+        rank = middle.rank.copy()
+        x = int(np.flatnonzero((middle.rank > 0) & (middle.rank < pipe.concept_class.n))[0])
+        rank[x] += 1
+        wrong_rank = parts[:k] + [dataclasses.replace(middle, rank=rank)] + parts[k + 1:]
+        # a last part of one block across every class before it, its ranks
+        # recomputed so that they hold
+        last = parts[-1]
+        merged = dataclasses.replace(last, block=np.zeros_like(last.block))
+        merged = dataclasses.replace(merged, rank=_scan_ranks(merged, bits))
+        assert merged.ranks_hold(bits)
+        # a last part of one block per input, each scanning as its old block
+        # did: the ranks hold and the last (block, rank) tells every input
+        # apart, but inputs the parts before it never split meet in no block
+        split = ScanPart(np.arange(len(bits)), last.sigma[last.block], last.s[last.block],
+                         last.width[last.block], last.rank)
+        assert split.ranks_hold(bits)
+        return {
+            "wrong-middle-rank": wrong_rank,
+            "last-blocks-coarser": parts[:-1] + [merged],
+            "last-blocks-finer": parts[:-1] + [split],
+            "reversed": parts[::-1],
+        }
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    @pytest.mark.parametrize(
+        "how", ["wrong-middle-rank", "last-blocks-coarser", "last-blocks-finer", "reversed"]
+    )
+    def test_broken_chains_are_not_certified(self, monkeypatch, pipe, budget, how):
+        domain = pipe.concept_class
+        monkeypatch.setattr(sdp, "PASS_ROWS", self.BUDGETS[budget](domain.size))
+        sol = SdpSolution(domain, self.broken(pipe)[how])
+        for target in _identity_targets(domain.size):
+            assert verify_feasible(target, sol) == math.inf
+
+    def test_finer_last_blocks_are_infeasible(self, pipe):
+        # the chain check is what refuses them: the pair loop misses by 1
+        sol = SdpSolution(pipe.concept_class, self.broken(pipe)["last-blocks-finer"])
+        assert verify_reference.verify_feasible(_identity_targets(sol.size)[1], sol) == 1.0
+
+    @pytest.mark.parametrize("budget", sorted(BUDGETS))
+    def test_a_solution_of_no_parts(self, monkeypatch, budget):
+        # no part proves nothing: the value is 0.0 exactly when the target's
+        # coarse and fine labels make the same classes, else inf
+        for cls in (generate_class("random", 6, size=10, seed=1), ConceptClass.from_strings(["0101"])):
+            m = cls.size
+            monkeypatch.setattr(sdp, "PASS_ROWS", self.BUDGETS[budget](m))
+            sol = SdpSolution(cls, [])
+            want = 0.0 if m == 1 else math.inf
+            for target in _identity_targets(m):
+                assert verify_feasible(target, sol) == want
+            same = LabelTarget(np.arange(m) % 3, np.arange(m) % 3 * 5 + 7)
+            assert verify_feasible(same, sol) == 0.0
+            assert cost_of(sol).values.tobytes() == np.zeros(m).tobytes() and sol.dim == 0
+
+    def test_passes_hold_at_most_the_budget(self, monkeypatch, pipe):
+        m = pipe.concept_class.size
+        parts = pipe.solution.parts
+        for budget, sizes in ((1, [1] * 8), (3 * m, [3, 3, 2]), (3 * m - 1, [2, 2, 2, 2]), (1 << 62, [8])):
+            monkeypatch.setattr(sdp, "PASS_ROWS", budget)
+            passes = sdp._passes(parts, m)
+            assert [len(p) for p in passes] == sizes
+            assert [p for run in passes for p in run] == list(parts)
+
+    def test_a_lone_part_is_not_copied(self, pipe):
+        # every stage check reads its part's own arrays
+        (part,) = pipe.stage_solutions[2].parts
+        block, sigma, s, width, rank = sdp._stacked([part])
+        assert block is part.block and sigma is part.sigma and s is part.s
+        assert width is part.width and rank is part.rank
