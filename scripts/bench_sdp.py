@@ -7,6 +7,8 @@ For each random class of ``N`` bits and ``M`` members in ``CLASSES`` (seed
 
 * the cold pruning tree: ``ordering._greedy`` with an empty ordering cache;
 * the rest of the build: ``oracle_id_pipeline`` on that tree;
+* the cost: ``cost_of`` on the chained solution, once more, apart from the
+  build (which computes it too);
 * the stage checks: ``verify_feasible`` on every stage target;
 * the ``J - I`` check of the chained solution, as the label target
   ``LabelTarget(zeros, arange)``.
@@ -14,10 +16,11 @@ For each random class of ``N`` bits and ``M`` members in ``CLASSES`` (seed
 Each repeat takes a fresh copy of the class, so the stage checks also pay
 for the class's cached bit matrix (``ConceptClass.bits``).  Both checks
 prove the pipeline's scan parts from their ranks, in O(stages * M * N),
-stacking parts into passes of at most ``sdp.PASS_ROWS`` rows.  The first
-class is the size the ``certify`` benchmark workload certifies, where
-small parts share a pass; at M = 10^5 every part runs alone.  The tree is
-timed apart because it dominates a cold build at M = 10^5.
+stacking parts into passes of at most ``sdp.PASS_ROWS`` rows; the cost
+writes one part's rows at a time.  The first class is the size the
+``certify`` benchmark workload certifies, where small parts share a pass;
+at M = 10^5 every part runs alone.  The tree is timed apart because it
+dominates a cold build at M = 10^5.
 
 It records the worst residual of each check, the stage count, the largest
 certified cost and the process's peak RSS so far, with the machine it ran
@@ -46,11 +49,11 @@ def measure(n: int, m: int, seed: int, repeats: int) -> dict:
 
     from oracleid.bitstrings import ConceptClass, generate_class
     from oracleid.ordering import _greedy, clear_ordering_cache
-    from oracleid.sdp import LabelTarget, oracle_id_pipeline, verify_feasible
+    from oracleid.sdp import LabelTarget, cost_of, oracle_id_pipeline, verify_feasible
 
     first = generate_class("random", n, size=m, seed=seed)
     identity = LabelTarget(np.zeros(first.size, dtype=np.intp), np.arange(first.size))
-    times = {"tree_s": [], "build_s": [], "stage_checks_s": [], "identity_check_s": []}
+    times = {"tree_s": [], "build_s": [], "cost_s": [], "stage_checks_s": [], "identity_check_s": []}
     for _ in range(repeats):
         pipe = None  # the last repeat's solution is not held through this build
         cls = ConceptClass(first.n, first.members)  # nothing cached on it yet
@@ -60,11 +63,13 @@ def measure(n: int, m: int, seed: int, repeats: int) -> dict:
         t1 = time.perf_counter()
         pipe = oracle_id_pipeline(cls)
         t2 = time.perf_counter()
-        stage_residuals = [verify_feasible(t, s) for s, t in zip(pipe.stage_solutions, pipe.stage_targets)]
+        cost_of(pipe.solution)
         t3 = time.perf_counter()
-        identity_residual = verify_feasible(identity, pipe.solution)
+        stage_residuals = [verify_feasible(t, s) for s, t in zip(pipe.stage_solutions, pipe.stage_targets)]
         t4 = time.perf_counter()
-        for key, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+        identity_residual = verify_feasible(identity, pipe.solution)
+        t5 = time.perf_counter()
+        for key, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
             times[key].append(seconds)
     return {
         "kind": "random",

@@ -332,23 +332,26 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- bounds
 
 def _parse_grid(text: str) -> tuple[list[int], list[int]]:
-    ns: list[int] = []
-    ms: list[int] = []
+    axes: dict[str, list[int]] = {}
+    cap = bounds_mod._EXHAUSTIVE_N_CAP
     if text.strip():
         for part in text.split(";"):
             key, _, values = part.partition("=")
             key = key.strip().upper()
             parsed = [int(v) for v in values.split(",") if v.strip()]
-            if key == "N":  # a string has at least 1 bit, a class 2 members
-                ns, least = parsed, 1
-            elif key == "M":
-                ms, least = parsed, 2
-            else:
+            if key not in ("N", "M"):
                 raise ValueError(f"unknown grid axis {key!r}")
+            if key in axes:
+                raise ValueError(f"grid axis {key} is given twice")
+            axes[key] = parsed
+            least = 1 if key == "N" else 2  # a string has at least 1 bit, a class 2 members
             for v in parsed:
                 if v < least:
                     raise ValueError(f"grid axis {key} needs values >= {least}, got {v}")
-    return ns, ms
+                if key == "N" and v > cap:
+                    raise ValueError(f"grid axis N needs values <= {cap} "
+                                     f"(the exhaustive optimum's cap), got {v}")
+    return axes.get("N", []), axes.get("M", [])
 
 
 def cmd_bounds(args) -> int:

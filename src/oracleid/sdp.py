@@ -58,13 +58,12 @@ its own) over the pipeline's stages.  A solution that breaks a premise --
 a rank that is not its first disagreement, or parts that do not chain --
 is not certified: its residual is ``inf``.
 
-The proof and ``cost_of`` take the parts in passes, not one at a time:
-consecutive parts are stacked as one part of ``inputs * parts`` rows, each
-part's block ids offset past those of the parts before it, so one call per
-pass recomputes every rank, checks every link of the chain and finds the
-largest split residual, and one ``_scan_rows`` call writes every row the
-cost reads.  A pass holds at most ``PASS_ROWS`` rows; a part of more rows
-than that runs alone, as does the single part of every pipeline stage.
+The proof takes the parts in passes: consecutive parts are stacked as one
+part of ``inputs * parts`` rows, each part's block ids offset past those of
+the parts before it, so one call per pass recomputes every rank, checks
+every link of the chain and finds the largest split residual.  A pass holds
+at most ``PASS_ROWS`` rows; a larger part runs alone, as does the single
+part of every pipeline stage.  ``cost_of`` writes one part's rows at a time.
 
 ``oracle_id_pipeline`` builds, from the class's memoized pruning tree
 (``ordering._greedy``, the one ``identify_all`` reads), a feasible solution
@@ -78,6 +77,7 @@ the pair-by-pair check they are held to in ``tests/verify_reference.py``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -101,11 +101,9 @@ __all__ = [
     "oracle_id_pipeline",
 ]
 
-# Rows (inputs times parts) that one pass of the rank proof or of the cost
-# stacks: small parts share a pass, and a part of more rows runs alone.
-# Passes save per-call overhead, not per-row work, and larger temporaries
-# cost more per row: on random N=16, M=2000, writing two parts' rows in one
-# pass took 4.6 ms against 3.7 ms one part at a time (2-CPU Xeon).
+# Rows (inputs times parts) one pass of the rank proof stacks, so a pass's
+# temporaries stay small; a larger part runs alone.  At random N=13, M=400
+# the J - I proof takes ~0.65 ms in passes, ~0.95 ms part by part (2-CPU Xeon).
 PASS_ROWS = 1 << 11
 
 
@@ -120,8 +118,9 @@ class ScanPart:
     rank: per input, its claimed first disagreement with its block's ``s``
        along ``sigma`` within ``width``, 0 when none.
 
-    A solution refuses a part whose ranks or widths lie outside
-    ``0..bits`` or whose orders are not permutations of ``0..bits-1``.
+    A part refuses, when made, arrays of the wrong shape or type, ranks or
+    widths outside ``0..bits`` and orders that are not permutations of
+    ``0..bits-1``; once checked, its five arrays are read-only.
 
     Its rows (shape (inputs, bits, 1)) are written by ``_scan_rows`` on
     each read of ``u`` or ``v``, so a part holds two numbers per input and
@@ -134,17 +133,33 @@ class ScanPart:
     width: np.ndarray
     rank: np.ndarray
 
+    def __post_init__(self):
+        block, sigma, s, width, rank = self.block, self.sigma, self.s, self.width, self.rank
+        m, n, blocks = block.size, sigma.shape[-1] if sigma.ndim else 0, width.size
+        if block.shape != (m,) or block.dtype.kind not in "iu" or block.min() < 0:
+            raise ValueError(f"block must hold {m} nonnegative integer ids")
+        if (sigma.shape != (blocks, n) or s.shape != (blocks, n)
+                or rank.shape != (m,) or block.max() >= blocks or s.dtype != bool
+                or width.shape != (blocks,) or width.dtype.kind not in "iu"
+                or sigma.dtype.kind not in "iu" or rank.dtype.kind not in "iu"):
+            raise ValueError(f"a scan part needs {m} integer ranks (one per block id), {blocks} "
+                             f"integer widths, ({blocks}, {n}) integer orders and ({blocks}, {n}) boolean s")
+        if (rank.min() < 0 or rank.max() > n or width.min() < 0
+                or width.max() > n or sigma.min() < 0 or sigma.max() >= n):
+            raise ValueError(f"a scan part's ranks and widths must lie in [0, {n}] "
+                             f"and its orders in [0, {n - 1}]")
+        order = np.sort(sigma, axis=1)  # each row 0..n-1 when a permutation
+        order ^= np.arange(n, dtype=order.dtype)  # in place: a second temporary added 8 MiB RSS at M=10^5
+        if order.any():
+            raise ValueError("a scan part's orders must be permutations of the bit positions")
+        for array in (block, sigma, s, width, rank):
+            array.setflags(write=False)
+
     @property
     def u(self) -> np.ndarray:
         return _scan_rows(self.sigma[self.block], self.rank, self.width[self.block])
 
     v = u
-
-    def ranks_hold(self, bits: np.ndarray) -> bool:
-        """Whether every ``rank`` is its input's first disagreement, read off
-        the inputs' 0/1 ``bits`` (inputs, bits)."""
-        found = _first_disagreements(bits, self.block, self.sigma, self.s, self.width)
-        return bool(np.array_equal(found, self.rank))
 
 
 class SdpSolution:
@@ -153,9 +168,11 @@ class SdpSolution:
 
     Row ``i`` of every array is ``domain.members[i]``.  Other strings are
     made a class by ``ConceptClass.of`` and must already be in its sorted
-    order, so rows never silently re-align.  ``.u`` (equal to ``.v``) and
-    ``.dim`` describe the ambient arrays, one coordinate per block of each
-    part, which are built on each access.
+    order, so rows never silently re-align.  A part checks itself when made,
+    so a solution only checks that each fits: a block id per input, orders
+    of the domain's bits.  ``.u`` (equal to ``.v``) and ``.dim`` describe
+    the ambient arrays, one coordinate per used block of each part, which
+    are built on each access.
     """
 
     def __init__(self, domain: ConceptClass | Sequence[BitString], parts: Sequence[ScanPart]):
@@ -168,27 +185,14 @@ class SdpSolution:
         for part in parts:
             if not isinstance(part, ScanPart):
                 raise TypeError(f"a solution's parts must be scan parts, got {type(part).__name__}")
-            block, blocks = part.block, len(part.width)
-            if block.shape != (m,) or block.dtype.kind not in "iu" or block.min() < 0:
-                raise ValueError(f"block must hold {m} nonnegative integer ids")
-            if (part.sigma.shape != (blocks, n) or part.s.shape != (blocks, n)
-                    or part.rank.shape != (m,) or block.max() >= blocks or part.s.dtype != bool
-                    or part.width.shape != (blocks,) or part.width.dtype.kind not in "iu"
-                    or part.sigma.dtype.kind not in "iu" or part.rank.dtype.kind not in "iu"):
-                raise ValueError(f"a scan part needs {m} integer ranks, {blocks} integer widths, "
-                                 f"({blocks}, {n}) integer orders and ({blocks}, {n}) boolean s")
-            if (part.rank.min() < 0 or part.rank.max() > n or part.width.min() < 0
-                    or part.width.max() > n or part.sigma.min() < 0 or part.sigma.max() >= n):
-                raise ValueError(f"a scan part's ranks and widths must lie in [0, {n}] "
-                                 f"and its orders in [0, {n - 1}]")
-            if not (np.sort(part.sigma, axis=1) == np.arange(n)).all():
-                raise ValueError("a scan part's orders must be permutations of the bit positions")
+            if part.block.size != m or part.sigma.shape[1] != n:
+                raise ValueError(f"a part of this domain needs {m} block ids and orders of {n} bits")
         self.domain, self.size, self.n_bits = domain, m, n
         self.parts = tuple(parts)
 
     @property
     def dim(self) -> int:
-        return sum(len(np.unique(p.block)) for p in self.parts)
+        return sum(int(np.count_nonzero(np.bincount(p.block))) for p in self.parts)
 
     @property
     def u(self) -> np.ndarray:
@@ -196,9 +200,9 @@ class SdpSolution:
         out = np.zeros((self.size, self.n_bits, self.dim))
         lo = 0
         for part in self.parts:
-            ids, slot = np.unique(part.block, return_inverse=True)
-            out[rows, :, lo + slot] = part.u[:, :, 0]
-            lo += len(ids)
+            slot = np.cumsum(np.bincount(part.block) > 0) - 1  # per used block id, its place
+            out[rows, :, lo + slot[part.block]] = part.u[:, :, 0]
+            lo += int(slot[-1]) + 1
         return out
 
     v = u
@@ -374,25 +378,21 @@ def verify_feasible(A, sol: SdpSolution) -> float:
 
 def cost_of(sol: SdpSolution) -> CostFunction:
     """The per-input cost ``c(x)``: each part's squared row norms (``u`` is
-    ``v``), added part by part in order.  The rows are written by one
-    ``_scan_rows`` call per pass of stacked parts (at most ``PASS_ROWS``
-    rows), and each part's norms are its own slice of the pass's, so the
-    bytes are the same whatever that bound."""
-    m = sol.size
-    values = np.zeros(m)
-    for parts in _passes(sol.parts, m):
-        block, sigma, _, width, rank = _stacked(parts)
-        u = _scan_rows(sigma[block], rank, width[block])
-        for norms in np.einsum("xjd,xjd->x", u, u).reshape(-1, m):
-            values += norms
+    ``v``), added part by part in order, one part's rows written at a time."""
+    values = np.zeros(sol.size)
+    for part in sol.parts:
+        u = part.u
+        values += np.einsum("xjd,xjd->x", u, u)
     return CostFunction(sol.domain, values)
 
 
+@functools.cache
 def _ramp_spike(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``t**-0.25`` and ``t**0.25`` for the ranks ``t = 1..n``."""
+    """``t**-0.25`` and ``t**0.25`` for the ranks ``t = 1..n``, read-only."""
     # Python floats: a scalar t**-0.25 gives the same bits
     ramp = np.array([t**-0.25 for t in range(1, n + 1)])
     spike = np.array([t**0.25 for t in range(1, n + 1)])
+    ramp.flags.writeable = spike.flags.writeable = False
     return ramp, spike
 
 

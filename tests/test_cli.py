@@ -212,6 +212,10 @@ class TestInputErrors:
         ("bounds", "--grid", "N=4;M=1"),
         ("bounds", "--grid", "N=4;M=-3"),
         ("bounds", "--grid", "N=-1;M=4"),
+        # an axis given twice, or N past the exhaustive optimum's cap
+        ("bounds", "--grid", "N=4;M=4;M=16"),
+        ("bounds", "--grid", "N=4;n=5;M=4"),
+        ("bounds", "--grid", "N=25"),
         # malformed class files: {bad} is a file holding the row's last entry
         ("run", "--class-file", "{bad}", "--all", "null"),
         ("run", "--class-file", "{bad}", "--all", "[1]"),
@@ -294,6 +298,18 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err == ("oracleid: error: a class file must be UTF-8 JSON: 'utf-8' codec can't "
                        "decode byte 0xff in position 0: invalid start byte\n")
+
+    @pytest.mark.parametrize("grid, message", [
+        ("N=4;M=4;M=16", "grid axis M is given twice"),
+        ("N=4;n=5;M=4", "grid axis N is given twice"),
+        ("N=30;M=64", "grid axis N needs values <= 24 (the exhaustive optimum's cap), got 30"),
+        ("N=25", "grid axis N needs values <= 24 (the exhaustive optimum's cap), got 25"),
+    ])
+    def test_a_malformed_grid_names_its_axis(self, tmp_path, capsys, grid, message):
+        out = tmp_path / "grid.csv"
+        assert run_cli("bounds", "--grid", grid, "-o", str(out)) == 2
+        assert capsys.readouterr().err == f"oracleid: error: {message}\n"
+        assert not out.exists()
 
 
 class TestVerify:

@@ -768,10 +768,12 @@ class TestFactoredStorage:
         # a solution holds scan parts only; a dense part is a test-side one
         with pytest.raises(TypeError, match="scan parts"):
             SdpSolution(domain, [(np.zeros(4, dtype=np.intp), u, u)])
+        # a part refuses bad block ids when it is made; a block and ranks
+        # of different lengths name the block
         with pytest.raises(ValueError, match="block"):
-            SdpSolution(domain, [dataclasses.replace(part, block=np.array([0, 0, -1, 0]))])
+            dataclasses.replace(part, block=np.array([0, 0, -1, 0]))
         with pytest.raises(ValueError, match="block"):
-            SdpSolution(domain, [dataclasses.replace(part, block=np.zeros(3, dtype=np.intp))])
+            dataclasses.replace(part, block=np.zeros(3, dtype=np.intp))
 
     def test_ambient_layout_puts_each_block_in_its_own_range(self):
         domain = generate_class("cube", 2)
@@ -785,6 +787,21 @@ class TestFactoredStorage:
             expected[[0, 2], :, 1] = u[[0, 2], :, 0]
             np.testing.assert_array_equal(sol.u, expected)
             np.testing.assert_array_equal(sol.v, expected)
+
+    def test_unused_block_ids_take_no_coordinate(self):
+        # block ids 1 and 3 are held by no input: each part gets one
+        # coordinate per used id, in increasing id order, as the test-side
+        # layout (``np.unique``) gives them
+        domain = generate_class("cube", 2)
+        sigma = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+        sparse = ScanPart(np.array([2, 0, 2, 0]), sigma, np.zeros((4, 2), dtype=bool),
+                          np.array([2, 1, 1, 2]), np.array([0, 1, 2, 1]))
+        dense = ScanPart(np.array([0, 0, 1, 1]), sigma[:2], np.zeros((2, 2), dtype=bool),
+                         np.array([2, 2]), np.array([1, 2, 0, 1]))
+        for parts in ([sparse], [dense, sparse, dense]):
+            sol, want = SdpSolution(domain, parts), DenseSolution.from_parts(domain, parts)
+            assert sol.dim == want.dim == 2 * len(parts)
+            assert sol.u.tobytes() == want.u.tobytes()
 
 
 def _integer_parts(rng, m, n, blocks):
@@ -959,6 +976,13 @@ def _scan_ranks(part, bits):
     return np.array(ranks, dtype=np.intp)
 
 
+def _ranks_hold(part, bits):
+    """Whether every ``rank`` of the part is its input's first disagreement,
+    as the rank proof recomputes it from the inputs' 0/1 ``bits``."""
+    found = sdp._first_disagreements(bits, part.block, part.sigma, part.s, part.width)
+    return bool(np.array_equal(found, part.rank))
+
+
 SCAN_CLASSES = {
     **TestPipelineAgainstReference.CLASSES,
     **{
@@ -1022,7 +1046,7 @@ class TestScanPartCheck:
         bits = domain_bits(cls.members)
         for part in oracle_id_pipeline(cls).solution.parts:
             assert np.array_equal(part.rank, _scan_ranks(part, bits))
-            assert part.ranks_hold(bits)
+            assert _ranks_hold(part, bits)
 
     def test_a_scan_part_stores_no_rows(self):
         cls = generate_class("random", 13, size=400, seed=1)
@@ -1035,17 +1059,16 @@ class TestScanPartCheck:
 
     def test_invalid_scan_parts_rejected(self):
         part = oracle_id_pipeline(generate_class("cube", 3)).solution.parts[1]
-        domain = generate_class("cube", 3)
         bad = [
-            dataclasses.replace(part, rank=part.rank[:-1]),
-            dataclasses.replace(part, rank=part.rank.astype(float)),
-            dataclasses.replace(part, sigma=part.sigma[:, :-1]),
-            dataclasses.replace(part, s=part.s.astype(np.uint8)),
-            dataclasses.replace(part, width=part.width[:-1]),
+            {"rank": part.rank[:-1]},
+            {"rank": part.rank.astype(float)},
+            {"sigma": part.sigma[:, :-1]},
+            {"s": part.s.astype(np.uint8)},
+            {"width": part.width[:-1]},
         ]
-        for mutant in bad:
+        for change in bad:
             with pytest.raises(ValueError, match="scan part"):
-                SdpSolution(domain, [mutant])
+                dataclasses.replace(part, **change)
 
     @pytest.fixture(scope="class")
     def small_part(self):
@@ -1057,12 +1080,52 @@ class TestScanPartCheck:
     ])
     def test_out_of_range_scan_part_rejected(self, small_part, field, value):
         # rank and width lie in 0..N, sigma's entries in 0..N-1
-        cls, part = small_part
+        _, part = small_part
         arr = getattr(part, field).astype(np.intp)
         arr.flat[-1] = value
-        mutant = dataclasses.replace(part, **{field: arr})
         with pytest.raises(ValueError, match=r"lie in \[0, 6\] and its orders in \[0, 5\]"):
-            SdpSolution(cls, [mutant])
+            dataclasses.replace(part, **{field: arr})
+
+    def test_a_build_checks_each_part_once(self, monkeypatch):
+        # the stage solutions and the combined one share the parts, each
+        # checked once, when it was made
+        checked = []
+        post_init = ScanPart.__post_init__
+
+        def counted(part):
+            checked.append(part)
+            post_init(part)
+
+        monkeypatch.setattr(ScanPart, "__post_init__", counted)
+        pipe = oracle_id_pipeline(generate_class("random", 13, size=400, seed=1))
+        parts = pipe.solution.parts
+        assert len(parts) == 8 and checked == list(parts)
+        assert [sol.parts for sol in pipe.stage_solutions] == [(p,) for p in parts]
+        SdpSolution(pipe.concept_class, parts)
+        assert len(checked) == 8
+
+    def test_a_checked_part_refuses_writes(self):
+        # the part keeps the arrays it is given, and makes them read-only
+        arrays = (np.array([1, 0, 1, 0]), np.array([[0, 1], [1, 0]]), np.zeros((2, 2), dtype=bool),
+                  np.array([2, 1]), np.array([0, 1, 2, 1]))
+        names = ("block", "sigma", "s", "width", "rank")
+        part = ScanPart(*arrays)
+        for name, array in zip(names, arrays):
+            assert getattr(part, name) is array and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+        parts = oracle_id_pipeline(generate_class("cube", 3)).solution.parts
+        assert not any(getattr(p, name).flags.writeable for p in parts for name in names)
+
+    def test_a_part_of_another_domain_is_refused(self, small_part):
+        # valid on its own, the part has 10 inputs of 6 bits
+        cls, part = small_part
+        others = [generate_class("random", 6, size=11, seed=1), generate_class("random", 7, size=10, seed=1)]
+        for other in others:
+            want = f"a part of this domain needs {other.size} block ids and orders of {other.n} bits"
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                SdpSolution(other, [part])
+        assert SdpSolution(cls, [part]).parts == (part,)
 
     def test_in_range_scan_part_accepted(self, small_part):
         # the extremes of each range, and any permutation as an order: the
@@ -1162,8 +1225,8 @@ class TestScanPartMutants:
 
     def test_sigma_that_is_no_permutation(self, pipe):
         # a block's last rank, past its width, repeats its first bit: the
-        # ranks still hold, but the rows would write that bit twice, so a
-        # solution refuses the part
+        # ranks still hold, but the rows would write that bit twice, so the
+        # part refuses to be made
         k, b = next(
             (k, b) for k, part in enumerate(pipe.solution.parts)
             for b in range(len(part.width))
@@ -1172,14 +1235,11 @@ class TestScanPartMutants:
         part = pipe.solution.parts[k]
         sigma = part.sigma.copy()
         sigma[b, -1] = sigma[b, 0]
-        mutant = dataclasses.replace(part, sigma=sigma)
-        assert mutant.ranks_hold(domain_bits(pipe.concept_class))
-        domain = pipe.concept_class
-        parts = list(pipe.solution.parts)
-        parts[k] = mutant
-        for mutant_parts in ([mutant], parts):
-            with pytest.raises(ValueError, match="orders must be permutations of the bit positions"):
-                SdpSolution(domain, mutant_parts)
+        bits = domain_bits(pipe.concept_class)
+        found = sdp._first_disagreements(bits, part.block, sigma, part.s, part.width)
+        assert np.array_equal(found, part.rank)
+        with pytest.raises(ValueError, match="orders must be permutations of the bit positions"):
+            dataclasses.replace(part, sigma=sigma)
 
     def test_flipped_bit_of_s(self, pipe):
         # the ranks recomputed against the flipped reference hold, but the
@@ -1189,7 +1249,7 @@ class TestScanPartMutants:
         s[0, part.sigma[0, 0]] ^= True
         mutant = dataclasses.replace(part, s=s)
         mutant = dataclasses.replace(mutant, rank=_scan_ranks(mutant, domain_bits(pipe.concept_class)))
-        assert mutant.ranks_hold(domain_bits(pipe.concept_class))
+        assert _ranks_hold(mutant, domain_bits(pipe.concept_class))
         self.assert_part_caught(pipe, 0, mutant)
 
     def test_fine_label_merging_two_ranks(self, pipe):
@@ -1266,11 +1326,11 @@ STACKED_CLASSES = {
 
 
 class TestStackedPasses:
-    """The rank proof and the cost take the parts a pass of stacked parts at
-    a time, at most ``sdp.PASS_ROWS`` rows a pass.  Whatever that bound --
-    one part a pass, three, or every part in one -- the check equals the
-    pair-by-pair oracle exactly, refuses the same broken chains, and the
-    cost keeps its bytes."""
+    """The rank proof takes the parts a pass of stacked parts at a time, at
+    most ``sdp.PASS_ROWS`` rows a pass.  Whatever that bound -- one part a
+    pass, three, or every part in one -- the check equals the pair-by-pair
+    oracle exactly and refuses the same broken chains; the cost, written
+    one part at a time, keeps its bytes under every bound."""
 
     BUDGETS = {"one-part": lambda m: 1, "three-parts": lambda m: 3 * m, "unbounded": lambda m: 1 << 62}
 
@@ -1328,13 +1388,13 @@ class TestStackedPasses:
         last = parts[-1]
         merged = dataclasses.replace(last, block=np.zeros_like(last.block))
         merged = dataclasses.replace(merged, rank=_scan_ranks(merged, bits))
-        assert merged.ranks_hold(bits)
+        assert _ranks_hold(merged, bits)
         # a last part of one block per input, each scanning as its old block
         # did: the ranks hold and the last (block, rank) tells every input
         # apart, but inputs the parts before it never split meet in no block
         split = ScanPart(np.arange(len(bits)), last.sigma[last.block], last.s[last.block],
                          last.width[last.block], last.rank)
-        assert split.ranks_hold(bits)
+        assert _ranks_hold(split, bits)
         return {
             "wrong-middle-rank": wrong_rank,
             "last-blocks-coarser": parts[:-1] + [merged],
