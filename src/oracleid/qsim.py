@@ -35,6 +35,9 @@ reproducible bit-for-bit across platforms.  Each search round draws its
 iteration count, then one uniform variate for the measurement; the marked
 set is fixed within a search, so each distinct iteration count's
 distribution is built once and sampled by bisection on its cumulative sums.
+With nothing marked a round is those two draws alone: every index then has
+probability exactly ``1/dim`` and the norm is exactly 1, so a uniform ``u``
+measures ``floor(u * dim)``, the index that bisection would return.
 Ranks a classical scan has queried one by one are known zeros, which the
 repetitions of one first-disagreement call share.
 """
@@ -78,7 +81,7 @@ class SearchConfig:
         instead of amplified; below this size amplitude amplification
         cannot beat direct queries.
     norm_tol: the simulated state's norm, recomputed from its two
-        amplitudes every round, must stay within this of 1.
+        amplitudes every round, must stay within this of 1; non-negative.
     """
 
     growth: float = 1.2
@@ -93,6 +96,9 @@ class SearchConfig:
             raise ValueError(f"growth must be greater than 1, got {self.growth}")
         if not self.cutoff_coeff >= 0:
             raise ValueError(f"cutoff_coeff must be non-negative, got {self.cutoff_coeff}")
+        # a negative tolerance fails even an exact norm; NaN passes every drift
+        if not self.norm_tol >= 0:
+            raise ValueError(f"norm_tol must be non-negative, got {self.norm_tol}")
 
 
 DEFAULT_CONFIG = SearchConfig()
@@ -125,6 +131,9 @@ class DisagreementResult:
     exact: bool
 
 
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class _Effective:
     """Rank-indexed view of the string actually searched.
 
@@ -144,7 +153,13 @@ class _Effective:
             raise ValueError(f"width {width} outside [0, {len(scan)}], the scan order's length")
         if s.n != x.n:
             raise ValueError("reference string length mismatch")
-        self.ranks = tuple(x.bit(j) ^ s.bit(j) for j in scan[:width])
+        scan = scan[:width]
+        # a negative index would read a bit from the end
+        if scan and not (min(scan) >= 0 and max(scan) < x.n):
+            raise ValueError(f"scan order entries must lie in [0, {x.n - 1}]")
+        # bit j (MSB-first) of x XOR s is character j of its n-digit binary
+        digits = format(x.value ^ s.value, f"0{x.n}b").encode().translate(_DIGIT_VALUES)
+        self.ranks = tuple(map(digits.__getitem__, scan))
         self.cleared = 0
 
     def query(self, t: int, ctx: EngineContext) -> int:
@@ -181,10 +196,17 @@ def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig)
     Every round checks the state's norm against ``config.norm_tol``.
 
     The marked set is fixed for the call, so the measurement distribution
-    depends only on the drawn iteration count ``j``: it is built once per
-    distinct ``j`` (at most ``ceil(sqrt(dim))`` of them) and sampled by
-    bisection on its cumulative sums.  Each round still draws one integer
-    for ``j``, then one uniform for the measurement.
+    and the norm depend only on the drawn iteration count ``j``: both are
+    built once per distinct ``j`` (at most ``ceil(sqrt(dim))`` of them),
+    when the norm is checked for all of ``j``'s rounds, and the distribution
+    is sampled by bisection on its cumulative sums.  Each round still draws
+    one integer for ``j``, then one uniform ``u`` for the measurement.
+    With nothing marked, a round is those two draws alone: ``asin(0)`` is
+    0, so every index has probability exactly ``1/dim``, the cumulative
+    sums ``(i + 1)/dim`` are exact and bisecting them at ``u`` gives
+    ``floor(u * dim)``; the norm is exactly 1, so every round's check
+    passes (``norm_tol`` is never negative).  The rounds' iterations are
+    summed here and charged to ``ctx`` on every exit.
     """
     if limit <= 0:
         return None
@@ -194,32 +216,53 @@ def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig)
         if eff.query(0, ctx):
             return 0
         return None
-    marked = np.zeros(dim, dtype=bool)
-    marked[:limit] = eff.ranks[:limit]
-    n_marked = int(np.count_nonzero(marked))
+    ranks = eff.ranks[:limit]
+    n_marked = ranks.count(1)
     budget = config.cutoff_coeff * math.sqrt(limit)
+    draw_j, draw_u = ctx.rng.integers, ctx.rng.random
+    growth = config.growth
     m = 1.0
     m_cap = math.sqrt(dim)
-    used = 0
-    dists: dict[int, tuple[float, list[float]]] = {}  # j -> (drift, cumulative probabilities)
-    while used <= budget:
-        j = int(ctx.rng.integers(0, math.ceil(m)))
-        ctx.queries += j
-        used += j
-        if j not in dists:
-            p_marked, p_unmarked = grover_probabilities(dim, n_marked, j)
-            drift = abs(math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked) - 1.0)
-            dists[j] = drift, np.cumsum(np.where(marked, p_marked, p_unmarked)).tolist()
-        drift, cum = dists[j]
-        ctx.max_drift = max(ctx.max_drift, drift)
-        if drift > config.norm_tol:
-            raise RuntimeError(f"simulated state norm drifted by {drift:.3e}")
-        v = bisect.bisect_right(cum, ctx.rng.random() * cum[-1])
-        if v < limit:
-            if eff.query(v, ctx):
+    window = 1  # ceil(m): j is drawn from [0, window)
+    used = 0  # iterations so far, each one oracle query
+    if not n_marked:
+        # the measurement is floor(u * dim); a rank below limit is verified
+        # (one query), and is a zero
+        checks = 0
+        while used <= budget:
+            used += int(draw_j(0, window))
+            checks += draw_u() * dim < limit
+            if m < m_cap:
+                m = min(m * growth, m_cap)
+                window = math.ceil(m)
+        ctx.queries += used + checks
+        return None
+    marked = np.zeros(dim, dtype=bool)
+    marked[:limit] = ranks
+    dists: dict[int, tuple[list[float], float]] = {}  # j -> (cumulative probabilities, total)
+    try:
+        while used <= budget:
+            j = int(draw_j(0, window))
+            used += j
+            dist = dists.get(j)
+            if dist is None:
+                p_marked, p_unmarked = grover_probabilities(dim, n_marked, j)
+                drift = abs(math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked) - 1.0)
+                ctx.max_drift = max(ctx.max_drift, drift)
+                if drift > config.norm_tol:
+                    raise RuntimeError(f"simulated state norm drifted by {drift:.3e}")
+                cum = np.cumsum(np.where(marked, p_marked, p_unmarked)).tolist()
+                dist = dists[j] = cum, cum[-1]
+            cum, total = dist
+            v = bisect.bisect_right(cum, draw_u() * total)
+            if v < limit and eff.query(v, ctx):
                 return v
-        m = min(m * config.growth, m_cap)
-    return None
+            if m < m_cap:
+                m = min(m * growth, m_cap)
+                window = math.ceil(m)
+        return None
+    finally:
+        ctx.queries += used
 
 
 def _scan_region(eff: _Effective, hi: int, ctx: EngineContext) -> int | None:

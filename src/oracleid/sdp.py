@@ -118,9 +118,10 @@ class ScanPart:
     rank: per input, its claimed first disagreement with its block's ``s``
        along ``sigma`` within ``width``, 0 when none.
 
-    A part refuses, when made, arrays of the wrong shape or type, ranks or
-    widths outside ``0..bits`` and orders that are not permutations of
-    ``0..bits-1``; once checked, its five arrays are read-only.
+    A part refuses, when made, no inputs or no bits, arrays of the wrong
+    shape or type, ranks or widths outside ``0..bits`` and orders that are
+    not permutations of ``0..bits-1``; once checked, its five arrays are
+    read-only.
 
     Its rows (shape (inputs, bits, 1)) are written by ``_scan_rows`` on
     each read of ``u`` or ``v``, so a part holds two numbers per input and
@@ -136,6 +137,8 @@ class ScanPart:
     def __post_init__(self):
         block, sigma, s, width, rank = self.block, self.sigma, self.s, self.width, self.rank
         m, n, blocks = block.size, sigma.shape[-1] if sigma.ndim else 0, width.size
+        if m == 0 or n == 0:  # numpy's min and max refuse empty arrays
+            raise ValueError("a scan part needs at least one input and one bit")
         if block.shape != (m,) or block.dtype.kind not in "iu" or block.min() < 0:
             raise ValueError(f"block must hold {m} nonnegative integer ids")
         if (sigma.shape != (blocks, n) or s.shape != (blocks, n)

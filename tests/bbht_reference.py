@@ -1,12 +1,16 @@
 """Reference unknown-count search for tests: the per-round sampler.
 
 Every round rebuilds the full measurement distribution for its drawn
-iteration count and samples it with ``np.searchsorted``.  ``qsim._bbht``
-builds each distinct count's distribution once per call and samples it by
-bisection; it must return the same rank, charge the same queries, record the
-same drift and leave the generator in the same state.  The probabilities
-are read through the ``qsim`` module, so a test that patches
-``qsim.grover_probabilities`` patches both.
+iteration count, checks its norm and samples it with ``np.searchsorted``.
+``qsim._bbht`` builds and checks each distinct count's distribution once
+per call and samples it by bisection; with nothing marked it builds none: a
+round there is one draw of ``j`` and one of ``u``, and measures
+``floor(u * dim)``, which is what this sampler returns on the exactly
+uniform distribution, whose norm is exactly 1.  It must return the same
+rank, charge the same queries, record the same drift and leave the generator
+in the same state.  The probabilities are read through the ``qsim`` module,
+so a test that patches ``qsim.grover_probabilities`` patches both where
+something is marked.
 """
 
 import math

@@ -1,0 +1,55 @@
+"""``scripts/bench_search.py`` runs end to end at tiny sizes and writes the
+fields its JSON promises."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_search.py"
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("bench_search", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_search = _load()
+
+
+def test_measure_records_every_field():
+    row = bench_search.measure("random", 9, 40, 3, 8, 12)
+    assert (row["kind"], row["n"], row["m"], row["seed"]) == ("random", 9, 40, 3)
+    # every fifth member of 40, in the two trials that reach 12 runs
+    assert (row["members"], row["runs"]) == (8, 16)
+    assert 0 < row["run_us_median"] and 0 < row["run_us_mean"]
+    assert row["raw_queries_mean"] > 0
+    assert row["ns_per_raw_query"] == pytest.approx(row["run_us_mean"] * 1e3 / row["raw_queries_mean"])
+
+
+def test_runs_are_seeded_as_the_cli_seeds_them():
+    # the same (seed, member, trial) seeds give the same raw queries
+    first, again = (bench_search.measure("hamming1", 16, None, 5, 16, 1) for _ in range(2))
+    assert first["raw_queries_mean"] == again["raw_queries_mean"]
+
+
+def test_writes_one_row_per_class(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(bench_search, "CLASSES", (("hamming1", 9, None), ("random", 5, 1)))
+    monkeypatch.setattr(bench_search, "MEMBERS", 4)
+    monkeypatch.setattr(bench_search, "RUNS", 1)
+    out = tmp_path / "bench.json"
+    assert bench_search.main(["--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["script"] == "scripts/bench_search.py"
+    assert set(report["machine"]) >= {"cpu", "nproc", "python", "numpy", "blas_threads"}
+    wide, single = report["classes"]
+    # every third member of 9
+    assert (wide["kind"], wide["n"], wide["m"], wide["seed"], wide["members"]) == ("hamming1", 9, 9, None, 3)
+    # one member: identified without a query
+    assert (single["m"], single["runs"], single["raw_queries_mean"]) == (1, 1, 0)
+    assert single["ns_per_raw_query"] is None
+    assert len(capsys.readouterr().out.splitlines()) == 2

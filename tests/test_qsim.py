@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -58,9 +59,20 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="cutoff_coeff must be non-negative"):
             qsim.SearchConfig(cutoff_coeff=cutoff)
 
+    # a negative tolerance fails even a search with nothing marked, whose
+    # norm is exactly 1; NaN would turn the check off
+    @pytest.mark.parametrize("tol", [-1e-9, -math.inf, float("nan")])
+    def test_norm_tol_must_be_non_negative(self, tol):
+        with pytest.raises(ValueError, match="norm_tol must be non-negative, got"):
+            qsim.SearchConfig(norm_tol=tol)
+
     def test_edge_values_are_accepted(self):
-        config = qsim.SearchConfig(growth=1.0001, cutoff_coeff=0.0)
-        assert config.growth == 1.0001 and config.cutoff_coeff == 0.0
+        config = qsim.SearchConfig(growth=1.0001, cutoff_coeff=0.0, norm_tol=0.0)
+        assert (config.growth, config.cutoff_coeff, config.norm_tol) == (1.0001, 0.0, 0.0)
+        # a zero tolerance still passes the exact norm of an unmarked search
+        ctx = ctx_for(0)
+        assert unknown_count_search(bs("00000000"), 8, ctx, config=config) is None
+        assert ctx.max_drift == 0.0
 
 
 class TestStateVector:
@@ -195,7 +207,9 @@ class TestSamplerMatchesReference:
     ], ids=["default", "growth2", "cutoff3", "cutoff0"])
     def test_same_outcome_queries_drift_and_generator_state(self, config):
         rng = np.random.default_rng(2024)
-        for limit in range(1, 131):
+        # every limit to 130, then either side of the powers of two 256, 512
+        # and 1024, where nothing marked measures floor(u * dim)
+        for limit in [*range(1, 131), 255, 256, 257, 511, 1000, 1024]:
             for ranks in _marked_sets(limit, rng):
                 x = BitString.from_bits([int(t in ranks) for t in range(limit)])
                 eff = effective(x, limit)
@@ -209,8 +223,7 @@ class TestSamplerMatchesReference:
                 assert new.rng.bit_generator.state == old.rng.bit_generator.state, where
 
     def test_one_distribution_per_iteration_count(self, monkeypatch):
-        # nothing marked at dim 64: every round runs, and the drawn counts
-        # take at most ceil(sqrt(64)) = 8 values
+        # at dim 64 the drawn counts take at most ceil(sqrt(64)) = 8 values
         exact = qsim.grover_probabilities
         calls = []
 
@@ -219,13 +232,75 @@ class TestSamplerMatchesReference:
             return exact(dim, marked, iterations)
 
         monkeypatch.setattr(qsim, "grover_probabilities", counted)
+        # nothing marked: every round runs, and measures floor(u * dim)
+        # without building a distribution
         eff = effective(BitString(64, 0), 64)
         assert bbht_reference(eff, 64, ctx_for(3), qsim.DEFAULT_CONFIG) is None
         rounds = len(calls)
         calls.clear()
         assert qsim._bbht(eff, 64, ctx_for(3), qsim.DEFAULT_CONFIG) is None
         assert rounds > 20
+        assert calls == []
+        # rank 0 marked: this seed misses it for 20 rounds
+        eff = effective(BitString(64, 1 << 63), 64)
+        assert bbht_reference(eff, 64, ctx_for(31988), qsim.DEFAULT_CONFIG) == 0
+        rounds = len(calls)
+        calls.clear()
+        assert qsim._bbht(eff, 64, ctx_for(31988), qsim.DEFAULT_CONFIG) == 0
+        assert rounds >= 20
         assert len(calls) == len(set(calls)) <= 8
+
+
+class TestNothingMarked:
+    """With nothing marked a round measures ``floor(u * dim)``: the closed
+    form of bisecting the uniform distribution's cumulative sums."""
+
+    DIMS = [1 << k for k in range(1, 13)]
+
+    def test_uniform_distribution_is_exact(self):
+        for dim in self.DIMS:
+            for j in range(math.ceil(math.sqrt(dim))):
+                p_marked, p_unmarked = grover_probabilities(dim, 0, j)
+                assert (p_marked, p_unmarked) == (0.0, 1 / dim), (dim, j)
+                drift = abs(math.sqrt(0 * p_marked + dim * p_unmarked) - 1.0)
+                assert drift == 0.0, (dim, j)
+
+    def test_floor_is_the_bisection(self):
+        rng = np.random.default_rng(7)
+        for dim in self.DIMS:
+            cum = np.cumsum(np.where(np.zeros(dim, dtype=bool), 0.0, 1 / dim)).tolist()
+            assert cum[-1] == 1.0
+            steps = [k / dim for k in range(dim)]
+            us = steps + [math.nextafter(u, 0.0) for u in steps[1:]] + [math.nextafter(u, 1.0) for u in steps]
+            us += rng.random(10_000).tolist()
+            for u in us:
+                assert int(u * dim) == bisect.bisect_right(cum, u * cum[-1]), (dim, u)
+
+
+class TestEffectiveRanks:
+    @pytest.mark.parametrize("n", [1, 7, 64, 65, 200])
+    def test_ranks_are_the_bitwise_disagreements(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            x, s = (BitString.from_bits(rng.integers(2, size=n).tolist()) for _ in range(2))
+            order = rng.permutation(n).tolist()
+            for width in range(n + 1):
+                eff = qsim._Effective(x, s, order, width)
+                assert eff.ranks == tuple(x.bit(j) ^ s.bit(j) for j in order[:width])
+                assert eff.cleared == 0
+
+    def test_a_reference_of_another_length_is_refused(self):
+        # a width outside the order: TestDisagreementFinder
+        with pytest.raises(ValueError, match="^reference string length mismatch$"):
+            qsim._Effective(bs("0110"), bs("000"), range(4), 4)
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_a_scanned_position_outside_the_string_is_refused(self, bad):
+        order = [0, 1, bad, 2]
+        with pytest.raises(ValueError, match=r"^scan order entries must lie in \[0, 3\]$"):
+            qsim._Effective(bs("0110"), bs("0000"), order, 3)
+        # past the width the order is not read
+        assert qsim._Effective(bs("0110"), bs("0000"), order, 2).ranks == (0, 1)
 
 
 class TestFindFirstOne:
@@ -524,6 +599,21 @@ class TestDeterminismAndNorm:
             norm = math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked)
             worst = max(worst, abs(norm - 1.0))
         assert worst < 1e-9
+
+    def test_a_raise_charges_what_the_reference_charges(self, monkeypatch):
+        # rounds that draw j = 0 pass; the first j > 0 fails its norm check
+        exact = qsim.grover_probabilities
+        monkeypatch.setattr(qsim, "grover_probabilities",
+                            lambda dim, marked, j: exact(dim, marked, j) if j == 0 else (1.0, 1.0))
+        eff = effective(bs("0001000000000000"), 16)
+        new, old = ctx_for(4), ctx_for(4)
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            qsim._bbht(eff, 16, new, qsim.DEFAULT_CONFIG)
+        with pytest.raises(RuntimeError, match="norm drifted"):
+            bbht_reference(eff, 16, old, qsim.DEFAULT_CONFIG)
+        assert new.queries > 0
+        assert (new.queries, new.max_drift) == (old.queries, old.max_drift)
+        assert new.rng.bit_generator.state == old.rng.bit_generator.state
 
     def test_blown_norm_raises_in_the_search(self, monkeypatch):
         monkeypatch.setattr(qsim, "grover_probabilities", lambda dim, marked, j: (1.0, 1.0))

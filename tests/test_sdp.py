@@ -1070,6 +1070,17 @@ class TestScanPartCheck:
             with pytest.raises(ValueError, match="scan part"):
                 dataclasses.replace(part, **change)
 
+    @pytest.mark.parametrize("arrays", [
+        (np.zeros(0, dtype=np.intp), np.array([[0, 1]]), np.zeros((1, 2), dtype=bool),
+         np.array([2]), np.zeros(0, dtype=np.intp)),
+        (np.zeros(2, dtype=np.intp), np.zeros((1, 0), dtype=np.intp), np.zeros((1, 0), dtype=bool),
+         np.array([0]), np.zeros(2, dtype=np.intp)),
+    ], ids=["no inputs", "no bits"])
+    def test_an_empty_scan_part_is_refused(self, arrays):
+        # refused before numpy's min and max meet an empty array
+        with pytest.raises(ValueError, match="^a scan part needs at least one input and one bit$"):
+            ScanPart(*arrays)
+
     @pytest.fixture(scope="class")
     def small_part(self):
         cls = generate_class("random", 6, size=10, seed=1)
