@@ -15,12 +15,11 @@ For each random class of ``N`` bits and ``M`` members in ``CLASSES`` (seed
 
 Each repeat takes a fresh copy of the class, so the stage checks also pay
 for the class's cached bit matrix (``ConceptClass.bits``).  Both checks
-prove the pipeline's scan parts from their ranks, in O(stages * M * N),
-stacking parts into passes of at most ``sdp.PASS_ROWS`` rows; the cost
-writes one part's rows at a time.  The first class is the size the
-``certify`` benchmark workload certifies, where small parts share a pass;
-at M = 10^5 every part runs alone.  The tree is timed apart because it
-dominates a cold build at M = 10^5.
+prove the pipeline's scan parts from their ranks, one part at a time, in
+O(stages * M * N); the cost writes one part's rows at a time.  At N=10,
+M=150 a part is small enough that its check is mostly per-call overhead;
+N=13, M=400 is the size the ``certify`` benchmark workload certifies.  The
+tree is timed apart because it dominates a cold build at M = 10^5.
 
 It records the worst residual of each check, the stage count, the largest
 certified cost and the process's peak RSS so far, with the machine it ran
@@ -39,7 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import benchlib  # noqa: E402
 
-CLASSES = ((13, 400), (16, 2000), (20, 10_000), (24, 100_000))  # (N, M) of each random class
+CLASSES = ((10, 150), (13, 400), (16, 2000), (20, 10_000), (24, 100_000))  # (N, M) of each random class
 SEED = 1
 REPEATS = 3
 

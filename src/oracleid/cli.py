@@ -338,11 +338,16 @@ def _parse_grid(text: str) -> tuple[list[int], list[int]]:
         for part in text.split(";"):
             key, _, values = part.partition("=")
             key = key.strip().upper()
-            parsed = [int(v) for v in values.split(",") if v.strip()]
             if key not in ("N", "M"):
                 raise ValueError(f"unknown grid axis {key!r}")
             if key in axes:
                 raise ValueError(f"grid axis {key} is given twice")
+            parsed = []
+            for v in filter(str.strip, values.split(",")):
+                try:
+                    parsed.append(int(v))
+                except ValueError:
+                    raise ValueError(f"grid axis {key} needs integer values, got {v.strip()!r}") from None
             axes[key] = parsed
             least = 1 if key == "N" else 2  # a string has at least 1 bit, a class 2 members
             for v in parsed:

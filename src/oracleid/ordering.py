@@ -213,13 +213,20 @@ def first_disagreement_rank(
     """1-based rank of the first sigma-order bit where ``x`` differs from ``s``.
 
     Only the first ``width`` ranks are scanned (all of ``sigma`` when
-    ``width`` is None); returns None when they all agree.
+    ``width`` is None); returns None when they all agree.  A width outside
+    ``[0, len(sigma)]`` and a scanned entry that is not a bit position are
+    refused before anything is read.
     """
     if x.n != s.n:
         raise ValueError("reference string length mismatch")
-    limit = len(sigma) if width is None else min(width, len(sigma))
-    for t in range(limit):
-        j = sigma[t]
+    limit = len(sigma) if width is None else width
+    if not 0 <= limit <= len(sigma):
+        raise ValueError(f"width {width} outside [0, {len(sigma)}], the scan order's length")
+    scan = sigma[:limit]
+    # a negative entry would read a bit from the end
+    if limit and not (0 <= min(scan) and max(scan) < x.n):
+        raise ValueError(f"scan order entries must lie in [0, {x.n - 1}]")
+    for t, j in enumerate(scan):
         if x.bit(j) != s.bit(j):
             return t + 1
     return None

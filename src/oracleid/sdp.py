@@ -58,12 +58,7 @@ its own) over the pipeline's stages.  A solution that breaks a premise --
 a rank that is not its first disagreement, or parts that do not chain --
 is not certified: its residual is ``inf``.
 
-The proof takes the parts in passes: consecutive parts are stacked as one
-part of ``inputs * parts`` rows, each part's block ids offset past those of
-the parts before it, so one call per pass recomputes every rank, checks
-every link of the chain and finds the largest split residual.  A pass holds
-at most ``PASS_ROWS`` rows; a larger part runs alone, as does the single
-part of every pipeline stage.  ``cost_of`` writes one part's rows at a time.
+The proof and ``cost_of`` take the parts one at a time, in order.
 
 ``oracle_id_pipeline`` builds, from the class's memoized pruning tree
 (``ordering._greedy``, the one ``identify_all`` reads), a feasible solution
@@ -100,11 +95,6 @@ __all__ = [
     "OracleIdPipeline",
     "oracle_id_pipeline",
 ]
-
-# Rows (inputs times parts) one pass of the rank proof stacks, so a pass's
-# temporaries stay small; a larger part runs alone.  At random N=13, M=400
-# the J - I proof takes ~0.65 ms in passes, ~0.95 ms part by part (2-CPU Xeon).
-PASS_ROWS = 1 << 11
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,33 +260,6 @@ def _is_identity_target(dense: np.ndarray) -> bool:
     return int(np.count_nonzero(dense == 1.0)) == m * (m - 1) and not np.diagonal(dense).any()
 
 
-def _passes(parts: Sequence[ScanPart], m: int) -> list[Sequence[ScanPart]]:
-    """The parts in order, in runs of at most ``PASS_ROWS`` rows (inputs
-    times parts); a part of more rows than that runs alone."""
-    step = max(1, PASS_ROWS // m)
-    return [parts[i:i + step] for i in range(0, len(parts), step)]
-
-
-def _stacked(parts: Sequence[ScanPart]) -> tuple[np.ndarray, ...]:
-    """``(block, sigma, s, width, rank)`` of the parts stacked as one part,
-    one row per input and part: each part's block ids are offset past the
-    blocks of the parts before it, so it keeps blocks of its own.  A lone
-    part gives its own arrays."""
-    if len(parts) == 1:
-        (p,) = parts
-        return np.asarray(p.block, dtype=np.intp), p.sigma, p.s, p.width, p.rank
-    counts = [len(p.width) for p in parts]
-    block = np.concatenate([p.block for p in parts], dtype=np.intp)
-    block += np.repeat(np.cumsum([0, *counts[:-1]]), len(parts[0].block))
-    return (
-        block,
-        np.concatenate([p.sigma for p in parts]),
-        np.concatenate([p.s for p in parts]),
-        np.concatenate([p.width for p in parts]),
-        np.concatenate([p.rank for p in parts]),
-    )
-
-
 def _split_residual(block: np.ndarray, rank: np.ndarray, blocks: int, n: int) -> float:
     """``max |1 - p**0.25 * p**-0.25|`` over the ranks ``p`` that are the
     smaller rank of a pair in their block (of ``blocks`` ids), 0.0 when
@@ -313,10 +276,9 @@ def _split_residual(block: np.ndarray, rank: np.ndarray, blocks: int, n: int) ->
 def _scan_chain_residual(target: LabelTarget, sol: SdpSolution) -> float:
     """The exact residual of a solution whose parts chain from the target's
     coarse classes to its fine ones (module docstring), or ``inf`` when a
-    rank or the chain fails; the parts are proved a pass of stacked parts
-    at a time."""
+    rank or the chain fails."""
     bits = sol.domain.bits
-    m, n = bits.shape
+    n = bits.shape[1]
     coarse = np.asarray(target.coarse)
     # the classes the next part's blocks must make; None when the first
     # part's blocks are the coarse labels themselves, as a stage target's
@@ -324,25 +286,19 @@ def _scan_chain_residual(target: LabelTarget, sol: SdpSolution) -> float:
     own = bool(sol.parts) and np.array_equal(coarse, sol.parts[0].block)
     classes = None if own else _codes(coarse)
     worst = 0.0
-    for parts in _passes(sol.parts, m):
-        block, sigma, s, width, rank = _stacked(parts)
-        if not np.array_equal(_first_disagreements(bits, block, sigma, s, width), rank):
+    for part in sol.parts:
+        # index types for the packing below: a narrow block id times n + 1
+        # would wrap, and a uint64 rank added to an intp gives floats
+        block = np.asarray(part.block, dtype=np.intp)
+        rank = np.asarray(part.rank, dtype=np.intp)
+        if not np.array_equal(_first_disagreements(bits, block, part.sigma, part.s, part.width), rank):
             return math.inf
+        if classes is not None and not _same_classes(block, classes):
+            return math.inf
+        worst = max(worst, _split_residual(block, rank, len(part.width), n))
         # ranks lie in 0..n now: (block, rank) packs into one label below
-        # blocks * (n + 1), an index as block ids are, and the offset block
-        # ids keep each part's labels apart from the others'
-        packed = block * (n + 1) + rank
-        # each part's blocks make the classes of the (block, rank) before it
-        if classes is None:
-            blocks, made = block[m:], packed[:-m]
-        elif len(parts) == 1:
-            blocks, made = block, classes
-        else:
-            blocks, made = block, np.concatenate([classes, packed[:-m] + (int(classes.max()) + 1)])
-        if len(blocks) and not _same_classes(blocks, made):
-            return math.inf
-        worst = max(worst, _split_residual(block, rank, len(width), n))
-        classes = packed[-m:]
+        # blocks * (n + 1), an index as block ids are
+        classes = block * (n + 1) + rank
     return worst if _same_classes(classes, _codes(target.fine)) else math.inf
 
 
@@ -357,10 +313,9 @@ def verify_feasible(A, sol: SdpSolution) -> float:
     pipeline's solution against ``J - I`` -- the value is the exact worst
     residual over every input pair, and a value at most the caller's
     tolerance certifies feasibility.  When a premise fails the solution is
-    not certified, and the value is ``inf``.  The parts are proved in
-    passes of stacked parts of at most ``PASS_ROWS`` rows (inputs times
-    parts), so the value is the same whatever that bound, and a pass's
-    arrays, not the whole solution's, set the check's memory.
+    not certified, and the value is ``inf``.  The parts are proved one at
+    a time, so one part's arrays, not the whole solution's, set the check's
+    memory.
     """
     if not isinstance(sol, SdpSolution):
         raise TypeError(f"a solution must be an SdpSolution, got {type(sol).__name__}")
@@ -467,11 +422,19 @@ def find_first_one_solution(
 def first_disagreement_ranks(domain: ConceptClass, sigma: Sequence[int], s: BitString, width: int) -> np.ndarray:
     """Rank of the first scan-order disagreement per member (0 when none),
     as ``ordering.first_disagreement_rank`` gives it member by member: an
-    ``intp`` array, read-only."""
+    ``intp`` array, read-only.  It refuses what that refuses, and also an
+    order entry past the width that is not a bit position, as every entry
+    is read."""
     if s.n != domain.n:
         raise ValueError("reference string length mismatch")
+    order = np.array([sigma], dtype=np.intp)
+    if not 0 <= width <= order.shape[1]:
+        raise ValueError(f"width {width} outside [0, {order.shape[1]}], the scan order's length")
+    # a negative entry would read the member before's bits
+    if order.size and not (0 <= order.min() and order.max() < domain.n):
+        raise ValueError(f"scan order entries must lie in [0, {domain.n - 1}]")
     ranks = _first_disagreements(
-        domain.bits, np.zeros(domain.size, dtype=np.intp), np.array([sigma], dtype=np.intp),
+        domain.bits, np.zeros(domain.size, dtype=np.intp), order,
         bit_matrix(s.n, [s.value]).astype(bool), np.array([width]),
     )
     ranks.setflags(write=False)
@@ -479,21 +442,18 @@ def first_disagreement_ranks(domain: ConceptClass, sigma: Sequence[int], s: BitS
 
 
 def _first_disagreements(bits, block, sigma, s, width) -> np.ndarray:
-    """Per row, the 1-based rank of its first disagreement with its block's
-    ``s`` along its block's ``sigma`` within its block's ``width``, 0 when
-    none: ``bits`` (inputs, bits) 0/1; the rows are the inputs, once per
-    stacked part, so ``block`` holds one id per row; per block a row of
-    ``sigma`` (bit positions), of ``s`` (boolean, by bit position) and a
-    ``width``."""
+    """Per input, the 1-based rank of its first disagreement with its
+    block's ``s`` along its block's ``sigma`` within its block's ``width``,
+    0 when none: ``bits`` (inputs, bits) 0/1; the rows are the inputs, one
+    ``block`` id each; per block a row of ``sigma`` (bit positions), of
+    ``s`` (boolean, by bit position) and a ``width``."""
     m, n = bits.shape
-    rows = len(block)
-    scanned = sigma.shape[1]
-    # flat index of the bit each row reads at each rank
-    order = sigma[block] + np.arange(0, rows * n, n)[:, None]
-    differ = (bits ^ s[block].reshape(-1, m, n)).ravel()[order]
-    differ &= np.arange(scanned) < width[block, None]
+    # flat index of the bit each input reads at each rank
+    order = sigma[block] + np.arange(0, m * n, n)[:, None]
+    differ = (bits ^ s[block]).ravel()[order]
+    # the first disagreement over every rank counts only within the width
     first = differ.argmax(axis=1)
-    return np.where(differ[np.arange(rows), first], first + 1, 0)
+    return np.where(differ[np.arange(m), first] & (first < width[block]), first + 1, 0)
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,9 @@ class TestInputErrors:
         ("N=4;n=5;M=4", "grid axis N is given twice"),
         ("N=30;M=64", "grid axis N needs values <= 24 (the exhaustive optimum's cap), got 30"),
         ("N=25", "grid axis N needs values <= 24 (the exhaustive optimum's cap), got 25"),
+        ("N=4;M=abc", "grid axis M needs integer values, got 'abc'"),
+        ("N=4, x ;M=4", "grid axis N needs integer values, got 'x'"),
+        ("N=4;K=abc", "unknown grid axis 'K'"),
     ])
     def test_a_malformed_grid_names_its_axis(self, tmp_path, capsys, grid, message):
         out = tmp_path / "grid.csv"

@@ -165,6 +165,31 @@ class TestFirstDisagreementRank:
         with pytest.raises(ValueError, match="reference string length mismatch"):
             first_disagreement_rank(bs("000"), bs("0001"), (0, 1, 2))
 
+    @pytest.mark.parametrize("sigma, width", [
+        ((0, 1, 2, 3), 9),  # was scanned as 4
+        ((0, 1, 2, 3), 5),
+        ((0, 1, 2, 3), -1),
+        ((), 1),
+    ], ids=["width-9-of-4", "width-5-of-4", "negative-width", "empty-order"])
+    def test_a_width_outside_the_order_is_refused(self, sigma, width):
+        with pytest.raises(ValueError, match=rf"^width {width} outside \[0, {len(sigma)}\], the scan order's length$"):
+            first_disagreement_rank(bs("1000"), bs("0000"), sigma, width)
+
+    @pytest.mark.parametrize("sigma, width", [
+        ((0, 4, 1, 2), None),  # past the first hit: a lazy scan never read it
+        ((0, 1, 2, 9), 4),
+        ((-1, 0, 1, 2), 4),  # before the first hit
+        ((3, -4), 2),
+    ], ids=["past-the-bits-after-the-hit", "past-the-bits-last", "negative-before-the-hit", "negative-last"])
+    def test_order_entries_outside_the_bits_are_refused(self, sigma, width):
+        with pytest.raises(ValueError, match=r"^scan order entries must lie in \[0, 3\]$"):
+            first_disagreement_rank(bs("1000"), bs("0000"), sigma, width)
+
+    def test_entries_past_the_width_are_not_read(self):
+        assert first_disagreement_rank(bs("0001"), bs("0000"), (0, 1, 2, 9), 3) is None
+        assert first_disagreement_rank(bs("0001"), bs("0000"), (3, -1), 1) == 1
+        assert first_disagreement_rank(bs("0001"), bs("0000"), (9,), 0) is None
+
 
 class TestPartitionAgainstReference:
     @pytest.mark.parametrize("cls", [

@@ -1166,6 +1166,25 @@ class TestScanPartCheck:
         with pytest.raises(ValueError, match="reference string length mismatch"):
             first_disagreement_ranks(cls, sigma, BitString.zeros(71), 70)
 
+    @pytest.mark.parametrize("sigma, width, message", [
+        ((0, 1, 2, 3), 9, r"^width 9 outside \[0, 4\], the scan order's length$"),  # was read as 4
+        ((0, 1, 2, 3), -1, r"^width -1 outside \[0, 4\], the scan order's length$"),
+        ((-1, 1, 2), 3, r"^scan order entries must lie in \[0, 3\]$"),  # read the member before
+        ((0, 1, 7), 3, r"^scan order entries must lie in \[0, 3\]$"),
+    ], ids=["width-past-the-order", "negative-width", "negative-entry", "entry-past-the-bits"])
+    def test_ranks_refuse_what_the_member_scan_refuses(self, sigma, width, message):
+        cls = ConceptClass.from_strings(["0001", "1000", "0110"])
+        with pytest.raises(ValueError, match=message):
+            first_disagreement_ranks(cls, sigma, BitString.zeros(4), width)
+        with pytest.raises(ValueError, match=message):
+            first_disagreement_rank(cls.members[1], BitString.zeros(4), sigma, width)
+
+    def test_ranks_refuse_a_bad_entry_past_the_width(self):
+        # every entry is read, not only the scanned ones
+        cls = ConceptClass.from_strings(["0001", "1000", "0110"])
+        with pytest.raises(ValueError, match=r"^scan order entries must lie in \[0, 3\]$"):
+            first_disagreement_ranks(cls, (0, 1, -2, 9), BitString.zeros(4), 2)
+
     def test_the_members_are_transposed_once(self, monkeypatch):
         # one build, the 8 stage checks and J - I read one bit matrix of
         # the members, and one more holds every tree node's reference
@@ -1324,7 +1343,7 @@ class TestDomainBits:
         np.testing.assert_array_equal(bit_matrix(7, [domain[0].value]), [[1, 0, 1, 1, 0, 0, 1]])
 
 
-STACKED_CLASSES = {
+CHAIN_CLASSES = {
     "cube-3": lambda: generate_class("cube", 3),
     "hamming1-8": lambda: generate_class("hamming1", 8),
     "random-6-10": lambda: generate_class("random", 6, size=10, seed=1),
@@ -1336,20 +1355,42 @@ STACKED_CLASSES = {
 }
 
 
+def _stacked_parts(parts, per):
+    """``parts`` rebuilt so that each run of ``per`` of them (every part
+    when ``per`` is None) shares its buffers: a run's block ids and ranks
+    are the strided columns of one (inputs, run) array each, and its
+    orders, reference bits and widths are row slices of one array each."""
+    per = per or max(len(parts), 1)
+    stacked = []
+    for i in range(0, len(parts), per):
+        run = parts[i:i + per]
+        block = np.stack([p.block for p in run], axis=1)
+        rank = np.stack([p.rank for p in run], axis=1)
+        sigma, s, width = (np.concatenate([getattr(p, f) for p in run]) for f in ("sigma", "s", "width"))
+        start = np.cumsum([0] + [p.width.size for p in run])
+        for j, (lo, hi) in enumerate(zip(start[:-1], start[1:])):
+            stacked.append(ScanPart(block[:, j], sigma[lo:hi], s[lo:hi], width[lo:hi], rank[:, j]))
+    for p, q in zip(parts, stacked, strict=True):
+        assert all(np.array_equal(getattr(p, f), getattr(q, f)) for f in ("block", "sigma", "s", "width", "rank"))
+    return stacked
+
+
 class TestStackedPasses:
-    """The rank proof takes the parts a pass of stacked parts at a time, at
-    most ``sdp.PASS_ROWS`` rows a pass.  Whatever that bound -- one part a
-    pass, three, or every part in one -- the check equals the pair-by-pair
-    oracle exactly and refuses the same broken chains; the cost, written
-    one part at a time, keeps its bytes under every bound."""
+    """The rank proof takes a solution's parts one at a time: for each part
+    it recomputes the ranks, checks that its blocks make the classes of the
+    part before it and takes its split residual.  Whether a part owns its
+    arrays or views buffers stacked with other parts -- one part a buffer,
+    three, or every part in one -- the check equals the pair-by-pair oracle
+    exactly and refuses the same broken chains; the cost, written one part
+    at a time, keeps its bytes."""
 
-    BUDGETS = {"one-part": lambda m: 1, "three-parts": lambda m: 3 * m, "unbounded": lambda m: 1 << 62}
+    BUDGETS = {"one-part": 1, "three-parts": 3, "unbounded": None}
 
-    @pytest.fixture(scope="class", params=sorted(STACKED_CLASSES))
+    @pytest.fixture(scope="class", params=sorted(CHAIN_CLASSES))
     def checked(self, request):
         """A class's pipeline, its ``(target, solution)`` checks and the
         oracle's value of each."""
-        cls = STACKED_CLASSES[request.param]()
+        cls = CHAIN_CLASSES[request.param]()
         m = cls.size
         pipe = oracle_id_pipeline(cls)
         identity_target = LabelTarget(np.zeros(m, dtype=np.intp), np.arange(m))
@@ -1358,25 +1399,27 @@ class TestStackedPasses:
         want = [verify_reference.verify_feasible(t, s) for t, s in checks]
         return pipe, checks, want
 
+    def restacked(self, sol, budget):
+        return SdpSolution(sol.domain, _stacked_parts(list(sol.parts), self.BUDGETS[budget]))
+
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
-    def test_same_residual_as_the_pair_loop(self, monkeypatch, checked, budget):
-        pipe, checks, want = checked
-        monkeypatch.setattr(sdp, "PASS_ROWS", self.BUDGETS[budget](pipe.concept_class.size))
-        got = [verify_feasible(t, s) for t, s in checks]
+    def test_same_residual_as_the_pair_loop(self, checked, budget):
+        _, checks, want = checked
+        got = [verify_feasible(t, self.restacked(s, budget)) for t, s in checks]
         assert got == want and max(got) < 1e-12
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
-    def test_same_cost_bytes(self, monkeypatch, checked, budget):
+    def test_same_cost_bytes(self, checked, budget):
         pipe, _, _ = checked
-        monkeypatch.setattr(sdp, "PASS_ROWS", self.BUDGETS[budget](pipe.concept_class.size))
         for sol in (pipe.solution, *pipe.stage_solutions):
+            sol = self.restacked(sol, budget)
             # the per-part sum, one part's rows at a time
             want = np.zeros(sol.size)
             for part in sol.parts:
                 u = part.u
                 want += np.einsum("xjd,xjd->x", u, u)
             assert cost_of(sol).values.tobytes() == want.tobytes()
-        assert cost_of(pipe.solution).values.tobytes() == pipe.cost.values.tobytes()
+        assert cost_of(self.restacked(pipe.solution, budget)).values.tobytes() == pipe.cost.values.tobytes()
 
     @pytest.fixture(scope="class")
     def pipe(self):
@@ -1417,10 +1460,9 @@ class TestStackedPasses:
     @pytest.mark.parametrize(
         "how", ["wrong-middle-rank", "last-blocks-coarser", "last-blocks-finer", "reversed"]
     )
-    def test_broken_chains_are_not_certified(self, monkeypatch, pipe, budget, how):
+    def test_broken_chains_are_not_certified(self, pipe, budget, how):
         domain = pipe.concept_class
-        monkeypatch.setattr(sdp, "PASS_ROWS", self.BUDGETS[budget](domain.size))
-        sol = SdpSolution(domain, self.broken(pipe)[how])
+        sol = SdpSolution(domain, _stacked_parts(self.broken(pipe)[how], self.BUDGETS[budget]))
         for target in _identity_targets(domain.size):
             assert verify_feasible(target, sol) == math.inf
 
@@ -1430,13 +1472,12 @@ class TestStackedPasses:
         assert verify_reference.verify_feasible(_identity_targets(sol.size)[1], sol) == 1.0
 
     @pytest.mark.parametrize("budget", sorted(BUDGETS))
-    def test_a_solution_of_no_parts(self, monkeypatch, budget):
+    def test_a_solution_of_no_parts(self, budget):
         # no part proves nothing: the value is 0.0 exactly when the target's
         # coarse and fine labels make the same classes, else inf
         for cls in (generate_class("random", 6, size=10, seed=1), ConceptClass.from_strings(["0101"])):
             m = cls.size
-            monkeypatch.setattr(sdp, "PASS_ROWS", self.BUDGETS[budget](m))
-            sol = SdpSolution(cls, [])
+            sol = SdpSolution(cls, _stacked_parts([], self.BUDGETS[budget]))
             want = 0.0 if m == 1 else math.inf
             for target in _identity_targets(m):
                 assert verify_feasible(target, sol) == want
@@ -1444,18 +1485,29 @@ class TestStackedPasses:
             assert verify_feasible(same, sol) == 0.0
             assert cost_of(sol).values.tobytes() == np.zeros(m).tobytes() and sol.dim == 0
 
-    def test_passes_hold_at_most_the_budget(self, monkeypatch, pipe):
-        m = pipe.concept_class.size
+    @pytest.mark.parametrize("field, dtype, n, m", [
+        ("block", np.uint8, 13, 200),
+        ("block", np.uint16, 13, 400),
+        ("rank", np.uint8, 13, 200),
+        ("rank", np.uint64, 13, 200),
+    ])
+    def test_ids_of_any_integer_type(self, field, dtype, n, m):
+        # a part may store its block ids and ranks in any integer type that
+        # holds them; the proof packs (block, rank) as an index, where a
+        # uint8 block id times n + 1 would wrap and a uint64 rank would
+        # make the label a float
+        pipe = oracle_id_pipeline(generate_class("random", n, size=m, seed=1))
+        domain = pipe.concept_class
         parts = pipe.solution.parts
-        for budget, sizes in ((1, [1] * 8), (3 * m, [3, 3, 2]), (3 * m - 1, [2, 2, 2, 2]), (1 << 62, [8])):
-            monkeypatch.setattr(sdp, "PASS_ROWS", budget)
-            passes = sdp._passes(parts, m)
-            assert [len(p) for p in passes] == sizes
-            assert [p for run in passes for p in run] == list(parts)
-
-    def test_a_lone_part_is_not_copied(self, pipe):
-        # every stage check reads its part's own arrays
-        (part,) = pipe.stage_solutions[2].parts
-        block, sigma, s, width, rank = sdp._stacked([part])
-        assert block is part.block and sigma is part.sigma and s is part.s
-        assert width is part.width and rank is part.rank
+        typed = [dataclasses.replace(p, **{field: getattr(p, field).astype(dtype)}) for p in parts]
+        assert all(np.array_equal(getattr(q, field), getattr(p, field)) for p, q in zip(parts, typed))
+        assert max(int(p.block.max()) for p in parts) * (n + 1) > np.iinfo(np.uint8).max
+        assert cost_of(SdpSolution(domain, typed)).values.tobytes() == pipe.cost.values.tobytes()
+        for target in _identity_targets(domain.size):
+            want = verify_feasible(target, pipe.solution)
+            assert want < 1e-12
+            assert verify_feasible(target, SdpSolution(domain, typed)) == want
+            swapped = typed[:-2] + typed[-2:][::-1]
+            assert verify_feasible(target, SdpSolution(domain, swapped)) == math.inf
+        for target, sol, part in zip(pipe.stage_targets, pipe.stage_solutions, typed):
+            assert verify_feasible(target, SdpSolution(domain, [part])) == verify_feasible(target, sol)
