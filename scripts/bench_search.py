@@ -12,8 +12,11 @@ trials as make at least ``RUNS`` runs, seeded
 untimed pass first (the trial after the last) builds what the timed runs
 share: the pruning tree's nodes and the memoized failure bounds.  Each row
 records the median and mean microseconds per run, the mean raw queries per
-run and the nanoseconds per raw query (total time over total queries,
-null when no run queries).  With the machine it ran on (from
+run, the members' mean ideal cost ``sum sqrt(p_i) + sqrt(width)`` (from
+``identify_all``; the base of the benchmark's ``cost_over_ideal``, so
+``raw_queries_mean / ideal_cost_mean`` reads as that ratio does) and the
+nanoseconds per raw query (total time over total queries, null when no run
+queries).  With the machine it ran on (from
 ``benchlib.machine``), it writes them as JSON.
 """
 
@@ -43,11 +46,12 @@ def measure(kind: str, n: int, m: int | None, seed: int, members: int, runs: int
     import numpy as np
 
     from oracleid.bitstrings import generate_class
-    from oracleid.identify import run_final
+    from oracleid.identify import identify_all, run_final
 
     cls = generate_class(kind, n, size=m, seed=seed)
     xs = cls.members[:: -(-cls.size // members)]
     trials = -(-runs // len(xs))
+    ideal = identify_all(cls)
 
     def run(x, trial):
         return run_final(cls, x, "quantum", seed=np.random.SeedSequence((seed, x.value, trial)))
@@ -71,6 +75,7 @@ def measure(kind: str, n: int, m: int | None, seed: int, members: int, runs: int
         "run_us_median": statistics.median(times) * 1e6,
         "run_us_mean": statistics.fmean(times) * 1e6,
         "raw_queries_mean": statistics.fmean(queries),
+        "ideal_cost_mean": statistics.fmean(ideal[x].ideal_cost for x in xs),
         "ns_per_raw_query": sum(times) / sum(queries) * 1e9 if any(queries) else None,
     }
 

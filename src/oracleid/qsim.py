@@ -26,7 +26,11 @@ amplification):
 
 Two finders answer the two questions the identification loops ask:
 ``quantum_disagreement_finder`` the first disagreement in a scan order and
-``quantum_any_disagreement`` any disagreement.  Each repeats its search
+``quantum_any_disagreement`` any disagreement.  The first searches
+windows of ranks: each stage of a doubling ladder searches only the ranks
+above the stage before it, and each reduction the ranks of its stage's
+window before the candidate, so no rank is searched by two stages; the
+second searches all ``n`` positions at once.  Each repeats its search
 until its certified failure (``scan_failure``, ``bbht_failure``) is within
 the call's budget.  One ``EngineContext`` carries a run's state down to the
 amplified search: its seeded ``numpy`` PCG64 generator, query count, worst
@@ -79,7 +83,7 @@ class SearchConfig:
         amplification iterations exceed ``cutoff_coeff * sqrt(width)``.
     classical_width: regions at most this wide are scanned classically
         instead of amplified; below this size amplitude amplification
-        cannot beat direct queries.
+        cannot beat direct queries.  A non-negative ``int``.
     norm_tol: the simulated state's norm, recomputed from its two
         amplitudes every round, must stay within this of 1; non-negative.
     """
@@ -91,11 +95,16 @@ class SearchConfig:
 
     def __post_init__(self):
         # at growth <= 1 every round draws zero iterations, so a search over
-        # an unmarked prefix never spends its budget and never returns
+        # an unmarked window never spends its budget and never returns
         if not self.growth > 1:
             raise ValueError(f"growth must be greater than 1, got {self.growth}")
         if not self.cutoff_coeff >= 0:
             raise ValueError(f"cutoff_coeff must be non-negative, got {self.cutoff_coeff}")
+        # the ladder would clamp a negative width and a float breaks the
+        # first classical scan; a bool is not a width
+        cw = self.classical_width
+        if type(cw) is not int or cw < 0:
+            raise ValueError(f"classical_width must be a non-negative integer, got {cw!r}")
         # a negative tolerance fails even an exact norm; NaN passes every drift
         if not self.norm_tol >= 0:
             raise ValueError(f"norm_tol must be non-negative, got {self.norm_tol}")
@@ -186,14 +195,24 @@ def search_dim(limit: int) -> int:
     return 1 << max(limit - 1, 0).bit_length()
 
 
-def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig) -> int | None:
-    """Search ranks [0, limit) for any marked one, marked count unknown.
+def _bbht(
+    eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig, start: int = 0
+) -> int | None:
+    """Search the window of ranks [start, limit) for any marked one, marked
+    count unknown.
+
+    The window is searched as a register of its own: index ``i`` addresses
+    rank ``start + i``, and the dim and the budget are those of its
+    ``limit - start`` ranks, so a call over [start, limit) draws exactly
+    as a call over [0, limit - start) of the sliced view, with positions
+    offset by ``start``.
 
     Rounds run a random number of amplification iterations drawn from a
-    growing window, measure, and classically verify the measured candidate.
-    Gives up once total iterations exceed ``cutoff_coeff * sqrt(limit)``;
-    a None can therefore be wrong (marked ranks missed), never a position.
-    Every round checks the state's norm against ``config.norm_tol``.
+    growing range, measure, and classically verify the measured candidate.
+    Gives up once total iterations exceed ``cutoff_coeff * sqrt(limit -
+    start)``; a None can therefore be wrong (marked ranks missed), never a
+    position.  Every round checks the state's norm against
+    ``config.norm_tol``.
 
     The marked set is fixed for the call, so the measurement distribution
     and the norm depend only on the drawn iteration count ``j``: both are
@@ -208,17 +227,18 @@ def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig)
     passes (``norm_tol`` is never negative).  The rounds' iterations are
     summed here and charged to ``ctx`` on every exit.
     """
-    if limit <= 0:
+    size = limit - start
+    if size <= 0:
         return None
-    dim = search_dim(limit)
+    dim = search_dim(size)
     if dim == 1:
         # single candidate: one verification settles it
-        if eff.query(0, ctx):
-            return 0
+        if eff.query(start, ctx):
+            return start
         return None
-    ranks = eff.ranks[:limit]
+    ranks = eff.ranks[start:limit]
     n_marked = ranks.count(1)
-    budget = config.cutoff_coeff * math.sqrt(limit)
+    budget = config.cutoff_coeff * math.sqrt(size)
     draw_j, draw_u = ctx.rng.integers, ctx.rng.random
     growth = config.growth
     m = 1.0
@@ -226,19 +246,19 @@ def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig)
     window = 1  # ceil(m): j is drawn from [0, window)
     used = 0  # iterations so far, each one oracle query
     if not n_marked:
-        # the measurement is floor(u * dim); a rank below limit is verified
-        # (one query), and is a zero
+        # the measurement is floor(u * dim); an index inside the window is
+        # verified (one query), and is a zero
         checks = 0
         while used <= budget:
             used += int(draw_j(0, window))
-            checks += draw_u() * dim < limit
+            checks += draw_u() * dim < size
             if m < m_cap:
                 m = min(m * growth, m_cap)
                 window = math.ceil(m)
         ctx.queries += used + checks
         return None
     marked = np.zeros(dim, dtype=bool)
-    marked[:limit] = ranks
+    marked[:size] = ranks
     dists: dict[int, tuple[list[float], float]] = {}  # j -> (cumulative probabilities, total)
     try:
         while used <= budget:
@@ -255,8 +275,8 @@ def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig)
                 dist = dists[j] = cum, cum[-1]
             cum, total = dist
             v = bisect.bisect_right(cum, draw_u() * total)
-            if v < limit and eff.query(v, ctx):
-                return v
+            if v < size and eff.query(start + v, ctx):
+                return start + v
             if m < m_cap:
                 m = min(m * growth, m_cap)
                 window = math.ceil(m)
@@ -265,13 +285,15 @@ def _bbht(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig)
         ctx.queries += used
 
 
-def _scan_region(eff: _Effective, hi: int, ctx: EngineContext) -> int | None:
-    """Classically query ranks [cleared, hi); returns the first 1 if any."""
-    for t in range(eff.cleared, hi):
+def _scan_region(eff: _Effective, lo: int, hi: int, ctx: EngineContext) -> int | None:
+    """Classically query ranks [lo, hi); returns the first 1 if any.  A
+    region that starts at ``eff.cleared`` extends the known zeros."""
+    extends = lo == eff.cleared
+    for t in range(lo, hi):
         if eff.query(t, ctx):
-            eff.cleared = t
             return t
-        eff.cleared = t + 1
+        if extends:
+            eff.cleared = t + 1
     return None
 
 
@@ -288,40 +310,42 @@ def _first_one(eff: _Effective, ctx: EngineContext, config: SearchConfig) -> Dis
     """One scan for the first marked rank of ``eff``, skipping the ranks
     below ``eff.cleared``, which are known zeros, and extending them.
 
-    Strategy: scan a small prefix classically, then search prefixes of
-    doubling width for any marked rank; once one is verified at rank ``v``,
-    repeatedly search strictly before it to move the candidate forward.
-    The gap below the candidate is finished off classically when it is
-    small, which upgrades the answer to exact.
+    Strategy: scan a small prefix classically, then search windows of
+    doubling top, each ``[previous top, top)``, so that no rank is searched
+    by two stages; once one is verified at rank ``v``, repeatedly search
+    the window's ranks strictly before it, ``[window start, v)``, to move
+    the candidate forward.  The gap below the candidate is finished off
+    classically when it is small.  That answer is exact only when the
+    window starts at ``eff.cleared``, that is, when every rank below it
+    was queried one by one; otherwise an earlier window may have missed a
+    marked rank.
 
     Expected query cost scales with the square root of the answer.  A
     returned rank is always a verified disagreement but may be later than
     the true first one; None may be wrong unless ``exact``.
     """
     width = len(eff.ranks)
+    bottom = 0  # the previous stage's top
     for top in _stage_ladder(config.classical_width, width):
-        if top <= eff.cleared:
+        start, bottom = max(bottom, eff.cleared), top
+        if top <= start:
             continue
         if top <= config.classical_width:
-            q = _scan_region(eff, top, ctx)
+            q = _scan_region(eff, start, top, ctx)
             if q is not None:
                 return DisagreementResult(q + 1, True)
             continue
-        v = _bbht(eff, top, ctx, config)
-        if v is None:
+        best = _bbht(eff, top, ctx, config, start)
+        if best is None:
             continue
-        best = v
-        while True:
-            gap = best - eff.cleared
-            if gap <= 0:
-                return DisagreementResult(best + 1, True)
-            if gap <= config.classical_width:
-                q = _scan_region(eff, best, ctx)
-                return DisagreementResult((q if q is not None else best) + 1, True)
-            w = _bbht(eff, best, ctx, config)
+        while best - start > config.classical_width:
+            w = _bbht(eff, best, ctx, config, start)
             if w is None:
                 return DisagreementResult(best + 1, False)
             best = w
+        exact = start == eff.cleared
+        q = _scan_region(eff, start, best, ctx)
+        return DisagreementResult((q if q is not None else best) + 1, exact)
     return DisagreementResult(None, eff.cleared >= width)
 
 
@@ -394,12 +418,14 @@ def scan_failure(width: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     """Certified bound on the probability that one ``_first_one`` scan of
     ``width`` ranks returns a wrong answer.
 
-    A scan is wrong only when a ``_bbht`` call on a prefix holding a marked
-    rank returns None; exact answers and verified positions never are.  A
-    scan makes at most one call per ladder stage plus ``width`` reduction
-    calls (each moves the candidate strictly earlier), and each misses with
-    probability at most ``bbht_failure`` of its ``dim``, so the union bound
-    gives ``(stages + width) * max bbht_failure``.  Where that reaches
+    A scan is wrong only when a ``_bbht`` call on a range holding a marked
+    rank returns None; exact answers and verified positions never are.
+    The windows below the first marked rank hold none and return None
+    rightly.  A scan makes at most one call per ladder stage plus ``width``
+    reduction calls (each moves the candidate strictly earlier), each
+    window's dim is at most ``search_dim(width)``, and each call misses
+    with probability at most ``bbht_failure`` of its ``dim``, so the union
+    bound gives ``(stages + width) * max bbht_failure``.  Where that reaches
     1/3 (small ``cutoff_coeff``) or a dim is past ``MAX_CERTIFIED_DIM``,
     the result is 1/3, the textbook per-scan rate, which is then assumed
     rather than certified.  Dims are taken smallest first, so the costly

@@ -433,10 +433,13 @@ def first_disagreement_ranks(domain: ConceptClass, sigma: Sequence[int], s: BitS
     # a negative entry would read the member before's bits
     if order.size and not (0 <= order.min() and order.max() < domain.n):
         raise ValueError(f"scan order entries must lie in [0, {domain.n - 1}]")
-    ranks = _first_disagreements(
-        domain.bits, np.zeros(domain.size, dtype=np.intp), order,
-        bit_matrix(s.n, [s.value]).astype(bool), np.array([width]),
-    )
+    if order.size:
+        ranks = _first_disagreements(
+            domain.bits, np.zeros(domain.size, dtype=np.intp), order,
+            bit_matrix(s.n, [s.value]).astype(bool), np.array([width]),
+        )
+    else:  # nothing is scanned, so nothing disagrees
+        ranks = np.zeros(domain.size, dtype=np.intp)
     ranks.setflags(write=False)
     return ranks
 

@@ -3,10 +3,13 @@ fields its JSON promises."""
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
 
+from oracleid.bitstrings import generate_class
+from oracleid.identify import identify_all
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_search.py"
 
@@ -28,6 +31,12 @@ def test_measure_records_every_field():
     assert (row["members"], row["runs"]) == (8, 16)
     assert 0 < row["run_us_median"] and 0 < row["run_us_mean"]
     assert row["raw_queries_mean"] > 0
+    # the runs of one member share its ideal cost: the mean over the
+    # members run is the mean over runs
+    cls = generate_class("random", 9, size=40, seed=3)
+    ideal = identify_all(cls)
+    want = statistics.fmean(ideal[x].ideal_cost for x in cls.members[::5])
+    assert row["ideal_cost_mean"] == pytest.approx(want)
     assert row["ns_per_raw_query"] == pytest.approx(row["run_us_mean"] * 1e3 / row["raw_queries_mean"])
 
 
@@ -51,5 +60,6 @@ def test_writes_one_row_per_class(monkeypatch, tmp_path, capsys):
     assert (wide["kind"], wide["n"], wide["m"], wide["seed"], wide["members"]) == ("hamming1", 9, 9, None, 3)
     # one member: identified without a query
     assert (single["m"], single["runs"], single["raw_queries_mean"]) == (1, 1, 0)
+    assert single["ideal_cost_mean"] == 0
     assert single["ns_per_raw_query"] is None
     assert len(capsys.readouterr().out.splitlines()) == 2

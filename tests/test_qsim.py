@@ -66,9 +66,16 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="norm_tol must be non-negative, got"):
             qsim.SearchConfig(norm_tol=tol)
 
+    # a negative width ran as 0 and a float raised inside the first scan
+    @pytest.mark.parametrize("width", [-3, -1, 2.5, 4.0, True, False, "4", None])
+    def test_classical_width_must_be_a_non_negative_int(self, width):
+        with pytest.raises(ValueError, match=r"^classical_width must be a non-negative integer, got "):
+            qsim.SearchConfig(classical_width=width)
+
     def test_edge_values_are_accepted(self):
-        config = qsim.SearchConfig(growth=1.0001, cutoff_coeff=0.0, norm_tol=0.0)
+        config = qsim.SearchConfig(growth=1.0001, cutoff_coeff=0.0, norm_tol=0.0, classical_width=0)
         assert (config.growth, config.cutoff_coeff, config.norm_tol) == (1.0001, 0.0, 0.0)
+        assert config.classical_width == 0
         # a zero tolerance still passes the exact norm of an unmarked search
         ctx = ctx_for(0)
         assert unknown_count_search(bs("00000000"), 8, ctx, config=config) is None
@@ -251,6 +258,97 @@ class TestSamplerMatchesReference:
         assert len(calls) == len(set(calls)) <= 8
 
 
+class TestWindowedSearch:
+    """A search over the window [start, limit) is a search of its own
+    register: it draws as one over [0, limit - start) of the sliced view."""
+
+    def test_a_window_draws_as_its_slice(self):
+        rng = np.random.default_rng(31)
+        for limit in range(1, 131):
+            for ranks in _marked_sets(limit, rng):
+                start = int(rng.integers(1, 40))
+                window = [int(t in ranks) for t in range(limit)]
+                # ranks outside the window are random, and must not be read
+                outside = rng.integers(2, size=start + 7).tolist()
+                x = BitString.from_bits(outside[:start] + window + outside[start:])
+                eff = effective(x, x.n)
+                view = effective(BitString.from_bits(window), limit)
+                seed = (limit, len(ranks))
+                new, old = ctx_for(seed), ctx_for(seed)
+                got = qsim._bbht(eff, start + limit, new, qsim.DEFAULT_CONFIG, start)
+                want = qsim._bbht(view, limit, old, qsim.DEFAULT_CONFIG)
+                where = f"start={start} limit={limit} marked={ranks}"
+                assert got == (None if want is None else start + want), where
+                assert (new.queries, new.max_drift) == (old.queries, old.max_drift), where
+                assert new.rng.bit_generator.state == old.rng.bit_generator.state, where
+
+    @pytest.mark.parametrize("width", [40, 64, 100])
+    def test_stages_search_disjoint_windows(self, monkeypatch, width):
+        # nothing is marked in the classical prefix, so every stage after it
+        # is amplified; record each search's range [start, limit)
+        cw = qsim.DEFAULT_CONFIG.classical_width
+        tops = set(qsim._stage_ladder(cw, width))
+        bbht, calls = qsim._bbht, []
+
+        def record(eff, limit, ctx, config, start=0):
+            calls.append((start, limit))
+            return bbht(eff, limit, ctx, config, start)
+
+        monkeypatch.setattr(qsim, "_bbht", record)
+        rng = np.random.default_rng(width)
+        patterns = [()] + [
+            tuple(int(t) for t in rng.choice(range(cw, width), size=k, replace=False))
+            for k in (1, 1, 2, 5, width // 4) for _ in range(3)
+        ]
+        for i, marked in enumerate(patterns):
+            x = BitString.from_bits([int(t in marked) for t in range(width)])
+            calls.clear()
+            res = qsim._first_one(effective(x, width), ctx_for((32, width, i)), qsim.DEFAULT_CONFIG)
+            stages = [call for call in calls if call[1] in tops]
+            # ascending, disjoint and contiguous from the classical prefix up
+            assert [lo for lo, _ in stages] == [cw] + [hi for _, hi in stages[:-1]], marked
+            if res.rank is None:
+                assert stages[-1][1] == width, marked
+            # each reduction lies inside its stage's window, before the last
+            window = None
+            for call in calls:
+                if call[1] in tops:
+                    window = last = call
+                    continue
+                lo, hi = call
+                assert lo == window[0] and lo < hi < last[1], (marked, call, window)
+                last = call
+
+    @pytest.mark.parametrize("cutoff", [1.0, 9.0])
+    def test_an_exact_answer_is_the_first_marked_rank(self, cutoff):
+        # repetitions share the known zeros, so later scans start some
+        # windows above them and some at them; at cutoff 1 windows miss
+        config = qsim.SearchConfig(cutoff_coeff=cutoff)
+        rng = np.random.default_rng(33)
+        exact = missed = 0
+        for trial in range(400):
+            width = int(rng.integers(1, 48))
+            density = rng.choice([0.0, 0.03, 0.1, 0.5])
+            bits = (rng.random(width) < density).astype(int).tolist()
+            true_first = bits.index(1) + 1 if 1 in bits else None
+            eff = effective(BitString.from_bits(bits), width)
+            ctx = ctx_for((34, trial))
+            for _ in range(3):
+                res = qsim._first_one(eff, ctx, config)
+                if res.rank is not None:
+                    assert bits[res.rank - 1] == 1, (bits, res)
+                if res.exact:
+                    assert res.rank == true_first, (bits, res)
+                    exact += 1
+                else:
+                    missed += res.rank != true_first
+                # the known zeros are zeros
+                assert not any(bits[: eff.cleared]), (bits, eff.cleared)
+        assert exact > 0
+        if cutoff == 1.0:
+            assert missed > 0
+
+
 class TestNothingMarked:
     """With nothing marked a round measures ``floor(u * dim)``: the closed
     form of bisecting the uniform distribution's cumulative sums."""
@@ -397,14 +495,14 @@ class TestDisagreementFinder:
         scanned, full_searches = [], []
         scan_region, bbht = qsim._scan_region, qsim._bbht
 
-        def record_scan(eff, hi, ctx):
-            scanned.extend(range(eff.cleared, hi))
-            return scan_region(eff, hi, ctx)
+        def record_scan(eff, lo, hi, ctx):
+            scanned.extend(range(lo, hi))
+            return scan_region(eff, lo, hi, ctx)
 
-        def record_search(eff, limit, ctx, config):
+        def record_search(eff, limit, ctx, config, start=0):
             if limit == width:
                 full_searches.append(limit)
-            return bbht(eff, limit, ctx, config)
+            return bbht(eff, limit, ctx, config, start)
 
         monkeypatch.setattr(qsim, "_scan_region", record_scan)
         monkeypatch.setattr(qsim, "_bbht", record_search)
@@ -498,6 +596,26 @@ class TestFailureBound:
             misses += v is None
         assert p > 0.05  # the band below is only informative where misses are common
         assert abs(misses / trials - p) <= 4 * math.sqrt(p * (1 - p) / trials)
+
+    @pytest.mark.parametrize("cutoff,width", [(2.0, 8), (3.0, 16)])
+    def test_observed_scans_stay_within_the_bound(self, cutoff, width):
+        # at these configs the union bound is computed (below 1/3), not
+        # assumed; every single-marked pattern and a few multi-marked ones
+        config = qsim.SearchConfig(cutoff_coeff=cutoff)
+        bound = scan_failure(width, config)
+        assert bound < 1 / 3
+        trials = 300
+        sigma = math.sqrt(bound * (1 - bound) / trials)
+        patterns = [(p,) for p in range(width)]
+        patterns += [(1, 5), (width - 3, width - 1), (0, width - 1), tuple(range(width // 2, width))]
+        for i, marked in enumerate(patterns):
+            x = BitString.from_bits([int(t in marked) for t in range(width)])
+            wrong = 0
+            for trial in range(trials):
+                ctx = ctx_for((35, width, i, trial))
+                res = qsim._first_one(effective(x, width), ctx, config)
+                wrong += res.rank != min(marked) + 1
+            assert wrong / trials <= bound + 3 * sigma, (marked, wrong)
 
     def test_worst_case_at_default_constants(self):
         worst = max(qsim.bbht_failure(1 << k) for k in range(8))  # every limit <= 128

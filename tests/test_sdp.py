@@ -1179,6 +1179,15 @@ class TestScanPartCheck:
         with pytest.raises(ValueError, match=message):
             first_disagreement_rank(cls.members[1], BitString.zeros(4), sigma, width)
 
+    def test_an_empty_order_has_no_disagreement(self):
+        # the argmax over zero ranks raised; the member scan reads None
+        cls = ConceptClass.from_strings(["0001", "1000"])
+        s = BitString.zeros(4)
+        assert [first_disagreement_rank(x, s, (), 0) for x in cls.members] == [None, None]
+        ranks = first_disagreement_ranks(cls, (), s, 0)
+        assert ranks.tolist() == [0, 0]
+        assert ranks.dtype == np.intp and not ranks.flags.writeable
+
     def test_ranks_refuse_a_bad_entry_past_the_width(self):
         # every entry is read, not only the scanned ones
         cls = ConceptClass.from_strings(["0001", "1000", "0110"])
