@@ -10,14 +10,17 @@ the class's order, and runs quantum ``run_final`` on each in as many
 trials as make at least ``RUNS`` runs, seeded
 ``SeedSequence((SEED, x.value, trial))`` as ``oracleid run`` seeds it.  One
 untimed pass first (the trial after the last) builds what the timed runs
-share: the pruning tree's nodes and the memoized failure bounds.  Each row
-records the median and mean microseconds per run, the mean raw queries per
-run, the members' mean ideal cost ``sum sqrt(p_i) + sqrt(width)`` (from
-``identify_all``; the base of the benchmark's ``cost_over_ideal``, so
-``raw_queries_mean / ideal_cost_mean`` reads as that ratio does) and the
-nanoseconds per raw query (total time over total queries, null when no run
-queries).  With the machine it ran on (from
-``benchlib.machine``), it writes them as JSON.
+share: the pruning tree's nodes and the memoized failure bounds.  Then
+``PASSES`` timed passes each run every class's runs once, the classes in
+turn, so that a slow spell of a shared host falls on every class rather
+than on one.  Each row records the median over the passes of each pass's
+median and mean microseconds per run, the mean raw queries per run (the
+same in every pass: the seeds are), the members' mean ideal cost ``sum
+sqrt(p_i) + sqrt(width)`` (from ``identify_all``; the base of the
+benchmark's ``cost_over_ideal``, so ``raw_queries_mean / ideal_cost_mean``
+reads as that ratio does) and the nanoseconds per raw query (that mean
+time over the mean queries, null when no run queries).  With the machine
+it ran on (from ``benchlib.machine``), it writes them as JSON.
 """
 
 from __future__ import annotations
@@ -40,48 +43,80 @@ CLASSES = (
 SEED = 1
 MEMBERS = 256
 RUNS = 1024
+PASSES = 3
+
+
+class Runs:
+    """One class's seeded runs, timed a pass at a time."""
+
+    def __init__(self, kind: str, n: int, m: int | None, seed: int, members: int, runs: int) -> None:
+        import numpy as np
+
+        from oracleid.bitstrings import generate_class
+        from oracleid.identify import identify_all, run_final
+
+        cls = generate_class(kind, n, size=m, seed=seed)
+        xs = cls.members[:: -(-cls.size // members)]
+        trials = -(-runs // len(xs))
+        ideal = identify_all(cls)
+
+        def run(x, trial):
+            return run_final(cls, x, "quantum", seed=np.random.SeedSequence((seed, x.value, trial)))
+
+        for x in xs:
+            run(x, trials)
+        self.run, self.order = run, [(x, trial) for trial in range(trials) for x in xs]
+        self.row = {
+            "kind": kind,
+            "n": n,
+            "m": cls.size,
+            "seed": seed if kind == "random" else None,
+            "members": len(xs),
+            "runs": len(self.order),
+            "ideal_cost_mean": statistics.fmean(ideal[x].ideal_cost for x in xs),
+        }
+        self.medians, self.means = [], []
+
+    def time_pass(self) -> None:
+        times, queries = [], []
+        for x, trial in self.order:
+            t0 = time.perf_counter()
+            trace = self.run(x, trial)
+            times.append(time.perf_counter() - t0)
+            queries.append(trace.raw_queries)
+        self.medians.append(statistics.median(times))
+        self.means.append(statistics.fmean(times))
+        self.row["raw_queries_mean"] = statistics.fmean(queries)
+
+    def result(self) -> dict:
+        mean, raw = statistics.median(self.means), self.row["raw_queries_mean"]
+        return {
+            **self.row,
+            "passes": len(self.means),
+            "run_us_median": statistics.median(self.medians) * 1e6,
+            "run_us_mean": mean * 1e6,
+            "ns_per_raw_query": mean / raw * 1e9 if raw else None,
+        }
+
+
+def measure_all(classes, seed: int, members: int, runs: int, passes: int):
+    """Yield the rows of ``classes``, their timed passes alternated; the
+    work starts at the first row asked for."""
+    prepared = [Runs(kind, n, m, seed, members, runs) for kind, n, m in classes]
+    for _ in range(passes):
+        for each in prepared:
+            each.time_pass()
+    for each in prepared:
+        yield each.result()
 
 
 def measure(kind: str, n: int, m: int | None, seed: int, members: int, runs: int) -> dict:
-    import numpy as np
-
-    from oracleid.bitstrings import generate_class
-    from oracleid.identify import identify_all, run_final
-
-    cls = generate_class(kind, n, size=m, seed=seed)
-    xs = cls.members[:: -(-cls.size // members)]
-    trials = -(-runs // len(xs))
-    ideal = identify_all(cls)
-
-    def run(x, trial):
-        return run_final(cls, x, "quantum", seed=np.random.SeedSequence((seed, x.value, trial)))
-
-    for x in xs:
-        run(x, trials)
-    times, queries = [], []
-    for trial in range(trials):
-        for x in xs:
-            t0 = time.perf_counter()
-            trace = run(x, trial)
-            times.append(time.perf_counter() - t0)
-            queries.append(trace.raw_queries)
-    return {
-        "kind": kind,
-        "n": n,
-        "m": cls.size,
-        "seed": seed if kind == "random" else None,
-        "members": len(xs),
-        "runs": len(times),
-        "run_us_median": statistics.median(times) * 1e6,
-        "run_us_mean": statistics.fmean(times) * 1e6,
-        "raw_queries_mean": statistics.fmean(queries),
-        "ideal_cost_mean": statistics.fmean(ideal[x].ideal_cost for x in xs),
-        "ns_per_raw_query": sum(times) / sum(queries) * 1e9 if any(queries) else None,
-    }
+    """The row of one class."""
+    return next(measure_all([(kind, n, m)], seed, members, runs, PASSES))
 
 
 def main(argv=None) -> int:
-    rows = (measure(kind, n, m, SEED, MEMBERS, RUNS) for kind, n, m in CLASSES)
+    rows = measure_all(CLASSES, SEED, MEMBERS, RUNS, PASSES)
     return benchlib.write_report(__file__, __doc__, rows, argv)
 
 

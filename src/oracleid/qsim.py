@@ -21,8 +21,10 @@ amplification):
   for phase marking or anything else;
 * classically checking one candidate position = one query (it is a single
   oracle evaluation);
-* positions already proven zero by earlier classical scans may be skipped
-  for free -- that is knowledge, not an oracle call.
+* a rank whose value an earlier query has read -- a zero verified by a
+  classical scan or by a search round's verification, or a verified
+  disagreement -- is never charged again: that is knowledge, not an
+  oracle call.
 
 Two finders answer the two questions the identification loops ask:
 ``quantum_disagreement_finder`` the first disagreement in a scan order and
@@ -42,8 +44,10 @@ distribution is built once and sampled by bisection on its cumulative sums.
 With nothing marked a round is those two draws alone: every index then has
 probability exactly ``1/dim`` and the norm is exactly 1, so a uniform ``u``
 measures ``floor(u * dim)``, the index that bisection would return.
-Ranks a classical scan has queried one by one are known zeros, which the
-repetitions of one first-disagreement call share.
+Every rank one finder call has read, by any query, is known to it: the
+stages, reductions and repetitions of the call share that memo, and the
+known zeros at the front of the scan order are skipped and make an answer
+exact.
 """
 
 from __future__ import annotations
@@ -150,11 +154,13 @@ class _Effective:
     XORed with the reference ``s``.  The raw bits live here so the
     simulator can count marked ranks, but every read that reaches the
     algorithm is routed through a counted query.
-    Ranks below ``cleared`` have been queried one by one and are zero;
-    repeated scans of one view share them.
+    ``known`` is the memo of ranks whose value a query has read, one byte
+    per rank; a rank is charged only on its first read, whichever search
+    or scan of the view makes it.  ``cleared``, the length of the known
+    prefix of zeros, is what every later scan may skip.
     """
 
-    __slots__ = ("ranks", "cleared")
+    __slots__ = ("ranks", "known", "_first_marked")
 
     def __init__(self, x: BitString, s: BitString, order: Sequence[int], width: int) -> None:
         scan = tuple(order)
@@ -169,10 +175,19 @@ class _Effective:
         # bit j (MSB-first) of x XOR s is character j of its n-digit binary
         digits = format(x.value ^ s.value, f"0{x.n}b").encode().translate(_DIGIT_VALUES)
         self.ranks = tuple(map(digits.__getitem__, scan))
-        self.cleared = 0
+        self.known = bytearray(width)
+        self._first_marked = self.ranks.index(1) if 1 in self.ranks else width
+
+    @property
+    def cleared(self) -> int:
+        """Ranks below this are known zeros: read, and not marked."""
+        unread = self.known.find(0)
+        return self._first_marked if unread < 0 else min(unread, self._first_marked)
 
     def query(self, t: int, ctx: EngineContext) -> int:
-        ctx.queries += 1
+        if not self.known[t]:
+            self.known[t] = 1
+            ctx.queries += 1
         return self.ranks[t]
 
 
@@ -225,7 +240,11 @@ def _bbht(
     sums ``(i + 1)/dim`` are exact and bisecting them at ``u`` gives
     ``floor(u * dim)``; the norm is exactly 1, so every round's check
     passes (``norm_tol`` is never negative).  The rounds' iterations are
-    summed here and charged to ``ctx`` on every exit.
+    summed here and charged to ``ctx`` on every exit.  A verification is
+    charged only for a rank the view does not know yet: with nothing
+    marked, the round marks its measured index in a copy of the window's
+    memo, padded to ``dim``, and the call charges the ranks it newly
+    marked when it gives up.
     """
     size = limit - start
     if size <= 0:
@@ -247,15 +266,18 @@ def _bbht(
     used = 0  # iterations so far, each one oracle query
     if not n_marked:
         # the measurement is floor(u * dim); an index inside the window is
-        # verified (one query), and is a zero
-        checks = 0
+        # verified, and is a zero
+        before = eff.known[start:limit]
+        seen = before + bytes(dim - size)
         while used <= budget:
             used += int(draw_j(0, window))
-            checks += draw_u() * dim < size
+            seen[int(draw_u() * dim)] = 1
             if m < m_cap:
                 m = min(m * growth, m_cap)
                 window = math.ceil(m)
-        ctx.queries += used + checks
+        del seen[size:]
+        eff.known[start:limit] = seen
+        ctx.queries += used + seen.count(1) - before.count(1)
         return None
     marked = np.zeros(dim, dtype=bool)
     marked[:size] = ranks
@@ -286,14 +308,10 @@ def _bbht(
 
 
 def _scan_region(eff: _Effective, lo: int, hi: int, ctx: EngineContext) -> int | None:
-    """Classically query ranks [lo, hi); returns the first 1 if any.  A
-    region that starts at ``eff.cleared`` extends the known zeros."""
-    extends = lo == eff.cleared
+    """Classically query ranks [lo, hi); returns the first 1 if any."""
     for t in range(lo, hi):
         if eff.query(t, ctx):
             return t
-        if extends:
-            eff.cleared = t + 1
     return None
 
 
@@ -308,16 +326,16 @@ def _stage_ladder(classical_width: int, width: int) -> list[int]:
 
 def _first_one(eff: _Effective, ctx: EngineContext, config: SearchConfig) -> DisagreementResult:
     """One scan for the first marked rank of ``eff``, skipping the ranks
-    below ``eff.cleared``, which are known zeros, and extending them.
+    below ``eff.cleared``, which are known zeros.
 
     Strategy: scan a small prefix classically, then search windows of
     doubling top, each ``[previous top, top)``, so that no rank is searched
     by two stages; once one is verified at rank ``v``, repeatedly search
     the window's ranks strictly before it, ``[window start, v)``, to move
     the candidate forward.  The gap below the candidate is finished off
-    classically when it is small.  That answer is exact only when the
-    window starts at ``eff.cleared``, that is, when every rank below it
-    was queried one by one; otherwise an earlier window may have missed a
+    classically when it is small.  An answer is exact when ``eff.cleared``
+    reaches it, that is, when every rank below it is a known zero, however
+    it came to be known; otherwise an earlier window may have missed a
     marked rank.
 
     Expected query cost scales with the square root of the answer.  A
@@ -331,21 +349,22 @@ def _first_one(eff: _Effective, ctx: EngineContext, config: SearchConfig) -> Dis
         if top <= start:
             continue
         if top <= config.classical_width:
-            q = _scan_region(eff, start, top, ctx)
-            if q is not None:
-                return DisagreementResult(q + 1, True)
-            continue
-        best = _bbht(eff, top, ctx, config, start)
+            best = _scan_region(eff, start, top, ctx)
+        else:
+            best = _bbht(eff, top, ctx, config, start)
         if best is None:
             continue
         while best - start > config.classical_width:
             w = _bbht(eff, best, ctx, config, start)
             if w is None:
-                return DisagreementResult(best + 1, False)
+                break
             best = w
-        exact = start == eff.cleared
-        q = _scan_region(eff, start, best, ctx)
-        return DisagreementResult((q if q is not None else best) + 1, exact)
+        else:
+            # after a classical stage this reads known zeros, free
+            q = _scan_region(eff, start, best, ctx)
+            if q is not None:
+                best = q
+        return DisagreementResult(best + 1, eff.cleared >= best)
     return DisagreementResult(None, eff.cleared >= width)
 
 
@@ -471,8 +490,8 @@ def quantum_disagreement_finder(
     and never earlier than the true first, so taking the minimum is the
     correct combiner; the call fails only when every repetition does, so
     the certified ``scan_failure`` sets the repetition count that brings
-    it within ``ctx.error_budget``.  Classical knowledge (individually
-    verified zero ranks) is shared across repetitions, and an exact
+    it within ``ctx.error_budget``.  The repetitions share one view, so
+    a rank any of them has read is not charged again, and an exact
     repetition short-circuits the rest.
     """
     eff = _Effective(x, s, order, width)
@@ -496,7 +515,8 @@ def quantum_any_disagreement(
     returns; a returned position (0-based) is a verified disagreement.
     None is certain when ``x == s`` and otherwise a miss of every
     repetition, so the certified ``bbht_failure`` sets the repetition count
-    that brings it within ``ctx.error_budget``.
+    that brings it within ``ctx.error_budget``.  The repetitions share one
+    view, so no position is charged twice.
     """
     n = x.n
     eff = _Effective(x, s, range(n), n)

@@ -1,39 +1,65 @@
-"""Reference unknown-count search for tests: the per-round sampler.
+"""Reference searches for tests: the per-round sampler and a memo-free scan.
 
-Every round rebuilds the full measurement distribution for its drawn
-iteration count, checks its norm and samples it with ``np.searchsorted``.
-``qsim._bbht`` builds and checks each distinct count's distribution once
-per call and samples it by bisection; with nothing marked it builds none: a
-round there is one draw of ``j`` and one of ``u``, and measures
-``floor(u * dim)``, which is what this sampler returns on the exactly
-uniform distribution, whose norm is exactly 1.  It must return the same
-rank, charge the same queries, record the same drift and leave the generator
-in the same state.  The probabilities are read through the ``qsim`` module,
-so a test that patches ``qsim.grover_probabilities`` patches both where
-something is marked.
+``bbht_reference`` rebuilds the full measurement distribution for every
+round's drawn iteration count, checks its norm and samples it with
+``np.searchsorted``.  ``qsim._bbht`` builds and checks each distinct count's
+distribution once per call and samples it by bisection; with nothing marked
+it builds none: a round there is one draw of ``j`` and one of ``u``, and
+measures ``floor(u * dim)``, which is what this sampler returns on the
+exactly uniform distribution, whose norm is exactly 1.  It must return the
+same rank, record the same drift and leave the generator in the same state.
+The probabilities are read through the ``qsim`` module, so a test that
+patches ``qsim.grover_probabilities`` patches both where something is
+marked.
+
+The references read the rank tuple, never the view's memo of known ranks.
+They charge every verification, including one of a rank already verified,
+and count each rank's verifications in their own ``verified`` record;
+``repeats(verified)`` is what the memo saves, so on a fresh view ``qsim``
+charges a search or scan exactly the reference's queries minus its
+repeats.
 """
 
 import math
+from collections import Counter
+from typing import Sequence
 
 import numpy as np
 
 from oracleid import qsim
-from oracleid.qsim import EngineContext, SearchConfig, _Effective
+from oracleid.qsim import EngineContext, SearchConfig
 
 
-def bbht_reference(eff: _Effective, limit: int, ctx: EngineContext, config: SearchConfig) -> int | None:
-    if limit <= 0:
+def repeats(verified: Counter) -> int:
+    """Verifications of a rank after its first."""
+    return sum(count - 1 for count in verified.values())
+
+
+def _verify(ranks: Sequence[int], t: int, ctx: EngineContext, verified: Counter) -> int:
+    ctx.queries += 1
+    verified[t] += 1
+    return ranks[t]
+
+
+def bbht_reference(
+    ranks: Sequence[int], limit: int, ctx: EngineContext, config: SearchConfig,
+    verified: Counter, start: int = 0,
+) -> int | None:
+    """The unknown-count search over the window [start, limit) of ``ranks``,
+    a register of its own: index ``i`` addresses rank ``start + i``."""
+    size = limit - start
+    if size <= 0:
         return None
-    dim = 1 << max(0, (limit - 1).bit_length())
+    dim = 1 << max(0, (size - 1).bit_length())
     if dim == 1:
         # single candidate: one verification settles it
-        if eff.query(0, ctx):
-            return 0
+        if _verify(ranks, start, ctx, verified):
+            return start
         return None
     marked = np.zeros(dim, dtype=bool)
-    marked[:limit] = eff.ranks[:limit]
+    marked[:size] = ranks[start:limit]
     n_marked = int(np.count_nonzero(marked))
-    budget = config.cutoff_coeff * math.sqrt(limit)
+    budget = config.cutoff_coeff * math.sqrt(size)
     m = 1.0
     m_cap = math.sqrt(dim)
     used = 0
@@ -48,8 +74,41 @@ def bbht_reference(eff: _Effective, limit: int, ctx: EngineContext, config: Sear
             raise RuntimeError(f"simulated state norm drifted by {drift:.3e}")
         cum = np.cumsum(np.where(marked, p_marked, p_unmarked))
         v = int(np.searchsorted(cum, ctx.rng.random() * cum[-1], side="right"))
-        if v < limit:
-            if eff.query(v, ctx):
-                return v
+        if v < size:
+            if _verify(ranks, start + v, ctx, verified):
+                return start + v
         m = min(m * config.growth, m_cap)
+    return None
+
+
+def first_one_reference(
+    ranks: Sequence[int], ctx: EngineContext, config: SearchConfig, verified: Counter
+) -> int | None:
+    """One first-marked scan of ranks nothing is known about, as
+    ``qsim._first_one`` makes it on a fresh view: a classical first stage,
+    then windows ``[previous top, top)`` of a doubling ladder, reductions
+    ``[window start, candidate)`` and a classical finish.  Returns the
+    1-based rank or None."""
+    width, cw = len(ranks), config.classical_width
+
+    def scan(lo, hi):
+        return next((t for t in range(lo, hi) if _verify(ranks, t, ctx, verified)), None)
+
+    top, lo = min(max(cw, 1), width), 0
+    while lo < width:
+        if top <= cw:
+            best = scan(lo, top)
+        else:
+            best = bbht_reference(ranks, top, ctx, config, verified, lo)
+            if best is not None:
+                while best - lo > cw:
+                    w = bbht_reference(ranks, best, ctx, config, verified, lo)
+                    if w is None:
+                        return best + 1
+                    best = w
+                q = scan(lo, best)
+                best = best if q is None else q
+        if best is not None:
+            return best + 1
+        top, lo = min(2 * top, width), top
     return None

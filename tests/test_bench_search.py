@@ -28,7 +28,8 @@ def test_measure_records_every_field():
     row = bench_search.measure("random", 9, 40, 3, 8, 12)
     assert (row["kind"], row["n"], row["m"], row["seed"]) == ("random", 9, 40, 3)
     # every fifth member of 40, in the two trials that reach 12 runs
-    assert (row["members"], row["runs"]) == (8, 16)
+    assert (row["members"], row["runs"], row["passes"]) == (8, 16, bench_search.PASSES)
+    assert bench_search.PASSES >= 3
     assert 0 < row["run_us_median"] and 0 < row["run_us_mean"]
     assert row["raw_queries_mean"] > 0
     # the runs of one member share its ideal cost: the mean over the
@@ -63,3 +64,17 @@ def test_writes_one_row_per_class(monkeypatch, tmp_path, capsys):
     assert single["ideal_cost_mean"] == 0
     assert single["ns_per_raw_query"] is None
     assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_timed_passes_alternate_the_classes(monkeypatch):
+    timed = []
+    time_pass = bench_search.Runs.time_pass
+
+    def record(self):
+        timed.append(self.row["n"])
+        time_pass(self)
+
+    monkeypatch.setattr(bench_search.Runs, "time_pass", record)
+    rows = list(bench_search.measure_all((("hamming1", 5, None), ("hamming1", 6, None)), 1, 2, 1, 3))
+    assert timed == [5, 6] * 3
+    assert [row["passes"] for row in rows] == [3, 3]

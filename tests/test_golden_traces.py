@@ -4,17 +4,20 @@
 a floating-point observation rather than an outcome) of each identification
 loop with the quantum engine: ``run_final`` (unprefixed keys) and the two
 halving loops (``basic/`` and ``improved/``).  The rows were last
-re-recorded when the first-disagreement scan (``qsim._first_one``) began
-to search each stage's window ``[previous top, top)`` instead of the whole
-prefix ``[0, top)``: only ``raw_queries`` changed, in 21 ``run_final`` and
-30 ``improved/`` rows, every row identifies the same member as before and
-the ``basic/`` rows, whose any-disagreement search still spans every
-position, are byte-identical.  Before that they were recorded when the
-certified per-scan failure bound (``qsim.scan_failure``) cut each search
-call from three repetitions to one, an intended change of draw order; the
-earlier rows had carried over unchanged from the statevector simulator
-and from the three separate loops.  The random draws the loops
-make, and therefore every outcome, must not change.  Regenerate with
+re-recorded when each finder call began to keep one memo of the ranks its
+queries have read (``qsim._Effective.known``), so that no rank is charged
+twice, a search round's verification of a known zero included: only
+``raw_queries`` changed, each row's falling, in 23 ``run_final``, 28
+``improved/`` and 13 ``basic/`` rows (3,793 to 2,376 summed over all 156),
+and every draw and outcome stayed the same.  Before that they were
+recorded when the first-disagreement scan (``qsim._first_one``) began to
+search each stage's window ``[previous top, top)`` instead of the whole
+prefix ``[0, top)``, again a change of ``raw_queries`` alone, and before
+that when the certified per-scan failure bound (``qsim.scan_failure``)
+cut each search call from three repetitions to one, an intended change of
+draw order; the earlier rows had carried over unchanged from the
+statevector simulator and from the three separate loops.  The random draws
+the loops make, and therefore every outcome, must not change.  Regenerate with
 ``python tests/test_golden_traces.py`` only when a change to the draw order
 is intended.
 """
