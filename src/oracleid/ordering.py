@@ -18,12 +18,20 @@ walks it, and ``identify.identify_all`` and ``sdp.oracle_id_pipeline``
 read all of it.  ``hegedus_ordering`` and ``verify_ordering`` take a
 `ConceptClass`, or any strings ``ConceptClass.of`` makes one of (distinct,
 of one length).
+
+One read, ``_rank_view``, gives a member's scan ranks to every caller,
+under one rule, ``_checked_scan``, that ``sdp``'s batch ranks share: it
+checks every entry of the order, past the width too.
 """
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
 
 from .bitstrings import BitString, ConceptClass, bit_columns
@@ -34,6 +42,8 @@ __all__ = [
     "verify_ordering",
     "first_disagreement_rank",
 ]
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -184,27 +194,51 @@ def verify_ordering(strings: Iterable[BitString] | ConceptClass, order: Ordering
     """Worst pruning ratio ``|S_p| * max(2, p) / |S|`` over all ranks.
 
     The elimination sets are recomputed from ``(sigma, s)`` alone, so this
-    is an independent check of any ordering, not just greedy output.  A
-    return value of at most 1 certifies the pruning guarantee.
+    checks any ordering; a return value of at most 1 certifies it.
     """
-    cls = ConceptClass.of(strings)
-    n = cls.n
-    if sorted(order.sigma) != list(range(n)):
+    cls, s_value = ConceptClass.of(strings), order.s.value
+    if sorted(order.sigma) != list(range(cls.n)):
         raise ValueError("sigma is not a permutation of the bit positions")
-    if order.s.n != n:
+    scan = _checked_scan(cls.n, order.s, order.sigma, cls.n)
+    views = map(_rank_view, [v ^ s_value for v in cls.values], repeat(cls.n), repeat(scan))
+    counts = Counter(ranks.index(1) + 1 for ranks in views if 1 in ranks)
+    return max((count * max(2, p) / cls.size for p, count in counts.items()), default=0.0)
+
+
+def _checked_scan(n: int, s: BitString, order: Sequence[int], width: int) -> tuple[int, ...]:
+    """``order`` as a tuple once it passes the one rule of every rank form:
+    ``s`` of ``n`` bits, an integer width (no bool) in ``[0, len(order)]``,
+    then every entry, past the width too, an integer in ``[0, n - 1]``."""
+    if s.n != n:
         raise ValueError("reference string length mismatch")
-    s_value = order.s.value
-    worst = 0.0
-    remaining = list(cls.values)
-    for p, j in enumerate(order.sigma, start=1):
-        mask = 1 << (n - 1 - j)
-        s_bit = (s_value & mask) != 0
-        agree, disagree = [], []
-        for v in remaining:
-            (agree if ((v & mask) != 0) == s_bit else disagree).append(v)
-        worst = max(worst, len(disagree) * max(2, p) / cls.size)
-        remaining = agree
-    return worst
+    # the int test first: an ABC test costs as much as the rest of the rule
+    if type(width) is not int and (isinstance(width, bool) or not isinstance(width, Integral)):
+        raise ValueError(f"width must be an integer, got {width!r}")
+    if not 0 <= width <= len(order):
+        raise ValueError(f"width {width} outside [0, {len(order)}], the scan order's length")
+    scan = tuple(order)
+    try:  # an int sum means int entries; others are indices (numpy's) or refused
+        if type(sum(scan)) is not int:
+            scan = tuple(map(operator.index, scan))
+    except TypeError:
+        raise ValueError("scan order entries must be integers") from None
+    if not _positions(n).issuperset(scan):  # a negative entry would read from the end
+        raise ValueError(f"scan order entries must lie in [0, {n - 1}]")
+    return scan
+
+
+@lru_cache(maxsize=16)
+def _positions(n: int) -> frozenset[int]:
+    """The bit positions of ``n`` bits: a set test beats a min and a max."""
+    return frozenset(range(n))
+
+
+def _rank_view(diff: int, n: int, scan: tuple[int, ...]) -> tuple[int, ...]:
+    """The one per-member rank read: per rank ``t``, bit ``scan[t]`` of the
+    ``n``-bit ``diff = x.value ^ s.value``, on a checked scan cut to its width."""
+    # bit j (MSB-first) of diff is character j of its n-digit binary
+    digits = format(diff, f"0{n}b").encode().translate(_DIGIT_VALUES)
+    return tuple(map(digits.__getitem__, scan))
 
 
 def first_disagreement_rank(
@@ -213,23 +247,12 @@ def first_disagreement_rank(
     """1-based rank of the first sigma-order bit where ``x`` differs from ``s``.
 
     Only the first ``width`` ranks are scanned (all of ``sigma`` when
-    ``width`` is None); returns None when they all agree.  A width outside
-    ``[0, len(sigma)]`` and a scanned entry that is not a bit position are
-    refused before anything is read.
+    ``width`` is None); returns None when they all agree.  Input that
+    breaks ``_checked_scan``'s rule is refused, before anything is read.
     """
-    if x.n != s.n:
-        raise ValueError("reference string length mismatch")
-    limit = len(sigma) if width is None else width
-    if not 0 <= limit <= len(sigma):
-        raise ValueError(f"width {width} outside [0, {len(sigma)}], the scan order's length")
-    scan = sigma[:limit]
-    # a negative entry would read a bit from the end
-    if limit and not (0 <= min(scan) and max(scan) < x.n):
-        raise ValueError(f"scan order entries must lie in [0, {x.n - 1}]")
-    for t, j in enumerate(scan):
-        if x.bit(j) != s.bit(j):
-            return t + 1
-    return None
+    width = len(sigma) if width is None else width
+    ranks = _rank_view(x.value ^ s.value, x.n, _checked_scan(x.n, s, sigma, width)[:width])
+    return ranks.index(1) + 1 if 1 in ranks else None
 
 
 def clear_ordering_cache() -> None:

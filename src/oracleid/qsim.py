@@ -61,6 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .bitstrings import BitString
+from .ordering import _checked_scan, _rank_view
 
 __all__ = [
     "SearchConfig",
@@ -144,16 +145,13 @@ class DisagreementResult:
     exact: bool
 
 
-_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
 class _Effective:
     """Rank-indexed view of the string actually searched.
 
-    Rank ``t``, below ``width``, is bit ``order[t]`` of the hidden string
-    XORed with the reference ``s``.  The raw bits live here so the
-    simulator can count marked ranks, but every read that reaches the
-    algorithm is routed through a counted query.
+    ``ranks``, from ``ordering._rank_view`` under its one rule: rank ``t``,
+    below ``width``, is bit ``order[t]`` of the hidden string XOR ``s``.
+    The raw bits live here so the simulator can count marked ranks, but
+    every read that reaches the algorithm is routed through a counted query.
     ``known`` is the memo of ranks whose value a query has read, one byte
     per rank; a rank is charged only on its first read, whichever search
     or scan of the view makes it.  ``cleared``, the length of the known
@@ -163,18 +161,7 @@ class _Effective:
     __slots__ = ("ranks", "known", "_first_marked")
 
     def __init__(self, x: BitString, s: BitString, order: Sequence[int], width: int) -> None:
-        scan = tuple(order)
-        if not 0 <= width <= len(scan):
-            raise ValueError(f"width {width} outside [0, {len(scan)}], the scan order's length")
-        if s.n != x.n:
-            raise ValueError("reference string length mismatch")
-        scan = scan[:width]
-        # a negative index would read a bit from the end
-        if scan and not (min(scan) >= 0 and max(scan) < x.n):
-            raise ValueError(f"scan order entries must lie in [0, {x.n - 1}]")
-        # bit j (MSB-first) of x XOR s is character j of its n-digit binary
-        digits = format(x.value ^ s.value, f"0{x.n}b").encode().translate(_DIGIT_VALUES)
-        self.ranks = tuple(map(digits.__getitem__, scan))
+        self.ranks = _rank_view(x.value ^ s.value, x.n, _checked_scan(x.n, s, order, width)[:width])
         self.known = bytearray(width)
         self._first_marked = self.ranks.index(1) if 1 in self.ranks else width
 

@@ -81,7 +81,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .bitstrings import BitString, ConceptClass, bit_matrix, generate_class
-from .ordering import _greedy
+from .ordering import _checked_scan, _greedy
 
 __all__ = [
     "ScanPart",
@@ -399,16 +399,14 @@ def find_first_one_solution(
 
         c(x) = sum_{t<f} 1/sqrt(t) + sqrt(f)  <=  3 sqrt(f).
     """
-    sigma = tuple(sigma) if sigma is not None else tuple(range(n))
+    s = s if s is not None else BitString.zeros(n)
+    width = n if width is None else width
+    sigma = _checked_scan(n, s, range(n) if sigma is None else sigma, width)
     if sorted(sigma) != list(range(n)):
         raise ValueError("sigma must be a permutation of the bit positions")
-    s = s if s is not None else BitString.zeros(n)
-    if s.n != n:
-        raise ValueError("reference string length mismatch")
-    width = n if width is None else width
-    if not 0 <= width <= n:
-        raise ValueError(f"width must lie in [0, {n}]")
     members = ConceptClass.of(domain) if domain is not None else generate_class("cube", n)
+    if members.n != n:
+        raise ValueError(f"domain strings have {members.n} bits, not n = {n}")
     part = ScanPart(
         np.zeros(members.size, dtype=np.intp),
         np.array([sigma], dtype=np.intp),
@@ -422,17 +420,8 @@ def find_first_one_solution(
 def first_disagreement_ranks(domain: ConceptClass, sigma: Sequence[int], s: BitString, width: int) -> np.ndarray:
     """Rank of the first scan-order disagreement per member (0 when none),
     as ``ordering.first_disagreement_rank`` gives it member by member: an
-    ``intp`` array, read-only.  It refuses what that refuses, and also an
-    order entry past the width that is not a bit position, as every entry
-    is read."""
-    if s.n != domain.n:
-        raise ValueError("reference string length mismatch")
-    order = np.array([sigma], dtype=np.intp)
-    if not 0 <= width <= order.shape[1]:
-        raise ValueError(f"width {width} outside [0, {order.shape[1]}], the scan order's length")
-    # a negative entry would read the member before's bits
-    if order.size and not (0 <= order.min() and order.max() < domain.n):
-        raise ValueError(f"scan order entries must lie in [0, {domain.n - 1}]")
+    ``intp`` array, read-only.  It refuses what that refuses."""
+    order = np.array([_checked_scan(domain.n, s, sigma, width)], dtype=np.intp)
     if order.size:
         ranks = _first_disagreements(
             domain.bits, np.zeros(domain.size, dtype=np.intp), order,

@@ -93,8 +93,11 @@ class TestDomainOrder:
             find_first_one_solution(21)
 
     def test_domain_of_another_length_is_named(self):
-        with pytest.raises(ValueError, match="reference string length mismatch"):
+        # no reference is passed, so the refusal names the domain's length
+        with pytest.raises(ValueError, match=r"^domain strings have 4 bits, not n = 3$"):
             find_first_one_solution(3, domain=[BitString(4, 1)])
+        with pytest.raises(ValueError, match=r"^domain strings have 3 bits, not n = 4$"):
+            find_first_one_solution(4, domain=[BitString.from_str("010")])
 
 
 def test_pipeline_solutions_share_the_class():

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import greedy_reference
 from helpers import random_class, subsets_of_cube
-from partition_reference import filter_by_disagreement
+from partition_reference import filter_by_disagreement, verify_ordering_walk
+from oracleid import qsim, sdp
 from oracleid.bitstrings import BitString, ConceptClass, bit_columns, generate_class
 from oracleid.ordering import (
     Ordering,
@@ -115,6 +116,24 @@ class TestVerifyOrdering:
         with pytest.raises(ValueError):
             verify_ordering(cls, order)
 
+    @staticmethod
+    def _random_order(rng, n):
+        sigma = tuple(int(v) for v in rng.permutation(n))
+        return Ordering(sigma, BitString(n, int(rng.integers(0, 1 << n))), (), n)
+
+    def test_same_ratio_as_the_walk_on_every_subset_of_the_3_cube(self):
+        rng = np.random.default_rng(33)
+        for subset in subsets_of_cube(3):
+            for order in (hegedus_ordering(subset), self._random_order(rng, 3)):
+                assert verify_ordering(subset, order) == verify_ordering_walk(subset, order)
+
+    def test_same_ratio_as_the_walk_on_seeded_subsets_of_the_4_cube(self):
+        rng = np.random.default_rng(34)
+        for _ in range(400):
+            cls = random_class(rng, 4, int(rng.integers(1, 17)))
+            for order in (hegedus_ordering(cls), self._random_order(rng, 4)):
+                assert verify_ordering(cls, order) == verify_ordering_walk(cls, order)
+
     def test_requires_a_reference_of_the_class_length(self):
         # a 5-bit reference whose low 3 bits are a good one is still refused
         cls = generate_class("cube", 3)
@@ -185,10 +204,84 @@ class TestFirstDisagreementRank:
         with pytest.raises(ValueError, match=r"^scan order entries must lie in \[0, 3\]$"):
             first_disagreement_rank(bs("1000"), bs("0000"), sigma, width)
 
-    def test_entries_past_the_width_are_not_read(self):
-        assert first_disagreement_rank(bs("0001"), bs("0000"), (0, 1, 2, 9), 3) is None
-        assert first_disagreement_rank(bs("0001"), bs("0000"), (3, -1), 1) == 1
-        assert first_disagreement_rank(bs("0001"), bs("0000"), (9,), 0) is None
+    def test_entries_past_the_width_are_refused(self):
+        # every entry is checked, as the batch form reads every entry
+        for sigma, width in [((0, 1, 2, 9), 3), ((3, -1), 1), ((9,), 0)]:
+            with pytest.raises(ValueError, match=r"^scan order entries must lie in \[0, 3\]$"):
+                first_disagreement_rank(bs("0001"), bs("0000"), sigma, width)
+
+
+# every form of the first-disagreement rank, called on one member ``x``
+RANK_FORMS = {
+    "member": lambda x, s, order, width: first_disagreement_rank(x, s, order, width),
+    "view": lambda x, s, order, width: qsim._Effective(x, s, order, width).ranks,
+    "batch": lambda x, s, order, width: sdp.first_disagreement_ranks(
+        ConceptClass.of([x]), order, s, width),
+    "solution": lambda x, s, order, width: sdp.find_first_one_solution(
+        x.n, order, s, domain=[x], width=width).parts[0].rank,
+}
+
+WIDTH_MESSAGE = r"^width {} outside \[0, {}\], the scan order's length$"
+ENTRY_MESSAGE = r"^scan order entries must lie in \[0, 3\]$"
+NOT_AN_INTEGER = r"^scan order entries must be integers$"
+
+
+class TestOneRule:
+    """Every form refuses every input that any of them refuses, with one
+    message: the rows of each form's own refusal tests, and the inputs the
+    forms once read differently."""
+
+    ROWS = {
+        # the reference's length
+        "reference-short": ("0110", "000", range(4), 4, "^reference string length mismatch$"),
+        "reference-long": ("000", "0001", (0, 1, 2), 3, "^reference string length mismatch$"),
+        # the width, in [0, len(order)]
+        "width-9-of-4": ("1000", "0000", (0, 1, 2, 3), 9, WIDTH_MESSAGE.format(9, 4)),
+        "width-5-of-4": ("1000", "0000", (0, 1, 2, 3), 5, WIDTH_MESSAGE.format(5, 4)),
+        "negative-width": ("1000", "0000", (0, 1, 2, 3), -1, WIDTH_MESSAGE.format(-1, 4)),
+        "width-past-the-empty-order": ("1000", "0000", (), 1, WIDTH_MESSAGE.format(1, 0)),
+        "width-past-a-short-order": ("1000", "0000", (0, 1, 2), 4, WIDTH_MESSAGE.format(4, 3)),
+        # a width that is no integer: 2.5 was truncated by the batch form
+        "fractional-width": ("1000", "0000", (0, 1, 2, 3), 2.5, r"^width must be an integer, got 2\.5$"),
+        "float-width": ("1000", "0000", (0, 1, 2, 3), 2.0, r"^width must be an integer, got 2\.0$"),
+        "bool-width": ("1000", "0000", (0, 1, 2, 3), True, "^width must be an integer, got True$"),
+        "text-width": ("1000", "0000", (0, 1, 2, 3), "3", "^width must be an integer, got '3'$"),
+        "numpy-float-width": ("1000", "0000", (0, 1, 2, 3), np.float64(3), "^width must be an integer"),
+        # entries outside the bits, within the width
+        "past-the-bits-after-the-hit": ("1000", "0000", (0, 4, 1, 2), 4, ENTRY_MESSAGE),
+        "past-the-bits-last": ("1000", "0000", (0, 1, 2, 9), 4, ENTRY_MESSAGE),
+        "negative-before-the-hit": ("1000", "0000", (-1, 0, 1, 2), 4, ENTRY_MESSAGE),
+        "negative-last": ("1000", "0000", (3, -4), 2, ENTRY_MESSAGE),
+        "negative-in-a-short-order": ("1000", "0000", (-1, 1, 2), 3, ENTRY_MESSAGE),
+        "past-the-bits-in-a-short-order": ("1000", "0000", (0, 1, 7), 3, ENTRY_MESSAGE),
+        # entries outside the bits past the width: every entry is checked
+        "past-the-bits-past-the-width": ("0001", "0000", (0, 1, 2, 9), 3, ENTRY_MESSAGE),
+        "negative-past-the-width": ("0001", "0000", (3, -1), 1, ENTRY_MESSAGE),
+        "past-the-bits-at-width-0": ("0001", "0000", (9,), 0, ENTRY_MESSAGE),
+        "negative-after-the-scan": ("0110", "0000", (0, 1, -1, 2), 2, ENTRY_MESSAGE),
+        "past-the-bits-after-the-scan": ("0110", "0000", (0, 1, 4, 2), 2, ENTRY_MESSAGE),
+        "both-past-the-width": ("0001", "0000", (0, 1, -2, 9), 2, ENTRY_MESSAGE),
+        # entries that are no integers, scanned or not
+        "fractional-entry": ("1000", "0000", (0, 1, 2.5, 3), 4, NOT_AN_INTEGER),
+        "float-entry": ("1000", "0000", (0, 1.0, 2, 3), 4, NOT_AN_INTEGER),
+        "text-entry-past-the-width": ("1000", "0000", (0, 1, 2, "3"), 3, NOT_AN_INTEGER),
+        "none-entry-past-the-width": ("1000", "0000", (0, 1, 2, None), 1, NOT_AN_INTEGER),
+        "numpy-float-entries": ("1000", "0000", np.arange(4.0), 4, NOT_AN_INTEGER),
+    }
+
+    @pytest.mark.parametrize("form", sorted(RANK_FORMS))
+    @pytest.mark.parametrize("row", sorted(ROWS))
+    def test_every_form_refuses_with_one_message(self, form, row):
+        x, s, order, width, message = self.ROWS[row]
+        with pytest.raises(ValueError, match=message):
+            RANK_FORMS[form](bs(x), bs(s), order, width)
+
+    @pytest.mark.parametrize("form", sorted(RANK_FORMS))
+    def test_numpy_integers_are_integers(self, form):
+        x, s = bs("0010"), bs("0000")
+        want = RANK_FORMS[form](x, s, (3, 2, 1, 0), 3)
+        got = RANK_FORMS[form](x, s, np.arange(4)[::-1], np.int64(3))
+        assert np.array_equal(got, want)
 
 
 class TestPartitionAgainstReference:

@@ -513,8 +513,9 @@ class TestEffectiveRanks:
         order = [0, 1, bad, 2]
         with pytest.raises(ValueError, match=r"^scan order entries must lie in \[0, 3\]$"):
             qsim._Effective(bs("0110"), bs("0000"), order, 3)
-        # past the width the order is not read
-        assert qsim._Effective(bs("0110"), bs("0000"), order, 2).ranks == (0, 1)
+        # past the width too: every entry is checked, as the batch form's
+        with pytest.raises(ValueError, match=r"^scan order entries must lie in \[0, 3\]$"):
+            qsim._Effective(bs("0110"), bs("0000"), order, 2)
 
 
 class TestFindFirstOne:

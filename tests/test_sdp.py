@@ -1157,14 +1157,26 @@ class TestScanPartCheck:
             values = {s.value, s.value ^ 1}  # no disagreement, and the last bit
             values |= {int.from_bytes(rng.bytes(9), "big") >> (72 - n) for _ in range(30)}
             cls = ConceptClass.from_values(n, sorted(values))
-            sigma = tuple(int(v) for v in rng.permutation(n))
-            for width in sorted({0, 1, n, int(rng.integers(0, n + 1))}):
+            order = tuple(int(v) for v in rng.permutation(n))
+            widths = sorted({0, 1, n, int(rng.integers(0, n + 1))})
+            # and the empty order, which scans nothing
+            for sigma, width in [(order, w) for w in widths] + [((), 0)]:
                 ranks = first_disagreement_ranks(cls, sigma, s, width)
                 want = [first_disagreement_rank(x, s, sigma, width) or 0 for x in cls.members]
                 assert ranks.tolist() == want
                 assert ranks.dtype == np.intp and not ranks.flags.writeable
         with pytest.raises(ValueError, match="reference string length mismatch"):
-            first_disagreement_ranks(cls, sigma, BitString.zeros(71), 70)
+            first_disagreement_ranks(cls, order, BitString.zeros(71), 70)
+
+    @pytest.mark.parametrize("name", sorted(TestPipelineAgainstReference.CLASSES))
+    def test_ranks_equal_the_member_by_member_scan_on_every_tree_node(self, name):
+        # the certificate's kernel against the one per-member view, on the
+        # (sigma, s, width) of every node of the class's pruning tree
+        cls = TestPipelineAgainstReference.CLASSES[name]()
+        for sigma, s_value, width in sdp._greedy(cls.n, cls.values).nodes.values():
+            s = BitString(cls.n, s_value)
+            want = [first_disagreement_rank(x, s, sigma, width) or 0 for x in cls.members]
+            assert first_disagreement_ranks(cls, sigma, s, width).tolist() == want
 
     @pytest.mark.parametrize("sigma, width, message", [
         ((0, 1, 2, 3), 9, r"^width 9 outside \[0, 4\], the scan order's length$"),  # was read as 4
