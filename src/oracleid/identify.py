@@ -137,10 +137,8 @@ class IdealFinder:
         return first_disagreement_rank(x, s, order, width)
 
     def find_any(self, x, s, ctx) -> int | None:
-        d = x.value ^ s.value
-        if d == 0:
-            return None
-        return x.n - d.bit_length()
+        rank = first_disagreement_rank(x, s, range(x.n))
+        return None if rank is None else rank - 1
 
 
 class QuantumFinder:

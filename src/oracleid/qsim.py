@@ -22,7 +22,7 @@ amplification):
 * classically checking one candidate position = one query (it is a single
   oracle evaluation);
 * a rank whose value an earlier query has read -- a zero verified by a
-  classical scan or by a search round's verification, or a verified
+  direct read or by a search round's verification, or a verified
   disagreement -- is never charged again: that is knowledge, not an
   oracle call.
 
@@ -32,7 +32,11 @@ Two finders answer the two questions the identification loops ask:
 windows of ranks: each stage of a doubling ladder searches only the ranks
 above the stage before it, and each reduction the ranks of its stage's
 window before the candidate, so no rank is searched by two stages; the
-second searches all ``n`` positions at once.  Each repeats its search
+second searches all ``n`` positions at once.  Both hand every region they
+search (a stage's window, a reduction's, all ``n`` positions) to the one
+search function ``_bbht``, under one rule: a region of at most
+``max(classical_width, 1)`` ranks is read directly, rank by rank, and only
+a wider one is amplified.  Each finder repeats its search
 until its certified failure (``scan_failure``, ``bbht_failure``) is within
 the call's budget.  One ``EngineContext`` carries a run's state down to the
 amplified search: its seeded ``numpy`` PCG64 generator, query count, worst
@@ -86,9 +90,10 @@ class SearchConfig:
         (each failed round scales the iteration-count ceiling by this).
     cutoff_coeff: a single unknown-count search aborts once its total
         amplification iterations exceed ``cutoff_coeff * sqrt(width)``.
-    classical_width: regions at most this wide are scanned classically
-        instead of amplified; below this size amplitude amplification
-        cannot beat direct queries.  A non-negative ``int``.
+    classical_width: regions at most this wide (and always a region of
+        one rank) are read directly, rank by rank, instead of amplified;
+        below this size amplitude amplification cannot beat direct
+        queries.  A non-negative ``int``.
     norm_tol: the simulated state's norm, recomputed from its two
         amplitudes every round, must stay within this of 1; non-negative.
     """
@@ -103,10 +108,12 @@ class SearchConfig:
         # an unmarked window never spends its budget and never returns
         if not self.growth > 1:
             raise ValueError(f"growth must be greater than 1, got {self.growth}")
-        if not self.cutoff_coeff >= 0:
-            raise ValueError(f"cutoff_coeff must be non-negative, got {self.cutoff_coeff}")
+        # at an infinite cutoff the failure DP overflows and a search over
+        # an unmarked window never returns
+        if not 0 <= self.cutoff_coeff < math.inf:
+            raise ValueError(f"cutoff_coeff must be non-negative and finite, got {self.cutoff_coeff}")
         # the ladder would clamp a negative width and a float breaks the
-        # first classical scan; a bool is not a width
+        # first direct read; a bool is not a width
         cw = self.classical_width
         if type(cw) is not int or cw < 0:
             raise ValueError(f"classical_width must be a non-negative integer, got {cw!r}")
@@ -203,13 +210,17 @@ def _bbht(
     """Search the window of ranks [start, limit) for any marked one, marked
     count unknown.
 
-    The window is searched as a register of its own: index ``i`` addresses
-    rank ``start + i``, and the dim and the budget are those of its
-    ``limit - start`` ranks, so a call over [start, limit) draws exactly
-    as a call over [0, limit - start) of the sliced view, with positions
-    offset by ``start``.
+    A window of at most ``max(config.classical_width, 1)`` ranks is read
+    directly: its ranks are queried in order and the first marked one is
+    returned, so the answer is exact and nothing is drawn.  This is the
+    one place the search decides between direct reads and amplification;
+    an empty window reads nothing.  A wider window is searched as a
+    register of its own: index ``i`` addresses rank ``start + i``, and the
+    dim and the budget are those of its ``limit - start`` ranks, so a call
+    over [start, limit) draws exactly as a call over [0, limit - start) of
+    the sliced view, with positions offset by ``start``.
 
-    Rounds run a random number of amplification iterations drawn from a
+    Its rounds run a random number of amplification iterations drawn from a
     growing range, measure, and classically verify the measured candidate.
     Gives up once total iterations exceed ``cutoff_coeff * sqrt(limit -
     start)``; a None can therefore be wrong (marked ranks missed), never a
@@ -234,14 +245,9 @@ def _bbht(
     marked when it gives up.
     """
     size = limit - start
-    if size <= 0:
-        return None
+    if size <= max(config.classical_width, 1):
+        return next((t for t in range(start, limit) if eff.query(t, ctx)), None)
     dim = search_dim(size)
-    if dim == 1:
-        # single candidate: one verification settles it
-        if eff.query(start, ctx):
-            return start
-        return None
     ranks = eff.ranks[start:limit]
     n_marked = ranks.count(1)
     budget = config.cutoff_coeff * math.sqrt(size)
@@ -294,14 +300,6 @@ def _bbht(
         ctx.queries += used
 
 
-def _scan_region(eff: _Effective, lo: int, hi: int, ctx: EngineContext) -> int | None:
-    """Classically query ranks [lo, hi); returns the first 1 if any."""
-    for t in range(lo, hi):
-        if eff.query(t, ctx):
-            return t
-    return None
-
-
 def _stage_ladder(classical_width: int, width: int) -> list[int]:
     top = min(max(classical_width, 1), width)
     tops = [top]
@@ -315,12 +313,14 @@ def _first_one(eff: _Effective, ctx: EngineContext, config: SearchConfig) -> Dis
     """One scan for the first marked rank of ``eff``, skipping the ranks
     below ``eff.cleared``, which are known zeros.
 
-    Strategy: scan a small prefix classically, then search windows of
-    doubling top, each ``[previous top, top)``, so that no rank is searched
-    by two stages; once one is verified at rank ``v``, repeatedly search
-    the window's ranks strictly before it, ``[window start, v)``, to move
-    the candidate forward.  The gap below the candidate is finished off
-    classically when it is small.  An answer is exact when ``eff.cleared``
+    Strategy: search windows of doubling top, the first ``[0,
+    max(classical_width, 1))`` and each later one ``[previous top, top)``,
+    so that no rank is searched by two stages; once one is verified at
+    rank ``v``, repeatedly search the window's ranks strictly before it,
+    ``[window start, v)``, to move the candidate forward, until a search
+    finds nothing.  Every stage and reduction is one ``_bbht`` call, so a
+    window of at most ``classical_width`` ranks is read directly and its
+    first marked rank is the answer.  An answer is exact when ``eff.cleared``
     reaches it, that is, when every rank below it is a known zero, however
     it came to be known; otherwise an earlier window may have missed a
     marked rank.
@@ -333,31 +333,18 @@ def _first_one(eff: _Effective, ctx: EngineContext, config: SearchConfig) -> Dis
     bottom = 0  # the previous stage's top
     for top in _stage_ladder(config.classical_width, width):
         start, bottom = max(bottom, eff.cleared), top
-        if top <= start:
-            continue
-        if top <= config.classical_width:
-            best = _scan_region(eff, start, top, ctx)
-        else:
-            best = _bbht(eff, top, ctx, config, start)
+        best = _bbht(eff, top, ctx, config, start)
         if best is None:
             continue
-        while best - start > config.classical_width:
-            w = _bbht(eff, best, ctx, config, start)
-            if w is None:
-                break
+        while (w := _bbht(eff, best, ctx, config, start)) is not None:
             best = w
-        else:
-            # after a classical stage this reads known zeros, free
-            q = _scan_region(eff, start, best, ctx)
-            if q is not None:
-                best = q
         return DisagreementResult(best + 1, eff.cleared >= best)
     return DisagreementResult(None, eff.cleared >= width)
 
 
 def _miss_by_marked(limit: int, config: SearchConfig) -> np.ndarray:
-    """Probability that ``_bbht`` over ``limit`` ranks returns None, for
-    K = 1..dim marked ranks (entry ``K - 1``).
+    """Probability that ``_bbht``'s amplified search over ``limit`` ranks
+    returns None, for K = 1..dim marked ranks (entry ``K - 1``).
 
     Exact DP over ``_bbht``'s rounds.  ``active[u, K - 1]`` is the
     probability that a run with K marked ranks has not yet measured one and
@@ -404,8 +391,9 @@ def bbht_failure(dim: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     Every limit in ``(dim/2, dim]`` shares ``dim`` and the schedule, and a
     larger limit only adds rounds after the smaller one's cutoff, so the
     smallest limit ``dim/2 + 1`` bounds the whole class.  ``dim == 1`` is
-    one classical verification and never misses.  The DP's cost grows
-    about as ``dim**2`` (0.8 s at dim 1024, 20 s at 4096), so above
+    one direct read and never misses; so does every window of at most
+    ``classical_width`` ranks, which this bound does not credit.  The DP's
+    cost grows about as ``dim**2`` (0.8 s at dim 1024, 20 s at 4096), so above
     ``MAX_CERTIFIED_DIM`` it is not run and the textbook per-call rate 1/3
     is returned, assumed rather than certified.  Memoized for the life of
     the process.
@@ -425,8 +413,9 @@ def scan_failure(width: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     ``width`` ranks returns a wrong answer.
 
     A scan is wrong only when a ``_bbht`` call on a range holding a marked
-    rank returns None; exact answers and verified positions never are.
-    The windows below the first marked rank hold none and return None
+    rank returns None; exact answers and verified positions never are, and
+    a direct read of a window of at most ``classical_width`` ranks never
+    misses.  The windows below the first marked rank hold none and return None
     rightly.  A scan makes at most one call per ladder stage plus ``width``
     reduction calls (each moves the candidate strictly earlier), each
     window's dim is at most ``search_dim(width)``, and each call misses

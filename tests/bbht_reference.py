@@ -45,17 +45,17 @@ def bbht_reference(
     ranks: Sequence[int], limit: int, ctx: EngineContext, config: SearchConfig,
     verified: Counter, start: int = 0,
 ) -> int | None:
-    """The unknown-count search over the window [start, limit) of ``ranks``,
-    a register of its own: index ``i`` addresses rank ``start + i``."""
+    """The unknown-count search over the window [start, limit) of ``ranks``:
+    read rank by rank when at most ``max(classical_width, 1)`` ranks wide,
+    else amplified as a register of its own, where index ``i`` addresses
+    rank ``start + i``."""
     size = limit - start
-    if size <= 0:
+    if size <= max(config.classical_width, 1):
+        for t in range(start, limit):
+            if _verify(ranks, t, ctx, verified):
+                return t
         return None
-    dim = 1 << max(0, (size - 1).bit_length())
-    if dim == 1:
-        # single candidate: one verification settles it
-        if _verify(ranks, start, ctx, verified):
-            return start
-        return None
+    dim = 1 << (size - 1).bit_length()
     marked = np.zeros(dim, dtype=bool)
     marked[:size] = ranks[start:limit]
     n_marked = int(np.count_nonzero(marked))
@@ -85,30 +85,17 @@ def first_one_reference(
     ranks: Sequence[int], ctx: EngineContext, config: SearchConfig, verified: Counter
 ) -> int | None:
     """One first-marked scan of ranks nothing is known about, as
-    ``qsim._first_one`` makes it on a fresh view: a classical first stage,
-    then windows ``[previous top, top)`` of a doubling ladder, reductions
-    ``[window start, candidate)`` and a classical finish.  Returns the
-    1-based rank or None."""
-    width, cw = len(ranks), config.classical_width
-
-    def scan(lo, hi):
-        return next((t for t in range(lo, hi) if _verify(ranks, t, ctx, verified)), None)
-
-    top, lo = min(max(cw, 1), width), 0
+    ``qsim._first_one`` makes it on a fresh view: windows ``[previous top,
+    top)`` of a doubling ladder from ``[0, max(classical_width, 1))``, then
+    reductions ``[window start, candidate)`` until one finds nothing, each
+    window one ``bbht_reference`` call.  Returns the 1-based rank or None."""
+    width, lo = len(ranks), 0
+    top = min(max(config.classical_width, 1), width)
     while lo < width:
-        if top <= cw:
-            best = scan(lo, top)
-        else:
-            best = bbht_reference(ranks, top, ctx, config, verified, lo)
-            if best is not None:
-                while best - lo > cw:
-                    w = bbht_reference(ranks, best, ctx, config, verified, lo)
-                    if w is None:
-                        return best + 1
-                    best = w
-                q = scan(lo, best)
-                best = best if q is None else q
+        best = bbht_reference(ranks, top, ctx, config, verified, lo)
         if best is not None:
+            while (w := bbht_reference(ranks, best, ctx, config, verified, lo)) is not None:
+                best = w
             return best + 1
         top, lo = min(2 * top, width), top
     return None

@@ -4,9 +4,17 @@
 a floating-point observation rather than an outcome) of each identification
 loop with the quantum engine: ``run_final`` (unprefixed keys) and the two
 halving loops (``basic/`` and ``improved/``).  The rows were last
-re-recorded when each finder call began to keep one memo of the ranks its
-queries have read (``qsim._Effective.known``), so that no rank is charged
-twice, a search round's verification of a known zero included: only
+re-recorded when the scan's search (``qsim._bbht``) began to read every
+region of at most ``classical_width`` ranks directly, whichever stage or
+reduction asks, instead of testing a stage's absolute top: the stage
+window ``[4, 8)`` and a window narrowed by known zeros are now read rank
+by rank rather than amplified.  Only ``raw_queries`` changed, each row's
+falling, in 22 ``run_final`` and 31 ``improved/`` rows and no ``basic/``
+row (2,376 to 1,722 summed over all 156), and every outcome stayed the
+same.  Before that they were recorded when each finder call began to
+keep one memo of the ranks its queries have read
+(``qsim._Effective.known``), so that no rank is charged twice, a search
+round's verification of a known zero included: only
 ``raw_queries`` changed, each row's falling, in 23 ``run_final``, 28
 ``improved/`` and 13 ``basic/`` rows (3,793 to 2,376 summed over all 156),
 and every draw and outcome stayed the same.  Before that they were

@@ -13,6 +13,7 @@ from oracleid import qsim
 from oracleid.bitstrings import BitString, ConceptClass, generate_class
 from oracleid.bounds import brute_force_cost, closed_form_cost, gamma_hat
 from oracleid.identify import (
+    IdealFinder,
     PromiseViolation,
     QuantumFinder,
     RunTrace,
@@ -362,13 +363,21 @@ class TestEngines:
 
         monkeypatch.setattr(qsim, "grover_probabilities", skewed)
         cls = generate_class("hamming1", 16)
-        x = bs("0000000000000001")  # found at rank 15, past the classical prefix
+        x = bs("0000000000000001")  # found at rank 15, past the windows read directly
         loose = QuantumFinder(qsim.SearchConfig(norm_tol=1e-3))
         trace = run_final(cls, x, loose, seed=0)
         assert rounds  # the amplified search ran
         assert trace.norm_drift == pytest.approx(1e-6, rel=1e-3)
         with pytest.raises(RuntimeError, match="norm drifted"):
             run_final(cls, x, QuantumFinder(), seed=0)
+
+    def test_find_any_refuses_a_reference_of_another_length(self):
+        # both finders check through the one validator: the ideal one
+        # returned position -2 here
+        for finder in (IdealFinder(), QuantumFinder()):
+            ctx = qsim.EngineContext(np.random.default_rng(0), 1 / 15)
+            with pytest.raises(ValueError, match="^reference string length mismatch$"):
+                finder.find_any(BitString(3, 0), BitString(5, 16), ctx)
 
     def test_quantum_determinism(self):
         cls = generate_class("hamming1", 8)

@@ -48,16 +48,16 @@ def first_one(x, ctx):
 
 
 class TestSearchConfig:
-    # constructed only: a search at growth <= 1 never returns, and a
-    # negative cutoff breaks the failure DP
+    # constructed only: a search at growth <= 1 never returns, a negative
+    # cutoff breaks the failure DP and an infinite one overflows it
     @pytest.mark.parametrize("growth", [1.0, 0.5, float("nan")])
     def test_growth_must_exceed_one(self, growth):
         with pytest.raises(ValueError, match="growth must be greater than 1"):
             qsim.SearchConfig(growth=growth)
 
-    @pytest.mark.parametrize("cutoff", [-1.0, -1e-12, float("nan")])
+    @pytest.mark.parametrize("cutoff", [-1.0, -1e-12, float("nan"), math.inf])
     def test_cutoff_must_be_non_negative(self, cutoff):
-        with pytest.raises(ValueError, match="cutoff_coeff must be non-negative"):
+        with pytest.raises(ValueError, match="^cutoff_coeff must be non-negative and finite, got "):
             qsim.SearchConfig(cutoff_coeff=cutoff)
 
     # a negative tolerance fails even a search with nothing marked, whose
@@ -215,8 +215,10 @@ class TestSamplerMatchesReference:
         qsim.SearchConfig(growth=2.0),
         qsim.SearchConfig(cutoff_coeff=3.0),
         qsim.SearchConfig(cutoff_coeff=0.0),
-    ], ids=["default", "growth2", "cutoff3", "cutoff0"])
+        qsim.SearchConfig(classical_width=0),
+    ], ids=["default", "growth2", "cutoff3", "cutoff0", "cw0"])
     def test_same_outcome_queries_drift_and_generator_state(self, config):
+        # at classical_width 0 windows of 2 to 4 ranks are amplified too
         rng = np.random.default_rng(2024)
         # every limit to 130, then either side of the powers of two 256, 512
         # and 1024, where nothing marked measures floor(u * dim)
@@ -289,15 +291,17 @@ class TestWindowedSearch:
 
     @pytest.mark.parametrize("width", [40, 64, 100])
     def test_stages_search_disjoint_windows(self, monkeypatch, width):
-        # nothing is marked in the classical prefix, so every stage after it
-        # is amplified; record each search's range [start, limit)
+        # every stage and reduction is one search: record each one's range
+        # [start, limit) and answer; the stages run until one finds, and
+        # the reductions after it
         cw = qsim.DEFAULT_CONFIG.classical_width
-        tops = set(qsim._stage_ladder(cw, width))
+        tops = qsim._stage_ladder(cw, width)
         bbht, calls = qsim._bbht, []
 
         def record(eff, limit, ctx, config, start=0):
-            calls.append((start, limit))
-            return bbht(eff, limit, ctx, config, start)
+            found = bbht(eff, limit, ctx, config, start)
+            calls.append((start, limit, found))
+            return found
 
         monkeypatch.setattr(qsim, "_bbht", record)
         rng = np.random.default_rng(width)
@@ -309,20 +313,21 @@ class TestWindowedSearch:
             x = BitString.from_bits([int(t in marked) for t in range(width)])
             calls.clear()
             res = qsim._first_one(effective(x, width), ctx_for((32, width, i)), qsim.DEFAULT_CONFIG)
-            stages = [call for call in calls if call[1] in tops]
-            # ascending, disjoint and contiguous from the classical prefix up
-            assert [lo for lo, _ in stages] == [cw] + [hi for _, hi in stages[:-1]], marked
+            n_stages = next((k + 1 for k, call in enumerate(calls) if call[2] is not None), len(calls))
+            stages, reductions = calls[:n_stages], calls[n_stages:]
+            # ascending, disjoint and contiguous from rank 0 up the ladder
+            assert [hi for _, hi, _ in stages] == tops[:n_stages], marked
+            assert [lo for lo, _, _ in stages] == [0] + [hi for _, hi, _ in stages[:-1]], marked
             if res.rank is None:
-                assert stages[-1][1] == width, marked
-            # each reduction lies inside its stage's window, before the last
-            window = None
-            for call in calls:
-                if call[1] in tops:
-                    window = last = call
-                    continue
-                lo, hi = call
-                assert lo == window[0] and lo < hi < last[1], (marked, call, window)
-                last = call
+                assert n_stages == len(tops) and not reductions, marked
+                continue
+            # each reduction searches the window below the candidate, until
+            # one finds nothing
+            lo, _, best = stages[-1]
+            for call in reductions:
+                assert call[:2] == (lo, best), (marked, call, lo, best)
+                best = best if call[2] is None else call[2]
+            assert reductions[-1][2] is None and res.rank == best + 1, marked
 
     @pytest.mark.parametrize("cutoff,cw", [
         pytest.param(cutoff, cw, id=f"{cutoff}" if cw == 4 else f"{cutoff}-cw{cw}")
@@ -356,6 +361,36 @@ class TestWindowedSearch:
         assert exact > 0
         if cutoff < 9:
             assert missed > 0
+
+
+class TestDirectReads:
+    """A region of at most ``classical_width`` ranks is read rank by rank,
+    whichever finder asks: nothing is drawn, and its first 1 is the answer."""
+
+    def test_narrow_stage_windows_are_read_not_amplified(self):
+        # at classical_width 4 the ladder's windows [0, 4) and [4, 8) are
+        # both four ranks wide
+        ctx = ctx_for(36)
+        state = ctx.rng.bit_generator.state
+        res = qsim._first_one(effective(BitString.zeros(8), 8), ctx, qsim.SearchConfig(classical_width=4))
+        assert res == qsim.DisagreementResult(None, True)
+        assert ctx.queries == 8
+        assert ctx.rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_narrow_any_search_reads_the_first_disagreement(self, n):
+        # every n-bit pair at n <= classical_width: each repetition after
+        # the first reads known ranks, free
+        assert n <= qsim.DEFAULT_CONFIG.classical_width
+        for value in range(1 << n):
+            for ref_value in range(1 << n):
+                ctx = ctx_for((37, n, value, ref_value))
+                state = ctx.rng.bit_generator.state
+                got = qsim.quantum_any_disagreement(BitString(n, value), BitString(n, ref_value), ctx)
+                diff = value ^ ref_value
+                assert got == (n - diff.bit_length() if diff else None), (value, ref_value)
+                assert ctx.queries == (n if got is None else got + 1)
+                assert ctx.rng.bit_generator.state == state
 
 
 class CountingRng:
@@ -523,7 +558,7 @@ class TestFindFirstOne:
         ctx = ctx_for(3)
         res = first_one(bs("0010"), ctx)
         assert res.rank == 3 and res.exact
-        assert ctx.queries == 3  # classical scan of the short prefix
+        assert ctx.queries == 3  # a direct read of the first window
 
     def test_all_zero(self):
         res = first_one(bs("0000"), ctx_for(3))
@@ -611,21 +646,23 @@ class TestDisagreementFinder:
     def test_repetitions_share_the_cleared_prefix(self, monkeypatch):
         # nothing is marked and no scan of 64 ranks reads them all, so
         # several repetitions run; each starts at the known zeros the
-        # earlier ones left, and the classical prefix is queried only once
+        # earlier ones left, so the windows [0, 4) and [4, 8), read
+        # directly, are read only once
         width = 64
         scanned, searches, views = [], [], set()
-        scan_region, bbht = qsim._scan_region, qsim._bbht
+        query, bbht = qsim._Effective.query, qsim._bbht
 
-        def record_scan(eff, lo, hi, ctx):
-            scanned.extend(range(lo, hi))
-            return scan_region(eff, lo, hi, ctx)
+        def record_query(eff, t, ctx):
+            scanned.append(t)
+            return query(eff, t, ctx)
 
         def record_search(eff, limit, ctx, config, start=0):
             views.add(eff)
             searches.append((start, limit, eff.cleared))
             return bbht(eff, limit, ctx, config, start)
 
-        monkeypatch.setattr(qsim, "_scan_region", record_scan)
+        # with nothing marked only a direct read queries rank by rank
+        monkeypatch.setattr(qsim._Effective, "query", record_query)
         monkeypatch.setattr(qsim, "_bbht", record_search)
         zeros = BitString.zeros(width)
         res = quantum_disagreement_finder(zeros, zeros, range(width), width, ctx_for(0, 1e-12))
@@ -633,7 +670,7 @@ class TestDisagreementFinder:
         assert res == qsim.DisagreementResult(None, eff.cleared == width)
         assert sum(limit == width for _, limit, _ in searches) >= 2  # one per repetition
         assert all(start >= cleared for start, _, cleared in searches)
-        assert scanned == list(range(qsim.DEFAULT_CONFIG.classical_width))
+        assert sorted(t for t in scanned if t < 8) == list(range(8))
 
     def test_any_marked_search_repeats_to_the_budget(self, monkeypatch):
         # nothing marked: every repetition runs to its cutoff and misses
