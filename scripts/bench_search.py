@@ -14,8 +14,10 @@ share: the pruning tree's nodes and the memoized failure bounds.  Then
 ``PASSES`` timed passes each run every class's runs once, the classes in
 turn, so that a slow spell of a shared host falls on every class rather
 than on one.  Each row records the median over the passes of each pass's
-median and mean microseconds per run, the mean raw queries per run (the
-same in every pass: the seeds are), the members' mean ideal cost ``sum
+median and mean microseconds per run, the mean raw queries per run and
+the number of runs that identified a member other than their own
+(``wrong_runs``; both the same in every pass: the seeds are, and a wrong
+run's queries still count in the mean), the members' mean ideal cost ``sum
 sqrt(p_i) + sqrt(width)`` (from ``identify_all``; the base of the
 benchmark's ``cost_over_ideal``, so ``raw_queries_mean / ideal_cost_mean``
 reads as that ratio does) and the nanoseconds per raw query (that mean
@@ -78,15 +80,17 @@ class Runs:
         self.medians, self.means = [], []
 
     def time_pass(self) -> None:
-        times, queries = [], []
+        times, queries, wrong = [], [], 0
         for x, trial in self.order:
             t0 = time.perf_counter()
             trace = self.run(x, trial)
             times.append(time.perf_counter() - t0)
             queries.append(trace.raw_queries)
+            wrong += trace.identified != x
         self.medians.append(statistics.median(times))
         self.means.append(statistics.fmean(times))
         self.row["raw_queries_mean"] = statistics.fmean(queries)
+        self.row["wrong_runs"] = wrong
 
     def result(self) -> dict:
         mean, raw = statistics.median(self.means), self.row["raw_queries_mean"]

@@ -51,7 +51,13 @@ measures ``floor(u * dim)``, the index that bisection would return.
 Every rank one finder call has read, by any query, is known to it: the
 stages, reductions and repetitions of the call share that memo, and the
 known zeros at the front of the scan order are skipped and make an answer
-exact.
+exact.  A search ends once every rank of its window is known: a window
+with no unknown rank is read directly, free, and a search stops at the
+round whose verification reads its last unknown rank.  A marked rank
+stays unknown until a round measures it, and that round returns it, so
+the stop never fires while the window holds an unknown marked rank: there
+the draws, and the miss law of ``_miss_by_marked``, are those of a search
+that runs to its budget, and only the cost of proving a window empty falls.
 """
 
 from __future__ import annotations
@@ -91,9 +97,12 @@ class SearchConfig:
     cutoff_coeff: a single unknown-count search aborts once its total
         amplification iterations exceed ``cutoff_coeff * sqrt(width)``.
     classical_width: regions at most this wide (and always a region of
-        one rank) are read directly, rank by rank, instead of amplified;
-        below this size amplitude amplification cannot beat direct
-        queries.  A non-negative ``int``.
+        one rank) are read directly, rank by rank, instead of amplified.
+        A free constant of the schedule, not the crossover of the two
+        costs: at the default cutoff an amplified window with nothing
+        marked costs more expected queries than reading its ranks for
+        every width from 5 to 63 (ROADMAP direction 13 picks it by exact
+        cost).  A non-negative ``int``.
     norm_tol: the simulated state's norm, recomputed from its two
         amplitudes every round, must stay within this of 1; non-negative.
     """
@@ -214,7 +223,8 @@ def _bbht(
     directly: its ranks are queried in order and the first marked one is
     returned, so the answer is exact and nothing is drawn.  This is the
     one place the search decides between direct reads and amplification;
-    an empty window reads nothing.  A wider window is searched as a
+    an empty window reads nothing.  So is a window whose every rank the
+    view knows, at no charge.  A wider window is searched as a
     register of its own: index ``i`` addresses rank ``start + i``, and the
     dim and the budget are those of its ``limit - start`` ranks, so a call
     over [start, limit) draws exactly as a call over [0, limit - start) of
@@ -225,7 +235,12 @@ def _bbht(
     Gives up once total iterations exceed ``cutoff_coeff * sqrt(limit -
     start)``; a None can therefore be wrong (marked ranks missed), never a
     position.  Every round checks the state's norm against
-    ``config.norm_tol``.
+    ``config.norm_tol``.  The call also ends at the round whose
+    verification reads the window's last rank the view did not know: it
+    returns None with nothing marked, and otherwise the first marked rank,
+    which it knew at entry (an unknown marked rank is returned by the round
+    that measures it, so the stop never fires while one is left, and such
+    a window draws exactly as it would with no stop).
 
     The marked set is fixed for the call, so the measurement distribution
     and the norm depend only on the drawn iteration count ``j``: both are
@@ -241,11 +256,14 @@ def _bbht(
     summed here and charged to ``ctx`` on every exit.  A verification is
     charged only for a rank the view does not know yet: with nothing
     marked, the round marks its measured index in a copy of the window's
-    memo, padded to ``dim``, and the call charges the ranks it newly
-    marked when it gives up.
+    memo, padded to ``dim`` with known indices, and the call charges the
+    ranks it newly marked when it ends.
     """
     size = limit - start
-    if size <= max(config.classical_width, 1):
+    known = eff.known
+    # unknown: the window's ranks no query has read, counted only past the
+    # width test, since most searches a scan makes are narrow
+    if size <= max(config.classical_width, 1) or not (unknown := known.count(0, start, limit)):
         return next((t for t in range(start, limit) if eff.query(t, ctx)), None)
     dim = search_dim(size)
     ranks = eff.ranks[start:limit]
@@ -259,24 +277,27 @@ def _bbht(
     used = 0  # iterations so far, each one oracle query
     if not n_marked:
         # the measurement is floor(u * dim); an index inside the window is
-        # verified, and is a zero
-        before = eff.known[start:limit]
-        seen = before + bytes(dim - size)
-        while used <= budget:
+        # verified, and is a zero; the padding past it counts as known
+        seen = known[start:limit] + b"\x01" * (dim - size)
+        fresh = unknown
+        while unknown and used <= budget:
             used += int(draw_j(0, window))
-            seen[int(draw_u() * dim)] = 1
+            v = int(draw_u() * dim)
+            if not seen[v]:
+                seen[v] = 1
+                unknown -= 1
             if m < m_cap:
                 m = min(m * growth, m_cap)
                 window = math.ceil(m)
         del seen[size:]
-        eff.known[start:limit] = seen
-        ctx.queries += used + seen.count(1) - before.count(1)
+        known[start:limit] = seen
+        ctx.queries += used + fresh - unknown
         return None
     marked = np.zeros(dim, dtype=bool)
     marked[:size] = ranks
     dists: dict[int, tuple[list[float], float]] = {}  # j -> (cumulative probabilities, total)
     try:
-        while used <= budget:
+        while unknown and used <= budget:
             j = int(draw_j(0, window))
             used += j
             dist = dists.get(j)
@@ -290,12 +311,16 @@ def _bbht(
                 dist = dists[j] = cum, cum[-1]
             cum, total = dist
             v = bisect.bisect_right(cum, draw_u() * total)
-            if v < size and eff.query(start + v, ctx):
-                return start + v
+            if v < size:
+                t = start + v
+                unknown -= not known[t]
+                if eff.query(t, ctx):
+                    return t
             if m < m_cap:
                 m = min(m * growth, m_cap)
                 window = math.ceil(m)
-        return None
+        # every rank known: the marked ones were known at entry
+        return None if unknown else start + ranks.index(1)
     finally:
         ctx.queries += used
 
@@ -355,7 +380,10 @@ def _miss_by_marked(limit: int, config: SearchConfig) -> np.ndarray:
     put, so the mass still active decays geometrically rather than
     vanishing: the loop stops once at most 1e-18 of it is left, and counts
     that remainder as missed, so each entry is an upper bound exact to
-    1e-18.
+    1e-18.  ``_bbht``'s stop at full knowledge never fires while a marked
+    rank is unknown, so this is the exact law of every window that holds an
+    unknown marked rank; one whose marked ranks are all known at entry
+    misses no more often, since its stop returns one of them.
     """
     dim = search_dim(limit)
     theta = np.arcsin(np.sqrt(np.arange(1, dim + 1) / dim))
@@ -392,8 +420,10 @@ def bbht_failure(dim: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     larger limit only adds rounds after the smaller one's cutoff, so the
     smallest limit ``dim/2 + 1`` bounds the whole class.  ``dim == 1`` is
     one direct read and never misses; so does every window of at most
-    ``classical_width`` ranks, which this bound does not credit.  The DP's
-    cost grows about as ``dim**2`` (0.8 s at dim 1024, 20 s at 4096), so above
+    ``classical_width`` ranks, which this bound does not credit.
+    ``_bbht``'s stop at full knowledge does not move the bound: it never
+    fires while a marked rank is unknown.  The DP's cost grows about as
+    ``dim**2`` (0.8 s at dim 1024, 20 s at 4096), so above
     ``MAX_CERTIFIED_DIM`` it is not run and the textbook per-call rate 1/3
     is returned, assumed rather than certified.  Memoized for the life of
     the process.

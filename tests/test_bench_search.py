@@ -32,6 +32,7 @@ def test_measure_records_every_field():
     assert bench_search.PASSES >= 3
     assert 0 < row["run_us_median"] and 0 < row["run_us_mean"]
     assert row["raw_queries_mean"] > 0
+    assert row["wrong_runs"] == 0
     # the runs of one member share its ideal cost: the mean over the
     # members run is the mean over runs
     cls = generate_class("random", 9, size=40, seed=3)
@@ -61,6 +62,7 @@ def test_writes_one_row_per_class(monkeypatch, tmp_path, capsys):
     assert (wide["kind"], wide["n"], wide["m"], wide["seed"], wide["members"]) == ("hamming1", 9, 9, None, 3)
     # one member: identified without a query
     assert (single["m"], single["runs"], single["raw_queries_mean"]) == (1, 1, 0)
+    assert wide["wrong_runs"] == single["wrong_runs"] == 0
     assert single["ideal_cost_mean"] == 0
     assert single["ns_per_raw_query"] is None
     assert len(capsys.readouterr().out.splitlines()) == 2
@@ -78,3 +80,20 @@ def test_timed_passes_alternate_the_classes(monkeypatch):
     rows = list(bench_search.measure_all((("hamming1", 5, None), ("hamming1", 6, None)), 1, 2, 1, 3))
     assert timed == [5, 6] * 3
     assert [row["passes"] for row in rows] == [3, 3]
+
+
+def test_a_wrong_run_is_counted(monkeypatch):
+    # a run that names another member counts, in every pass
+    from oracleid import identify
+
+    run_final = identify.run_final
+
+    def wrong_on_odd_trials(cls, x, engine, seed):
+        trace = run_final(cls, x, engine, seed=seed)
+        other = cls.members[cls.members.index(x) - 1]
+        return trace._replace(identified=other) if seed.entropy[2] % 2 else trace
+
+    monkeypatch.setattr(identify, "run_final", wrong_on_odd_trials)
+    row = bench_search.measure("hamming1", 8, None, 1, 8, 32)
+    # 8 members in 4 trials, of which trials 1 and 3 are wrong
+    assert (row["runs"], row["wrong_runs"]) == (32, 16)

@@ -7,6 +7,7 @@ import pytest
 
 import statevector as ref
 from bbht_reference import bbht_reference, first_one_reference, repeats
+from empty_window_cost import empty_window_cost
 from oracleid.bitstrings import BitString, generate_class
 from oracleid import qsim
 from oracleid.identify import QuantumFinder, _new_context
@@ -458,31 +459,36 @@ class TestKnownRanks:
             assert len(set(map(id, views))) == 1
             assert self._verifications(ctx) == views[0].known.count(1) <= 16
             if not value:
-                # nothing marked: every repetition runs to its cutoff
+                # nothing marked: no repetition returns, so every one runs
                 assert len(views) >= 2
 
-    def test_a_memo_free_scan_draws_the_same(self):
-        # on a fresh view the memo changes only what is charged: the
-        # reference charges every verification, and its repeats are the
-        # difference
+    def test_a_scan_draws_as_the_reference_scan(self):
+        # what a view knows shapes the draws: a window whose every rank is
+        # known is read for free, and an empty window's search stops at
+        # its last unknown rank; the reference keeps its own record of
+        # what it verified, shared by three repetitions as the view is,
+        # and charges every verification, so its repeats are the difference
         rng = np.random.default_rng(44)
         configs = [qsim.DEFAULT_CONFIG, qsim.SearchConfig(classical_width=0),
                    qsim.SearchConfig(cutoff_coeff=1.0), qsim.SearchConfig(cutoff_coeff=0.5)]
         saved = 0
-        for trial in range(600):
+        for trial in range(400):
             config = configs[trial % len(configs)]
             width = int(rng.integers(1, 130))
             density = rng.choice([0.0, 0.01, 0.05, 0.3])
             bits = (rng.random(width) < density).astype(int).tolist()
+            eff = effective(BitString.from_bits(bits), width)
             new, old = ctx_for((45, trial)), ctx_for((45, trial))
             verified = Counter()
-            got = qsim._first_one(effective(BitString.from_bits(bits), width), new, config)
-            want = first_one_reference(tuple(bits), old, config, verified)
-            where = (trial, bits)
-            assert got.rank == want, where
-            assert new.queries == old.queries - repeats(verified), where
-            assert new.max_drift == old.max_drift, where
-            assert new.rng.bit_generator.state == old.rng.bit_generator.state, where
+            for rep in range(3):
+                got = qsim._first_one(eff, new, config)
+                want = first_one_reference(tuple(bits), old, config, verified)
+                where = (trial, rep, bits)
+                assert got.rank == want, where
+                assert new.queries == old.queries - repeats(verified), where
+                assert new.max_drift == old.max_drift, where
+                assert new.rng.bit_generator.state == old.rng.bit_generator.state, where
+                assert bytes(eff.known) == bytes(t in verified for t in range(width)), where
             saved += repeats(verified)
         assert saved > 0
 
@@ -498,6 +504,112 @@ class TestKnownRanks:
         assert results[1].exact and results[2].exact
         assert eff.cleared == 10
         assert self._verifications(ctx) == eff.known.count(1) <= 16
+
+
+def _known_at_entry(limit, rng):
+    """Views of ``limit`` ranks as ``(bits, known)``: the ranks marked and
+    those known at entry, in patterns that leave some ranks unknown, only
+    the zeros, nothing, or every rank but one zero or but one marked rank."""
+    for _ in range(6):
+        bits = (rng.random(limit) < rng.choice([0.0, 0.1, 0.3])).astype(int).tolist()
+        yield bits, (rng.random(limit) < rng.choice([0.3, 0.8, 0.95])).astype(int).tolist()
+        yield bits, bits
+        yield bits, [1] * limit
+        for value in (0, 1):
+            if value in bits:
+                hidden = rng.choice([t for t in range(limit) if bits[t] == value])
+                yield bits, [int(t != hidden) for t in range(limit)]
+
+
+class TestFullKnowledge:
+    """A search ends once every rank of its window is known: at entry it
+    draws nothing, and in a round it stops at the verification of the last
+    unknown rank.  An unknown marked rank is returned by the round that
+    measures it, so until then the draws are those of a search with no
+    stop, and ``_miss_by_marked`` is still its miss law."""
+
+    CONFIGS = [qsim.DEFAULT_CONFIG, qsim.SearchConfig(classical_width=0), qsim.SearchConfig(cutoff_coeff=1.0)]
+
+    @staticmethod
+    def _both(bits, known, limit, config, seed, stop):
+        eff = effective(BitString.from_bits(bits), limit)
+        eff.known[:] = bytes(known)
+        verified = Counter(t for t in range(limit) if known[t])
+        new, old = ctx_for(seed), ctx_for(seed)
+        got = qsim._bbht(eff, limit, new, config)
+        want = bbht_reference(bits, limit, old, config, verified, stop=stop)
+        where = f"limit={limit} bits={bits} known={known}"
+        assert got == want, where
+        assert (new.queries, new.max_drift) == (old.queries - repeats(verified), old.max_drift), where
+        assert new.rng.bit_generator.state == old.rng.bit_generator.state, where
+        assert bytes(eff.known) == bytes(t in verified for t in range(limit)), where
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "cw0", "cutoff1"])
+    def test_an_unknown_marked_rank_draws_as_with_no_stop(self, config):
+        rng = np.random.default_rng(47)
+        checked = 0
+        for limit in [*range(2, 40), 63, 64, 100]:
+            for k, (bits, known) in enumerate(_known_at_entry(limit, rng)):
+                if any(b and not kn for b, kn in zip(bits, known)):
+                    self._both(bits, known, limit, config, (47, limit, k), stop=False)
+                    checked += 1
+        assert checked > 200
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["default", "cw0", "cutoff1"])
+    def test_known_ranks_at_entry_draw_as_the_reference(self, config):
+        # every pattern, against the reference that stops on its own record
+        rng = np.random.default_rng(48)
+        for limit in [*range(1, 40), 63, 64, 100]:
+            for k, (bits, known) in enumerate(_known_at_entry(limit, rng)):
+                self._both(bits, known, limit, config, (48, limit, k), stop=True)
+
+    @pytest.mark.parametrize("limit", [5, 16, 64, 100])
+    def test_a_fully_known_window_draws_nothing(self, limit):
+        rng = np.random.default_rng(limit)
+        for density in (0.0, 0.1, 0.5):
+            bits = (rng.random(limit + 10) < density).astype(int).tolist()
+            eff = effective(BitString.from_bits(bits), limit + 10)
+            eff.known[:] = bytes([1]) * (limit + 10)
+            ctx = ctx_for(49)
+            state = ctx.rng.bit_generator.state
+            got = qsim._bbht(eff, limit + 10, ctx, qsim.DEFAULT_CONFIG, 10)
+            assert got == next((t for t in range(10, limit + 10) if bits[t]), None), bits
+            assert (ctx.queries, ctx.max_drift) == (0, 0.0)
+            assert ctx.rng.bit_generator.state == state
+
+
+class TestEmptyWindowCost:
+    """Expected raw queries of an amplified search over a window with
+    nothing marked, against the exact DP of ``tests/empty_window_cost.py``."""
+
+    @pytest.mark.parametrize("limit", [5, 6, 8, 12, 16, 31])
+    @pytest.mark.parametrize("known", [0, 2])
+    def test_seeded_searches_match_the_dp(self, limit, known):
+        config = qsim.DEFAULT_CONFIG
+        x = BitString.zeros(limit)
+        costs = []
+        for t in range(1500):
+            eff = effective(x, limit)
+            eff.known[limit - known :] = bytes([1]) * known
+            ctx = ctx_for((50, limit, known, t))
+            assert qsim._bbht(eff, limit, ctx, config) is None
+            costs.append(ctx.queries)
+        want = empty_window_cost(limit, known, config)
+        sigma = np.std(costs) / math.sqrt(len(costs))
+        assert abs(np.mean(costs) - want) <= 4 * sigma, (np.mean(costs), want, sigma)
+
+    def test_the_stop_never_costs_more(self):
+        for limit in range(5, 65):
+            for known in (0, 2):
+                stopped = empty_window_cost(limit, known, qsim.DEFAULT_CONFIG)
+                assert stopped <= empty_window_cost(limit, known, qsim.DEFAULT_CONFIG, stop=False), limit
+
+    def test_an_amplified_empty_window_costs_more_than_reading_it(self):
+        # at the default cutoff every window wider than classical_width
+        # and narrower than 64 ranks costs more to search than to read
+        assert empty_window_cost(5, 0, qsim.DEFAULT_CONFIG) == pytest.approx(18.74, abs=0.01)
+        for limit in range(qsim.DEFAULT_CONFIG.classical_width + 1, 64):
+            assert empty_window_cost(limit, 0, qsim.DEFAULT_CONFIG) > limit
 
 
 class TestNothingMarked:
@@ -673,7 +785,7 @@ class TestDisagreementFinder:
         assert sorted(t for t in scanned if t < 8) == list(range(8))
 
     def test_any_marked_search_repeats_to_the_budget(self, monkeypatch):
-        # nothing marked: every repetition runs to its cutoff and misses
+        # nothing marked: every repetition runs and misses
         n, budget = 16, 1e-12
         limits = []
         bbht = qsim._bbht
