@@ -16,10 +16,11 @@ For each random class of ``N`` bits and ``M`` members in ``CLASSES`` (seed
 Each repeat takes a fresh copy of the class, so the stage checks also pay
 for the class's cached bit matrix (``ConceptClass.bits``).  Both checks
 prove the pipeline's scan parts from their ranks, one part at a time, in
-O(stages * M * N); the cost writes one part's rows at a time.  At N=10,
-M=150 a part is small enough that its check is mostly per-call overhead;
-N=13, M=400 is the size the ``certify`` benchmark workload certifies.  The
-tree is timed apart because it dominates a cold build at M = 10^5.
+O(stages * M * N); the cost reads each part's row norms off its ranks, in
+O(stages * M), and writes no row.  At N=10, M=150 a part is small enough
+that its check is mostly per-call overhead; N=13, M=400 is the size the
+``certify`` benchmark workload certifies.  The tree is timed apart because
+it dominates a cold build at M = 10^5.
 
 It records the worst residual of each check, the stage count, the largest
 certified cost and the process's peak RSS so far, with the machine it ran

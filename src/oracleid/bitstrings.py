@@ -46,6 +46,16 @@ class BitString:
         if not 0 <= self.value < (1 << self.n):
             raise ValueError(f"value {self.value} out of range for {self.n} bits")
 
+    # on the packed int, not the dataclass's (n, value) tuple: a class's
+    # row lookups and the traces' keys hash strings all the time
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.value == other.value and self.n == other.n
+
     @classmethod
     def from_str(cls, text: str) -> "BitString":
         if not text or set(text) - {"0", "1"}:

@@ -32,9 +32,10 @@ their scans: per input a block id and a rank, per block a scan order
 ``sigma``, a reference ``s`` and a ``width``.  Each block owns one
 coordinate, so ``<u[x, j], v[y, j]>`` counts only when ``block[x] ==
 block[y]``, and a part's rows (``u`` is ``v``) are written by ``_scan_rows``
-only when they are asked for.  The ambient vectors are the parts laid side
-by side, the blocks of a part in increasing id order; checks never build
-them.  The explicit first-disagreement solution is one part with one block;
+only when they are asked for; ``cost_of`` reads each row's squared norm
+off its rank.  The ambient vectors are the parts laid side by side, the
+blocks of a part in increasing id order; checks never build them.  The
+explicit first-disagreement solution is one part with one block;
 every pipeline stage is one part.
 
 ``verify_feasible`` proves a solution from its defining property, in
@@ -335,12 +336,18 @@ def verify_feasible(A, sol: SdpSolution) -> float:
 
 
 def cost_of(sol: SdpSolution) -> CostFunction:
-    """The per-input cost ``c(x)``: each part's squared row norms (``u`` is
-    ``v``), added part by part in order, one part's rows written at a time."""
+    """The per-input cost ``c(x)``: each part's squared row norm (``u`` is
+    ``v``) read off the input's rank and its block's width, added part by
+    part in order; no row is written."""
+    n = sol.n_bits
+    table = _rank_costs(n)
     values = np.zeros(sol.size)
     for part in sol.parts:
-        u = part.u
-        values += np.einsum("xjd,xjd->x", u, u)
+        # index types: a narrow width plus n + 1 would wrap, and a uint64
+        # rank beside intp widths gives floats
+        rank = np.asarray(part.rank, dtype=np.intp)
+        width = np.asarray(part.width, dtype=np.intp)[part.block]
+        values += table[np.where(rank > 0, rank, n + 1 + width)]
     return CostFunction(sol.domain, values)
 
 
@@ -352,6 +359,19 @@ def _ramp_spike(n: int) -> tuple[np.ndarray, np.ndarray]:
     spike = np.array([t**0.25 for t in range(1, n + 1)])
     ramp.flags.writeable = spike.flags.writeable = False
     return ramp, spike
+
+
+@functools.cache
+def _rank_costs(n: int) -> np.ndarray:
+    """A scan row's squared norm by rank, read-only: entry ``p`` (``1..n``)
+    is ``sum_{t<p} ramp_t**2 + spike_p**2``, a hit at rank ``p``, and entry
+    ``n + 1 + w`` is ``sum_{t<=w} ramp_t**2``, rank 0 through width ``w``
+    (entry 0 is unused).  The squares are summed in rank order."""
+    ramp, spike = _ramp_spike(n)
+    ramps = np.concatenate(([0.0], np.cumsum(ramp * ramp)))  # through rank 0..n
+    table = np.concatenate(([0.0], ramps[:-1] + spike * spike, ramps))
+    table.flags.writeable = False
+    return table
 
 
 def _scan_rows(sigmas: np.ndarray, ranks: np.ndarray, widths: np.ndarray) -> np.ndarray:

@@ -41,6 +41,22 @@ class TestBitString:
         xs = [bs("10"), bs("01"), bs("11"), bs("00")]
         assert [str(x) for x in sorted(xs)] == ["00", "01", "10", "11"]
 
+    def test_equality_and_hash_read_the_length_and_the_value(self):
+        assert BitString(3, 1) == bs("001") and hash(BitString(3, 1)) == hash(bs("001"))
+        assert BitString(3, 1) != BitString(4, 1) and BitString(3, 1) != BitString(3, 2)
+        assert BitString(3, 1) != 1 and BitString(3, 1) != (3, 1)
+        # shorter strings still sort first, as the dataclass's (n, value) order has it
+        assert sorted([BitString(4, 1), BitString(3, 7), BitString(3, 1)]) == [
+            BitString(3, 1), BitString(3, 7), BitString(4, 1)]
+        assert len({BitString(3, 1), BitString(4, 1), bs("001")}) == 2
+
+    def test_a_fresh_equal_string_finds_its_row(self):
+        cls = generate_class("random", 12, size=200, seed=3)
+        for i, x in enumerate(cls.members):
+            fresh = BitString(x.n, x.value)
+            assert fresh is not x and cls.index(fresh) == i and fresh in cls
+        assert BitString(13, cls.members[0].value) not in cls
+
 
 class TestMajority:
     def test_tie_forced_to_one(self):

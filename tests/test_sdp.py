@@ -15,6 +15,7 @@ from verify_reference import (
     dense_target,
     dense_verify,
     domain_bits,
+    rank_cost,
 )
 from helpers import FunctionTable, preimage, random_class
 from sdp_compose import (
@@ -156,6 +157,68 @@ class TestCostFunction:
         cost = cost_of(find_first_one_solution(4))
         assert cost(bs("0000")) == pytest.approx(sum(k**-0.5 for k in range(1, 5)))
         assert cost(bs("0000")) == pytest.approx(2.784457050376173)
+
+
+class TestCostOffTheRanks:
+    """``cost_of`` reads each scan row's squared norm off its rank and its
+    block's width, writing no row: byte for byte the scalar sum of
+    ``rank_cost``, and the dense rows' sums to rounding."""
+
+    def assert_cost(self, sol, want):
+        got = cost_of(sol).values
+        assert got.tobytes() == rank_cost(sol).tobytes()
+        np.testing.assert_allclose(got, dense_cost(sol), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_hits_before_at_and_past_the_width(self):
+        # width 2 on the 3-cube: rank 1, rank 2 (the width itself) and
+        # rank 0, which carries the ramp through the width
+        sol = find_first_one_solution(3, width=2)
+        want = [1 + 2**-0.5 if x.value < 2 else 1 + 2**0.5 if x.value < 4 else 1.0 for x in sol.domain]
+        self.assert_cost(sol, want)
+
+    def test_rank_zero_through_the_full_width(self):
+        sol = find_first_one_solution(5)
+        assert sol.parts[0].rank[0] == 0 and sol.parts[0].width[0] == 5
+        self.assert_cost(sol, [sum(t**-0.5 for t in range(1, 6))] + [
+            sum(t**-0.5 for t in range(1, p)) + p**0.5 for p in sol.parts[0].rank[1:].tolist()
+        ])
+
+    def test_a_lone_member_block_costs_nothing(self):
+        # block 1 holds one input and scans nothing (width 0)
+        domain = ConceptClass.from_strings(["000", "011", "110"])
+        part = ScanPart(
+            np.array([0, 0, 1]), np.array([[0, 1, 2], [0, 1, 2]]),
+            np.zeros((2, 3), dtype=bool), np.array([3, 0]), np.array([0, 2, 0]),
+        )
+        self.assert_cost(SdpSolution(domain, [part]), [1 + 2**-0.5 + 3**-0.5, 1 + 2**0.5, 0.0])
+
+    def test_a_one_member_class_and_a_solution_of_no_parts(self):
+        cls = ConceptClass.from_strings(["0101"])
+        pipe = oracle_id_pipeline(cls)
+        assert pipe.cost.values.tobytes() == np.zeros(1).tobytes()
+        self.assert_cost(pipe.solution, [0.0])
+        self.assert_cost(SdpSolution(generate_class("random", 6, size=10, seed=1), []), np.zeros(10))
+
+    def test_narrow_widths_and_wide_ranks_index_the_table(self):
+        # 130 bits: rank 0 through a uint8 width of 130 reads entry 261,
+        # past uint8; a uint64 rank beside intp widths would give floats
+        n = 130
+        domain = ConceptClass.of([BitString(n, 0), BitString(n, 1)])
+        part = ScanPart(
+            np.zeros(2, dtype=np.uint8), np.arange(n)[None, :], np.zeros((1, n), dtype=bool),
+            np.array([n], dtype=np.uint8), np.array([0, n], dtype=np.uint64),
+        )
+        ramp = sum(t**-0.5 for t in range(1, n))
+        self.assert_cost(SdpSolution(domain, [part]), [ramp + n**-0.5, ramp + n**0.5])
+
+    def test_the_build_writes_no_row(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a row was written")
+
+        monkeypatch.setattr(sdp, "_scan_rows", refused)
+        pipe = oracle_id_pipeline(generate_class("random", 13, size=400, seed=1))
+        assert cost_of(pipe.solution).values.tobytes() == pipe.cost.values.tobytes()
 
 
 class TestFirstOneSolution:
@@ -536,7 +599,11 @@ class TestPipelineAgainstReference:
         for a, b in zip(got.stage_solutions, want.stage_solutions):
             assert_same_solution(a, b)
         assert_same_solution(got.solution, want.solution)
-        assert got.cost.values.tobytes() == want.cost.values.tobytes()
+        # the cost is read off the ranks, so it sums each row in rank order:
+        # the scalar sum's bytes, and the dense rows' sums to rounding
+        assert got.cost.values.tobytes() == rank_cost(got.solution).tobytes()
+        for dense in (want.cost.values, dense_cost(got.solution)):
+            np.testing.assert_allclose(got.cost.values, dense, rtol=1e-12, atol=0)
         assert len(got.stage_targets) == len(want.stage_targets)
         for a, b in zip(got.stage_targets, want.stage_targets):
             assert np.array_equal(a.coarse, b.coarse) and np.array_equal(a.fine, b.fine)
@@ -616,7 +683,8 @@ class TestFactoredAgainstDense:
         reference's, and the oracle's own expansion of the labels is the
         dense target exactly."""
         assert verify_feasible(target, sol) == pytest.approx(dense_verify(dense, sol), rel=0, abs=1e-12)
-        assert cost_of(sol).values.tobytes() == part_cost(sol).values.tobytes()
+        assert cost_of(sol).values.tobytes() == rank_cost(sol).tobytes()
+        np.testing.assert_allclose(cost_of(sol).values, part_cost(sol).values, rtol=1e-12, atol=0)
         assert np.array_equal(dense_target(target), dense)
         assert verify_reference.verify_feasible(target, sol) == verify_reference.verify_feasible(dense, sol)
 
@@ -1402,8 +1470,8 @@ class TestStackedPasses:
     part before it and takes its split residual.  Whether a part owns its
     arrays or views buffers stacked with other parts -- one part a buffer,
     three, or every part in one -- the check equals the pair-by-pair oracle
-    exactly and refuses the same broken chains; the cost, written one part
-    at a time, keeps its bytes."""
+    exactly and refuses the same broken chains; the cost, read off the
+    ranks part by part, keeps its bytes."""
 
     BUDGETS = {"one-part": 1, "three-parts": 3, "unbounded": None}
 
@@ -1434,12 +1502,7 @@ class TestStackedPasses:
         pipe, _, _ = checked
         for sol in (pipe.solution, *pipe.stage_solutions):
             sol = self.restacked(sol, budget)
-            # the per-part sum, one part's rows at a time
-            want = np.zeros(sol.size)
-            for part in sol.parts:
-                u = part.u
-                want += np.einsum("xjd,xjd->x", u, u)
-            assert cost_of(sol).values.tobytes() == want.tobytes()
+            assert cost_of(sol).values.tobytes() == rank_cost(sol).tobytes()
         assert cost_of(self.restacked(pipe.solution, budget)).values.tobytes() == pipe.cost.values.tobytes()
 
     @pytest.fixture(scope="class")

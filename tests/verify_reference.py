@@ -9,6 +9,9 @@ proof is held to it exactly.  ``dense_sums``, ``dense_verify`` and
 ``dense_cost`` read the ambient ``u``/``v`` arrays instead, one bit at a
 time, against dense targets built with ``dense_gram`` or expanded from
 label targets by ``target_rows``; the pair-by-pair check is held to them.
+``rank_cost`` writes no row: it adds up each scan row's squares as Python
+floats, in rank order, and the runtime ``cost_of`` is held to it byte for
+byte.
 """
 
 from __future__ import annotations
@@ -111,3 +114,22 @@ def dense_verify(target, sol) -> float:
 def dense_cost(sol) -> np.ndarray:
     u, v = sol.u, sol.v
     return np.maximum(np.einsum("xjd,xjd->x", u, u), np.einsum("xjd,xjd->x", v, v))
+
+
+def rank_cost(sol) -> np.ndarray:
+    """Per-input cost of a scan solution, one float at a time: per part, in
+    order, the squared ramp ``t**-0.25`` for each rank ``t`` before the
+    input's rank (through its block's width at rank 0), in rank order, then
+    the squared spike ``rank**0.25``."""
+    values = np.zeros(sol.size)
+    for part in sol.parts:
+        for x, (block, rank) in enumerate(zip(part.block.tolist(), part.rank.tolist())):
+            cost = 0.0
+            for t in range(1, rank if rank else int(part.width[block]) + 1):
+                ramp = t**-0.25
+                cost += ramp * ramp
+            if rank:
+                spike = rank**0.25
+                cost += spike * spike
+            values[x] += cost
+    return values
