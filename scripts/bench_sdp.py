@@ -11,12 +11,17 @@ For each random class of ``N`` bits and ``M`` members in ``CLASSES`` (seed
   build (which computes it too);
 * the stage checks: ``verify_feasible`` on every stage target;
 * the ``J - I`` check of the chained solution, as the label target
-  ``LabelTarget(zeros, arange)``.
+  ``LabelTarget(zeros, arange)``, twice: after the stage checks, reading
+  their proofs (``identity_after_stages_s``), and cold
+  (``identity_check_s``), its parts made again (untimed) so that none is
+  proved yet, as on a fresh pipeline before any stage check.
 
 Each repeat takes a fresh copy of the class, so the stage checks also pay
-for the class's cached bit matrix (``ConceptClass.bits``).  Both checks
-prove the pipeline's scan parts from their ranks, one part at a time, in
-O(stages * M * N); the cost reads each part's row norms off its ranks, in
+for the class's cached bit matrix (``ConceptClass.bits``).  A check proves
+the pipeline's scan parts from their ranks, one part at a time, in
+O(stages * M * N), and each part is proved once per class: after the stage
+checks, ``J - I`` reads their proofs and checks only that the parts chain,
+in O(stages * M).  The cost reads each part's row norms off its ranks, in
 O(stages * M), and writes no row.  At N=10, M=150 a part is small enough
 that its check is mostly per-call overhead; N=13, M=400 is the size the
 ``certify`` benchmark workload certifies.  The tree is timed apart because
@@ -30,6 +35,7 @@ environment already says otherwise.
 
 from __future__ import annotations
 
+import dataclasses
 import resource
 import statistics
 import sys
@@ -49,13 +55,14 @@ def measure(n: int, m: int, seed: int, repeats: int) -> dict:
 
     from oracleid.bitstrings import ConceptClass, generate_class
     from oracleid.ordering import _greedy, clear_ordering_cache
-    from oracleid.sdp import LabelTarget, cost_of, oracle_id_pipeline, verify_feasible
+    from oracleid.sdp import LabelTarget, SdpSolution, cost_of, oracle_id_pipeline, verify_feasible
 
     first = generate_class("random", n, size=m, seed=seed)
     identity = LabelTarget(np.zeros(first.size, dtype=np.intp), np.arange(first.size))
-    times = {"tree_s": [], "build_s": [], "cost_s": [], "stage_checks_s": [], "identity_check_s": []}
+    times = {key: [] for key in ("tree_s", "build_s", "cost_s", "stage_checks_s",
+                                 "identity_after_stages_s", "identity_check_s")}
     for _ in range(repeats):
-        pipe = None  # the last repeat's solution is not held through this build
+        pipe = unproved = None  # the last repeat's parts are not held through this build
         cls = ConceptClass(first.n, first.members)  # nothing cached on it yet
         clear_ordering_cache()
         t0 = time.perf_counter()
@@ -67,9 +74,14 @@ def measure(n: int, m: int, seed: int, repeats: int) -> dict:
         t3 = time.perf_counter()
         stage_residuals = [verify_feasible(t, s) for s, t in zip(pipe.stage_solutions, pipe.stage_targets)]
         t4 = time.perf_counter()
-        identity_residual = verify_feasible(identity, pipe.solution)
+        verify_feasible(identity, pipe.solution)
         t5 = time.perf_counter()
-        for key, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+        # the same parts on the same arrays, made again: none proved yet
+        unproved = SdpSolution(cls, [dataclasses.replace(part) for part in pipe.solution.parts])
+        t6 = time.perf_counter()
+        identity_residual = verify_feasible(identity, unproved)
+        t7 = time.perf_counter()
+        for key, seconds in zip(times, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4, t7 - t6)):
             times[key].append(seconds)
     return {
         "kind": "random",

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -81,7 +81,8 @@ class RunTrace(NamedTuple):
     """Record of one identification run.
 
     A named tuple: immutable, equal and hashed by its fields in this order,
-    and built positionally by ``identify_all`` once per member.
+    and built by ``identify_all`` once per member as the tuple of its
+    fields.
     """
 
     x: BitString
@@ -320,21 +321,28 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
     values = concept_class.values
     nodes, members = _greedy(concept_class.n, values)
     own = dict(zip(values, concept_class.members))
+    root = _roots(concept_class.n)
     engine = IdealFinder.name
+    new = tuple.__new__  # a trace straight from its eight fields, in order
     traces: dict[BitString, RunTrace] = {}
     for positions, value in members.items():
         ideal = 0.0
-        for p in positions:
-            ideal += math.sqrt(p)
+        for p in positions:  # in path order, as a run adds them
+            ideal += root[p]
         iterations = len(positions)
         node = nodes.get(positions)
         if node is not None:  # the node's reference
-            _, _, width = node
-            ideal += math.sqrt(width)
+            ideal += root[node[2]]  # its width
             iterations += 1
         xs = own[value]
-        traces[xs] = RunTrace(xs, xs, positions, ideal, 0, iterations, 0.0, engine)
+        traces[xs] = new(RunTrace, (xs, xs, positions, ideal, 0, iterations, 0.0, engine))
     return traces
+
+
+@cache
+def _roots(n: int) -> tuple[float, ...]:
+    """``math.sqrt(t)`` for ``t = 0..n``: every rank and width of ``n`` bits."""
+    return tuple(map(math.sqrt, range(n + 1)))
 
 
 def classical_identify(

@@ -59,7 +59,13 @@ its own) over the pipeline's stages.  A solution that breaks a premise --
 a rank that is not its first disagreement, or parts that do not chain --
 is not certified: its residual is ``inf``.
 
-The proof and ``cost_of`` take the parts one at a time, in order.
+The proof and ``cost_of`` take the parts one at a time, in order.  Each
+part is proved once per domain: a proof that holds is recorded on the part
+with the domain's bit matrix it read and the part's split residual, and a
+later solution holding the same part over the same matrix reads the
+record, so the composed ``J - I`` solution reads its stages' proofs (or
+they read its).  The chain and label checks run on every call, and a
+proof that fails is not recorded.
 
 ``oracle_id_pipeline`` builds, from the class's memoized pruning tree
 (``ordering._greedy``, the one ``identify_all`` reads), a feasible solution
@@ -76,7 +82,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -124,6 +130,9 @@ class ScanPart:
     s: np.ndarray
     width: np.ndarray
     rank: np.ndarray
+    # the domain bits its ranks were proved against and its split
+    # residual, set by the rank proof alone (``_proved_residual``)
+    _proof: tuple[np.ndarray, float] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         block, sigma, s, width, rank = self.block, self.sigma, self.s, self.width, self.rank
@@ -274,10 +283,27 @@ def _split_residual(block: np.ndarray, rank: np.ndarray, blocks: int, n: int) ->
     return float(np.abs(1.0 - spike * ramp)[split - 1].max(initial=0.0))
 
 
+def _proved_residual(part: ScanPart, block: np.ndarray, rank: np.ndarray, bits: np.ndarray) -> float | None:
+    """The part's split residual once its ranks (``block`` and ``rank`` its
+    own, as ``intp``) are proved against the domain's ``bits``, or None when
+    a rank fails.  A proof is recorded on the part with the ``bits`` array
+    it read, so the same part over the same array is proved once; a failed
+    proof is not recorded."""
+    proof = part._proof
+    if proof is not None and proof[0] is bits:
+        return proof[1]
+    if not np.array_equal(_first_disagreements(bits, block, part.sigma, part.s, part.width), rank):
+        return None
+    residual = _split_residual(block, rank, len(part.width), bits.shape[1])
+    object.__setattr__(part, "_proof", (bits, residual))
+    return residual
+
+
 def _scan_chain_residual(target: LabelTarget, sol: SdpSolution) -> float:
     """The exact residual of a solution whose parts chain from the target's
     coarse classes to its fine ones (module docstring), or ``inf`` when a
-    rank or the chain fails."""
+    rank or the chain fails.  Each part's ranks are proved once per domain
+    (``_proved_residual``); the chain and label checks run on every call."""
     bits = sol.domain.bits
     n = bits.shape[1]
     coarse = np.asarray(target.coarse)
@@ -292,11 +318,12 @@ def _scan_chain_residual(target: LabelTarget, sol: SdpSolution) -> float:
         # would wrap, and a uint64 rank added to an intp gives floats
         block = np.asarray(part.block, dtype=np.intp)
         rank = np.asarray(part.rank, dtype=np.intp)
-        if not np.array_equal(_first_disagreements(bits, block, part.sigma, part.s, part.width), rank):
+        residual = _proved_residual(part, block, rank, bits)
+        if residual is None:
             return math.inf
         if classes is not None and not _same_classes(block, classes):
             return math.inf
-        worst = max(worst, _split_residual(block, rank, len(part.width), n))
+        worst = max(worst, residual)
         # ranks lie in 0..n now: (block, rank) packs into one label below
         # blocks * (n + 1), an index as block ids are
         classes = block * (n + 1) + rank
@@ -316,7 +343,10 @@ def verify_feasible(A, sol: SdpSolution) -> float:
     tolerance certifies feasibility.  When a premise fails the solution is
     not certified, and the value is ``inf``.  The parts are proved one at
     a time, so one part's arrays, not the whole solution's, set the check's
-    memory.
+    memory.  Each part is proved once per domain: a part already proved
+    over this domain's bit matrix, by an earlier call on any solution that
+    holds it (a pipeline's stage checks, for its ``J - I`` solution), is
+    not proved again, and only its chain and labels are checked.
     """
     if not isinstance(sol, SdpSolution):
         raise TypeError(f"a solution must be an SdpSolution, got {type(sol).__name__}")
@@ -460,12 +490,17 @@ def _first_disagreements(bits, block, sigma, s, width) -> np.ndarray:
     ``block`` id each; per block a row of ``sigma`` (bit positions), of
     ``s`` (boolean, by bit position) and a ``width``."""
     m, n = bits.shape
-    # flat index of the bit each input reads at each rank
-    order = sigma[block] + np.arange(0, m * n, n)[:, None]
-    differ = (bits ^ s[block]).ravel()[order]
+    ranks = np.zeros(m, dtype=np.intp)
+    # an input of a width-0 block scans nothing: rank 0, left unread
+    rows = np.flatnonzero(width[block] > 0)
+    block = block[rows]
+    # flat index of the bit each scanning input reads at each rank
+    order = sigma[block] + np.arange(0, len(rows) * n, n)[:, None]
+    differ = (bits[rows] ^ s[block]).ravel()[order]
     # the first disagreement over every rank counts only within the width
     first = differ.argmax(axis=1)
-    return np.where(differ[np.arange(m), first] & (first < width[block]), first + 1, 0)
+    ranks[rows] = np.where(differ[np.arange(len(rows)), first] & (first < width[block]), first + 1, 0)
+    return ranks
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ def test_measure_records_every_field():
     assert (row["n"], row["m"], row["seed"]) == (7, 40, 3)
     assert row["stages"] >= 1 and row["max_cost"] > 0
     assert row["worst_stage_residual"] < 1e-12 and row["identity_residual"] < 1e-12
-    for key in ("tree_s", "build_s", "cost_s", "stage_checks_s", "identity_check_s"):
+    for key in ("tree_s", "build_s", "cost_s", "stage_checks_s", "identity_after_stages_s", "identity_check_s"):
         assert len(row["runs"][key]) == 2 and row[key] > 0
     assert row["peak_rss_mib"] > 0
 

@@ -1297,6 +1297,162 @@ class TestScanPartCheck:
         assert calls.count(cls.values) == 1 and len(calls) == 2
 
 
+def _every_row_ranks(bits, block, sigma, s, width):
+    """The rank kernel as it read every input, width-0 blocks included:
+    one gather of every rank of every row, then one argmax per row."""
+    m, n = bits.shape
+    order = sigma[block] + np.arange(0, m * n, n)[:, None]
+    differ = (bits ^ s[block]).ravel()[order]
+    first = differ.argmax(axis=1)
+    return np.where(differ[np.arange(m), first] & (first < width[block]), first + 1, 0)
+
+
+class TestProofRecord:
+    """The rank proof runs once per part and domain: a part proved against a
+    class's bit matrix records the matrix and its split residual, and a
+    later solution holding the part over that same matrix reads the record.
+    The chain and label checks run on every call, and a failed proof is not
+    recorded."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Every call of the rank kernel, as the part's rank array it was
+        asked to recompute, in order."""
+        calls = []
+        kernel = sdp._first_disagreements
+
+        def counting(bits, block, sigma, s, width):
+            calls.append(block)
+            return kernel(bits, block, sigma, s, width)
+
+        monkeypatch.setattr(sdp, "_first_disagreements", counting)
+        return calls
+
+    @pytest.mark.parametrize("identity_first", [True, False], ids=["identity-first", "stages-first"])
+    def test_one_proof_per_part_in_either_order(self, counted, identity_first):
+        cls = generate_class("random", 13, size=400, seed=1)
+        pipe = oracle_id_pipeline(cls)
+        stages = list(zip(pipe.stage_targets, pipe.stage_solutions))
+        identities = [(target, pipe.solution) for target in _identity_targets(cls.size)]
+        checks = identities + stages if identity_first else stages + identities
+        assert all(verify_feasible(target, sol) < 1e-12 for target, sol in checks)
+        assert len(counted) == len(pipe.solution.parts) == 8
+        assert all(part._proof[0] is cls.bits for part in pipe.solution.parts)
+
+    def test_another_domain_of_the_same_shape_is_proved_again(self, counted):
+        cls = generate_class("random", 13, size=400, seed=1)
+        pipe = oracle_id_pipeline(cls)
+        target, sol = pipe.stage_targets[0], pipe.stage_solutions[0]
+        want = verify_feasible(target, sol)
+        assert want < 1e-12 and len(counted) == 1
+        # the same members in another class object: another bit matrix,
+        # proved again, to the same residual
+        copy = ConceptClass(cls.n, cls.members)
+        assert verify_feasible(target, SdpSolution(copy, sol.parts)) == want
+        assert len(counted) == 2
+        # other members of the same shape: proved again, the ranks fail
+        other = generate_class("random", 13, size=400, seed=2)
+        assert other.bits.shape == cls.bits.shape and other.members != cls.members
+        for _ in range(2):
+            assert verify_feasible(target, SdpSolution(other, sol.parts)) == math.inf
+        assert len(counted) == 4
+        # the failures left the last good proof in place
+        assert sol.parts[0]._proof[0] is copy.bits
+        assert verify_feasible(target, SdpSolution(copy, sol.parts)) == want and len(counted) == 4
+
+    def test_a_wrong_rank_fails_on_every_call(self, counted):
+        pipe = oracle_id_pipeline(generate_class("random", 10, size=150, seed=1))
+        part = pipe.solution.parts[0]
+        rank = part.rank.copy()
+        rank[int(np.flatnonzero(rank >= 2)[0])] += 1
+        mutant = dataclasses.replace(part, rank=rank)
+        sol = SdpSolution(pipe.concept_class, [mutant])
+        for _ in range(2):
+            assert verify_feasible(pipe.stage_targets[0], sol) == math.inf
+        assert len(counted) == 2 and mutant._proof is None
+
+    def test_a_recorded_part_still_checks_the_chain_and_labels(self, counted):
+        # every part proved: out of order, one left out or against labels
+        # that merge two ranks, the solution is still refused
+        pipe = oracle_id_pipeline(generate_class("random", 10, size=150, seed=1))
+        domain, parts = pipe.concept_class, pipe.solution.parts
+        for target in _identity_targets(domain.size):
+            assert verify_feasible(target, pipe.solution) < 1e-12
+        proved = len(counted)
+        swapped = SdpSolution(domain, (parts[1], parts[0]) + parts[2:])
+        dropped = SdpSolution(domain, parts[:2] + parts[3:])
+        for sol in (swapped, dropped):
+            for target in _identity_targets(domain.size):
+                assert verify_feasible(target, sol) == math.inf
+        target = pipe.stage_targets[0]
+        fine = np.array(target.fine)
+        fine[parts[0].rank == 2] = fine[np.flatnonzero(parts[0].rank == 1)[0]]
+        assert verify_feasible(LabelTarget(target.coarse, fine), pipe.stage_solutions[0]) == math.inf
+        assert len(counted) == proved
+
+    @pytest.mark.parametrize("name", sorted(TestPipelineAgainstReference.CLASSES))
+    def test_shared_proofs_give_a_fresh_pipelines_bytes(self, name):
+        # J - I, the stages reading its proofs, and J - I again reading
+        # theirs, each against the same check on a pipeline of its own
+        cls = TestPipelineAgainstReference.CLASSES[name]()
+        shared = oracle_id_pipeline(cls)
+        identity_target = _identity_targets(cls.size)[1]
+
+        def checks(pipe):
+            return [(identity_target, pipe.solution), *zip(pipe.stage_targets, pipe.stage_solutions),
+                    (identity_target, pipe.solution)]
+
+        for k, (target, sol) in enumerate(checks(shared)):
+            fresh_target, fresh_sol = checks(oracle_id_pipeline(cls))[k]
+            assert not any(part._proof for part in fresh_sol.parts)
+            got, want = verify_feasible(target, sol), verify_feasible(fresh_target, fresh_sol)
+            assert got.hex() == want.hex() and got < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(TestPipelineAgainstReference.CLASSES))
+    def test_the_kernel_reads_every_row_alike(self, name):
+        # ranks of width-0 blocks are left unread: the same array as when
+        # every row was read, on every part of the pipeline
+        cls = TestPipelineAgainstReference.CLASSES[name]()
+        for part in oracle_id_pipeline(cls).solution.parts:
+            args = (cls.bits, part.block, part.sigma, part.s, part.width)
+            got, want = sdp._first_disagreements(*args), _every_row_ranks(*args)
+            assert got.dtype == want.dtype == np.intp and np.array_equal(got, want)
+            assert np.array_equal(got, part.rank)
+
+    def test_width_zero_blocks(self):
+        # every block of width 0, and width 0 beside wide blocks, in any
+        # integer type; a wrong nonzero rank in a width-0 block is refused
+        cls = generate_class("random", 9, size=60, seed=4)
+        rng = np.random.default_rng(9)
+        block = rng.integers(0, 5, size=cls.size).astype(np.uint8)
+        sigma = np.array([rng.permutation(cls.n) for _ in range(5)], dtype=np.uint8)
+        s = rng.random((5, cls.n)) < 0.5
+        for width in (np.zeros(5, dtype=np.intp), np.array([0, 9, 0, 3, 1], dtype=np.uint16)):
+            args = (cls.bits, block, sigma, s, width)
+            got = sdp._first_disagreements(*args)
+            assert np.array_equal(got, _every_row_ranks(*args))
+            assert np.array_equal(got, _scan_ranks(ScanPart(*args[1:], got), cls.bits))
+            assert not got[width[block] == 0].any()
+            # the blocks are the coarse classes and (block, rank) the fine
+            # ones, so the chain holds and only the rank proof can fail
+            coarse = block.astype(np.intp)
+            target = LabelTarget(coarse, coarse * (cls.n + 1) + got)
+            assert verify_feasible(target, SdpSolution(cls, [ScanPart(*args[1:], got)])) < 1e-12
+            rank = got.copy()
+            rank[int(np.flatnonzero(width[block] == 0)[0])] = 1
+            sol = SdpSolution(cls, [ScanPart(*args[1:], rank)])
+            for _ in range(2):
+                assert verify_feasible(target, sol) == math.inf
+        # a pipeline part with a lone member, its claimed rank made 1: the
+        # member stays alone in its class, so the chain alone would pass
+        pipe = oracle_id_pipeline(cls)
+        k, part = next((k, p) for k, p in enumerate(pipe.solution.parts) if (p.width[p.block] == 0).any())
+        rank = part.rank.copy()
+        rank[int(np.flatnonzero(part.width[part.block] == 0)[0])] = 1
+        mutant = dataclasses.replace(part, rank=rank)
+        assert verify_feasible(pipe.stage_targets[k], SdpSolution(cls, [mutant])) == math.inf
+
+
 class TestScanPartMutants:
     """A scan solution or target that breaks a premise of the proof is not
     certified: its residual is ``inf``.  Bit by bit, every mutant but one
