@@ -3,9 +3,12 @@
     python3 scripts/bench_search.py [--out BENCH_search.json]
 
 For each class in ``CLASSES`` -- hamming1 at N = 64, 256 and 1024, where a
-run is one amplified scan of N - 1 ranks, and a random class of N = 40 bits
-and M = 2000 members drawn with seed ``SEED``, whose runs are short scans
-down a deep tree -- it takes at most ``MEMBERS`` members, evenly spaced in
+run is one amplified scan of N - 1 ranks; hamming at N = 64 with weight
+k = 2 and hamming-pair at N = 16 with k = 2 (weights 1 and 2), whose
+amplified windows can hold more than one marked rank, so the skip under
+the promise leaves more of them to search; and a random class of N = 40
+bits and M = 2000 members drawn with seed ``SEED``, whose runs are short
+scans down a deep tree -- it takes at most ``MEMBERS`` members, evenly spaced in
 the class's order, and runs quantum ``run_final`` on each in as many
 trials as make at least ``RUNS`` runs, seeded
 ``SeedSequence((SEED, x.value, trial))`` as ``oracleid run`` seeds it.  One
@@ -35,12 +38,15 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 import benchlib  # noqa: E402
 
-# (kind, N, M) of each class; hamming1 has M = N
+# (kind, N, M, k) of each class; M is drawn for random classes only, and
+# k is the weight of hamming classes
 CLASSES = (
-    ("hamming1", 64, None),
-    ("hamming1", 256, None),
-    ("hamming1", 1024, None),
-    ("random", 40, 2000),
+    ("hamming1", 64, None, None),
+    ("hamming1", 256, None, None),
+    ("hamming1", 1024, None, None),
+    ("hamming", 64, None, 2),
+    ("hamming-pair", 16, None, 2),
+    ("random", 40, 2000, None),
 )
 SEED = 1
 MEMBERS = 256
@@ -51,13 +57,15 @@ PASSES = 3
 class Runs:
     """One class's seeded runs, timed a pass at a time."""
 
-    def __init__(self, kind: str, n: int, m: int | None, seed: int, members: int, runs: int) -> None:
+    def __init__(
+        self, kind: str, n: int, m: int | None, k: int | None, seed: int, members: int, runs: int
+    ) -> None:
         import numpy as np
 
         from oracleid.bitstrings import generate_class
         from oracleid.identify import identify_all, run_final
 
-        cls = generate_class(kind, n, size=m, seed=seed)
+        cls = generate_class(kind, n, size=m, k=k, seed=seed)
         xs = cls.members[:: -(-cls.size // members)]
         trials = -(-runs // len(xs))
         ideal = identify_all(cls)
@@ -72,6 +80,7 @@ class Runs:
             "kind": kind,
             "n": n,
             "m": cls.size,
+            "k": k,
             "seed": seed if kind == "random" else None,
             "members": len(xs),
             "runs": len(self.order),
@@ -106,7 +115,7 @@ class Runs:
 def measure_all(classes, seed: int, members: int, runs: int, passes: int):
     """Yield the rows of ``classes``, their timed passes alternated; the
     work starts at the first row asked for."""
-    prepared = [Runs(kind, n, m, seed, members, runs) for kind, n, m in classes]
+    prepared = [Runs(kind, n, m, k, seed, members, runs) for kind, n, m, k in classes]
     for _ in range(passes):
         for each in prepared:
             each.time_pass()
@@ -114,9 +123,11 @@ def measure_all(classes, seed: int, members: int, runs: int, passes: int):
         yield each.result()
 
 
-def measure(kind: str, n: int, m: int | None, seed: int, members: int, runs: int) -> dict:
+def measure(
+    kind: str, n: int, m: int | None, seed: int, members: int, runs: int, k: int | None = None
+) -> dict:
     """The row of one class."""
-    return next(measure_all([(kind, n, m)], seed, members, runs, PASSES))
+    return next(measure_all([(kind, n, m, k)], seed, members, runs, PASSES))
 
 
 def main(argv=None) -> int:

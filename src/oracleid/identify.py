@@ -18,7 +18,9 @@ reference and the scan:
   whose elimination set for rank ``p`` is exactly the survivors of a hit
   at rank ``p``, so the hit prunes ``S`` by a factor ``max(2, p)``.  It
   walks the class's memoized pruning tree (``ordering._greedy``), where
-  the ranks found so far lead to the candidates' node or a lone member.
+  the ranks found so far lead to the candidates' node or a lone member,
+  and hands that node to the search through the run's context, so the
+  quantum engine can use the promise inside the scan.
 
 Cost accounting in the returned trace: each found disagreement at rank
 ``p`` is charged ``sqrt(p)`` of idealized cost; an iteration that finds no
@@ -47,7 +49,7 @@ import numpy as np
 from . import qsim
 from .bitstrings import BitString, ConceptClass, majority_value
 from .ordering import _greedy, first_disagreement_rank
-from .qsim import EngineContext
+from .qsim import EngineContext, PromiseViolation
 
 __all__ = [
     "PromiseViolation",
@@ -70,11 +72,6 @@ def _pruning_product(positions) -> int:
     for p in positions:
         out *= p if p > 2 else 2
     return out
-
-
-class PromiseViolation(RuntimeError):
-    """The candidate set emptied: the hidden string was not in the class
-    (or, with the quantum engine, a search error poisoned the pruning)."""
 
 
 class RunTrace(NamedTuple):
@@ -258,13 +255,15 @@ def _improved_step(engine, ctx, x, S, positions):
 def _final_step(tree, engine, ctx, x, S, positions):
     # every block within a node's width holds a member: a hit leads to a
     # node (two or more members) or settles on a lone member
-    nodes, members = tree
-    sigma, s_value, width = nodes[tuple(positions)]
+    nodes = tree.nodes
+    here = tuple(positions)
+    sigma, s_value, width = nodes[here]
+    ctx.node = tree, here  # the quantum scan reads the node's candidates
     rank = engine.find_first(x, BitString(x.n, s_value), sigma, width, ctx)
     if rank is None:
         return s_value, None, math.sqrt(width), None
-    path = (*positions, rank)
-    return s_value, rank, math.sqrt(rank), S if path in nodes else (members[path],)
+    path = (*here, rank)
+    return s_value, rank, math.sqrt(rank), S if path in nodes else (tree.members[path],)
 
 
 def run_halving_basic(
@@ -319,13 +318,14 @@ def identify_all(concept_class: ConceptClass) -> dict[BitString, RunTrace]:
     ``identified`` is the class's own member object.
     """
     values = concept_class.values
-    nodes, members = _greedy(concept_class.n, values)
+    tree = _greedy(concept_class.n, values)
+    nodes = tree.nodes
     own = dict(zip(values, concept_class.members))
     root = _roots(concept_class.n)
     engine = IdealFinder.name
     new = tuple.__new__  # a trace straight from its eight fields, in order
     traces: dict[BitString, RunTrace] = {}
-    for positions, value in members.items():
+    for positions, value in tree.members.items():
         ideal = 0.0
         for p in positions:  # in path order, as a run adds them
             ideal += root[p]

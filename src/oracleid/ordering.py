@@ -15,7 +15,11 @@ greedy once on a set's own columns.  ``_greedy`` builds the final
 algorithm's whole pruning tree over a class from the class's columns,
 each node on a sub-mask of the root, once per class; ``identify.run_final``
 walks it, and ``identify.identify_all`` and ``sdp.oracle_id_pipeline``
-read all of it.  ``hegedus_ordering`` and ``verify_ordering`` take a
+read all of it.  Each node records its candidates, the members its subtree
+settles, as a slice of the tree's depth-first member order;
+``node_candidates`` turns them into per-rank column masks, the greedy's
+own form, on first use only: ``qsim``'s amplified windows are the one
+reader.  ``hegedus_ordering`` and ``verify_ordering`` take a
 `ConceptClass`, or any strings ``ConceptClass.of`` makes one of (distinct,
 of one length).
 
@@ -30,7 +34,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import islice, repeat
 from numbers import Integral
 from typing import Iterable, NamedTuple, Sequence
 
@@ -77,11 +81,12 @@ class Ordering:
         }
 
 
-def _greedy_masks(n: int, cols: Sequence[int], cur: int):
+def _greedy_masks(n: int, cols: Sequence[int], values: Sequence[int], cur: int):
     """The greedy scan order of the members in the index mask ``cur``.
 
-    Member ``i`` is bit ``i`` of every mask, and ``cols`` are the bit
-    columns (``bitstrings.bit_columns``) of the class it indexes.  Returns
+    Member ``i`` is bit ``i`` of every mask, ``values[i]`` its packed value,
+    and ``cols`` are the bit columns (``bitstrings.bit_columns``) of
+    ``values``.  Returns
     ``(sigma, s_value, elim, width)`` where ``elim[p-1]`` is the mask of the
     members first disagreeing with ``s`` at rank ``p``.
 
@@ -90,7 +95,8 @@ def _greedy_masks(n: int, cols: Sequence[int], cur: int):
     (ties to the lowest bit index), and ``s`` copies the majority bit
     there.  Survivors are then restricted to the members agreeing with
     ``s`` at that bit.  Once a single survivor remains all later ranks are
-    filled in increasing index order with the survivor's own bits.
+    filled in increasing index order with the survivor's own bits, so ``s``
+    is then the survivor itself.
     """
     total = cur.bit_count()
     unused = list(range(n))
@@ -125,13 +131,27 @@ def _greedy_masks(n: int, cols: Sequence[int], cur: int):
         if width is None and total <= 1:
             width = step + 1
 
-    if len(sigma) < n:  # one survivor left: the loop would take its bits in index order
-        for j in unused:
-            sigma.append(j)
-            if cols[j] & cur:
-                s_value |= 1 << (n - 1 - j)
-            elim.append(0)
+    if len(sigma) < n:
+        # one survivor left, and it agrees with s on every scanned bit: the
+        # loop would take its remaining bits in index order, eliminating no one
+        s_value = values[cur.bit_length() - 1]
+        sigma += unused
+        elim += [0] * len(unused)
     return tuple(sigma), s_value, tuple(elim), width if width is not None else n
+
+
+class _Candidates(NamedTuple):
+    """A tree node's candidates, the members whose rank path passes through
+    it, in the order of ``_Tree.members``, as the node's scan sees them.
+
+    everyone: the mask of all of them, bit ``i`` the ``i``-th candidate.
+    cols: per rank ``t`` below the node's width, the mask of the candidates
+       whose rank ``t`` is 1 (bit ``sigma[t]`` of the value XOR ``s``): the
+       greedy's own bit columns, read in scan order.
+    """
+
+    everyone: int
+    cols: tuple[int, ...]
 
 
 class _Tree(NamedTuple):
@@ -144,10 +164,16 @@ class _Tree(NamedTuple):
        node's reference, whose path is the node's own, or the lone member
        of a block.  In the order a depth-first walk settles them: a node's
        lone-member blocks and subtrees by rank, then its reference.
+    spans: per node, the slice ``(lo, hi)`` of ``members`` (in that order)
+       its subtree settles: its candidates.
+    candidates: per node, its ``_Candidates``, built by ``node_candidates``
+       on first use only.
     """
 
     nodes: dict[tuple[int, ...], tuple[tuple[int, ...], int, int]]
     members: dict[tuple[int, ...], int]
+    spans: dict[tuple[int, ...], tuple[int, int]]
+    candidates: dict[tuple[int, ...], _Candidates]
 
 
 @lru_cache(maxsize=16)
@@ -155,7 +181,7 @@ def _greedy(n: int, values: tuple[int, ...]) -> _Tree:
     """The greedy on every candidate set of the final algorithm over the
     class ``values``: its pruning tree, from its bit columns, built once.
     Every node runs ``_greedy_masks`` on a sub-mask of the root."""
-    tree = _Tree({}, {})
+    tree = _Tree({}, {}, {}, {})
     _grow(n, bit_columns(n, values), values, (1 << len(values)) - 1, (), tree)
     return tree
 
@@ -166,7 +192,8 @@ def _grow(n, cols, values, cur, path, tree) -> None:
     A module-level function, not a closure over ``tree``: a closure that
     calls itself is a reference cycle.
     """
-    sigma, s_value, elim, width = _greedy_masks(n, cols, cur)
+    lo = len(tree.members)
+    sigma, s_value, elim, width = _greedy_masks(n, cols, values, cur)
     tree.nodes[path] = (sigma, s_value, width)
     for p, block in enumerate(elim[:width], start=1):
         if block & (block - 1):  # two or more members
@@ -175,13 +202,29 @@ def _grow(n, cols, values, cur, path, tree) -> None:
             tree.members[path + (p,)] = values[block.bit_length() - 1]
     # after width ranks only s itself is left
     tree.members[path] = s_value
+    tree.spans[path] = lo, len(tree.members)
+
+
+def node_candidates(tree: _Tree, path: tuple[int, ...]) -> _Candidates:
+    """The candidates of the node at ``path``, built on the first call and
+    memoized with the tree (``clear_ordering_cache`` drops them)."""
+    cands = tree.candidates.get(path)
+    if cands is None:
+        sigma, s_value, width = tree.nodes[path]
+        lo, hi = tree.spans[path]
+        diffs = [v ^ s_value for v in islice(tree.members.values(), lo, hi)]
+        by_bit = bit_columns(len(sigma), diffs)
+        cols = tuple(by_bit[j] for j in sigma[:width])
+        cands = tree.candidates[path] = _Candidates((1 << (hi - lo)) - 1, cols)
+    return cands
 
 
 def hegedus_ordering(strings: Iterable[BitString] | ConceptClass) -> Ordering:
     """Build the greedy scan order for a candidate set."""
     cls = ConceptClass.of(strings)
     n, m = cls.n, cls.size
-    sigma, s_value, elim, width = _greedy_masks(n, bit_columns(n, cls.values), (1 << m) - 1)
+    values = cls.values
+    sigma, s_value, elim, width = _greedy_masks(n, bit_columns(n, values), values, (1 << m) - 1)
     # member i is bit i of a block's mask, character i of its reversed binary
     elim_sets = tuple(
         tuple(x for x, bit in zip(cls.members, f"{mask:0{m}b}"[::-1]) if bit == "1")

@@ -58,6 +58,20 @@ stays unknown until a round measures it, and that round returns it, so
 the stop never fires while the window holds an unknown marked rank: there
 the draws, and the miss law of ``_miss_by_marked``, are those of a search
 that runs to its budget, and only the cost of proving a window empty falls.
+
+The final algorithm's scans also use the promise that the hidden string is
+a member of the class.  Its loop hands each scan the pruning-tree node it
+is of (``EngineContext.node``), and the node's candidates are the members
+whose rank path passes through it, so the hidden string is one of them
+and agrees with every rank the scan has read.  An amplified window that
+no candidate agreeing with every known rank, zeros and ones, has a 1 in
+therefore holds no marked rank: it returns None at once, drawing nothing
+and charging nothing, and the answer is exact under the promise.  Any
+other window draws exactly as it would without the candidates.  When no
+candidate agrees at all the promise is broken, and the scan raises
+``PromiseViolation``; a run on a string outside the class so either names
+a member or raises.  Direct reads, the halving loops and the ideal engine
+read no candidates.
 """
 
 from __future__ import annotations
@@ -71,9 +85,10 @@ from typing import Sequence
 import numpy as np
 
 from .bitstrings import BitString
-from .ordering import _checked_scan, _rank_view
+from .ordering import _checked_scan, _rank_view, node_candidates
 
 __all__ = [
+    "PromiseViolation",
     "SearchConfig",
     "DEFAULT_CONFIG",
     "EngineContext",
@@ -86,6 +101,12 @@ __all__ = [
     "quantum_disagreement_finder",
     "quantum_any_disagreement",
 ]
+
+
+class PromiseViolation(RuntimeError):
+    """The hidden string is not in the class: no candidate is consistent with
+    what the queries read (or, with the quantum engine, a search error
+    poisoned the pruning)."""
 
 
 @dataclass(frozen=True)
@@ -142,12 +163,17 @@ class EngineContext:
     failure probability each disagreement-finder call may spend.  The
     searches add every oracle application to ``queries`` and record in
     ``max_drift`` the worst distance of the simulated state's norm from 1.
+    ``node``, ``(tree, path)``, is the pruning-tree node
+    (``ordering._greedy``) the next first-disagreement scan is of: the
+    final loop sets it before each scan, and the scan takes it, reading the
+    node's candidates on its first amplified window.
     """
 
     rng: np.random.Generator
     error_budget: float
     queries: int = 0
     max_drift: float = 0.0
+    node: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -172,14 +198,22 @@ class _Effective:
     per rank; a rank is charged only on its first read, whichever search
     or scan of the view makes it.  ``cleared``, the length of the known
     prefix of zeros, is what every later scan may skip.
+
+    ``node``, the pruning-tree node ``(tree, path)`` the scan is of, or
+    None, gives the view the promise: ``holds_one`` reads the node's
+    candidates (``ordering.node_candidates``, built on the first read).
     """
 
-    __slots__ = ("ranks", "known", "_first_marked")
+    __slots__ = ("ranks", "known", "_first_marked", "_node", "_cols", "_agree", "_applied")
 
-    def __init__(self, x: BitString, s: BitString, order: Sequence[int], width: int) -> None:
+    def __init__(
+        self, x: BitString, s: BitString, order: Sequence[int], width: int, node: tuple | None = None
+    ) -> None:
         self.ranks = _rank_view(x.value ^ s.value, x.n, _checked_scan(x.n, s, order, width)[:width])
         self.known = bytearray(width)
         self._first_marked = self.ranks.index(1) if 1 in self.ranks else width
+        self._node = node
+        self._cols = None
 
     @property
     def cleared(self) -> int:
@@ -192,6 +226,40 @@ class _Effective:
             self.known[t] = 1
             ctx.queries += 1
         return self.ranks[t]
+
+    def holds_one(self, start: int, limit: int) -> bool:
+        """False when no candidate of the view's node that agrees with every
+        rank the view knows, zeros and ones, has a 1 in [start, limit):
+        under the promise the hidden string is such a candidate, so the
+        window holds no marked rank.  True without a node.
+
+        The agreeing candidates are a mask over the node's, narrowed by the
+        ranks learned since the last call, each one AND of a column; none
+        left raises ``PromiseViolation``.
+        """
+        if self._node is None:
+            return True
+        if self._cols is None:
+            self._agree, self._cols = node_candidates(*self._node)
+            self._applied = 0
+        cols = self._cols
+        known = int.from_bytes(self.known, "little")  # rank t is bit 8t
+        if known != self._applied:
+            fresh = (known ^ self._applied).to_bytes(len(cols), "little")
+            self._applied = known
+            agree, ranks = self._agree, self.ranks
+            t = fresh.find(1)
+            while t >= 0:
+                agree &= cols[t] if ranks[t] else ~cols[t]
+                t = fresh.find(1, t + 1)
+            if not agree:
+                raise PromiseViolation("no candidate agrees with the ranks read; promise violated")
+            self._agree = agree
+        agree = self._agree
+        for col in cols[start:limit]:
+            if col & agree:
+                return True
+        return False
 
 
 def grover_probabilities(dim: int, marked: int, iterations: int) -> tuple[float, float]:
@@ -242,6 +310,12 @@ def _bbht(
     that measures it, so the stop never fires while one is left, and such
     a window draws exactly as it would with no stop).
 
+    An amplified window of a view that has its tree node's candidates
+    (``_Effective.holds_one``) is first tested against the promise: when
+    no candidate that agrees with every rank the view knows has a 1 in
+    [start, limit), the hidden string, a candidate, has none either, and
+    the call returns None before any draw, charging nothing.
+
     The marked set is fixed for the call, so the measurement distribution
     and the norm depend only on the drawn iteration count ``j``: both are
     built once per distinct ``j`` (at most ``ceil(sqrt(dim))`` of them),
@@ -265,6 +339,8 @@ def _bbht(
     # width test, since most searches a scan makes are narrow
     if size <= max(config.classical_width, 1) or not (unknown := known.count(0, start, limit)):
         return next((t for t in range(start, limit) if eff.query(t, ctx)), None)
+    if not eff.holds_one(start, limit):
+        return None  # empty under the promise: nothing drawn, nothing charged
     dim = search_dim(size)
     ranks = eff.ranks[start:limit]
     n_marked = ranks.count(1)
@@ -445,8 +521,11 @@ def scan_failure(width: int, config: SearchConfig = DEFAULT_CONFIG) -> float:
     A scan is wrong only when a ``_bbht`` call on a range holding a marked
     rank returns None; exact answers and verified positions never are, and
     a direct read of a window of at most ``classical_width`` ranks never
-    misses.  The windows below the first marked rank hold none and return None
-    rightly.  A scan makes at most one call per ladder stage plus ``width``
+    misses.  Nor, under the promise, does a window skipped because no
+    agreeing candidate of the scan's node has a 1 in it; the bound still
+    charges such a window as an amplified one (ROADMAP direction 2 would
+    credit it).  The windows below the first marked rank hold none and
+    return None rightly.  A scan makes at most one call per ladder stage plus ``width``
     reduction calls (each moves the candidate strictly earlier), each
     window's dim is at most ``search_dim(width)``, and each call misses
     with probability at most ``bbht_failure`` of its ``dim``, so the union
@@ -500,7 +579,8 @@ def quantum_disagreement_finder(
     a rank any of them has read is not charged again, and an exact
     repetition short-circuits the rest.
     """
-    eff = _Effective(x, s, order, width)
+    eff = _Effective(x, s, order, width, ctx.node)
+    ctx.node = None
     best: int | None = None
     repetitions = repetitions_for_budget(ctx.error_budget, scan_failure(width, config))
     for _ in range(repetitions):

@@ -556,9 +556,10 @@ def oracle_id_pipeline(concept_class: ConceptClass) -> OracleIdPipeline:
 
     # f_k(x) is the first k ranks of x's rank path, 0-padded: a lone member,
     # or the reference of its block, finds no disagreement
-    nodes, members = _greedy(n, values)
+    tree = _greedy(n, values)
+    nodes = tree.nodes
     stages = 1 + max(map(len, nodes)) if m > 1 else 0
-    path_of = {v: path for path, v in members.items()}
+    path_of = {v: path for path, v in tree.members.items()}
     paths = [path_of[v] for v in values]
     lengths = np.fromiter(map(len, paths), dtype=np.intp, count=m)
     ranks = np.zeros((m, stages), dtype=np.intp)

@@ -8,7 +8,22 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from oracleid.bitstrings import BitString, ConceptClass, majority_value
+from oracleid.bitstrings import BitString, ConceptClass, generate_class, majority_value
+
+# Classes the pruning tree is checked on, against the pipeline's level walk
+# and for its nodes' candidates: wide, cube, weight-k, random, prefix, and
+# the one- and two-member edges.
+PIPELINE_CLASSES = {
+    "hamming1-8": lambda: generate_class("hamming1", 8),
+    "cube-5": lambda: generate_class("cube", 5),
+    "hamming-9-3": lambda: generate_class("hamming", 9, k=3),
+    "random-10-150": lambda: generate_class("random", 10, size=150, seed=1),
+    "random-13-400": lambda: generate_class("random", 13, size=400, seed=1),
+    "random-40-300": lambda: generate_class("random", 40, size=300, seed=2),
+    "prefix-8-4": lambda: generate_class("prefix", 8, free_bits=4),
+    "two-members": lambda: ConceptClass.from_strings(["0110", "0101"]),
+    "one-member": lambda: ConceptClass.from_strings(["0101"]),
+}
 
 
 @dataclass(frozen=True)

@@ -69,3 +69,26 @@ def test_uninstall_restores_the_wrapped_names(traced_ops):
     _, greedy, finder = traced_ops
     assert identify._greedy is greedy
     assert qsim.quantum_disagreement_finder is finder
+
+
+def test_candidates_are_built_where_a_search_amplifies():
+    """At full size, a pass of ``qsearch-deep`` (windows of at most 4 ranks)
+    and a ``certify`` op build no node candidates; one traced
+    ``qsearch-wide`` op builds its root's, so the node reaches the search
+    through the tracer's finder."""
+    from oracleid import ordering
+
+    built = {}
+    for name in ("qsearch-deep", "certify", "qsearch-wide"):
+        wl = workloads.make(name, "full")
+        cls = wl.build_class(1)
+        wl.setup(1, cls)
+        clear_ordering_cache()
+        if name == "qsearch-wide":
+            tracer = tracing.Tracer()
+            ops = [tracer.run_op(wl.op, wl.pass_ops[0], tracing.TracedFinder(tracer), tracer.call)]
+        else:
+            ops = [wl.op(item, "quantum", workloads.plain_call) for item in wl.pass_ops]
+        assert all(out.ok for out in ops), name
+        built[name] = list(ordering._greedy(cls.n, cls.values).candidates)
+    assert built == {"qsearch-deep": [], "certify": [], "qsearch-wide": [()]}

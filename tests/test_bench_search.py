@@ -49,7 +49,9 @@ def test_runs_are_seeded_as_the_cli_seeds_them():
 
 
 def test_writes_one_row_per_class(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(bench_search, "CLASSES", (("hamming1", 9, None), ("random", 5, 1)))
+    monkeypatch.setattr(
+        bench_search, "CLASSES", (("hamming1", 9, None, None), ("random", 5, 1, None), ("hamming", 6, None, 2))
+    )
     monkeypatch.setattr(bench_search, "MEMBERS", 4)
     monkeypatch.setattr(bench_search, "RUNS", 1)
     out = tmp_path / "bench.json"
@@ -57,15 +59,18 @@ def test_writes_one_row_per_class(monkeypatch, tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["script"] == "scripts/bench_search.py"
     assert set(report["machine"]) >= {"cpu", "nproc", "python", "numpy", "blas_threads"}
-    wide, single = report["classes"]
+    wide, single, weight2 = report["classes"]
     # every third member of 9
     assert (wide["kind"], wide["n"], wide["m"], wide["seed"], wide["members"]) == ("hamming1", 9, 9, None, 3)
     # one member: identified without a query
     assert (single["m"], single["runs"], single["raw_queries_mean"]) == (1, 1, 0)
-    assert wide["wrong_runs"] == single["wrong_runs"] == 0
+    # C(6, 2) members of weight k = 2, every fourth of them
+    assert (weight2["kind"], weight2["k"], weight2["m"], weight2["members"]) == ("hamming", 2, 15, 4)
+    assert wide["k"] is single["k"] is None
+    assert wide["wrong_runs"] == single["wrong_runs"] == weight2["wrong_runs"] == 0
     assert single["ideal_cost_mean"] == 0
     assert single["ns_per_raw_query"] is None
-    assert len(capsys.readouterr().out.splitlines()) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 3
 
 
 def test_timed_passes_alternate_the_classes(monkeypatch):
@@ -77,7 +82,7 @@ def test_timed_passes_alternate_the_classes(monkeypatch):
         time_pass(self)
 
     monkeypatch.setattr(bench_search.Runs, "time_pass", record)
-    rows = list(bench_search.measure_all((("hamming1", 5, None), ("hamming1", 6, None)), 1, 2, 1, 3))
+    rows = list(bench_search.measure_all((("hamming1", 5, None, None), ("hamming1", 6, None, None)), 1, 2, 1, 3))
     assert timed == [5, 6] * 3
     assert [row["passes"] for row in rows] == [3, 3]
 

@@ -4,7 +4,15 @@
 a floating-point observation rather than an outcome) of each identification
 loop with the quantum engine: ``run_final`` (unprefixed keys) and the two
 halving loops (``basic/`` and ``improved/``).  The rows were last
-re-recorded when the search (``qsim._bbht``) began to end once every rank
+re-recorded when the final algorithm's search (``qsim._bbht``) began to use
+the promise: an amplified window that no candidate of the scan's tree node
+agreeing with every known rank has a 1 in returns None, drawing and
+charging nothing.  Such a window holds no marked rank whenever the hidden
+string is a member, so only ``raw_queries`` changed, each row's falling,
+in 2 ``run_final`` rows (``hamming1-16/2/0`` and ``/2/1``) and no halving
+row, which has no node (1,573 to 1,552 summed over all 156), and every
+outcome stayed the same.  Before that they were recorded when the search
+began to end once every rank
 of its window is known, reading a window with no unknown rank for free and
 stopping a search with nothing marked at the round that verifies its last
 unknown rank.  That changes the draws only of a search that holds no

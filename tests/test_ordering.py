@@ -3,16 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import greedy_reference
-from helpers import random_class, subsets_of_cube
+from helpers import PIPELINE_CLASSES, random_class, subsets_of_cube
 from partition_reference import filter_by_disagreement, verify_ordering_walk
 from oracleid import qsim, sdp
 from oracleid.bitstrings import BitString, ConceptClass, bit_columns, generate_class
+from oracleid.identify import identify_all, run_final, run_halving_basic, run_halving_improved
 from oracleid.ordering import (
     Ordering,
     _greedy,
+    _rank_view,
     clear_ordering_cache,
     first_disagreement_rank,
     hegedus_ordering,
+    node_candidates,
     verify_ordering,
 )
 
@@ -293,7 +296,7 @@ class TestPartitionAgainstReference:
         # every node of the pruning tree is the greedy ordering of its own
         # members, and its block for rank p is what bit-by-bit pruning
         # after a hit at rank p keeps
-        nodes, members = _greedy(cls.n, cls.values)
+        nodes, members = _greedy(cls.n, cls.values)[:2]
         path_of = {v: path for path, v in members.items()}
         for path, (sigma, s_value, width) in nodes.items():
             below = [x for x in cls.members if path_of[x.value][: len(path)] == path]
@@ -334,7 +337,7 @@ def _assert_ordering_matches_reference(n, values):
 
 
 def _assert_tree_matches_reference(n, values):
-    nodes, members = _greedy(n, values)
+    nodes, members = _greedy(n, values)[:2]
     want_nodes, want_members = _reference_tree(n, values)
     assert nodes == want_nodes
     assert list(members.items()) == list(want_members.items())
@@ -399,3 +402,57 @@ class TestColumns:
         for j, col in enumerate(cols):
             for i, v in enumerate(values):
                 assert (col >> i) & 1 == (v >> (n - 1 - j)) & 1
+
+
+NODE_CLASSES = {
+    **PIPELINE_CLASSES,
+    **{f"hamming1-{n}": (lambda n=n: generate_class("hamming1", n)) for n in (16, 32, 64)},
+    "hamming-16-2": lambda: generate_class("hamming", 16, k=2),
+}
+
+
+class TestNodeCandidates:
+    """A pruning-tree node's candidates are the members whose rank path
+    passes through it, and only an amplified search window builds them."""
+
+    @pytest.mark.parametrize("name", sorted(NODE_CLASSES))
+    def test_candidates_are_the_members_below(self, name):
+        cls = NODE_CLASSES[name]()
+        clear_ordering_cache()
+        tree = _greedy(cls.n, cls.values)
+        path_of = {x.value: trace.positions for x, trace in identify_all(cls).items()}
+        settled = list(tree.members.values())
+        for path, (sigma, s_value, width) in tree.nodes.items():
+            everyone, cols = node_candidates(tree, path)
+            lo, hi = tree.spans[path]
+            cands = settled[lo:hi]
+            assert sorted(cands) == sorted(v for v in cls.values if path_of[v][: len(path)] == path)
+            assert everyone == (1 << len(cands)) - 1 and len(cols) == width
+            # bit i of column t is rank t of the i-th candidate
+            for i, v in enumerate(cands):
+                ranks = tuple(col >> i & 1 for col in cols)
+                assert ranks == _rank_view(v ^ s_value, cls.n, sigma[:width])
+        assert set(tree.candidates) == set(tree.nodes)
+        clear_ordering_cache()
+        assert not _greedy(cls.n, cls.values).candidates
+
+    @pytest.mark.parametrize("name", ["hamming1-64", "random-13-400"])
+    def test_only_amplified_windows_build_them(self, name):
+        cls = NODE_CLASSES[name]()
+        clear_ordering_cache()
+        identify_all(cls)
+        pipe = sdp.oracle_id_pipeline(cls)
+        for solution, target in zip(pipe.stage_solutions, pipe.stage_targets):
+            sdp.verify_feasible(target, solution)
+        sdp.verify_feasible(np.ones((cls.size,) * 2) - np.eye(cls.size), pipe.solution)
+        x = cls.members[0]
+        run_final(cls, x)
+        for runner in (run_halving_basic, run_halving_improved):
+            runner(cls, x, "quantum", seed=1)
+        tree = _greedy(cls.n, cls.values)
+        assert not tree.candidates
+        # a quantum run reads them at its first amplified window: hamming1's
+        # one node scans 63 ranks; the random class's widest scans 9, so
+        # its windows are at most 4 ranks wide and read directly
+        run_final(cls, x, "quantum", seed=1)
+        assert list(tree.candidates) == ([()] if name.startswith("hamming1") else [])

@@ -9,9 +9,9 @@ import statevector as ref
 from bbht_reference import bbht_reference, first_one_reference, repeats
 from empty_window_cost import empty_window_cost
 from oracleid.bitstrings import BitString, generate_class
-from oracleid import qsim
-from oracleid.identify import QuantumFinder, _new_context
-from oracleid.ordering import clear_ordering_cache
+from oracleid import identify, qsim
+from oracleid.identify import QuantumFinder, _new_context, run_final
+from oracleid.ordering import _greedy, clear_ordering_cache
 from oracleid.qsim import (
     EngineContext,
     grover_probabilities,
@@ -576,6 +576,115 @@ class TestFullKnowledge:
             assert got == next((t for t in range(10, limit + 10) if bits[t]), None), bits
             assert (ctx.queries, ctx.max_drift) == (0, 0.0)
             assert ctx.rng.bit_generator.state == state
+
+
+def _node_view(cls, x, path=(), with_node=True):
+    """The view a quantum ``run_final`` scan at the node ``path`` has of
+    ``x``: with the node's candidates, or (``with_node=False``) without."""
+    tree = _greedy(cls.n, cls.values)
+    sigma, s_value, width = tree.nodes[path]
+    node = (tree, path) if with_node else None
+    return qsim._Effective(x, BitString(cls.n, s_value), sigma, width, node)
+
+
+class TestSkipUnderThePromise:
+    """An amplified window that no candidate agreeing with the known ranks
+    has a 1 in returns None, drawing and charging nothing; any other window
+    draws exactly as it would with no candidates."""
+
+    def test_a_skipped_window_draws_and_charges_nothing(self):
+        cls = generate_class("hamming1", 64)
+        skipped = 0
+        for x in cls.members:
+            eff = _node_view(cls, x)
+            if eff.ranks.count(1) != 2:
+                continue  # the reference, or the member whose bit is past the width
+            # the first disagreement, x's own bit; every candidate with a 1
+            # there has its other 1 at the reference's bit, the last rank
+            hit = eff.ranks.index(1)
+            eff.query(hit, ctx_for(0))
+            known = bytes(eff.known)
+            for start in range(0, hit - qsim.DEFAULT_CONFIG.classical_width):
+                ctx = ctx_for((51, x.value, start))
+                state = ctx.rng.bit_generator.state
+                assert qsim._bbht(eff, hit, ctx, qsim.DEFAULT_CONFIG, start) is None
+                assert (ctx.queries, ctx.max_drift) == (0, 0.0)
+                assert ctx.rng.bit_generator.state == state
+                assert bytes(eff.known) == known
+                skipped += 1
+        assert skipped > 1000
+
+    @pytest.mark.parametrize("cls", [generate_class("hamming1", 64), generate_class("hamming", 16, k=2)],
+                             ids=["hamming1-64", "hamming-16-2"])
+    def test_a_window_a_candidate_may_hold_draws_as_with_no_candidates(self, cls):
+        rng = np.random.default_rng(52)
+        config = qsim.DEFAULT_CONFIG
+        checked = marked = 0
+        for k, x in enumerate(cls.members):
+            node, plain = _node_view(cls, x), _node_view(cls, x, with_node=False)
+            width = len(node.ranks)
+            # the same ranks known to both views, a few of them
+            for t in rng.choice(width, size=int(rng.integers(0, 4)), replace=False).tolist():
+                node.query(t, ctx_for(0))
+                plain.query(t, ctx_for(0))
+            for _ in range(4):
+                start = int(rng.integers(0, width - config.classical_width))
+                limit = int(rng.integers(start + config.classical_width + 1, width + 1))
+                if not node.holds_one(start, limit):
+                    continue
+                new, old = ctx_for((52, k, start, limit)), ctx_for((52, k, start, limit))
+                known = bytes(node.known)
+                got = qsim._bbht(node, limit, new, config, start)
+                assert got == qsim._bbht(plain, limit, old, config, start)
+                assert (new.queries, new.max_drift) == (old.queries, old.max_drift)
+                assert new.rng.bit_generator.state == old.rng.bit_generator.state
+                assert bytes(node.known) == bytes(plain.known)
+                node.known[:] = plain.known[:] = known  # the next window starts as this one did
+                checked += 1
+                marked += 1 in node.ranks[start:limit]
+        assert checked > 50 and 0 < marked < checked
+
+    def test_every_empty_reduction_on_hamming1_is_skipped(self, monkeypatch):
+        # a reduction searches [start, v) after a hit at v; on hamming1 it
+        # holds a 1 only after a hit at the reference's own bit, the last
+        # rank, and every other amplified reduction draws nothing
+        cls = generate_class("hamming1", 64)
+        calls = []
+        bbht = qsim._bbht
+
+        def record(eff, limit, ctx, config, start=0):
+            before = ctx.queries, ctx.rng.bit_generator.state
+            got = bbht(eff, limit, ctx, config, start)
+            drew = (ctx.queries, ctx.rng.bit_generator.state) != before
+            calls.append((eff, start, limit, got, drew))
+            return got
+
+        monkeypatch.setattr(qsim, "_bbht", record)
+        clear_ordering_cache()
+        for x in cls.members:
+            for trial in range(4):
+                calls.clear()
+                trace = run_final(cls, x, "quantum", seed=(53, x.value, trial))
+                assert trace.identified == x
+                for prev, (eff, start, limit, _, drew) in zip(calls, calls[1:]):
+                    if prev[0] is not eff or prev[3] != limit:
+                        continue  # not a reduction
+                    if limit - start <= qsim.DEFAULT_CONFIG.classical_width:
+                        continue  # read directly
+                    assert drew == (limit == len(eff.ranks) - 1), (x, trial, start, limit)
+
+    def test_no_agreeing_candidate_raises(self):
+        assert identify.PromiseViolation is qsim.PromiseViolation
+        cls = generate_class("hamming1", 16)
+        outside = BitString(16, 0b110)  # weight 2: not a member
+        with pytest.raises(qsim.PromiseViolation, match="no candidate agrees"):
+            run_final(cls, outside, "quantum", seed=1)
+        # every rank known: no member of weight 1 has outside's ranks
+        eff = _node_view(cls, outside)
+        for t in range(len(eff.ranks)):
+            eff.query(t, ctx_for(0))
+        with pytest.raises(qsim.PromiseViolation):
+            eff.holds_one(0, len(eff.ranks))
 
 
 class TestEmptyWindowCost:

@@ -17,7 +17,7 @@ from verify_reference import (
     domain_bits,
     rank_cost,
 )
-from helpers import FunctionTable, preimage, random_class
+from helpers import PIPELINE_CLASSES, FunctionTable, preimage, random_class
 from sdp_compose import (
     DenseSolution,
     cost_of as part_cost,
@@ -578,17 +578,7 @@ class TestPipelineAgainstReference:
     the level walk it replaced, which gave every lone member an explicit
     zero block."""
 
-    CLASSES = {
-        "hamming1-8": lambda: generate_class("hamming1", 8),
-        "cube-5": lambda: generate_class("cube", 5),
-        "hamming-9-3": lambda: generate_class("hamming", 9, k=3),
-        "random-10-150": lambda: generate_class("random", 10, size=150, seed=1),
-        "random-13-400": lambda: generate_class("random", 13, size=400, seed=1),
-        "random-40-300": lambda: generate_class("random", 40, size=300, seed=2),
-        "prefix-8-4": lambda: generate_class("prefix", 8, free_bits=4),
-        "two-members": lambda: ConceptClass.from_strings(["0110", "0101"]),
-        "one-member": lambda: ConceptClass.from_strings(["0101"]),
-    }
+    CLASSES = PIPELINE_CLASSES
 
     @pytest.mark.parametrize("name", sorted(CLASSES))
     def test_same_pipeline(self, name):
