@@ -42,12 +42,15 @@ the call's budget.  One ``EngineContext`` carries a run's state down to the
 amplified search: its seeded ``numpy`` PCG64 generator, query count, worst
 norm drift and per-call failure budget, so outcome sequences are
 reproducible bit-for-bit across platforms.  Each search round draws its
-iteration count, then one uniform variate for the measurement; the marked
-set is fixed within a search, so each distinct iteration count's
-distribution is built once and sampled by bisection on its cumulative sums.
-With nothing marked a round is those two draws alone: every index then has
-probability exactly ``1/dim`` and the norm is exactly 1, so a uniform ``u``
-measures ``floor(u * dim)``, the index that bisection would return.
+iteration count, then one uniform variate for the measurement, and charges
+its iterations as it draws them; the marked set is fixed within a search,
+so each distinct iteration count's distribution is built once and sampled
+by bisection on its cumulative sums.  With nothing marked no distribution
+is built: every index then has probability exactly ``1/dim`` and the norm
+is exactly 1, so a uniform ``u`` measures ``floor(u * dim)``, the index
+that bisection would return.  Only the measurement tells the two apart;
+either way a measured index inside the window is verified by a query,
+charged on the rank's first read only.
 Every rank one finder call has read, by any query, is known to it: the
 stages, reductions and repetitions of the call share that memo, and the
 known zeros at the front of the scan order are skipped and make an answer
@@ -125,7 +128,9 @@ class SearchConfig:
         every width from 5 to 63 (ROADMAP direction 13 picks it by exact
         cost).  A non-negative ``int``.
     norm_tol: the simulated state's norm, recomputed from its two
-        amplitudes every round, must stay within this of 1; non-negative.
+        amplitudes once per distinct drawn iteration count of a search
+        whose window holds a marked rank, must stay within this of 1;
+        non-negative.  With nothing marked the norm is exactly 1.
     """
 
     growth: float = 1.2
@@ -302,13 +307,14 @@ def _bbht(
     growing range, measure, and classically verify the measured candidate.
     Gives up once total iterations exceed ``cutoff_coeff * sqrt(limit -
     start)``; a None can therefore be wrong (marked ranks missed), never a
-    position.  Every round checks the state's norm against
-    ``config.norm_tol``.  The call also ends at the round whose
-    verification reads the window's last rank the view did not know: it
-    returns None with nothing marked, and otherwise the first marked rank,
-    which it knew at entry (an unknown marked rank is returned by the round
-    that measures it, so the stop never fires while one is left, and such
-    a window draws exactly as it would with no stop).
+    position.  Where the window holds a marked rank, the state's norm is
+    checked against ``config.norm_tol`` once per distinct drawn iteration
+    count; with nothing marked it is exactly 1.  The call also ends at the
+    round whose verification reads the window's last rank the view did not
+    know: it returns None with nothing marked, and otherwise the first
+    marked rank, which it knew at entry (an unknown marked rank is returned
+    by the round that measures it, so the stop never fires while one is
+    left, and such a window draws exactly as it would with no stop).
 
     An amplified window of a view that has its tree node's candidates
     (``_Effective.holds_one``) is first tested against the promise: when
@@ -316,22 +322,22 @@ def _bbht(
     [start, limit), the hidden string, a candidate, has none either, and
     the call returns None before any draw, charging nothing.
 
-    The marked set is fixed for the call, so the measurement distribution
-    and the norm depend only on the drawn iteration count ``j``: both are
-    built once per distinct ``j`` (at most ``ceil(sqrt(dim))`` of them),
-    when the norm is checked for all of ``j``'s rounds, and the distribution
-    is sampled by bisection on its cumulative sums.  Each round still draws
-    one integer for ``j``, then one uniform ``u`` for the measurement.
-    With nothing marked, a round is those two draws alone: ``asin(0)`` is
-    0, so every index has probability exactly ``1/dim``, the cumulative
-    sums ``(i + 1)/dim`` are exact and bisecting them at ``u`` gives
-    ``floor(u * dim)``; the norm is exactly 1, so every round's check
-    passes (``norm_tol`` is never negative).  The rounds' iterations are
-    summed here and charged to ``ctx`` on every exit.  A verification is
-    charged only for a rank the view does not know yet: with nothing
-    marked, the round marks its measured index in a copy of the window's
-    memo, padded to ``dim`` with known indices, and the call charges the
-    ranks it newly marked when it ends.
+    Every round runs in one loop: it draws an integer ``j`` and charges
+    its ``j`` iterations to ``ctx`` at once, then draws one uniform ``u``
+    and measures; a measured index inside the window is verified through
+    ``_Effective.query``, which charges a rank only on its first read, and
+    a padding index reads nothing.  Only the measurement depends on whether
+    anything is marked.  The marked set is fixed for the call, so the
+    distribution and the norm depend only on ``j``: both are built once
+    per distinct ``j`` (at most ``ceil(sqrt(dim))`` of them), between the
+    two draws, when the norm is checked for all of ``j``'s rounds, and the
+    distribution is sampled by bisection on its cumulative sums.  With
+    nothing marked none is built: ``asin(0)`` is 0, so every index has
+    probability exactly ``1/dim``, the cumulative sums ``(i + 1)/dim`` are
+    exact and bisecting them at ``u`` gives ``floor(u * dim)``, and the
+    norm is exactly 1, so its check would pass (``norm_tol`` is never
+    negative).  A raise in a norm check leaves ``ctx`` charged for every
+    round drawn.
     """
     size = limit - start
     known = eff.known
@@ -344,61 +350,41 @@ def _bbht(
     dim = search_dim(size)
     ranks = eff.ranks[start:limit]
     n_marked = ranks.count(1)
+    if n_marked:
+        marked = np.zeros(dim, dtype=bool)
+        marked[:size] = ranks
+        dists: dict[int, list[float]] = {}  # j -> cumulative probabilities
     budget = config.cutoff_coeff * math.sqrt(size)
-    draw_j, draw_u = ctx.rng.integers, ctx.rng.random
-    growth = config.growth
-    m = 1.0
-    m_cap = math.sqrt(dim)
+    draw_j, draw_u, query = ctx.rng.integers, ctx.rng.random, eff.query
+    m, m_cap = 1.0, math.sqrt(dim)
     window = 1  # ceil(m): j is drawn from [0, window)
     used = 0  # iterations so far, each one oracle query
-    if not n_marked:
-        # the measurement is floor(u * dim); an index inside the window is
-        # verified, and is a zero; the padding past it counts as known
-        seen = known[start:limit] + b"\x01" * (dim - size)
-        fresh = unknown
-        while unknown and used <= budget:
-            used += int(draw_j(0, window))
-            v = int(draw_u() * dim)
-            if not seen[v]:
-                seen[v] = 1
-                unknown -= 1
-            if m < m_cap:
-                m = min(m * growth, m_cap)
-                window = math.ceil(m)
-        del seen[size:]
-        known[start:limit] = seen
-        ctx.queries += used + fresh - unknown
-        return None
-    marked = np.zeros(dim, dtype=bool)
-    marked[:size] = ranks
-    dists: dict[int, tuple[list[float], float]] = {}  # j -> (cumulative probabilities, total)
-    try:
-        while unknown and used <= budget:
-            j = int(draw_j(0, window))
-            used += j
-            dist = dists.get(j)
-            if dist is None:
+    while unknown and used <= budget:
+        j = int(draw_j(0, window))
+        used += j
+        ctx.queries += j
+        if not n_marked:
+            v = int(draw_u() * dim)  # the bisection of the exactly uniform distribution
+        else:
+            cum = dists.get(j)
+            if cum is None:
                 p_marked, p_unmarked = grover_probabilities(dim, n_marked, j)
                 drift = abs(math.sqrt(n_marked * p_marked + (dim - n_marked) * p_unmarked) - 1.0)
                 ctx.max_drift = max(ctx.max_drift, drift)
                 if drift > config.norm_tol:
                     raise RuntimeError(f"simulated state norm drifted by {drift:.3e}")
-                cum = np.cumsum(np.where(marked, p_marked, p_unmarked)).tolist()
-                dist = dists[j] = cum, cum[-1]
-            cum, total = dist
-            v = bisect.bisect_right(cum, draw_u() * total)
-            if v < size:
-                t = start + v
-                unknown -= not known[t]
-                if eff.query(t, ctx):
-                    return t
-            if m < m_cap:
-                m = min(m * growth, m_cap)
-                window = math.ceil(m)
-        # every rank known: the marked ones were known at entry
-        return None if unknown else start + ranks.index(1)
-    finally:
-        ctx.queries += used
+                cum = dists[j] = np.cumsum(np.where(marked, p_marked, p_unmarked)).tolist()
+            v = bisect.bisect_right(cum, draw_u() * cum[-1])
+        if v < size:
+            v += start
+            unknown -= not known[v]
+            if query(v, ctx):
+                return v
+        if m < m_cap:
+            m = min(m * config.growth, m_cap)
+            window = math.ceil(m)
+    # every rank known: the marked ones were known at entry
+    return start + ranks.index(1) if n_marked and not unknown else None
 
 
 def _stage_ladder(classical_width: int, width: int) -> list[int]:
@@ -577,7 +563,8 @@ def quantum_disagreement_finder(
     the certified ``scan_failure`` sets the repetition count that brings
     it within ``ctx.error_budget``.  The repetitions share one view, so
     a rank any of them has read is not charged again, and an exact
-    repetition short-circuits the rest.
+    repetition short-circuits the rest.  The answer is exact when the
+    view's known zeros reach it, whichever repetitions proved them.
     """
     eff = _Effective(x, s, order, width, ctx.node)
     ctx.node = None
@@ -589,7 +576,7 @@ def quantum_disagreement_finder(
             return res
         if res.rank is not None:
             best = res.rank if best is None else min(best, res.rank)
-    return DisagreementResult(best, False)
+    return DisagreementResult(best, eff.cleared >= (width if best is None else best - 1))
 
 
 def quantum_any_disagreement(

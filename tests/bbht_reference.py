@@ -2,12 +2,14 @@
 
 ``bbht_reference`` rebuilds the full measurement distribution for every
 round's drawn iteration count, checks its norm and samples it with
-``np.searchsorted``.  ``qsim._bbht`` builds and checks each distinct count's
-distribution once per call and samples it by bisection; with nothing marked
-it builds none: a round there is one draw of ``j`` and one of ``u``, and
-measures ``floor(u * dim)``, which is what this sampler returns on the
-exactly uniform distribution, whose norm is exactly 1.  It must return the
-same rank, record the same drift and leave the generator in the same state.
+``np.searchsorted``.  ``qsim._bbht`` runs the same rounds in one loop, each
+drawing ``j`` and charging it, then drawing ``u``, as here; only its
+measurement differs.  Where something is marked it builds and checks each
+distinct count's distribution once per call and samples it by bisection;
+with nothing marked it builds none and measures ``floor(u * dim)``, which
+is what this sampler returns on the exactly uniform distribution, whose
+norm is exactly 1.  It must return the same rank, record the same drift,
+charge the same queries and leave the generator in the same state.
 The probabilities are read through the ``qsim`` module, so a test that
 patches ``qsim.grover_probabilities`` patches both where something is
 marked.

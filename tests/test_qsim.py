@@ -220,22 +220,27 @@ class TestSamplerMatchesReference:
     ], ids=["default", "growth2", "cutoff3", "cutoff0", "cw0"])
     def test_same_outcome_queries_drift_and_generator_state(self, config):
         # at classical_width 0 windows of 2 to 4 ranks are amplified too
-        rng = np.random.default_rng(2024)
+        rng, offsets = np.random.default_rng(2024), np.random.default_rng(2025)
         # every limit to 130, then either side of the powers of two 256, 512
         # and 1024, where nothing marked measures floor(u * dim)
         for limit in [*range(1, 131), 255, 256, 257, 511, 1000, 1024]:
             for ranks in _marked_sets(limit, rng):
-                x = BitString.from_bits([int(t in ranks) for t in range(limit)])
-                eff = effective(x, limit)
-                seed = (limit, len(ranks))
-                new, old = ctx_for(seed), ctx_for(seed)
-                verified = Counter()
-                got = qsim._bbht(eff, limit, new, config)
-                want = bbht_reference(x.bits, limit, old, config, verified)
-                where = f"limit={limit} marked={ranks}"
-                assert got == want, where
-                assert (new.queries, new.max_drift) == (old.queries - repeats(verified), old.max_drift), where
-                assert new.rng.bit_generator.state == old.rng.bit_generator.state, where
+                window = [int(t in ranks) for t in range(limit)]
+                # the window at rank 0, and at an offset among random ranks
+                # that must not be read
+                offset = int(offsets.integers(1, 40))
+                outside = offsets.integers(2, size=offset + 7).tolist()
+                for start, bits in ((0, window), (offset, outside[:offset] + window + outside[offset:])):
+                    eff = effective(BitString.from_bits(bits), len(bits))
+                    seed = (limit, len(ranks))
+                    new, old = ctx_for(seed), ctx_for(seed)
+                    verified = Counter()
+                    got = qsim._bbht(eff, start + limit, new, config, start)
+                    want = bbht_reference(bits, start + limit, old, config, verified, start)
+                    where = f"start={start} limit={limit} marked={ranks}"
+                    assert got == want, where
+                    assert (new.queries, new.max_drift) == (old.queries - repeats(verified), old.max_drift), where
+                    assert new.rng.bit_generator.state == old.rng.bit_generator.state, where
 
     def test_one_distribution_per_iteration_count(self, monkeypatch):
         # at dim 64 the drawn counts take at most ceil(sqrt(64)) = 8 values
@@ -892,6 +897,24 @@ class TestDisagreementFinder:
         assert sum(limit == width for _, limit, _ in searches) >= 2  # one per repetition
         assert all(start >= cleared for start, _, cleared in searches)
         assert sorted(t for t in scanned if t < 8) == list(range(8))
+
+    def test_an_answer_is_exact_once_the_repetitions_prove_the_ranks_below_it(self, monkeypatch):
+        # at this seed four repetitions find rank 18 with ranks 8-16 unread,
+        # and the fifth finds nothing but reads them all: the call's answer
+        # is exact though no repetition's is
+        x = bs("0" * 17 + "1" + "0" * 19)
+        config = qsim.SearchConfig(cutoff_coeff=1.0)
+        scans, first_one = [], qsim._first_one
+
+        def record(eff, ctx, config):
+            scans.append((first_one(eff, ctx, config), eff.cleared))
+            return scans[-1][0]
+
+        monkeypatch.setattr(qsim, "_first_one", record)
+        res = quantum_disagreement_finder(x, BitString.zeros(37), range(37), 37, ctx_for((0, 3419), 0.01), config)
+        assert res == qsim.DisagreementResult(18, True)
+        assert not any(scan.exact for scan, _ in scans)
+        assert [cleared for _, cleared in scans] == [8, 8, 8, 8, 17]
 
     def test_any_marked_search_repeats_to_the_budget(self, monkeypatch):
         # nothing marked: every repetition runs and misses
